@@ -17,9 +17,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import qmath
-from .kernels import ACTIVE
 from .qmath import RngHandle
-from .tester import Tester, tester_entropy
+from .tester import Tester, outcome_probabilities, shannon_entropy, tester_entropy
 
 TRIVIAL_SATURATION_TOL = 1e-6  # bits
 
@@ -83,62 +82,51 @@ def entropy_sum(t1: Tester, t2: Tester, u: np.ndarray) -> float:
     return tester_entropy(t1, u) + tester_entropy(t2, u)
 
 
-def _tester_arrays(t: Tester):
-    return (
-        np.ascontiguousarray(t.projector_matrix()),
-        np.ascontiguousarray(t.input),
-        1 if t.is_bipartite else 0,
-    )
-
-
 def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """exp(i sum_k theta_k G_k) (special unitary for traceless generators)."""
-    h = np.tensordot(np.asarray(theta, dtype=float), gens, axes=1)
-    return ACTIVE.expi_hermitian(np.ascontiguousarray(h))
+    w, v = np.linalg.eigh(np.tensordot(np.asarray(theta, dtype=float), gens, axes=1))
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _multistart(f, n_params: int, cfg: SearchConfig, xatol: float, fatol: float):
+    """Nelder-Mead from cfg.starts points drawn uniformly in [-pi, pi)^n_params.
+
+    Returns (best value, its parameters, per-start (initial, final) trace);
+    starts run independently and are reduced in start order.
+    """
+    theta0s = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, n_params))
+    options = {"xatol": xatol, "fatol": fatol, "maxiter": cfg.max_iterations,
+               "maxfev": 4 * cfg.max_iterations}
+    trace = []
+    best_val, best_theta = np.inf, theta0s[0]
+    for theta0 in theta0s:
+        res = minimize(f, theta0, method="Nelder-Mead", options=options)
+        trace.append((float(f(theta0)), float(res.fun)))
+        if res.fun < best_val:
+            best_val, best_theta = float(res.fun), res.x
+    return best_val, best_theta, tuple(trace)
 
 
 def estimate_bound(t1: Tester, t2: Tester, cfg: SearchConfig) -> BoundEstimate:
     """Multi-start simplex search for min_u of entropy_sum(t1, t2, u).
 
     Deterministic per SearchConfig seed; the best value is monotone
-    nonincreasing in the number of starts.  Starts run independently and
-    are reduced in start order.
+    nonincreasing in the number of starts.
     """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
     d = t1.dim
-    gens = np.ascontiguousarray(su_generators(d))
-    m1, psi1, bip1 = _tester_arrays(t1)
-    m2, psi2, bip2 = _tester_arrays(t2)
-    objective = ACTIVE.entropy_sum_objective
+    gens = su_generators(d)
 
     def f(theta):
-        return objective(np.ascontiguousarray(theta), gens, m1, psi1, bip1, m2, psi2, bip2)
+        # entropy_sum without its per-call checks, which the search does not need
+        u = unitary_from_params(theta, gens)
+        return (shannon_entropy(outcome_probabilities(t1, u))
+                + shannon_entropy(outcome_probabilities(t2, u)))
 
-    gen = cfg.rng.generator()
-    n_params = d * d - 1
-    theta0s = gen.uniform(-np.pi, np.pi, size=(cfg.starts, n_params))
-    trace = []
-    best_val = np.inf
-    best_theta = theta0s[0]
-    for theta0 in theta0s:
-        res = minimize(
-            f,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-8,
-                "fatol": cfg.tolerance,
-                "maxiter": cfg.max_iterations,
-                "maxfev": 4 * cfg.max_iterations,
-            },
-        )
-        trace.append((float(f(theta0)), float(res.fun)))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_theta = res.x
+    best_val, best_theta, trace = _multistart(f, d * d - 1, cfg, 1e-8, cfg.tolerance)
     minimizer = unitary_from_params(best_theta, gens)
-    return BoundEstimate(value=max(best_val, 0.0), minimizer=minimizer, starts=tuple(trace))
+    return BoundEstimate(value=max(best_val, 0.0), minimizer=minimizer, starts=trace)
 
 
 def mub_overlap_bound(meas1, meas2) -> float:

@@ -27,7 +27,6 @@ import time
 import numpy as np
 
 from . import bounds, muub, ppovm, qkd, qmath, tester
-from .kernels import active_backend
 from .qmath import RngHandle
 
 
@@ -334,7 +333,7 @@ _SUITES = {
 
 def _cmd_verify(args, log) -> tuple:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    payload = {"seed": args.seed, "backend": active_backend(), "suites": {}}
+    payload = {"seed": args.seed, "suites": {}}
     all_pass = True
     for name in names:
         log(f"running suite {name} ...")
@@ -352,7 +351,7 @@ def _cmd_bound(args, log) -> tuple:
     cfg = bounds.SearchConfig(starts=args.starts, max_iterations=args.iters,
                               tolerance=args.tol, rng=RngHandle(args.seed))
     log(f"searching bound for ({t1.label or 't1'}, {t2.label or 't2'}) "
-        f"with {cfg.starts} starts on the {active_backend()} backend ...")
+        f"with {cfg.starts} starts ...")
     est = bounds.estimate_bound(t1, t2, cfg)
     payload = est.to_json()
     payload.update({
@@ -382,21 +381,29 @@ _EVE_SHORT = {"none": "none", "qmm": "qmm-equivalent-tester", "intercept": "inte
 
 def _cmd_qkd(args, log) -> tuple:
     if args.config:
+        overrides = [flag for flag, value in (
+            ("--rounds", args.rounds), ("--seed", args.seed), ("--eve", args.eve),
+            ("--D", args.D), ("--control-fraction", args.control_fraction),
+        ) if value is not None]
+        if overrides:
+            raise ValueError(f"--config cannot be combined with {', '.join(overrides)}")
         with open(args.config) as fh:
             cfg = qkd.config_from_json(json.load(fh))
-        if args.rounds is not None or args.seed is not None:
-            raise ValueError("--config cannot be combined with --rounds/--seed overrides")
     else:
-        eve = qkd.EveStrategy(kind=_EVE_SHORT[args.eve])
-        rounds = args.rounds if args.rounds is not None else 100_000
-        seed = args.seed if args.seed is not None else 0
+        if args.protocol == "lm05" and args.D is not None:
+            raise ValueError("--D applies to the extended protocol only")
+        if args.protocol == "extended" and args.control_fraction is not None:
+            raise ValueError("--control-fraction applies to the lm05 protocol only")
+        eve = qkd.EveStrategy(kind=_EVE_SHORT[args.eve or "none"])
+        rounds = 100_000 if args.rounds is None else args.rounds
+        seed = 0 if args.seed is None else args.seed
         if args.protocol == "lm05":
-            cfg = qkd.default_lm05_config(rounds=rounds, control_fraction=args.control_fraction,
-                                          eve=eve, seed=seed)
+            cfg = qkd.default_lm05_config(rounds=rounds, eve=eve, seed=seed,
+                                          control_fraction=args.control_fraction or 0.0)
         else:
-            cfg = qkd.default_extended_config(D=args.D, rounds=rounds, eve=eve, seed=seed)
-    log(f"simulating {args.protocol} for {cfg.rounds} rounds "
-        f"(eve={cfg.eve.kind}, backend={active_backend()}) ...")
+            cfg = qkd.default_extended_config(D=2 if args.D is None else args.D,
+                                              rounds=rounds, eve=eve, seed=seed)
+    log(f"simulating {args.protocol} for {cfg.rounds} rounds (eve={cfg.eve.kind}) ...")
     run = qkd.run_lm05 if args.protocol == "lm05" else qkd.run_extended
     stats = run(cfg, trace=args.trace)
     payload = {
@@ -448,12 +455,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("qkd", help="run a key-distribution simulation")
     sp.add_argument("protocol", choices=["lm05", "extended"])
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--control-fraction", type=float, default=0.0)
-    sp.add_argument("--eve", default="none", choices=sorted(_EVE_SHORT))
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--D", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--rounds", type=int, default=None, help="default 100000")
+    sp.add_argument("--control-fraction", type=float, default=None,
+                    help="lm05 only; default 0")
+    sp.add_argument("--eve", default=None, choices=sorted(_EVE_SHORT), help="default none")
+    sp.add_argument("--D", type=int, default=None, help="extended only; 2 or 4, default 2")
+    sp.add_argument("--seed", type=int, default=None, help="default 0")
     sp.add_argument("--config", default=None, help="protocol config JSON file")
     sp.add_argument("--trace", default=None, help="write a per-round CSV log here")
     common(sp)

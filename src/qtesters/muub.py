@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qmath
-from .bounds import SearchConfig, su_generators, unitary_from_params
+from .bounds import SearchConfig, _multistart, su_generators, unitary_from_params
 from .qmath import DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tester import (
     ENTROPY_ZERO_TOL,
@@ -366,7 +365,7 @@ def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
     d = basis.dim
     if basis.D != d * d:
         raise ValueError("partner search is implemented for full bases (D = d^2) only")
-    gens = np.ascontiguousarray(su_generators(d))
+    gens = su_generators(d)
     stack = np.stack([p.conj().T for p in basis])
 
     def deviation(theta):
@@ -374,19 +373,7 @@ def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
         traces = np.einsum("kij,lji->kl", stack, np.stack([p @ v for p in basis]))
         return float(np.sum((np.abs(traces) ** 2 - 1.0) ** 2))
 
-    gen = cfg.rng.generator()
-    best = (np.inf, None)
-    for _ in range(cfg.starts):
-        theta0 = gen.uniform(-np.pi, np.pi, size=d * d - 1)
-        res = minimize(
-            deviation,
-            theta0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": cfg.max_iterations,
-                     "maxfev": 4 * cfg.max_iterations},
-        )
-        if res.fun < best[0]:
-            best = (float(res.fun), res.x)
-    v = unitary_from_params(best[1], gens)
+    residual, theta, _ = _multistart(deviation, d * d - 1, cfg, 1e-10, 1e-14)
+    v = unitary_from_params(theta, gens)
     partner = UnitaryBasis(dim=d, elements=tuple(p @ v for p in basis))
-    return partner, best[0]
+    return partner, residual

@@ -27,9 +27,10 @@ The adversary is configurable: ``none``, a tester-hijack
 against Alice, then applies her inferred unitary to the kept probe), or
 ``intercept-resend`` (Eve measures in flight, never storing anything).
 
-All per-round randomness is pre-drawn in a fixed column layout, so a run
-is bit-for-bit reproducible from its (seed, stream) and independent of the
-kernel backend.
+All per-round randomness is pre-drawn in a fixed column layout, in
+blocks of rounds that continue one generator stream, so a run is
+bit-for-bit reproducible from its (seed, stream) and its memory does not
+grow with the round count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import numpy as np
 
 from . import muub as muub_mod
 from . import qmath, tester as tester_mod
-from .kernels import ACTIVE
 from .muub import UnitaryBasis, balanced_qubit_rotation, build_named_basis, verify_prop_maximal
 from .qmath import RngHandle
 from .tester import HypothesisViolation, Tester, TesterSet, is_complete_set
@@ -51,6 +51,7 @@ RESEND_POLICIES = ("fixed-zero", "random-input")
 SET_POLICIES = ("fixed", "uniform")
 
 _SNAP = 1e-9  # probabilities below this are treated as exact zeros in the tables
+_BLOCK = 8192  # rounds simulated per block of draws; bounds memory at any round count
 
 
 class ConfigError(ValueError):
@@ -154,7 +155,7 @@ def _rate(successes: int, n: int) -> tuple:
 
 def _snap_rows(table: np.ndarray) -> np.ndarray:
     """Zero out sub-1e-9 probabilities and renormalize each distribution, so
-    deterministic rows sample identically on every backend."""
+    a deterministic row yields its one outcome for every uniform draw."""
     t = np.array(table, dtype=float)
     flat = t.reshape(-1, t.shape[-1])
     flat[flat < _SNAP] = 0.0
@@ -164,6 +165,49 @@ def _snap_rows(table: np.ndarray) -> np.ndarray:
 
 def _dist(projs: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.abs(projs @ state) ** 2
+
+
+def _cumulative(table: np.ndarray) -> np.ndarray:
+    """Cumulative sums along each distribution, without the last bin."""
+    return np.cumsum(table, axis=-1)[..., :-1]
+
+
+def _sample(cum_rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row, the first bin whose cumulative probability exceeds r (the
+    last bin if none does), for rows gathered from a ``_cumulative`` table."""
+    return (cum_rows <= r[:, None]).sum(axis=1)
+
+
+def _index(x: np.ndarray, n: int) -> np.ndarray:
+    """Uniform draws in [0, 1) mapped to integers 0..n-1."""
+    return (x * n).astype(np.int64)
+
+
+def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trace) -> np.ndarray:
+    """Run ``rounds_fn(draws)`` block by block over one generator stream,
+    streaming the records to ``trace`` (a path or text handle) when given.
+
+    ``rounds_fn`` returns a block of records and a vector of integer counts;
+    the counts summed over all blocks are returned.
+    """
+    gen = cfg.rng.generator()
+    own = isinstance(trace, (str, bytes))
+    fh = open(trace, "w", newline="") if own else trace
+    try:
+        writer = None if fh is None else csv.writer(fh)
+        if writer is not None:
+            writer.writerow(("round",) + columns)
+        totals = 0
+        for start in range(0, cfg.rounds, _BLOCK):
+            n = min(_BLOCK, cfg.rounds - start)
+            rec, counts = rounds_fn(gen.random((n, n_draws)))
+            totals = totals + counts
+            if writer is not None:
+                writer.writerows(np.column_stack((np.arange(start, start + n), rec)).tolist())
+    finally:
+        if own:
+            fh.close()
+    return totals
 
 
 def analytic_eve_accuracy(D: int) -> float:
@@ -273,30 +317,91 @@ _LM05_COLUMNS = ("bob_tester", "mode", "alice_bit", "alice_basis", "eve_choice",
                  "cm_mismatch", "eve_bit")
 
 
+def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
+    """Records and counts for one block of qubit-protocol rounds.
+
+    draws columns: 0 bob tester, 1 alice mode, 2 alice bit/basis,
+      3 eve choice, 4 eve collapse, 5 eve outcome, 6 alice cm outcome,
+      7 bob outcome.
+    rec columns: 0 bob tester, 1 mode, 2 alice bit, 3 alice basis,
+      4 eve choice, 5 alice cm outcome, 6 bob outcome, 7 bob bit,
+      8 cm matched, 9 cm mismatch, 10 eve bit.  Unused fields stay -1.
+    eve_kind: 0 none, 1 equivalent-tester hijack, 2 intercept-resend.
+    counts: control rounds, bob errors, cm comparisons, cm mismatches,
+      eve correct.
+    """
+    self_idx, basis_id, state_idx = tables["self_idx"], tables["basis_id"], tables["state_idx"]
+    n_testers = self_idx.size
+    rec = np.full((draws.shape[0], 11), -1, dtype=np.int64)
+    t = _index(draws[:, 0], n_testers)
+    cm = draws[:, 1] < control_fraction
+    rec[:, 0] = t
+    rec[:, 1] = cm
+
+    enc = ~cm
+    de, te = draws[enc], t[enc]
+    bit = _index(de[:, 2], 2)
+    rec[enc, 2] = bit
+    if eve_kind == 0:
+        out = _sample(cum["p_bob"][te, bit], de[:, 7])
+    elif eve_kind == 1:
+        tev = _index(de[:, 3], n_testers)
+        rec[enc, 4] = tev
+        eout = _sample(cum["p_bob"][tev, bit], de[:, 5])
+        ebit = (eout != self_idx[tev]).astype(np.int64)
+        rec[enc, 10] = ebit
+        out = _sample(cum["p_bob"][te, ebit], de[:, 7])
+    else:
+        be = _index(de[:, 3], 2)
+        rec[enc, 4] = be
+        m = _sample(cum["p_state_in_basis"][te, be], de[:, 4])
+        eout = _sample(cum["p_enc_state_basis"][be, m, bit], de[:, 5])
+        rec[enc, 10] = eout != m
+        out = _sample(cum["p_basis_state_tester"][be, eout, te], de[:, 7])
+    rec[enc, 6] = out
+    rec[enc, 7] = out != self_idx[te]
+
+    dc, tc = draws[cm], t[cm]
+    basis = _index(dc[:, 2], 2)
+    rec[cm, 3] = basis
+    if eve_kind == 0:
+        out = _sample(cum["p_state_in_basis"][tc, basis], dc[:, 6])
+    elif eve_kind == 1:
+        choice = _index(dc[:, 3], tables["p_cm_eve"].shape[0])
+        rec[cm, 4] = choice
+        out = _sample(cum["p_cm_eve"][choice, basis], dc[:, 6])
+    else:
+        be = _index(dc[:, 3], 2)
+        rec[cm, 4] = be
+        m = _sample(cum["p_state_in_basis"][tc, be], dc[:, 4])
+        out = _sample(cum["p_basis_basis"][be, m, basis], dc[:, 6])
+    rec[cm, 5] = out
+    matched = basis == basis_id[tc]
+    rec[cm, 8] = matched
+    rec[cm, 9] = np.where(matched, out != state_idx[tc], -1)
+
+    counts = np.array([
+        np.sum(cm),
+        np.sum(enc & (rec[:, 7] != rec[:, 2])),
+        np.sum(rec[:, 8] == 1),
+        np.sum(rec[:, 9] == 1),
+        np.sum(enc & (rec[:, 10] == rec[:, 2])),
+    ])
+    return rec, counts
+
+
 def run_lm05(cfg: ProtocolConfig, trace=None) -> ProtocolStats:
     """Simulate the qubit protocol; optionally write a per-round CSV."""
     _, tables = _lm05_tables(cfg)
     eve_kind = EVE_KINDS.index(cfg.eve.kind)
-    draws = cfg.rng.generator().random((cfg.rounds, 8))
-    rec = np.empty((cfg.rounds, 11), dtype=np.int64)
-    ACTIVE.lm05_rounds(draws, eve_kind, cfg.control_fraction, tables["p_bob"],
-                       tables["self_idx"], tables["basis_id"], tables["state_idx"],
-                       tables["p_state_in_basis"], tables["p_cm_eve"],
-                       tables["p_enc_state_basis"], tables["p_basis_state_tester"],
-                       tables["p_basis_basis"], rec)
-    if trace is not None:
-        _write_trace(trace, _LM05_COLUMNS, rec)
-    enc_rounds = rec[:, 1] == 0
-    control_rounds = int(cfg.rounds - enc_rounds.sum())
-    sifted = int(enc_rounds.sum())
-    bob_errors = int(np.sum(enc_rounds & (rec[:, 7] != rec[:, 2])))
-    cm_comparisons = int(np.sum(rec[:, 8] == 1))
-    cm_mismatches = int(np.sum(rec[:, 9] == 1))
-    if eve_kind == 0:
-        eve_rounds = eve_correct = 0
-    else:
-        eve_rounds = sifted
-        eve_correct = int(np.sum(enc_rounds & (rec[:, 10] == rec[:, 2])))
+    cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+    control_rounds, bob_errors, cm_comparisons, cm_mismatches, eve_correct = (
+        int(c) for c in _simulate(
+            cfg, 8, _LM05_COLUMNS,
+            lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables),
+            trace))
+    sifted = cfg.rounds - control_rounds
+    eve_rounds = 0 if eve_kind == 0 else sifted
     return _assemble_stats(cfg.rounds, control_rounds, sifted, bob_errors,
                            cm_comparisons, cm_mismatches, eve_rounds, eve_correct)
 
@@ -379,6 +484,60 @@ _EXT_COLUMNS = ("bob_set", "bob_tester", "alice_set", "alice_digit", "eve_set",
                 "bob_digit", "sifted", "bob_error", "eve_correct")
 
 
+def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
+    """Records and counts for one block of D-ary protocol rounds.
+
+    draws columns: 0 bob set, 1 bob tester, 2 alice set, 3 alice digit,
+      4 eve set, 5 eve tester/collapse, 6 eve outcome,
+      7 eve fallback guess, 8 bob outcome.
+    rec columns: 0 bob set, 1 bob tester, 2 alice set, 3 alice digit,
+      4 eve set, 5 eve tester/collapse, 6 eve outcome, 7 eve digit,
+      8 bob outcome, 9 bob digit, 10 sifted, 11 bob error, 12 eve correct.
+      Unused fields stay -1.
+    eve_set_policy: 0 fixed set 0, 1 uniform.
+    counts: sifted, bob errors, eve correct.
+    """
+    rec = np.full((draws.shape[0], 13), -1, dtype=np.int64)
+    sb = _index(draws[:, 0], 2)
+    tb = _index(draws[:, 1], n_digits)
+    sa = _index(draws[:, 2], 2)
+    dig = _index(draws[:, 3], n_digits)
+    rec[:, 0] = sb
+    rec[:, 1] = tb
+    rec[:, 2] = sa
+    rec[:, 3] = dig
+    p_out = cum["p_out"]
+    if eve_kind == 0:
+        out = _sample(p_out[sb, tb, sa, dig], draws[:, 8])
+    else:
+        se = np.zeros_like(sb) if eve_set_policy == 0 else _index(draws[:, 4], 2)
+        rec[:, 4] = se
+        if eve_kind == 1:
+            te = _index(draws[:, 5], n_digits)
+            rec[:, 5] = te
+            eout = _sample(p_out[se, te, sa, dig], draws[:, 6])
+            eraw = decode[se, te, eout]
+            out = _sample(p_out[sb, tb, se, eraw], draws[:, 8])
+        else:
+            m = _sample(cum["collapse"][se, sb, tb], draws[:, 5])
+            rec[:, 5] = m
+            eout = _sample(p_out[se, m, sa, dig], draws[:, 6])
+            eraw = decode[se, m, eout]
+            out = _sample(cum["p_proj"][se, eout, sb], draws[:, 8])
+        rec[:, 6] = eout
+        rec[:, 7] = np.where(se == sa, eraw, _index(draws[:, 7], n_digits))
+    rec[:, 8] = out
+    bdig = decode[sb, tb, out]
+    rec[:, 9] = bdig
+    sift = sb == sa
+    rec[:, 10] = sift
+    rec[:, 11] = np.where(sift, bdig != dig, -1)
+    if eve_kind != 0:
+        rec[:, 12] = np.where(sift, rec[:, 7] == dig, -1)
+    counts = np.array([np.sum(sift), np.sum(rec[:, 11] == 1), np.sum(rec[:, 12] == 1)])
+    return rec, counts
+
+
 def run_extended(cfg: ProtocolConfig, trace=None) -> ProtocolStats:
     """Simulate the D-ary protocol; optionally write a per-round CSV."""
     if cfg.control_fraction != 0.0:
@@ -386,19 +545,14 @@ def run_extended(cfg: ProtocolConfig, trace=None) -> ProtocolStats:
     tables = _extended_tables(cfg)
     eve_kind = EVE_KINDS.index(cfg.eve.kind)
     set_policy = SET_POLICIES.index(cfg.eve.set_policy)
-    draws = cfg.rng.generator().random((cfg.rounds, 9))
-    rec = np.empty((cfg.rounds, 13), dtype=np.int64)
-    ACTIVE.extended_rounds(draws, eve_kind, set_policy, cfg.D, tables["p_out"],
-                           tables["decode"], tables["collapse"], tables["p_proj"], rec)
-    if trace is not None:
-        _write_trace(trace, _EXT_COLUMNS, rec)
-    sifted = int(np.sum(rec[:, 10] == 1))
-    bob_errors = int(np.sum(rec[:, 11] == 1))
-    if eve_kind == 0:
-        eve_rounds = eve_correct = 0
-    else:
-        eve_rounds = sifted
-        eve_correct = int(np.sum(rec[:, 12] == 1))
+    cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+    sifted, bob_errors, eve_correct = (
+        int(c) for c in _simulate(
+            cfg, 9, _EXT_COLUMNS,
+            lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
+                                           tables["decode"]),
+            trace))
+    eve_rounds = 0 if eve_kind == 0 else sifted
     return _assemble_stats(cfg.rounds, 0, sifted, bob_errors, 0, 0,
                            eve_rounds, eve_correct)
 
@@ -420,19 +574,6 @@ def _assemble_stats(rounds, control_rounds, sifted, bob_errors, cm_comparisons,
     )
 
 
-def _write_trace(trace, columns, rec: np.ndarray):
-    own = isinstance(trace, (str, bytes))
-    fh = open(trace, "w", newline="") if own else trace
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(("round",) + tuple(columns))
-        for i, row in enumerate(rec):
-            writer.writerow((i,) + tuple(int(x) for x in row))
-    finally:
-        if own:
-            fh.close()
-
-
 # ---------------------------------------------------------------------------
 # Config JSON (mirrors ProtocolConfig; set/basis entries may be registry
 # names or inline literals)
@@ -444,6 +585,8 @@ def resolve_tester_set(spec) -> TesterSet:
             return tester_mod.bell_tester_set(measurement_rotation=balanced_qubit_rotation())
         return tester_mod.named_tester_set(spec)
     testers = tuple(tester_mod.tester_from_json(t) for t in spec)
+    if not testers:
+        raise ConfigError("empty tester set")
     return TesterSet(testers=testers, dim=testers[0].dim)
 
 

@@ -59,11 +59,13 @@ class Tester:
             raise ValueError("projector dimension differs from the probe dimension")
         if len(projs) not in (d, d * d) or len(projs) > psi.size:
             raise ValueError(f"projector count {len(projs)} must be d or d^2 and fit the space")
-        gram = np.array([[np.vdot(a, b) for b in projs] for a in projs])
-        if np.max(np.abs(gram - np.eye(len(projs)))) > DEFAULT_TOL:
+        m = np.stack(projs).conj()
+        if np.max(np.abs(m @ m.conj().T - np.eye(len(projs)))) > DEFAULT_TOL:
             raise ValueError("projectors are not orthonormal")
+        m.setflags(write=False)
         object.__setattr__(self, "input", psi)
         object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "_projector_matrix", m)
 
     @property
     def is_bipartite(self) -> bool:
@@ -74,14 +76,20 @@ class Tester:
         return len(self.projectors)
 
     def projector_matrix(self) -> np.ndarray:
-        """Rows are the conjugated projector states, so amps = M @ state."""
-        return np.stack([p.conj() for p in self.projectors])
+        """Rows are the conjugated projector states, so amps = M @ state
+        (read-only, computed once)."""
+        return self._projector_matrix
 
-    def embedded(self, u: np.ndarray) -> np.ndarray:
-        """The operator actually applied to the probe (u, or u (x) I_d)."""
+    def _checked_unitary(self, u: np.ndarray) -> np.ndarray:
+        """u as a complex array, after checking it is d x d."""
         u = np.asarray(u, dtype=complex)
         if u.shape != (self.dim, self.dim):
             raise ValueError(f"unitary shape {u.shape} does not match d={self.dim}")
+        return u
+
+    def embedded(self, u: np.ndarray) -> np.ndarray:
+        """The operator actually applied to the probe (u, or u (x) I_d)."""
+        u = self._checked_unitary(u)
         return np.kron(u, np.eye(self.dim)) if self.is_bipartite else u
 
     def to_json(self) -> dict:
@@ -157,10 +165,19 @@ class TesterSet:
         return [t.input for t in self.testers]
 
 
+def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
+    """Unchecked p_k = |<chi_k| U |psi>|^2 for a d x d array u.
+
+    The probe, reshaped to (system, ancilla), is multiplied by u directly,
+    which applies u (x) I_d to a bipartite probe and u to an ancilla-free
+    one (a single column).
+    """
+    return np.abs(t.projector_matrix() @ (u @ t.input.reshape(t.dim, -1)).ravel()) ** 2
+
+
 def outcome_distribution(t: Tester, u: np.ndarray) -> Distribution:
     """Probabilities p_k = |<chi_k| U |psi>|^2 for the tester's projectors."""
-    s = t.embedded(u) @ t.input
-    p = np.abs(t.projector_matrix() @ s) ** 2
+    p = outcome_probabilities(t, t._checked_unitary(u))
     total = float(p.sum())
     if total < 1.0 - LEAK_TOL:
         raise LeakyMeasurementError(

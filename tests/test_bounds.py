@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import oracles
 from qtesters import bounds, qmath
@@ -149,11 +150,14 @@ class TestSuGenerators:
             for j in range(i + 1, len(gens)):
                 assert abs(np.trace(gens[i].conj().T @ gens[j])) <= 1e-12
 
-    def test_exponential_is_unitary(self, gen):
-        gens = su_generators(3)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exponential_is_unitary(self, gen, d):
+        gens = su_generators(d)
         theta = gen.uniform(-np.pi, np.pi, len(gens))
         u = bounds.unitary_from_params(theta, gens)
         assert qmath.is_unitary(u, 1e-9)
+        h = np.tensordot(theta, gens, axes=1)
+        np.testing.assert_allclose(u, expm(1j * h), rtol=0, atol=1e-12)
 
 
 class TestSearchConfig:

@@ -122,6 +122,39 @@ class TestQkd:
                                   "--rounds", "99", "--json-only")
         assert code == 2
 
+    def test_config_with_eve_override_rejected(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "rounds": 10, "tester_sets": ["z", "xcomp"],
+            "encoding_sets": ["rotation", "hadamard-pair"],
+        }))
+        code, report, _ = run_cli(capsys, "qkd", "extended", "--config", str(cfgfile),
+                                  "--eve", "qmm", "--json-only")
+        assert code == 2 and "--eve" in report["payload"]["error"]
+
+    def test_empty_tester_set_in_config_exits_2(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "rounds": 10, "tester_sets": [[], "x"], "encoding_sets": ["rotation"],
+        }))
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--config", str(cfgfile),
+                                  "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert "empty tester set" in report["payload"]["error"]
+
+    def test_extended_rejects_control_fraction(self, capsys):
+        code, report, _ = run_cli(capsys, "qkd", "extended", "--rounds", "10",
+                                  "--control-fraction", "0.5", "--json-only")
+        assert code == 2 and report["status"] == "error"
+
+    def test_lm05_rejects_D(self, capsys):
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--rounds", "10", "--D", "4",
+                                  "--json-only")
+        assert code == 2 and report["status"] == "error"
+
+    def test_d_flag_is_not_accepted(self, capsys):
+        assert cli.main(["qkd", "lm05", "--rounds", "10", "--d", "7"]) == 2
+
     def test_trace_flag(self, capsys, tmp_path):
         path = tmp_path / "rounds.csv"
         code, _, _ = run_cli(capsys, "qkd", "extended", "--rounds", "100",
@@ -136,3 +169,4 @@ class TestEntryPoint:
                                "--json-only"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
+        assert proc.stderr == ""
