@@ -353,27 +353,42 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     )
 
 
+def _partner_objective(basis: UnitaryBasis, gens: np.ndarray):
+    """Squared deviation of all cross overlaps |Tr(P_k^dag P_l V)|^2 from 1,
+    for V the exp map of each row of a (k, n) stack of parameters.
+
+    Tr(P_k^dag P_l V) = sum_ij (P_k^dag P_l)_ij V_ji, so the D^2 traces for
+    one V are a single stacked matrix-vector product with the products
+    P_k^dag P_l, formed once.
+    """
+    d, dd = basis.dim, basis.D
+    els = np.stack(basis.elements)
+    pairs = (np.swapaxes(els.conj(), -1, -2)[:, None] @ els[None]).reshape(dd * dd, d * d)
+
+    def f(theta):
+        v = unitary_from_params(theta, gens)
+        vt = np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (d * d, 1))
+        traces = (pairs @ vt)[..., 0]
+        return ((np.abs(traces) ** 2 - 1.0) ** 2).sum(-1)
+    return f
+
+
 def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
     """Search for a right-multiplier V making {P_j V} unbiased to {P_j}.
 
     Only meaningful for D = d^2 bases (where {P_j V} is automatically an
     orthogonal unitary basis of the full matrix space).  Minimizes the
-    squared deviation of all cross overlaps from 1 with the same simplex
-    descent used for bound estimation.  Returns (partner, residual); the
-    caller judges whether the residual is small enough to accept.
+    squared deviation of all cross overlaps from 1 with the lockstep
+    multi-start simplex descent used for bound estimation: the starts are
+    independent, and the first start with the least residual wins.  Returns
+    (partner, residual); the caller judges whether the residual is small
+    enough to accept.
     """
     d = basis.dim
     if basis.D != d * d:
         raise ValueError("partner search is implemented for full bases (D = d^2) only")
     gens = su_generators(d)
-    stack = np.stack([p.conj().T for p in basis])
-
-    def deviation(theta):
-        v = unitary_from_params(theta, gens)
-        traces = np.einsum("kij,lji->kl", stack, np.stack([p @ v for p in basis]))
-        return float(np.sum((np.abs(traces) ** 2 - 1.0) ** 2))
-
-    residual, theta, _ = _multistart(deviation, d * d - 1, cfg, 1e-10, 1e-14)
-    v = unitary_from_params(theta, gens)
+    runs = _multistart(_partner_objective(basis, gens), d * d - 1, cfg, 1e-10, 1e-14)
+    v = unitary_from_params(runs.x[runs.best], gens)
     partner = UnitaryBasis(dim=d, elements=tuple(p @ v for p in basis))
-    return partner, residual
+    return partner, float(runs.final[runs.best])

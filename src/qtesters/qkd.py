@@ -607,6 +607,8 @@ def config_from_json(obj: dict) -> ProtocolConfig:
         )
         tester_sets = tuple(resolve_tester_set(s) for s in obj["tester_sets"])
         encoding_sets = tuple(resolve_basis(b, d) for b in obj["encoding_sets"])
+        if not encoding_sets:
+            raise ConfigError("bad protocol config: encoding_sets is empty")
         return ProtocolConfig(
             d=d,
             D=int(obj.get("D", encoding_sets[0].D)),

@@ -166,13 +166,15 @@ class TesterSet:
 
 
 def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
-    """Unchecked p_k = |<chi_k| U |psi>|^2 for a d x d array u.
+    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d).
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
-    one (a single column).
+    one (a single column).  Every product is stacked per unitary, so each
+    row of the result is the same bit for bit whatever else is in the stack.
     """
-    return np.abs(t.projector_matrix() @ (u @ t.input.reshape(t.dim, -1)).ravel()) ** 2
+    amps = (u @ t.input.reshape(t.dim, -1)).reshape(u.shape[:-2] + (-1, 1))
+    return np.abs((t.projector_matrix() @ amps)[..., 0]) ** 2
 
 
 def outcome_distribution(t: Tester, u: np.ndarray) -> Distribution:
@@ -186,13 +188,18 @@ def outcome_distribution(t: Tester, u: np.ndarray) -> Distribution:
     return Distribution(np.minimum(p, 1.0), leaky=False)
 
 
+def entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p in bits over the last axis, with 0*log(0) = 0; entries
+    that are not positive add nothing."""
+    q = np.where(p > 0, p, 1.0)
+    return -(q * np.log2(q)).sum(-1)
+
+
 def shannon_entropy(p) -> float:
     """-sum p log2 p in bits, with 0*log(0) = 0."""
     if isinstance(p, Distribution):
         p = p.probabilities
-    p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return float(-(p[mask] * np.log2(p[mask])).sum())
+    return float(entropy_bits(np.asarray(p, dtype=float)))
 
 
 def tester_entropy(t: Tester, u: np.ndarray) -> float:

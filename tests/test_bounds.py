@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 import oracles
-from qtesters import bounds, qmath
+from qtesters import bounds, muub, qmath
 from qtesters.bounds import (
     BoundEstimate,
     SearchConfig,
@@ -13,7 +14,7 @@ from qtesters.bounds import (
     su_generators,
 )
 from qtesters.qmath import RngHandle
-from qtesters.tester import X_BASIS, Z_BASIS, named_tester
+from qtesters.tester import X_BASIS, Z_BASIS, named_tester, random_tester
 
 I2 = np.eye(2, dtype=complex)
 H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
@@ -112,8 +113,84 @@ class TestEstimateBound:
     def test_json_payload(self):
         est = estimate_bound(T0Z, T0X, SearchConfig(starts=2, rng=RngHandle(seed=0)))
         payload = est.to_json()
-        assert set(payload) == {"value", "minimizer", "starts"}
-        assert len(payload["starts"]) == 2
+        assert set(payload) == {"value", "minimizer", "starts", "nfev", "nit", "converged"}
+        for key in ("starts", "nfev", "nit", "converged"):
+            assert len(payload[key]) == 2
+
+    def test_unconverged_starts_are_the_ones_at_max_iterations(self):
+        gen = RngHandle(1910, 3).generator()
+        t1, t2 = random_tester(3, gen), random_tester(3, gen)
+        cfg = SearchConfig(starts=8, rng=RngHandle(7665, 3))
+        est = estimate_bound(t1, t2, cfg)
+        unconverged = [i for i, ok in enumerate(est.converged) if not ok]
+        assert unconverged == [i for i, n in enumerate(est.nit) if n == cfg.max_iterations]
+        assert unconverged == [1, 5]
+        assert all(n < 4 * cfg.max_iterations for n in est.nfev)
+
+
+def _named_objective(a, b):
+    t1, t2 = named_tester(a), named_tester(b)
+    return bounds._entropy_objective(t1, t2, su_generators(2)), 3
+
+
+def _random_objective(d, bipartite=False):
+    gen = RngHandle(seed=11).generator()
+    t1 = random_tester(d, gen, bipartite=bipartite)
+    t2 = random_tester(d, gen, bipartite=bipartite)
+    return bounds._entropy_objective(t1, t2, su_generators(d)), d * d - 1
+
+
+def _partner_objective(d):
+    basis = muub.build_named_basis("weyl", d)
+    return muub._partner_objective(basis, su_generators(d)), d * d - 1
+
+
+class TestLockstepSearch:
+    """The lockstep search against scipy's Nelder-Mead, start by start."""
+
+    @pytest.mark.parametrize("make, starts, xatol, fatol", [
+        (lambda: _named_objective("0Z", "0X"), 8, 1e-8, 1e-10),
+        (lambda: _named_objective("0Z", "+Z"), 8, 1e-8, 1e-10),
+        (lambda: _random_objective(3), 4, 1e-8, 1e-10),
+        (lambda: _partner_objective(3), 2, 1e-10, 1e-14),
+    ], ids=["0Z-0X", "0Z-+Z", "random-d3", "weyl3-partner"])
+    def test_matches_scipy_per_start(self, make, starts, xatol, fatol):
+        f, n = make()
+        cfg = SearchConfig(starts=starts, rng=RngHandle(seed=3, stream=1))
+        runs = bounds._multistart(f, n, cfg, xatol, fatol)
+        x0s = cfg.rng.generator().uniform(-np.pi, np.pi, size=(starts, n))
+        options = {"xatol": xatol, "fatol": fatol, "maxiter": cfg.max_iterations,
+                   "maxfev": 4 * cfg.max_iterations}
+        for i, x0 in enumerate(x0s):
+            ref = minimize(lambda th: f(th[None])[0], x0, method="Nelder-Mead",
+                           options=options)
+            assert abs(runs.final[i] - ref.fun) <= 1e-12
+            np.testing.assert_allclose(runs.x[i], ref.x, rtol=0, atol=1e-12)
+            assert runs.initial[i] == f(x0[None])[0]
+            assert (runs.nfev[i], runs.nit[i], runs.converged[i]) == (
+                ref.nfev, ref.nit, ref.success)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _random_objective(2), lambda: _random_objective(3),
+        lambda: _random_objective(4), lambda: _random_objective(4, bipartite=True),
+        lambda: _partner_objective(3),
+    ], ids=["d2", "d3", "d4", "d4-bipartite", "weyl3-partner"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 8])
+    def test_objective_rows_do_not_depend_on_the_batch(self, make, batch):
+        f, n = make()
+        theta = RngHandle(seed=batch).generator().uniform(-np.pi, np.pi, size=(batch, n))
+        values = f(theta)
+        assert values.shape == (batch,)
+        for i in range(batch):
+            assert values[i] == f(theta[i:i + 1])[0]
+
+    def test_exp_map_rows_do_not_depend_on_the_batch(self, gen):
+        gens = su_generators(4)
+        theta = gen.uniform(-np.pi, np.pi, size=(2, 3, 15))
+        u = bounds.unitary_from_params(theta, gens)
+        assert u.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(u[idx], bounds.unitary_from_params(theta[idx], gens))
 
 
 class TestMubOverlapBound:

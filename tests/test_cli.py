@@ -42,6 +42,8 @@ class TestBound:
         assert payload["value"] == pytest.approx(1.0, abs=1e-3)
         assert payload["classification"] == "maximal"
         assert len(payload["starts"]) == 8
+        assert len(payload["nfev"]) == len(payload["nit"]) == 8
+        assert payload["converged"] == [True] * 8
         assert payload["minimizer"]["rows"] == 2
 
     def test_usage_error_exits_2(self, capsys):
@@ -142,6 +144,16 @@ class TestQkd:
         assert code == 2 and report["status"] == "error"
         assert "empty tester set" in report["payload"]["error"]
 
+    def test_empty_encoding_sets_in_config_exits_2(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "rounds": 10, "tester_sets": ["z", "x"], "encoding_sets": [],
+        }))
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--config", str(cfgfile),
+                                  "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert "encoding_sets" in report["payload"]["error"]
+
     def test_extended_rejects_control_fraction(self, capsys):
         code, report, _ = run_cli(capsys, "qkd", "extended", "--rounds", "10",
                                   "--control-fraction", "0.5", "--json-only")
@@ -170,3 +182,10 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "pass"
         assert proc.stderr == ""
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, qtesters, qtesters.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
