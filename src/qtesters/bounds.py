@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmath
 from .qmath import RngHandle
-from .tester import Tester, entropy_bits, outcome_probabilities, tester_entropy
+from .tester import Tester, _checked_probabilities, entropy_bits, outcome_probabilities
 
 TRIVIAL_SATURATION_TOL = 1e-6  # bits
 
@@ -42,6 +42,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -93,11 +95,17 @@ def su_generators(d: int) -> np.ndarray:
     return np.stack(gens)
 
 
-def entropy_sum(t1: Tester, t2: Tester, u: np.ndarray) -> float:
-    """Summed outcome entropies (bits) of the two testers at u."""
+def entropy_sum(t1: Tester, t2: Tester, u: np.ndarray):
+    """Summed outcome entropies (bits) of the two testers at u.
+
+    ``u`` of shape (..., d, d) gives a float for one matrix and an array of
+    shape ``u.shape[:-2]`` for a stack.  Each row gets the checks of
+    ``outcome_distribution``, and its value is the scalar call's bit for bit.
+    """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    return tester_entropy(t1, u) + tester_entropy(t2, u)
+    h = entropy_bits(_checked_probabilities(t1, u)) + entropy_bits(_checked_probabilities(t2, u))
+    return float(h) if h.ndim == 0 else h
 
 
 def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:

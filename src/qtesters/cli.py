@@ -10,11 +10,14 @@ basis       list or dump the named unitary bases
 qkd         Monte-Carlo protocol runs (lm05, extended)
 
 Every invocation prints one JSON report to stdout:
-``{"command", "status", "elapsed_ms", "payload"}``.  Identical argv
-(seeds included) produce byte-identical payloads: keys are sorted and
-floats are canonicalized to 12 significant digits.  Human-readable logs
-go to stderr and are silenced by ``--json-only``.  Exit codes: 0 pass,
-1 check failure, 2 usage or config error.
+``{"command", "status", "elapsed_ms", "stages_ms", "payload"}``.
+``stages_ms`` maps each timed stage to its wall milliseconds (for
+``verify``, one entry per suite run; empty for the other commands).
+Identical argv (seeds included) produce byte-identical payloads: timings
+stay outside the payload, keys are sorted and floats are canonicalized to
+12 significant digits.  Human-readable logs go to stderr and are silenced
+by ``--json-only``.  Exit codes: 0 pass, 1 check failure, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -123,7 +126,12 @@ def _suite_qmath(seed: int) -> list:
     h = RngHandle(seed, 102)
     dev = np.max(np.abs(qmath.haar_random_unitary(2, h) - qmath.haar_random_unitary(2, h)))
     checks.append({"name": "haar-determinism", "max_dev": float(dev)})
-    m1 = np.mean([abs(np.trace(qmath.haar_random_unitary(2, gen))) ** 2 for _ in range(10_000)])
+    # |Tr u|^2 of 10 000 draws, taken in stacks of 1000 to bound memory
+    tr2 = np.empty(10_000)
+    for k in range(0, tr2.size, 1000):
+        us = qmath.haar_random_unitary(2, gen, shape=(1000,))
+        tr2[k:k + 1000] = np.abs(np.trace(us, axis1=-2, axis2=-1)) ** 2
+    m1 = np.mean(tr2)
     checks.append({"name": "haar-first-moment", "max_dev": float(abs(m1 - 1.0)), "tol": 0.05})
     for ch in checks:
         ch.setdefault("tol", 1e-9)
@@ -233,9 +241,7 @@ def _suite_bounds(seed: int) -> list:
                    "max_dev": est0.value, "tol": 1e-6})
     gen = RngHandle(seed, 402).generator()
     est2 = bounds.estimate_bound(t0z, tpz, cfg)
-    sample_min = min(
-        bounds.entropy_sum(t0z, tpz, qmath.haar_random_unitary(2, gen)) for _ in range(300)
-    )
+    sample_min = bounds.entropy_sum(t0z, tpz, qmath.haar_random_unitary(2, gen, shape=(300,))).min()
     checks.append({"name": "bound-0Z-+Z-upper-bound-soundness",
                    "value": est2.value,
                    "pass": bool(est2.value <= sample_min + 1e-9 and est2.value > 1e-3)})
@@ -278,8 +284,7 @@ def _suite_props(seed: int) -> list:
     checks.append({"name": "trivial-bound-fixture", "pass": bool(rep.verdict)})
     gen = RngHandle(seed, 501).generator()
     ok = True
-    for _ in range(10):
-        w = qmath.haar_random_unitary(2, gen)
+    for w in qmath.haar_random_unitary(2, gen, shape=(10,)):
         s1c = _conjugate_set(s1, w)
         s2c = _conjugate_set(s2, w)
         usc = [w @ u @ w.conj().T for u in rot]
@@ -297,8 +302,7 @@ def _suite_props(seed: int) -> list:
     checks.append({"name": "maximal-bound-D4", "pass": bool(repm4.verdict)})
     worst_low, worst_high = 0.0, 0.0
     for pair in ((rot, had), (pauli, pub)):
-        for _ in range(50):
-            w = qmath.haar_random_unitary(2, gen)
+        for w in qmath.haar_random_unitary(2, gen, shape=(50,)):
             a = muub.UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in pair[0]))
             b = muub.UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in pair[1]))
             cross = muub.embedded_cross_overlaps(a, b)
@@ -331,13 +335,15 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, log) -> tuple:
+def _cmd_verify(args, log, stages) -> tuple:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     payload = {"seed": args.seed, "suites": {}}
     all_pass = True
     for name in names:
         log(f"running suite {name} ...")
+        started = time.perf_counter()
         checks = _SUITES[name](args.seed)
+        stages[name] = round((time.perf_counter() - started) * 1000, 3)
         ok = all(c["pass"] for c in checks)
         all_pass &= ok
         payload["suites"][name] = {"pass": ok, "checks": checks}
@@ -345,7 +351,7 @@ def _cmd_verify(args, log) -> tuple:
     return all_pass, payload
 
 
-def _cmd_bound(args, log) -> tuple:
+def _cmd_bound(args, log, stages) -> tuple:
     t1 = _resolve_tester(args.t1)
     t2 = _resolve_tester(args.t2)
     cfg = bounds.SearchConfig(starts=args.starts, max_iterations=args.iters,
@@ -361,7 +367,7 @@ def _cmd_bound(args, log) -> tuple:
     return True, payload
 
 
-def _cmd_muub_check(args, log) -> tuple:
+def _cmd_muub_check(args, log, stages) -> tuple:
     b1 = _resolve_basis(args.b1, args.d)
     b2 = _resolve_basis(args.b2, args.d)
     report = muub.are_muub(b1, b2, tol=args.tol)
@@ -369,7 +375,7 @@ def _cmd_muub_check(args, log) -> tuple:
     return bool(report.verdict), {"b1": args.b1, "b2": args.b2, **report.to_json()}
 
 
-def _cmd_basis(args, log) -> tuple:
+def _cmd_basis(args, log, stages) -> tuple:
     if args.action == "list":
         return True, {"names": list(muub.BASIS_NAMES)}
     b = muub.build_named_basis(args.name, args.d)
@@ -379,7 +385,7 @@ def _cmd_basis(args, log) -> tuple:
 _EVE_SHORT = {"none": "none", "qmm": "qmm-equivalent-tester", "intercept": "intercept-resend"}
 
 
-def _cmd_qkd(args, log) -> tuple:
+def _cmd_qkd(args, log, stages) -> tuple:
     if args.config:
         overrides = [flag for flag, value in (
             ("--rounds", args.rounds), ("--seed", args.seed), ("--eve", args.eve),
@@ -484,9 +490,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep those codes
         return int(exc.code) if exc.code else 0
     log = _Log(args.json_only)
+    stages = {}  # stage name -> wall ms, filled in by the handler
     started = time.perf_counter()
     try:
-        passed, payload = _HANDLERS[args.command](args, log)
+        passed, payload = _HANDLERS[args.command](args, log, stages)
         status = "pass" if passed else "fail"
         code = 0 if passed else 1
     except (ValueError, OSError, KeyError) as exc:
@@ -498,6 +505,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "status": status,
         "elapsed_ms": int((time.perf_counter() - started) * 1000),
+        "stages_ms": stages,
         "payload": payload,
     }
     print(_dump(report))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .bounds import SearchConfig, _multistart, su_generators, unitary_from_params
+from .bounds import SearchConfig, _multistart, entropy_sum, su_generators, unitary_from_params
 from .qmath import DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tester import (
     ENTROPY_ZERO_TOL,
@@ -217,6 +217,12 @@ class TrivialBoundReport:
         }
 
 
+def _stack(mats, d: int) -> np.ndarray:
+    """The matrices as one complex (n, d, d) stack, also for n = 0."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    return np.stack(mats) if mats else np.empty((0, d, d), dtype=complex)
+
+
 def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
                         tol: float = DEFAULT_TOL) -> TrivialBoundReport:
     """Check the trivial-bound structure result on concrete data.
@@ -226,21 +232,24 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
     eigenoperator of any probe.  Conclusions checked: ``us`` pairwise
     HS-orthogonal (s1) and all tester pairs outcome-equivalent on each
     span sample (s2).  Failures are recorded, never raised.
+
+    Each tester pair's entropy sums are one stacked ``entropy_sum`` call
+    over all of ``us``, and its equivalences one stacked ``are_equivalent``
+    call over all span samples; their rows are the scalar calls' bit for
+    bit, and failures are listed in (sample, tester, tester) order.
     """
     failures = []
-    us = [np.asarray(u, dtype=complex) for u in us]
+    us = _stack(us, s1.dim)
     if not is_complete_set(s1, tol) or not is_complete_set(s2, tol):
         failures.append("tester sets are not complete")
-    for u in us:
-        for ta in s1:
-            for tb in s2:
-                h = shannon_entropy(outcome_distribution(ta, u)) + shannon_entropy(
-                    outcome_distribution(tb, u)
+    pairs = [(ta, tb) for ta in s1 for tb in s2]
+    sums = [entropy_sum(ta, tb, us) for ta, tb in pairs]
+    for m in range(len(us)):
+        for (ta, tb), h in zip(pairs, sums):
+            if h[m] > ENTROPY_ZERO_TOL:
+                failures.append(
+                    f"entropy sum {h[m]:.3e} bits nonzero for ({ta.label},{tb.label})"
                 )
-                if h > ENTROPY_ZERO_TOL:
-                    failures.append(
-                        f"entropy sum {h:.3e} bits nonzero for ({ta.label},{tb.label})"
-                    )
     probes = [t.input for t in s1] + [t.input for t in s2]
     for m in range(len(us)):
         for n in range(len(us)):
@@ -259,14 +268,14 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
                 failures.append(f"family elements {m},{n} are not HS-orthogonal")
     s2_pass = True
     testers = list(s1) + list(s2)
-    for w in span_samples:
-        for i in range(len(testers)):
-            for j in range(i + 1, len(testers)):
-                if not are_equivalent(testers[i], testers[j], w, tol=1e-8):
-                    s2_pass = False
-                    failures.append(
-                        f"testers {testers[i].label},{testers[j].label} not equivalent on a span sample"
-                    )
+    pairs = [(ti, tj) for i, ti in enumerate(testers) for tj in testers[i + 1:]]
+    ws = _stack(span_samples, s1.dim)
+    equiv = [are_equivalent(ti, tj, ws, tol=1e-8) for ti, tj in pairs]
+    for k in range(len(ws)):
+        for (ti, tj), eq in zip(pairs, equiv):
+            if not eq[k]:
+                s2_pass = False
+                failures.append(f"testers {ti.label},{tj.label} not equivalent on a span sample")
     return TrivialBoundReport(
         hypothesis_pass=hypothesis,
         s1_pass=s1_pass,

@@ -155,11 +155,18 @@ def _rate(successes: int, n: int) -> tuple:
 
 def _snap_rows(table: np.ndarray) -> np.ndarray:
     """Zero out sub-1e-9 probabilities and renormalize each distribution, so
-    a deterministic row yields its one outcome for every uniform draw."""
+    a deterministic row yields its one outcome for every uniform draw.
+
+    Raises ConfigError for a row with no entry of at least 1e-9, which is
+    not a distribution.
+    """
     t = np.array(table, dtype=float)
     flat = t.reshape(-1, t.shape[-1])
     flat[flat < _SNAP] = 0.0
-    flat /= flat.sum(axis=1, keepdims=True)
+    total = flat.sum(axis=1, keepdims=True)
+    if not total.all():
+        raise ConfigError("an outcome table row is not a distribution: no entry is >= 1e-9")
+    flat /= total
     return t
 
 

@@ -157,21 +157,27 @@ def max_entangled_state(d: int) -> np.ndarray:
     return vectorize(np.eye(d, dtype=complex))
 
 
-def haar_random_unitary(d: int, rng) -> np.ndarray:
-    """Haar-distributed d x d unitary, deterministic per (seed, stream).
+def haar_random_unitary(d: int, rng, shape: tuple = ()) -> np.ndarray:
+    """Haar-distributed d x d unitaries, a stack of leading shape ``shape``,
+    deterministic per (seed, stream).
 
     QR orthonormalization of a complex Ginibre matrix with the R-diagonal
     phase correction; ``rng`` may be an RngHandle (same handle => same
-    matrix) or a live numpy Generator (consumes its stream).
+    matrices) or a live numpy Generator (consumes its stream).  Each matrix
+    takes its real part, then its imaginary part, from the stream, and QR
+    runs per matrix, so a stack consumes the generator exactly as the same
+    number of sequential scalar calls would and its matrices are theirs bit
+    for bit.  ``shape=()`` gives one d x d matrix.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     gen = rng.generator() if isinstance(rng, RngHandle) else rng
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+    g = gen.standard_normal(tuple(shape) + (2, d, d))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
 
 
 def haar_random_state(d: int, rng) -> np.ndarray:

@@ -80,10 +80,11 @@ class Tester:
         (read-only, computed once)."""
         return self._projector_matrix
 
-    def _checked_unitary(self, u: np.ndarray) -> np.ndarray:
-        """u as a complex array, after checking it is d x d."""
+    def _checked_unitary(self, u: np.ndarray, stacked: bool = False) -> np.ndarray:
+        """u as a complex array, after checking it is d x d (or, if
+        ``stacked``, of shape (..., d, d))."""
         u = np.asarray(u, dtype=complex)
-        if u.shape != (self.dim, self.dim):
+        if (u.shape[-2:] if stacked else u.shape) != (self.dim, self.dim):
             raise ValueError(f"unitary shape {u.shape} does not match d={self.dim}")
         return u
 
@@ -118,10 +119,13 @@ class Distribution:
     leaky: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float).copy()
-        # numerical dust from |amp|^2 arithmetic
-        p[(p < 0) & (p > -1e-12)] = 0.0
-        if np.any(p < 0) or np.any(p > 1 + 1e-9):
+        p = np.array(self.probabilities, dtype=float)
+        neg = p < 0
+        if neg.any():
+            # numerical dust from |amp|^2 arithmetic
+            p[neg & (p > -1e-12)] = 0.0
+            neg = p < 0
+        if neg.any() or (p > 1 + 1e-9).any():
             raise ValueError(f"probabilities out of range: {p}")
         total = float(p.sum())
         if not self.leaky and abs(total - 1.0) > DEFAULT_TOL:
@@ -173,19 +177,34 @@ def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
     one (a single column).  Every product is stacked per unitary, so each
     row of the result is the same bit for bit whatever else is in the stack.
     """
-    amps = (u @ t.input.reshape(t.dim, -1)).reshape(u.shape[:-2] + (-1, 1))
+    amps = (u @ t.input.reshape(t.dim, -1)).reshape(u.shape[:-2] + (t.input.size, 1))
     return np.abs((t.projector_matrix() @ amps)[..., 0]) ** 2
+
+
+def _checked_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
+    """outcome_probabilities for u of shape (..., d, d), after checking the
+    shape, with each entry clamped to at most 1; then per row that no
+    probability leaked and that the row sums to 1.
+
+    Clamping moves only a row with an entry above 1, whose sum stays >= 1,
+    so the leak test on the clamped sums flags the rows it would flag on
+    the raw ones.
+    """
+    p = np.minimum(outcome_probabilities(t, t._checked_unitary(u, stacked=True)), 1.0)
+    total = p.sum(-1)
+    if (total < 1.0 - LEAK_TOL).any():
+        raise LeakyMeasurementError(
+            f"leaky measurement: outcome probabilities sum to {float(total.min()):.9f}"
+        )
+    bad = abs(total - 1.0) > DEFAULT_TOL
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(total[bad][0])!r}, not 1")
+    return p
 
 
 def outcome_distribution(t: Tester, u: np.ndarray) -> Distribution:
     """Probabilities p_k = |<chi_k| U |psi>|^2 for the tester's projectors."""
-    p = outcome_probabilities(t, t._checked_unitary(u))
-    total = float(p.sum())
-    if total < 1.0 - LEAK_TOL:
-        raise LeakyMeasurementError(
-            f"leaky measurement: outcome probabilities sum to {total:.9f}"
-        )
-    return Distribution(np.minimum(p, 1.0), leaky=False)
+    return Distribution(_checked_probabilities(t, t._checked_unitary(u)), leaky=False)
 
 
 def entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -226,15 +245,22 @@ def is_complete_set(s, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(resolution - np.eye(ref.input.size))) <= tol)
 
 
-def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the two outcome distributions agree as multisets within tol."""
+def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_TOL):
+    """True iff the two outcome distributions agree as multisets within tol.
+
+    ``u`` of shape (..., d, d) gives a bool for one matrix and a bool array
+    of shape ``u.shape[:-2]`` for a stack.  Each row gets the checks of
+    ``outcome_distribution``, and its verdict is the scalar call's.
+    """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    p1 = np.sort(outcome_distribution(t1, u).probabilities)
-    p2 = np.sort(outcome_distribution(t2, u).probabilities)
-    if p1.size != p2.size:
-        return False
-    return bool(np.max(np.abs(p1 - p2)) <= tol)
+    p1 = np.sort(_checked_probabilities(t1, u), axis=-1)
+    p2 = np.sort(_checked_probabilities(t2, u), axis=-1)
+    if p1.shape[-1] != p2.shape[-1]:
+        ok = np.zeros(p1.shape[:-1], dtype=bool)
+    else:
+        ok = np.max(np.abs(p1 - p2), axis=-1) <= tol
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def equivalence_bijection(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_TOL):

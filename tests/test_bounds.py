@@ -14,7 +14,13 @@ from qtesters.bounds import (
     su_generators,
 )
 from qtesters.qmath import RngHandle
-from qtesters.tester import X_BASIS, Z_BASIS, named_tester, random_tester
+from qtesters.tester import (
+    X_BASIS,
+    Z_BASIS,
+    LeakyMeasurementError,
+    named_tester,
+    random_tester,
+)
 
 I2 = np.eye(2, dtype=complex)
 H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
@@ -39,6 +45,26 @@ class TestEntropySum:
         for _ in range(10):
             u = qmath.haar_random_unitary(2, gen)
             assert entropy_sum(T0Z, TPX, u) == entropy_sum(TPX, T0Z, u)
+
+    @pytest.mark.parametrize("d,bipartite", [(2, False), (3, False), (2, True), (3, True)])
+    def test_stack_rows_equal_scalar_calls(self, gen, d, bipartite):
+        t1 = random_tester(d, gen, bipartite=bipartite)
+        t2 = random_tester(d, gen, bipartite=bipartite)
+        us = qmath.haar_random_unitary(d, gen, shape=(2, 3))
+        h = entropy_sum(t1, t2, us)
+        assert h.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            scalar = entropy_sum(t1, t2, us[idx])
+            assert type(scalar) is float and scalar == h[idx]
+
+    def test_stack_with_a_leaky_row_raises(self, leaky_tester):
+        t = leaky_tester
+        us = np.stack([I2, qmath.SIGMA_Z, qmath.SIGMA_X])
+        assert entropy_sum(t, t, us[:2]).tolist() == [2.0, 2.0]
+        with pytest.raises(LeakyMeasurementError):
+            entropy_sum(t, t, qmath.SIGMA_X)
+        with pytest.raises(LeakyMeasurementError):
+            entropy_sum(t, t, us)
 
 
 class TestEstimateBound:
@@ -73,8 +99,7 @@ class TestEstimateBound:
         cfg = SearchConfig(starts=8, rng=RngHandle(seed=3))
         est = estimate_bound(T0Z, TPZ, cfg)
         g = RngHandle(seed=4).generator()
-        sample_min = min(entropy_sum(T0Z, TPZ, qmath.haar_random_unitary(2, g))
-                         for _ in range(1000))
+        sample_min = entropy_sum(T0Z, TPZ, qmath.haar_random_unitary(2, g, shape=(1000,))).min()
         assert est.value <= sample_min + 1e-9
 
     def test_identical_input_floor(self):
@@ -104,6 +129,10 @@ class TestEstimateBound:
         assert len(est.starts) == 8
         for initial, final in est.starts:
             assert final <= initial + 1e-12
+
+    def test_rejects_fewer_than_one_iteration(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SearchConfig(max_iterations=0)
 
     def test_dimension_mismatch(self, gen):
         from qtesters.tester import random_tester

@@ -26,6 +26,14 @@ class TestVerify:
         _, r2, _ = run_cli(capsys, "verify", "--suite", "muub", "--seed", "3", "--json-only")
         assert json.dumps(r1["payload"], sort_keys=True) == json.dumps(r2["payload"], sort_keys=True)
 
+    def test_stages_ms_has_one_key_per_suite_run(self, capsys):
+        _, report, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "0", "--json-only")
+        stages = report["stages_ms"]
+        assert sorted(stages) == sorted(report["payload"]["suites"]) == sorted(cli._SUITES)
+        assert all(isinstance(ms, float) and ms >= 0 for ms in stages.values())
+        _, report, _ = run_cli(capsys, "verify", "--suite", "muub", "--seed", "0", "--json-only")
+        assert list(report["stages_ms"]) == ["muub"]
+
     def test_json_only_suppresses_stderr(self, capsys):
         _, _, err = run_cli(capsys, "verify", "--suite", "qmath", "--seed", "0", "--json-only")
         assert err == ""
@@ -45,6 +53,12 @@ class TestBound:
         assert len(payload["nfev"]) == len(payload["nit"]) == 8
         assert payload["converged"] == [True] * 8
         assert payload["minimizer"]["rows"] == 2
+
+    def test_zero_iterations_exits_2(self, capsys):
+        code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "0X", "--starts", "2",
+                                  "--iters", "0", "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert "max_iterations" in report["payload"]["error"]
 
     def test_usage_error_exits_2(self, capsys):
         assert cli.main(["bound", "--t1", "0Z", "--badflag"]) == 2

@@ -1,20 +1,26 @@
-"""Frozen fingerprints of seeded protocol runs.
+"""Frozen fingerprints of seeded protocol runs and ``verify`` payloads.
 
-Each case hashes the per-round CSV trace followed by the canonical JSON of
-the run's stats.  The hashes were recorded from the per-round reference
-implementation; any rewrite of the round simulation must reproduce them
-bit for bit, so a change that moves the random stream cannot pass by
-staying within the statistical tolerances of ``test_qkd.py``.  Seed 1
-runs 20 000 rounds so the runs cross internal block boundaries.
+Each protocol case hashes the per-round CSV trace followed by the canonical
+JSON of the run's stats.  The hashes were recorded from the per-round
+reference implementation; any rewrite of the round simulation must
+reproduce them bit for bit, so a change that moves the random stream cannot
+pass by staying within the statistical tolerances of ``test_qkd.py``.  Seed
+1 runs 20 000 rounds so the runs cross internal block boundaries.
+
+Each verify case hashes the payload of ``verify --suite all`` with floats
+rounded to 9 significant digits and magnitudes below 1e-9 set to 0, so that
+reordered floating-point arithmetic keeps the hash while any change to the
+random stream or to a checked value moves it.
 """
 
 import hashlib
 import io
 import json
+import numbers
 
 import pytest
 
-from qtesters import qkd
+from qtesters import cli, qkd
 from qtesters.qkd import (
     EveStrategy,
     default_extended_config,
@@ -99,3 +105,31 @@ def test_cases_cover_every_frozen_hash():
 def test_seeded_run_matches_frozen_hash(protocol, kind, policy, seed):
     key = f"{protocol}-{kind}-{policy}-{seed}"
     assert _fingerprint(protocol, kind, policy, seed) == FROZEN[key]
+
+
+VERIFY_FROZEN = {
+    0: "e08e92d391a863cebd14b8757bd04317e341dbc47d0524b58131f354cf1ef524",
+    1: "7dc979d33dd9ecb000d4e390a2b7ed72c54728b995edc1c84d2ffe8d4e916d17",
+}
+
+
+def _canonical(obj):
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_canonical(v) for v in obj]
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    x = float(obj)
+    return 0.0 if abs(x) < 1e-9 else float(f"{x:.9g}")
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_FROZEN))
+def test_verify_payload_matches_frozen_hash(capsys, seed):
+    code = cli.main(["verify", "--suite", "all", "--seed", str(seed), "--json-only"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["status"] == "pass"
+    digest = hashlib.sha256(json.dumps(_canonical(report["payload"]), sort_keys=True).encode())
+    assert digest.hexdigest() == VERIFY_FROZEN[seed]

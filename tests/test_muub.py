@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtesters import muub, qmath
-from qtesters.bounds import SearchConfig
+from qtesters.bounds import SearchConfig, entropy_sum
 from qtesters.muub import (
     UnitaryBasis,
     are_muub,
@@ -17,7 +17,12 @@ from qtesters.muub import (
     verify_prop_trivial,
 )
 from qtesters.qmath import RngHandle
-from qtesters.tester import bell_tester_set, named_tester_set
+from qtesters.tester import (
+    ENTROPY_ZERO_TOL,
+    are_equivalent,
+    bell_tester_set,
+    named_tester_set,
+)
 
 I2 = np.eye(2, dtype=complex)
 H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
@@ -184,6 +189,24 @@ class TestPropTrivial:
             rep = verify_prop_trivial(s1, s2, us, [])
             assert rep.hypothesis_pass
             assert rep.s1_pass
+
+    def test_failures_listed_in_sample_then_pair_order(self, gen):
+        # the stacked checks report what per-sample scalar loops would, in
+        # the same order
+        s1, s2 = named_tester_set("z"), named_tester_set("x")
+        us = list(qmath.haar_random_unitary(2, gen, shape=(3,)))
+        samples = list(qmath.haar_random_unitary(2, gen, shape=(4,)))
+        rep = verify_prop_trivial(s1, s2, us, samples)
+        want_h = [f"entropy sum {h:.3e} bits nonzero for ({a.label},{b.label})"
+                  for u in us for a in s1 for b in s2
+                  for h in [entropy_sum(a, b, u)] if h > ENTROPY_ZERO_TOL]
+        testers = list(s1) + list(s2)
+        want_s2 = [f"testers {a.label},{b.label} not equivalent on a span sample"
+                   for w in samples for i, a in enumerate(testers) for b in testers[i + 1:]
+                   if not are_equivalent(a, b, w, tol=1e-8)]
+        assert want_h and want_s2
+        assert [f for f in rep.failures if f.startswith("entropy sum")] == want_h
+        assert [f for f in rep.failures if f.startswith("testers ")] == want_s2
 
 
 def _conjugate(s, w):

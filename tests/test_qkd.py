@@ -205,6 +205,10 @@ class TestConfigJson:
         stats = run_lm05(cfg)
         assert stats == run_lm05(base)
 
+    def test_all_dust_table_row_is_not_a_distribution(self):
+        with pytest.raises(ConfigError, match="not a distribution"):
+            qkd._snap_rows(np.array([[1e-12, 1e-12]]))
+
     def test_bad_config_raises(self):
         with pytest.raises(ConfigError):
             config_from_json({"rounds": 10})

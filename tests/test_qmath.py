@@ -157,9 +157,24 @@ class TestHaarSampling:
     def test_first_moment(self):
         # E |Tr u|^2 = 1 under the invariant measure
         g = RngHandle(seed=5).generator()
-        mean = np.mean([abs(np.trace(qmath.haar_random_unitary(2, g))) ** 2
-                        for _ in range(10_000)])
+        us = qmath.haar_random_unitary(2, g, shape=(10_000,))
+        mean = np.mean(np.abs(np.trace(us, axis1=-2, axis2=-1)) ** 2)
         assert abs(mean - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["one", "5", "2x3"])
+    def test_stack_equals_sequential_draws(self, d, shape):
+        g_seq, g_stack = np.random.default_rng(7), np.random.default_rng(7)
+        seq = [qmath.haar_random_unitary(d, g_seq) for _ in range(int(np.prod(shape)))]
+        stack = qmath.haar_random_unitary(d, g_stack, shape=shape)
+        assert stack.shape == shape + (d, d)
+        assert stack.tobytes() == np.stack(seq).tobytes()
+        assert g_stack.random() == g_seq.random()
+
+    def test_stack_from_handle(self):
+        h = RngHandle(seed=11, stream=3)
+        stack = qmath.haar_random_unitary(2, h, shape=(3,))
+        assert stack[0].tobytes() == qmath.haar_random_unitary(2, h).tobytes()
 
 
 class TestUnitaryMapping:

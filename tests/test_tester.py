@@ -144,6 +144,33 @@ class TestEquivalence:
             assert are_equivalent(family[2], family[3], w, tol=1e-9)
             assert are_equivalent(family[0], family[3], w, tol=1e-9)
 
+    def test_stack_rows_equal_scalar_calls(self, gen):
+        for d in (2, 3):
+            for bipartite in (False, True):
+                t = random_tester(d, gen, bipartite=bipartite)
+                basis = qmath.haar_random_unitary(d * d if bipartite else d, gen)
+                rotated = Tester(input=basis[:, 0].copy(), projectors=t.projectors, dim=d)
+                us = qmath.haar_random_unitary(d, gen, shape=(2, 4))
+                for a, b in ((t, t), (t, rotated)):
+                    got = are_equivalent(a, b, us, tol=1e-6)
+                    assert got.shape == (2, 4) and got.dtype == bool
+                    for idx in np.ndindex(2, 4):
+                        scalar = are_equivalent(a, b, us[idx], tol=1e-6)
+                        assert type(scalar) is bool and scalar == got[idx]
+        z0, z1, px = named_tester("0Z"), named_tester("1Z"), named_tester("+X")
+        us = qmath.haar_random_unitary(2, gen, shape=(5,))
+        assert are_equivalent(z0, z1, us).all()
+        assert not are_equivalent(z0, px, us).any()
+
+    def test_stack_with_a_leaky_row_raises(self, leaky_tester):
+        t = leaky_tester
+        us = np.stack([I2, qmath.SIGMA_Z, qmath.SIGMA_X])
+        assert are_equivalent(t, t, us[:2]).all()
+        with pytest.raises(LeakyMeasurementError):
+            are_equivalent(t, t, qmath.SIGMA_X)
+        with pytest.raises(LeakyMeasurementError):
+            are_equivalent(t, t, us)
+
     def test_bijection_diagnostic(self):
         m = equivalence_bijection(named_tester("0Z"), named_tester("+X"), 1j * qmath.SIGMA_Y)
         assert sorted(m) == [0, 1]
