@@ -26,13 +26,12 @@ from .bounds import SearchConfig, _multistart, entropy_sum, su_generators, unita
 from .qmath import DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tester import (
     ENTROPY_ZERO_TOL,
-    Tester,
     TesterSet,
+    _checked_probabilities,
     are_equivalent,
+    entropy_bits,
     is_complete_set,
     is_eigenoperator,
-    outcome_distribution,
-    shannon_entropy,
 )
 
 KAPPA_TOL = 1e-6
@@ -40,13 +39,19 @@ KAPPA_TOL = 1e-6
 BASIS_NAMES = ("pauli", "rotation", "hadamard-pair", "weyl", "pauli-unbiased")
 
 
-def hs_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt overlap |Tr(u^dag v)|^2."""
+def hs_overlap(u: np.ndarray, v: np.ndarray):
+    """Squared Hilbert-Schmidt overlap |Tr(u^dag v)|^2 = |sum_ij conj(u_ij) v_ij|^2.
+
+    ``u`` and ``v`` of shapes (..., d, d) broadcast over leading axes: a float
+    for two matrices, an array for stacks (``hs_overlap(a[:, None], b)`` for
+    every pair of the stacks ``a`` and ``b``).
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
+    if u.shape[-2:] != v.shape[-2:]:
         raise ValueError("operators have different shapes")
-    return float(abs(np.trace(u.conj().T @ v)) ** 2)
+    ov = np.abs((u.conj() * v).sum(axis=(-2, -1))) ** 2
+    return float(ov) if ov.ndim == 0 else ov
 
 
 def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
@@ -55,19 +60,16 @@ def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(elements, UnitaryBasis):
         elements = elements.elements
     els = [np.asarray(e, dtype=complex) for e in elements]
-    if not els:
+    if not els or els[0].ndim != 2:
         return False
     d = els[0].shape[0]
     if len(els) not in (d, d * d):
         return False
-    for e in els:
-        if e.shape != (d, d) or not qmath.is_unitary(e, tol):
-            return False
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if abs(np.trace(els[i].conj().T @ els[j])) > tol:
-                return False
-    return True
+    if any(e.shape != (d, d) or not qmath.is_unitary(e, tol) for e in els):
+        return False
+    els = np.stack(els)
+    off_diagonal = hs_overlap(els[:, None], els)[~np.eye(len(els), dtype=bool)]
+    return bool((off_diagonal <= tol * tol).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +99,13 @@ class UnitaryBasis:
 
 
 def basis_from_json(obj: dict) -> UnitaryBasis:
-    return UnitaryBasis(
-        dim=int(obj["dim"]),
-        elements=tuple(qmath.matrix_from_json(e) for e in obj["elements"]),
-    )
+    """UnitaryBasis from its JSON literal; a malformed literal raises ValueError."""
+    try:
+        dim = int(obj["dim"])
+        elements = tuple(qmath.matrix_from_json(e) for e in obj["elements"])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad basis literal: {type(exc).__name__}: {exc}") from exc
+    return UnitaryBasis(dim=dim, elements=elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +132,7 @@ def are_muub(a: UnitaryBasis, b: UnitaryBasis, tol: float = KAPPA_TOL) -> MuubRe
         raise ValueError("bases span subspaces of different sizes")
     d, dd = a.dim, a.D
     expected = 1.0 if dd == d * d else float(d)
-    overlaps = np.array([[hs_overlap(p, q) for q in b] for p in a])
+    overlaps = hs_overlap(np.stack(a.elements)[:, None], np.stack(b.elements))
     mean = float(overlaps.mean())
     constant = bool(np.max(np.abs(overlaps - mean)) <= tol)
     verdict = constant and abs(mean - expected) <= tol
@@ -260,12 +265,12 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
                 if is_eigenoperator(w, psi, tol):
                     failures.append(f"U_{m}^dag U_{n} is an eigenoperator of a probe")
     hypothesis = not failures
+    overlaps = hs_overlap(us[:, None], us)
     s1_pass = True
-    for m in range(len(us)):
-        for n in range(m + 1, len(us)):
-            if abs(np.trace(us[m].conj().T @ us[n])) > tol:
-                s1_pass = False
-                failures.append(f"family elements {m},{n} are not HS-orthogonal")
+    for m, n in zip(*np.triu_indices(len(us), 1)):
+        if overlaps[m, n] > tol * tol:
+            s1_pass = False
+            failures.append(f"family elements {m},{n} are not HS-orthogonal")
     s2_pass = True
     testers = list(s1) + list(s2)
     pairs = [(ti, tj) for i, ti in enumerate(testers) for tj in testers[i + 1:]]
@@ -307,14 +312,13 @@ class MaximalBoundReport:
 
 def embedded_cross_overlaps(a: UnitaryBasis, b: UnitaryBasis) -> np.ndarray:
     """|Tr(U_m^dag U'_n)|^2 with the unitaries embedded the way the testers
-    apply them: as u (x) I_d when D = d^2, bare otherwise."""
-    if a.D == a.dim ** 2:
-        i_d = np.eye(a.dim, dtype=complex)
-        ea = [np.kron(u, i_d) for u in a]
-        eb = [np.kron(u, i_d) for u in b]
-    else:
-        ea, eb = list(a), list(b)
-    return np.array([[hs_overlap(p, q) for q in eb] for p in ea])
+    apply them: as u (x) I_d when D = d^2, bare otherwise.
+
+    Tr((u (x) I_d)^dag (v (x) I_d)) = d Tr(u^dag v), so the embedded
+    overlaps are d^2 times the bare ones, and no embedding is formed.
+    """
+    scale = a.dim ** 2 if a.D == a.dim ** 2 else 1
+    return scale * hs_overlap(np.stack(a.elements)[:, None], np.stack(b.elements))
 
 
 def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
@@ -325,6 +329,9 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     other way around, all within ``tol`` bits.  Conclusions checked: every
     embedded cross overlap lies in [0, D] (range check) and the two
     families verify as a MUUB pair.
+
+    Each tester's entropies over a family are one stacked call, with the
+    checks of ``outcome_distribution``, listed per tester, then per element.
     """
     failures = []
     if fam1.D != fam2.D or fam1.dim != fam2.dim:
@@ -335,10 +342,10 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
         failures.append("tester sets are not complete")
 
     def check(ts, fam, expect, who):
+        target = 0.0 if expect == "deterministic" else log_d
+        us = np.stack(fam.elements)
         for t in ts:
-            for u in fam:
-                h = shannon_entropy(outcome_distribution(t, u))
-                target = 0.0 if expect == "deterministic" else log_d
+            for h in entropy_bits(_checked_probabilities(t, us)):
                 if abs(h - target) > tol:
                     failures.append(
                         f"{who}: tester {t.label} entropy {h:.6f} bits, expected {expect}"

@@ -44,7 +44,7 @@ from . import muub as muub_mod
 from . import qmath, tester as tester_mod
 from .muub import UnitaryBasis, balanced_qubit_rotation, build_named_basis, verify_prop_maximal
 from .qmath import RngHandle
-from .tester import HypothesisViolation, Tester, TesterSet, is_complete_set
+from .tester import HypothesisViolation, TesterSet, is_complete_set, outcome_probabilities
 
 EVE_KINDS = ("none", "qmm-equivalent-tester", "intercept-resend")
 RESEND_POLICIES = ("fixed-zero", "random-input")
@@ -106,6 +106,12 @@ class ProtocolConfig:
         for s in self.tester_sets:
             if not is_complete_set(s):
                 raise ConfigError("tester sets must be complete")
+            if s.dim != self.d:
+                raise ConfigError(f"a tester set acts on dimension {s.dim}, not d={self.d}")
+        for f in self.encoding_sets:
+            if f.dim != self.d or f.D != self.D:
+                raise ConfigError(f"an encoding family has dim {f.dim} and {f.D} members, "
+                                  f"not d={self.d} and D={self.D}")
 
     def to_json(self) -> dict:
         return {
@@ -259,14 +265,14 @@ def _lm05_tables(cfg: ProtocolConfig):
     basis_id = np.empty(n_t, dtype=np.int64)
     state_idx = np.empty(n_t, dtype=np.int64)
     p_state_in_basis = np.empty((n_t, 2, 2))
+    # row 0: the probe measured as sent (identity); rows 1, 2: the encodings
+    enc_stack = np.stack([np.eye(2, dtype=complex)] + enc)
     for ti, t in enumerate(testers):
-        projs = t.projector_matrix()
-        own = _dist(projs, t.input)
+        own, *p_enc = outcome_probabilities(t, enc_stack)
         if own.max() < 1.0 - 1e-9:
             raise ConfigError(f"tester {t.label!r} probe is not a measurement state")
         self_idx[ti] = int(np.argmax(own))
-        for bit, u in enumerate(enc):
-            p = _dist(projs, u @ t.input)
+        for bit, p in enumerate(p_enc):
             if p.max() < 1.0 - 1e-9:
                 raise ConfigError(
                     f"tester {t.label!r} is not deterministic on encoding {bit}"
@@ -444,8 +450,8 @@ def _extended_tables(cfg: ProtocolConfig):
     s1, s2 = cfg.tester_sets
     f1, f2 = cfg.encoding_sets
     dd = cfg.D
-    if f1.D != dd or f2.D != dd or len(s1) != dd or len(s2) != dd:
-        raise ConfigError("tester sets and encoding families must all have D members")
+    if len(s1) != dd or len(s2) != dd:
+        raise ConfigError("tester sets must have D members")
     report = verify_prop_maximal(s1, s2, f1, f2, tol=1e-6)
     if not report.hypothesis_pass or not report.muub.verdict:
         raise HypothesisViolation(
@@ -453,15 +459,10 @@ def _extended_tables(cfg: ProtocolConfig):
             + "; ".join(report.failures[:3])
         )
     sets = [list(s1), list(s2)]
-    fams = [list(f1), list(f2)]
-    p_out = np.empty((2, dd, 2, dd, dd))
-    for s in range(2):
-        for ti, t in enumerate(sets[s]):
-            projs = t.projector_matrix()
-            for sa in range(2):
-                for j, u in enumerate(fams[sa]):
-                    p_out[s, ti, sa, j] = _dist(projs, t.embedded(u) @ t.input)
-    p_out = _snap_rows(p_out)
+    # p_out[s, ti, sa, j]: tester ti of set s on element j of family sa; one
+    # stacked call per tester over both families
+    fams = np.stack([np.stack(f1.elements), np.stack(f2.elements)])
+    p_out = _snap_rows([[outcome_probabilities(t, fams) for t in ts] for ts in sets])
     decode = np.full((2, dd, dd), -1, dtype=np.int64)
     for s in range(2):
         for ti in range(dd):
@@ -604,9 +605,15 @@ def resolve_basis(spec, d: int) -> UnitaryBasis:
 
 
 def config_from_json(obj: dict) -> ProtocolConfig:
+    """ProtocolConfig from its JSON object; a malformed config raises
+    ConfigError, or ValueError from a malformed tester or basis literal."""
+    if not isinstance(obj, dict):
+        raise ConfigError("bad protocol config: not a JSON object")
     try:
         d = int(obj.get("d", 2))
         eve_obj = obj.get("eve", {})
+        if not isinstance(eve_obj, dict):
+            raise ConfigError("bad protocol config: eve is not a JSON object")
         eve = EveStrategy(
             kind=eve_obj.get("kind", "none"),
             resend_policy=eve_obj.get("resend_policy", "fixed-zero"),
@@ -626,5 +633,5 @@ def config_from_json(obj: dict) -> ProtocolConfig:
             encoding_sets=encoding_sets,
             rng=RngHandle(seed=int(obj.get("seed", 0)), stream=int(obj.get("stream", 0))),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad protocol config: {exc}") from exc

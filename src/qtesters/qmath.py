@@ -71,6 +71,10 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     d = u.shape[0]
+    # a unitary's entries are at most 1 in modulus; testing that first keeps
+    # huge or non-finite entries out of the product
+    if not (np.abs(u) <= 1 + tol).all():
+        return False
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) <= tol)
 
 
@@ -223,12 +227,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError(f"literal claims {rows}x{cols} but has {len(entries)} entries")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(rows, cols)
+    """Matrix from its JSON literal; a malformed literal raises ValueError."""
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        entries = obj["entries"]
+        if len(entries) != rows * cols:
+            raise ValueError(f"literal claims {rows}x{cols} but has {len(entries)} entries")
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+        return flat.reshape(rows, cols)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad matrix literal: {type(exc).__name__}: {exc}") from exc
 
 
 def state_to_json(v: np.ndarray) -> dict:

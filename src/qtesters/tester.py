@@ -88,11 +88,6 @@ class Tester:
             raise ValueError(f"unitary shape {u.shape} does not match d={self.dim}")
         return u
 
-    def embedded(self, u: np.ndarray) -> np.ndarray:
-        """The operator actually applied to the probe (u, or u (x) I_d)."""
-        u = self._checked_unitary(u)
-        return np.kron(u, np.eye(self.dim)) if self.is_bipartite else u
-
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -103,12 +98,14 @@ class Tester:
 
 
 def tester_from_json(obj: dict) -> Tester:
-    return Tester(
-        input=qmath.state_from_json(obj["input"]),
-        projectors=tuple(qmath.state_from_json(p) for p in obj["projectors"]),
-        dim=int(obj["dim"]),
-        label=str(obj.get("label", "")),
-    )
+    """Tester from its JSON literal; a malformed literal raises ValueError."""
+    try:
+        psi = qmath.state_from_json(obj["input"])
+        projs = tuple(qmath.state_from_json(p) for p in obj["projectors"])
+        dim, label = int(obj["dim"]), str(obj.get("label", ""))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad tester literal: {type(exc).__name__}: {exc}") from exc
+    return Tester(input=psi, projectors=projs, dim=dim, label=label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +117,8 @@ class Distribution:
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError(f"probabilities are not finite: {p}")
         neg = p < 0
         if neg.any():
             # numerical dust from |amp|^2 arithmetic
@@ -164,18 +163,17 @@ class TesterSet:
     def __len__(self) -> int:
         return len(self.testers)
 
-    @property
-    def inputs(self) -> list:
-        return [t.input for t in self.testers]
-
 
 def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
-    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d).
+    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d); the
+    one place where a unitary acts on a probe.
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
-    one (a single column).  Every product is stacked per unitary, so each
-    row of the result is the same bit for bit whatever else is in the stack.
+    one (a single column), with no Kronecker product formed.  Every product
+    is stacked per unitary, so each row of the result is the same bit for
+    bit whatever else is in the stack: the QKD tables and the structure
+    checks take one call per tester over a whole family.
     """
     amps = (u @ t.input.reshape(t.dim, -1)).reshape(u.shape[:-2] + (t.input.size, 1))
     return np.abs((t.projector_matrix() @ amps)[..., 0]) ** 2
@@ -183,23 +181,21 @@ def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
 
 def _checked_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
     """outcome_probabilities for u of shape (..., d, d), after checking the
-    shape, with each entry clamped to at most 1; then per row that no
-    probability leaked and that the row sums to 1.
-
-    Clamping moves only a row with an entry above 1, whose sum stays >= 1,
-    so the leak test on the clamped sums flags the rows it would flag on
-    the raw ones.
+    shape; then per row that no probability leaked and that the row sums to
+    1 (a non-unitary or non-finite u fails here), and only then each entry
+    clamped to at most 1.
     """
-    p = np.minimum(outcome_probabilities(t, t._checked_unitary(u, stacked=True)), 1.0)
+    p = outcome_probabilities(t, t._checked_unitary(u, stacked=True))
     total = p.sum(-1)
-    if (total < 1.0 - LEAK_TOL).any():
+    leak = total < 1.0 - LEAK_TOL
+    if leak.any():
         raise LeakyMeasurementError(
-            f"leaky measurement: outcome probabilities sum to {float(total.min()):.9f}"
+            f"leaky measurement: outcome probabilities sum to {float(total[leak].min()):.9f}"
         )
-    bad = abs(total - 1.0) > DEFAULT_TOL
+    bad = ~(abs(total - 1.0) <= DEFAULT_TOL)
     if bad.any():
         raise ValueError(f"probabilities sum to {float(total[bad][0])!r}, not 1")
-    return p
+    return np.minimum(p, 1.0)
 
 
 def outcome_distribution(t: Tester, u: np.ndarray) -> Distribution:

@@ -107,3 +107,19 @@ def enumerate_intercept_rates():
                         decode_err += 0.25 * p_collapse * p_out * (1.0 - p_bob_right)
     n_probe = len(probes)
     return mismatch / n_probe, decode_err / n_probe
+
+
+def kron_outcome_probabilities(probe, projectors, d, u):
+    """|<chi_k| (u (x) I) |psi>|^2 with the embedding formed explicitly by
+    np.kron; the identity has the ancilla's size, 1 for an ancilla-free probe."""
+    psi = np.asarray(probe, dtype=complex)
+    rows = np.stack([np.asarray(c, dtype=complex).conj() for c in projectors])
+    return np.abs(rows @ (np.kron(u, np.eye(psi.size // d)) @ psi)) ** 2
+
+
+def pairwise_hs_overlaps(a, b, embed_dim=1):
+    """|Tr(A^dag B)|^2 for every pair, one np.trace per pair, with each
+    matrix first embedded as m (x) I_embed_dim."""
+    i_e = np.eye(embed_dim)
+    return np.array([[abs(np.trace(np.kron(p, i_e).conj().T @ np.kron(q, i_e))) ** 2
+                      for q in b] for p in a])

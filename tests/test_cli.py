@@ -203,3 +203,53 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestMalformedLiterals:
+    """Malformed tester, basis and config literals exit 2 with a JSON error."""
+
+    def _file(self, tmp_path, obj, name="in.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def _expect_error(self, capsys, *argv):
+        code, report, _ = run_cli(capsys, *argv, "--json-only")
+        assert code == 2 and report["status"] == "error"
+        return report["payload"]["error"]
+
+    def test_tester_literal_not_an_object(self, capsys, tmp_path):
+        path = self._file(tmp_path, [1])
+        self._expect_error(capsys, "bound", "--t1", path, "--t2", "0X", "--starts", "1")
+
+    def test_tester_literal_with_bad_state(self, capsys, tmp_path):
+        path = self._file(tmp_path, {"dim": 2, "input": [1], "projectors": []})
+        self._expect_error(capsys, "bound", "--t1", path, "--t2", "0X", "--starts", "1")
+
+    def test_basis_literal_with_bad_element(self, capsys, tmp_path):
+        path = self._file(tmp_path, {"dim": 2, "elements": [1]})
+        self._expect_error(capsys, "muub-check", "--b1", path, "--b2", "pauli")
+
+    def test_basis_literal_with_huge_entries(self, capsys, tmp_path):
+        big = {"rows": 2, "cols": 2, "entries": [[1e300, 0.0]] * 4}
+        path = self._file(tmp_path, {"dim": 2, "elements": [big, big]})
+        self._expect_error(capsys, "muub-check", "--b1", path, "--b2", "rotation")
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        path = self._file(tmp_path, ["z", "x"])
+        self._expect_error(capsys, "qkd", "lm05", "--config", path)
+
+    def test_config_eve_not_an_object(self, capsys, tmp_path):
+        path = self._file(tmp_path, {"rounds": 10, "tester_sets": ["z", "x"],
+                                     "encoding_sets": ["rotation"], "eve": "qmm"})
+        self._expect_error(capsys, "qkd", "lm05", "--config", path)
+
+    def test_config_family_size_not_D(self, capsys, tmp_path):
+        path = self._file(tmp_path, {"d": 2, "D": 9, "rounds": 10, "tester_sets": ["z", "x"],
+                                     "encoding_sets": ["rotation"]})
+        assert "D=9" in self._expect_error(capsys, "qkd", "lm05", "--config", path)
+
+    def test_nan_tolerance(self, capsys):
+        error = self._expect_error(capsys, "bound", "--t1", "0Z", "--t2", "0X",
+                                   "--starts", "1", "--tol", "nan")
+        assert "tolerance" in error

@@ -287,3 +287,108 @@ class TestSpanSamples:
     def test_all_unitary(self):
         for u in rotation_span_samples(16):
             assert qmath.is_unitary(u, 1e-12)
+
+
+class TestStackedOverlaps:
+    def test_scalar_call_returns_float(self):
+        assert isinstance(hs_overlap(I2, H_ROT), float)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stacks_match_pairwise_oracle(self, d, gen):
+        import oracles
+
+        a = qmath.haar_random_unitary(d, gen, shape=(3,))
+        b = qmath.haar_random_unitary(d, gen, shape=(4,))
+        got = hs_overlap(a[:, None], b)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, oracles.pairwise_hs_overlaps(a, b), rtol=0, atol=1e-12)
+        # same-shape stacks pair row by row
+        paired = hs_overlap(a, b[:3])
+        np.testing.assert_allclose(paired, np.diag(oracles.pairwise_hs_overlaps(a, b[:3])),
+                                   rtol=0, atol=1e-12)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            hs_overlap(I2, np.eye(3))
+
+    @pytest.mark.parametrize("pair", [("rotation", "hadamard-pair"), ("pauli", "pauli-unbiased")])
+    def test_embedded_cross_overlaps_match_kron_oracle(self, pair, gen):
+        import oracles
+
+        a, b = (build_named_basis(n, 2) for n in pair)
+        embed = 2 if a.D == 4 else 1
+        for w in [I2] + list(qmath.haar_random_unitary(2, gen, shape=(5,))):
+            ra = UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in a))
+            rb = UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in b))
+            np.testing.assert_allclose(embedded_cross_overlaps(ra, rb),
+                                       oracles.pairwise_hs_overlaps(ra, rb, embed),
+                                       rtol=0, atol=1e-12)
+
+    def test_embedded_cross_overlaps_weyl3(self, gen):
+        import oracles
+
+        weyl = build_named_basis("weyl", 3)
+        w = qmath.haar_random_unitary(3, gen)
+        other = UnitaryBasis(3, tuple(w @ u for u in weyl))
+        np.testing.assert_allclose(embedded_cross_overlaps(weyl, other),
+                                   oracles.pairwise_hs_overlaps(weyl, other, 3),
+                                   rtol=0, atol=1e-12)
+
+    def test_are_muub_overlaps_match_pairwise_oracle(self):
+        import oracles
+
+        a, b = build_named_basis("pauli", 2), build_named_basis("pauli-unbiased", 2)
+        np.testing.assert_allclose(are_muub(a, b).overlaps, oracles.pairwise_hs_overlaps(a, b),
+                                   rtol=0, atol=1e-12)
+
+
+class TestOrthogonalUnitaryBasisRejects:
+    """Malformed families give False, never an exception."""
+
+    def test_mixed_shapes(self):
+        assert is_orthogonal_unitary_basis([I2, np.eye(3)]) is False
+        assert is_orthogonal_unitary_basis([I2, np.ones(2)]) is False
+
+    def test_not_matrices(self):
+        assert is_orthogonal_unitary_basis([1.0, 2.0]) is False
+        assert is_orthogonal_unitary_basis([]) is False
+
+    def test_non_unitary_element(self):
+        # HS-orthogonal to I but not unitary
+        assert is_orthogonal_unitary_basis([I2, 2 * qmath.SIGMA_Y]) is False
+
+    def test_huge_and_non_finite_entries(self):
+        # rejected before any product can overflow (no RuntimeWarning)
+        assert is_orthogonal_unitary_basis([I2, 1e200 * qmath.SIGMA_Y]) is False
+        assert is_orthogonal_unitary_basis([I2, np.full((2, 2), np.nan)]) is False
+
+
+class TestPropChecksOnStacks:
+    def test_trivial_reports_non_orthogonal_pairs_in_order(self):
+        rep = verify_prop_trivial(named_tester_set("z"), named_tester_set("x"),
+                                  [I2, H_ROT, 1j * qmath.SIGMA_Y], [])
+        assert not rep.s1_pass
+        assert [f for f in rep.failures if f.startswith("family")] == [
+            "family elements 0,1 are not HS-orthogonal",
+            "family elements 1,2 are not HS-orthogonal",
+        ]
+
+    def test_maximal_failures_match_scalar_entropies(self):
+        from qtesters.tester import outcome_distribution, shannon_entropy
+
+        s1, s2 = named_tester_set("z"), named_tester_set("xcomp")
+        rot = build_named_basis("rotation", 2)
+        rep = verify_prop_maximal(s1, s2, rot, rot)
+        want = []
+        for ts, expect, who in ((s1, "deterministic", "set1/family1"),
+                                (s1, "uniform", "set1/family2"),
+                                (s2, "deterministic", "set2/family2"),
+                                (s2, "uniform", "set2/family1")):
+            target = 0.0 if expect == "deterministic" else 1.0
+            for t in ts:
+                for u in rot:
+                    h = shannon_entropy(outcome_distribution(t, u))
+                    if abs(h - target) > 1e-6:
+                        want.append(f"{who}: tester {t.label} entropy {h:.6f} bits, "
+                                    f"expected {expect}")
+        assert want and [f for f in rep.failures if " entropy " in f] == want

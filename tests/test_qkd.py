@@ -216,3 +216,47 @@ class TestConfigJson:
             EveStrategy(kind="siphon")
         with pytest.raises(ConfigError):
             default_lm05_config(rounds=0)
+
+
+class TestTablesAgainstKronOracle:
+    """The stacked tables equal per-(tester, unitary) products with the
+    embedding u (x) I_d formed by np.kron, bit for bit after snapping."""
+
+    @pytest.mark.parametrize("D", [2, 4])
+    def test_extended_p_out(self, D):
+        cfg = default_extended_config(D=D, rounds=10)
+        want = np.array([[[[oracles.kron_outcome_probabilities(t.input, t.projectors, t.dim, u)
+                            for u in fam] for fam in cfg.encoding_sets]
+                          for t in s] for s in cfg.tester_sets])
+        got = qkd._extended_tables(cfg)["p_out"]
+        assert got.shape == (2, D, 2, D, D)
+        assert np.array_equal(got, qkd._snap_rows(want))
+
+    def test_lm05_p_bob(self):
+        cfg = default_lm05_config(rounds=10)
+        testers, tables = qkd._lm05_tables(cfg)
+        want = np.array([[oracles.kron_outcome_probabilities(t.input, t.projectors, t.dim, u)
+                          for u in cfg.encoding_sets[0]] for t in testers])
+        assert np.array_equal(tables["p_bob"], qkd._snap_rows(want))
+
+
+class TestConfigDimensions:
+    def _config(self, **kw):
+        base = default_extended_config(D=2, rounds=10)
+        args = dict(d=2, D=2, rounds=10, control_fraction=0.0, eve=EveStrategy(),
+                    tester_sets=base.tester_sets, encoding_sets=base.encoding_sets,
+                    rng=RngHandle(seed=0))
+        args.update(kw)
+        return ProtocolConfig(**args)
+
+    def test_family_size_not_D(self):
+        with pytest.raises(ConfigError, match="D=9"):
+            self._config(D=9)
+
+    def test_family_dim_not_d(self):
+        with pytest.raises(ConfigError, match="d=2"):
+            self._config(encoding_sets=(build_named_basis("weyl", 3),) * 2, D=9)
+
+    def test_tester_set_dim_not_d(self):
+        with pytest.raises(ConfigError, match="d=3"):
+            self._config(d=3)

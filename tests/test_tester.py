@@ -262,3 +262,42 @@ class TestNamedTesters:
                    projectors=(tester.KET0, tester.KET1), dim=2)
         with pytest.raises(ValueError):
             Tester(input=tester.KET0, projectors=(tester.KET0, tester.XPLUS), dim=2)
+
+
+# A scaled identity and a NaN matrix: neither is unitary, and before the row
+# sums were tested unclamped both passed as distributions ([1, 0] and NaNs).
+NOT_UNITARY = {"2I": 2 * I2, "1.01I": 1.01 * I2, "nan": np.full((2, 2), np.nan, dtype=complex)}
+
+
+class TestNonUnitaryInput:
+    @pytest.mark.parametrize("name", sorted(NOT_UNITARY))
+    def test_outcome_distribution_rejects(self, name):
+        with pytest.raises(ValueError, match="not 1"):
+            outcome_distribution(named_tester("0Z"), NOT_UNITARY[name])
+
+    @pytest.mark.parametrize("name", sorted(NOT_UNITARY))
+    def test_entropy_sum_rejects(self, name):
+        from qtesters.bounds import entropy_sum
+
+        t1, t2 = named_tester("0Z"), named_tester("1Z")
+        with pytest.raises(ValueError, match="not 1"):
+            entropy_sum(t1, t2, NOT_UNITARY[name])
+        with pytest.raises(ValueError, match="not 1"):
+            entropy_sum(t1, t2, np.stack([I2, NOT_UNITARY[name], H_ROT]))
+
+    @pytest.mark.parametrize("name", sorted(NOT_UNITARY))
+    def test_are_equivalent_rejects(self, name):
+        t1, t2 = named_tester("0Z"), named_tester("1Z")
+        with pytest.raises(ValueError, match="not 1"):
+            are_equivalent(t1, t2, NOT_UNITARY[name])
+        with pytest.raises(ValueError, match="not 1"):
+            are_equivalent(t1, t2, np.stack([I2, H_ROT, NOT_UNITARY[name]]))
+
+
+class TestDistributionFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            Distribution(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="not finite"):
+            Distribution(np.array([bad, 0.5]), leaky=True)
