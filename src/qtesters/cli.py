@@ -11,13 +11,17 @@ qkd         Monte-Carlo protocol runs (lm05, extended)
 
 Every invocation prints one JSON report to stdout:
 ``{"command", "status", "elapsed_ms", "stages_ms", "payload"}``.
-``stages_ms`` maps each timed stage to its wall milliseconds (for
-``verify``, one entry per suite run; empty for the other commands).
-Identical argv (seeds included) produce byte-identical payloads: timings
-stay outside the payload, keys are sorted and floats are canonicalized to
-12 significant digits.  Human-readable logs go to stderr and are silenced
-by ``--json-only``.  Exit codes: 0 pass, 1 check failure, 2 usage or
-config error.
+``stages_ms`` maps each timed stage to its wall milliseconds: for
+``verify``, one entry per suite run; for ``bound``, ``search``; for
+``qkd``, ``tables``, ``rounds`` and ``trace`` (trace I/O); empty for the
+other commands.  Identical argv (seeds included) produce byte-identical
+payloads: timings stay outside the payload, keys are sorted and floats
+are canonicalized to 12 significant digits.  Human-readable logs go to
+stderr and are silenced by ``--json-only``.  Exit codes: 0 pass, 1 check
+failure, 2 usage or config error.  A usage error (an unknown flag, a
+missing or malformed argument) also prints a report, with status
+``error`` and the argparse message in ``payload.error``; only ``-h`` /
+``--help`` prints help text instead, and exits 0.
 """
 
 from __future__ import annotations
@@ -358,7 +362,9 @@ def _cmd_bound(args, log, stages) -> tuple:
                               tolerance=args.tol, rng=RngHandle(args.seed))
     log(f"searching bound for ({t1.label or 't1'}, {t2.label or 't2'}) "
         f"with {cfg.starts} starts ...")
+    started = time.perf_counter()
     est = bounds.estimate_bound(t1, t2, cfg)
+    stages["search"] = round((time.perf_counter() - started) * 1000, 3)
     payload = est.to_json()
     payload.update({
         "t1": t1.label, "t2": t2.label,
@@ -411,7 +417,7 @@ def _cmd_qkd(args, log, stages) -> tuple:
                                               rounds=rounds, eve=eve, seed=seed)
     log(f"simulating {args.protocol} for {cfg.rounds} rounds (eve={cfg.eve.kind}) ...")
     run = qkd.run_lm05 if args.protocol == "lm05" else qkd.run_extended
-    stats = run(cfg, trace=args.trace)
+    stats = run(cfg, trace=args.trace, stages=stages)
     payload = {
         "protocol": args.protocol,
         "config": {"d": cfg.d, "D": cfg.D, "rounds": cfg.rounds,
@@ -422,9 +428,25 @@ def _cmd_qkd(args, log, stages) -> tuple:
     return True, payload
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised instead of exiting the process."""
+
+    def __init__(self, message: str, usage: str, command):
+        super().__init__(message)
+        self.usage = usage
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the parent's class, so they raise it too
+    def error(self, message):
+        command = self.prog.partition(" ")[2] or None
+        raise _UsageError(message, self.format_usage(), command)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qtesters", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="qtesters", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -468,7 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--D", type=int, default=None, help="extended only; 2 or 4, default 2")
     sp.add_argument("--seed", type=int, default=None, help="default 0")
     sp.add_argument("--config", default=None, help="protocol config JSON file")
-    sp.add_argument("--trace", default=None, help="write a per-round CSV log here")
+    sp.add_argument("--trace", default=None,
+                    help="write a per-round CSV log here: a header line, then one line of "
+                         "integers per round (-1 in unused fields), \\r\\n line ends, "
+                         "written per block of 8192 rounds")
     common(sp)
     return p
 
@@ -482,12 +507,27 @@ _HANDLERS = {
 }
 
 
+def _report(command, status: str, started: float, stages: dict, payload: dict) -> str:
+    return _dump({
+        "command": command,
+        "status": status,
+        "elapsed_ms": int((time.perf_counter() - started) * 1000),
+        "stages_ms": stages,
+        "payload": payload,
+    })
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _Log("--json-only" in argv)(f"{exc.usage}error: {exc}")
+        print(_report(exc.command, "error", started, {}, {"error": str(exc)}))
+        return 2
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; keep those codes
+        # -h / --help prints its text and exits 0
         return int(exc.code) if exc.code else 0
     log = _Log(args.json_only)
     stages = {}  # stage name -> wall ms, filled in by the handler
@@ -501,14 +541,7 @@ def main(argv=None) -> int:
         payload = {"error": str(exc)}
         status = "error"
         code = 2
-    report = {
-        "command": args.command,
-        "status": status,
-        "elapsed_ms": int((time.perf_counter() - started) * 1000),
-        "stages_ms": stages,
-        "payload": payload,
-    }
-    print(_dump(report))
+    print(_report(args.command, status, started, stages, payload))
     return code
 
 

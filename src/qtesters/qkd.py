@@ -31,17 +31,26 @@ All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
 bit-for-bit reproducible from its (seed, stream) and its memory does not
 grow with the round count.
+
+Trace format.  Given ``trace`` (a path, or an open text handle), a run
+writes a CSV file: a header line ``round,<record columns>`` (the columns
+are listed in ``_lm05_rounds`` and ``_extended_rounds``), then one line
+per round holding the round index and the round's record, all decimal
+integers, with -1 in the fields the round does not use.  Lines end in
+"\\r\\n", and nothing is quoted, so the bytes are those ``csv.writer``
+would write.  Rows are encoded and written once per block of 8192 rounds.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import itertools
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import muub as muub_mod
-from . import qmath, tester as tester_mod
+from . import tester as tester_mod
 from .muub import UnitaryBasis, balanced_qubit_rotation, build_named_basis, verify_prop_maximal
 from .qmath import RngHandle
 from .tester import HypothesisViolation, TesterSet, is_complete_set, outcome_probabilities
@@ -196,31 +205,87 @@ def _index(x: np.ndarray, n: int) -> np.ndarray:
     return (x * n).astype(np.int64)
 
 
-def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trace) -> np.ndarray:
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # every power of ten below 2**64
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """The rows of a non-empty 2-D int64 table as ``csv.writer`` writes
+    them: decimal fields joined by "," with each row ended by "\\r\\n".
+
+    Field j gets a fixed-width slot in one (rows, width) uint8 grid: a sign
+    byte, w_j digit bytes (w_j = the digit count of the column's largest
+    magnitude) and a separator.  The sign byte of a non-negative value and
+    leading zeros stay 0, and dropping the 0 bytes leaves the text.
+    Adjacent columns of equal width are converted together, in the
+    smallest integer type that holds them.
+    """
+    n = table.shape[0]
+    widths = [len(str(max(hi, -lo)))
+              for hi, lo in zip(table.max(axis=0).tolist(), table.min(axis=0).tolist())]
+    ends = np.cumsum(np.add(widths, 2))  # slot j ends just past its separator
+    grid = np.zeros((n, ends[-1] + 1), dtype=np.uint8)
+    grid[:, ends[:-1] - 1] = ord(",")
+    grid[:, -2:] = (ord("\r"), ord("\n"))
+    a = 0
+    for w, run in itertools.groupby(widths):
+        b = a + len(list(run))
+        size = 1 if w <= 2 else 2 if w <= 4 else 4 if w <= 9 else 8  # holds +-(10**w - 1)
+        x = table[:, a:b].astype(f"i{size}")
+        signs = ends[a:b] - w - 2
+        grid[:, signs] = (x < 0) * np.uint8(ord("-"))
+        # the unsigned view of abs() is the true magnitude, even for the most
+        # negative value, whose abs() wraps to itself
+        mag = np.abs(x, out=x).view(f"u{size}")
+        q = mag[:, :, None] // _POW10[w - 1::-1].astype(mag.dtype)
+        leading = q[:, :, :-1] == 0
+        q %= 10
+        q += ord("0")
+        digits = q.astype(np.uint8, copy=False)
+        digits[:, :, :-1][leading] = 0
+        grid[:, (signs[:, None] + 1 + np.arange(w)).ravel()] = digits.reshape(n, -1)
+        a = b
+    text = grid.tobytes()
+    del grid
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trace,
+              stages: dict | None) -> np.ndarray:
     """Run ``rounds_fn(draws)`` block by block over one generator stream,
     streaming the records to ``trace`` (a path or text handle) when given.
 
     ``rounds_fn`` returns a block of records and a vector of integer counts;
-    the counts summed over all blocks are returned.
+    the counts summed over all blocks are returned.  ``stages``, when given,
+    gains the wall milliseconds spent in the rounds and in trace I/O.
     """
     gen = cfg.rng.generator()
+    t_rounds = 0.0
+    started = time.perf_counter()
     own = isinstance(trace, (str, bytes))
     fh = open(trace, "w", newline="") if own else trace
     try:
-        writer = None if fh is None else csv.writer(fh)
-        if writer is not None:
-            writer.writerow(("round",) + columns)
+        if fh is not None:
+            fh.write(",".join(("round",) + columns) + "\r\n")
         totals = 0
         for start in range(0, cfg.rounds, _BLOCK):
             n = min(_BLOCK, cfg.rounds - start)
+            t1 = time.perf_counter()
             rec, counts = rounds_fn(gen.random((n, n_draws)))
             totals = totals + counts
-            if writer is not None:
-                writer.writerows(np.column_stack((np.arange(start, start + n), rec)).tolist())
+            t_rounds += time.perf_counter() - t1
+            if fh is not None:
+                fh.write(_csv_rows(np.column_stack((np.arange(start, start + n), rec))))
     finally:
         if own:
             fh.close()
+    if stages is not None:
+        stages["rounds"] = _ms(t_rounds)
+        stages["trace"] = _ms(time.perf_counter() - started - t_rounds)
     return totals
+
+
+def _ms(seconds: float) -> float:
+    return round(seconds * 1000, 3)
 
 
 def analytic_eve_accuracy(D: int) -> float:
@@ -403,16 +468,20 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
     return rec, counts
 
 
-def run_lm05(cfg: ProtocolConfig, trace=None) -> ProtocolStats:
-    """Simulate the qubit protocol; optionally write a per-round CSV."""
+def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
+    """Simulate the qubit protocol; optionally write a per-round CSV trace
+    (see the module docstring) and record stage times in ``stages``."""
+    started = time.perf_counter()
     _, tables = _lm05_tables(cfg)
     eve_kind = EVE_KINDS.index(cfg.eve.kind)
     cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+    if stages is not None:
+        stages["tables"] = _ms(time.perf_counter() - started)
     control_rounds, bob_errors, cm_comparisons, cm_mismatches, eve_correct = (
         int(c) for c in _simulate(
             cfg, 8, _LM05_COLUMNS,
             lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables),
-            trace))
+            trace, stages))
     sifted = cfg.rounds - control_rounds
     eve_rounds = 0 if eve_kind == 0 else sifted
     return _assemble_stats(cfg.rounds, control_rounds, sifted, bob_errors,
@@ -546,20 +615,24 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
     return rec, counts
 
 
-def run_extended(cfg: ProtocolConfig, trace=None) -> ProtocolStats:
-    """Simulate the D-ary protocol; optionally write a per-round CSV."""
+def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
+    """Simulate the D-ary protocol; optionally write a per-round CSV trace
+    (see the module docstring) and record stage times in ``stages``."""
     if cfg.control_fraction != 0.0:
         raise ConfigError("control mode is not modeled for the D-ary protocol")
+    started = time.perf_counter()
     tables = _extended_tables(cfg)
     eve_kind = EVE_KINDS.index(cfg.eve.kind)
     set_policy = SET_POLICIES.index(cfg.eve.set_policy)
     cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+    if stages is not None:
+        stages["tables"] = _ms(time.perf_counter() - started)
     sifted, bob_errors, eve_correct = (
         int(c) for c in _simulate(
             cfg, 9, _EXT_COLUMNS,
             lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
                                            tables["decode"]),
-            trace))
+            trace, stages))
     eve_rounds = 0 if eve_kind == 0 else sifted
     return _assemble_stats(cfg.rounds, 0, sifted, bob_errors, 0, 0,
                            eve_rounds, eve_correct)

@@ -15,7 +15,7 @@ Two storage layouts are used, following the two tester classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,10 +217,6 @@ def shannon_entropy(p) -> float:
     return float(entropy_bits(np.asarray(p, dtype=float)))
 
 
-def tester_entropy(t: Tester, u: np.ndarray) -> float:
-    return shannon_entropy(outcome_distribution(t, u))
-
-
 def is_complete_set(s, tol: float = DEFAULT_TOL) -> bool:
     """True iff inputs are orthonormal, resolve the identity, and the
     measurement is shared by every member."""
@@ -257,32 +253,6 @@ def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_T
     else:
         ok = np.max(np.abs(p1 - p2), axis=-1) <= tol
     return bool(ok) if ok.ndim == 0 else ok
-
-
-def equivalence_bijection(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_TOL):
-    """Explicit outcome matching for diagnostics.
-
-    Returns a list ``m`` with ``p1[i] == p2[m[i]]`` within tol, or None when
-    no bijection exists.  Greedy matching on sorted order is enough because
-    equality-within-tol on reals is decided pairwise here.
-    """
-    p1 = outcome_distribution(t1, u).probabilities
-    p2 = outcome_distribution(t2, u).probabilities
-    if p1.size != p2.size:
-        return None
-    taken = [False] * p2.size
-    mapping = []
-    for a in p1:
-        best = -1
-        best_gap = tol
-        for j, b in enumerate(p2):
-            if not taken[j] and abs(a - b) <= best_gap:
-                best, best_gap = j, abs(a - b)
-        if best < 0:
-            return None
-        taken[best] = True
-        mapping.append(best)
-    return mapping
 
 
 def is_eigenoperator(op: np.ndarray, state: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -34,6 +34,14 @@ class TestVerify:
         _, report, _ = run_cli(capsys, "verify", "--suite", "muub", "--seed", "0", "--json-only")
         assert list(report["stages_ms"]) == ["muub"]
 
+    def test_stages_ms_keys_for_qkd_and_bound(self, capsys):
+        _, report, _ = run_cli(capsys, "qkd", "lm05", "--rounds", "100", "--json-only")
+        assert sorted(report["stages_ms"]) == ["rounds", "tables", "trace"]
+        _, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "0X", "--starts", "1",
+                               "--iters", "20", "--json-only")
+        assert list(report["stages_ms"]) == ["search"]
+        assert all(isinstance(ms, float) and ms >= 0 for ms in report["stages_ms"].values())
+
     def test_json_only_suppresses_stderr(self, capsys):
         _, _, err = run_cli(capsys, "verify", "--suite", "qmath", "--seed", "0", "--json-only")
         assert err == ""
@@ -62,6 +70,23 @@ class TestBound:
 
     def test_usage_error_exits_2(self, capsys):
         assert cli.main(["bound", "--t1", "0Z", "--badflag"]) == 2
+
+    def test_usage_error_prints_one_json_report(self, capsys):
+        code, report, err = run_cli(capsys, "bound", "--t1", "0Z", "--badflag")
+        assert code == 2 and report["status"] == "error" and report["command"] == "bound"
+        assert "--t2" in report["payload"]["error"]
+        assert "usage: qtesters bound" in err
+        code, report, err = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "0X", "--starts", "x",
+                                    "--json-only")
+        assert code == 2 and "invalid int value" in report["payload"]["error"]
+        assert err == ""
+        code, report, _ = run_cli(capsys, "nope", "--json-only")
+        assert code == 2 and report["command"] is None and "invalid choice" in report["payload"]["error"]
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["bound", "-h"]) == 0
+        assert cli.main(["--help"]) == 0
+        assert "usage: qtesters" in capsys.readouterr().out
 
     def test_unknown_tester_exits_2(self, capsys):
         code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "9Q", "--json-only")

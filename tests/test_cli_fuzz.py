@@ -1,19 +1,25 @@
-"""Property test of the CLI error contract over generated JSON files.
+"""Property tests of the CLI error contract over generated JSON files and
+generated argv.
 
-Each example writes one JSON value as a tester, basis or protocol-config
-file and runs ``cli.main`` on it in-process.  The values are arbitrary JSON
-(NaN and infinities included) or valid literals with up to two parts
-replaced, dropped or rebuilt, so both the parsers and the checks behind
-them are reached.  Whatever the file holds, ``main`` must return 0, 1 or 2,
-print exactly one strict-JSON report whose status matches the exit code,
-and let no exception escape.  Round counts are kept small so that a valid
-config finishes quickly.
+Each file example writes one JSON value as a tester, basis or
+protocol-config file and runs ``cli.main`` on it in-process.  The values
+are arbitrary JSON (NaN and infinities included) or valid literals with up
+to two parts replaced, dropped or rebuilt, so both the parsers and the
+checks behind them are reached.  The argv examples are built from the
+parser's own commands, flags and choices mixed with junk values, so they
+reach argparse's usage errors as well as the handlers.  Whatever the
+input, ``main`` must return 0, 1 or 2, print exactly one strict-JSON report
+whose status matches the exit code, and let no exception escape.  Round
+counts, starts and iterations are kept small so that a valid run finishes
+quickly.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -83,8 +89,9 @@ def _strict_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _run(path, obj, argv):
-    path.write_text(json.dumps(obj))
+def _main(argv) -> str:
+    """Runs ``cli.main`` and checks its exit code and its one report;
+    returns what it wrote to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -93,7 +100,12 @@ def _run(path, obj, argv):
     assert len(lines) == 1, lines
     report = json.loads(lines[0], parse_constant=_strict_constant)
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
-    assert err.getvalue() == ""
+    return err.getvalue()
+
+
+def _run(path, obj, argv):
+    path.write_text(json.dumps(obj))
+    assert _main(argv) == ""
 
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150, database=None,
@@ -125,3 +137,84 @@ def test_basis_files(fuzz_dir, obj, other):
 def test_config_files(fuzz_dir, obj, protocol):
     path = fuzz_dir / "config.json"
     _run(path, _small_rounds(obj), ["qkd", protocol, "--config", str(path), "--json-only"])
+
+
+def _vocabulary():
+    """Per command, its flags (flag -> choices, or None for a free value, or
+    () for a switch) and the choices of its positionals."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    vocab = {}
+    for name, sp in sub.choices.items():
+        flags, positionals = {}, []
+        for act in sp._actions:
+            if isinstance(act, argparse._HelpAction):
+                continue
+            if not act.option_strings:
+                positionals.extend(act.choices)
+            else:
+                flags[act.option_strings[0]] = () if act.nargs == 0 else act.choices
+        vocab[name] = (flags, positionals)
+    return vocab
+
+
+VOCAB = _vocabulary()
+ALL_FLAGS = sorted({f for flags, _ in VOCAB.values() for f in flags})
+POSITIONALS = sorted({p for _, pos in VOCAB.values() for p in pos})
+JUNK = ["0", "1", "2", "3", "-1", "nan", "inf", "-inf", "0.5", "1e-3", "x", "", "0Z", "pauli"]
+# A valid, quick argv tail per command, which the generated tokens extend
+# or override; the default suite "all" and a 16-start bound search are too
+# slow to run per example, so "all" is never drawn either.
+BASE = {"verify": ["--suite", "muub"],
+        "bound": ["--t1", "0Z", "--t2", "0X", "--starts", "1", "--iters", "20"],
+        "muub-check": ["--b1", "pauli", "--b2", "rotation"],
+        "qkd": ["--rounds", "50"]}
+
+
+@st.composite
+def _argvs(draw, trace_paths):
+    command = draw(st.sampled_from(sorted(VOCAB) + ["nope", "", "--json-only"]))
+    flags, positionals = VOCAB.get(command, ({}, []))
+    argv = [command]
+    if positionals and draw(st.integers(0, 4)):
+        argv.append(draw(st.sampled_from(positionals)))
+    if draw(st.integers(0, 3)):
+        argv += BASE.get(command, [])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("own-flag",) * 6 + ("any-flag", "positional", "junk")))
+        if kind == "positional":
+            argv.append(draw(st.sampled_from(positionals or POSITIONALS)))
+        elif kind == "junk":
+            argv.append(draw(st.sampled_from(JUNK)))
+        else:
+            flag = draw(st.sampled_from(sorted(flags) if kind == "own-flag" and flags
+                                        else ALL_FLAGS))
+            argv.append(flag)
+            choices = flags.get(flag)
+            if choices == () or draw(st.integers(0, 9)) == 0:  # a switch, or a value left out
+                continue
+            if flag == "--trace":  # never write outside the test's directory
+                pool = trace_paths
+            elif choices:
+                pool = [c for c in choices if c != "all"] + ["x"]
+            else:  # junk, and the values the base argv gives this flag
+                pool = JUNK + [v for tail in BASE.values()
+                               for f, v in zip(tail, tail[1:]) if f == flag]
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+@FUZZ
+@given(data=st.data())
+def test_generated_argv(fuzz_dir, data):
+    argv = data.draw(_argvs([str(fuzz_dir / "trace.csv"), str(fuzz_dir), ""]))
+    # a token after a --trace whose value was left out becomes its path, so
+    # run where a stray relative file can land
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        err = _main(argv)
+    finally:
+        os.chdir(cwd)
+    if "--json-only" in argv:
+        assert err == ""

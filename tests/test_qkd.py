@@ -1,11 +1,15 @@
+import csv
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from qtesters import qkd
+from qtesters import cli, qkd
 from qtesters.qkd import (
     ConfigError,
     EveStrategy,
@@ -183,6 +187,77 @@ class TestTrace:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 41
         assert lines[0].split(",")[1] == "bob_set"
+
+
+    @pytest.mark.parametrize("run, cfg", [
+        (run_lm05, default_lm05_config(rounds=9_000, control_fraction=0.3, seed=4,
+                                       eve=EveStrategy(kind="intercept-resend"))),
+        (run_extended, default_extended_config(D=4, rounds=9_000, seed=4,
+                                               eve=EveStrategy(kind="qmm-equivalent-tester"))),
+    ], ids=["lm05", "ext4"])
+    def test_path_and_handle_get_the_same_bytes(self, tmp_path, run, cfg):
+        path = tmp_path / "trace.csv"
+        buf = io.StringIO(newline="")
+        assert run(cfg, trace=str(path)) == run(cfg, trace=buf)
+        assert path.read_bytes() == buf.getvalue().encode("ascii")
+        assert path.read_bytes().count(b"\r\n") == 9_001
+
+    def test_one_round_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        run_extended(default_extended_config(D=2, rounds=1, seed=0), trace=str(path))
+        header, row = path.read_bytes().split(b"\r\n")[:2]
+        assert path.read_bytes() == header + b"\r\n" + row + b"\r\n"
+        assert header.split(b",")[:2] == [b"round", b"bob_set"]
+        assert row.startswith(b"0,") and len(row.split(b",")) == 14
+
+    def test_cli_trace_matches_run(self, tmp_path, capsys):
+        via_cli, direct = tmp_path / "cli.csv", tmp_path / "run.csv"
+        assert cli.main(["qkd", "extended", "--D", "4", "--eve", "intercept", "--rounds", "300",
+                         "--seed", "7", "--trace", str(via_cli), "--json-only"]) == 0
+        run_extended(default_extended_config(D=4, rounds=300, seed=7,
+                                             eve=EveStrategy(kind="intercept-resend")),
+                     trace=str(direct))
+        assert via_cli.read_bytes() == direct.read_bytes()
+
+
+def _csv_writer_rows(table):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(table.tolist())
+    return buf.getvalue()
+
+
+# digit-width edges, the int64 extremes and the values a record holds
+CSV_FIELDS = st.one_of(
+    st.sampled_from([0, -1, 9, 10, 99, 100, 9999, 10000, -9, -10, -99, -100, -9999, -10000,
+                     10**9 - 1, 10**9, 2**63 - 1, -2**63]),
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-1, 4),
+)
+
+
+@st.composite
+def int64_tables(draw):
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 14))
+    table = draw(hnp.arrays(np.int64, (n, c), elements=CSV_FIELDS))
+    if draw(st.booleans()):  # a block of round indices, as the trace writes
+        start = draw(st.sampled_from([0, 9_999_990, 10**7, 2**40]) | st.integers(0, 10**12))
+        table[:, 0] = np.arange(start, start + n)
+    return table
+
+
+class TestCsvEncoder:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(table=int64_tables())
+    def test_matches_csv_writer(self, table):
+        assert qkd._csv_rows(table) == _csv_writer_rows(table)
+
+    def test_full_block_of_a_long_run(self):
+        gen = np.random.default_rng(3)
+        start = 10**7 - 4000
+        table = np.column_stack((np.arange(start, start + qkd._BLOCK),
+                                 gen.integers(-1, 4, size=(qkd._BLOCK, 13))))
+        assert qkd._csv_rows(table) == _csv_writer_rows(table)
 
 
 class TestConfigJson:

@@ -10,7 +10,6 @@ from qtesters.tester import (
     TesterSet,
     are_equivalent,
     can_distinguish,
-    equivalence_bijection,
     is_complete_set,
     is_eigenoperator,
     named_tester,
@@ -19,7 +18,6 @@ from qtesters.tester import (
     random_tester,
     shannon_entropy,
 )
-from qtesters.tester import tester_entropy as entropy_of
 
 I2 = np.eye(2, dtype=complex)
 H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
@@ -91,6 +89,10 @@ class TestShannonEntropy:
             p = gen.dirichlet(np.ones(4))
             h = shannon_entropy(p)
             assert -1e-12 <= h <= 2.0 + 1e-12
+
+
+def entropy_of(t, u):
+    return shannon_entropy(outcome_distribution(t, u))
 
 
 class TestTesterEntropy:
@@ -170,11 +172,6 @@ class TestEquivalence:
             are_equivalent(t, t, qmath.SIGMA_X)
         with pytest.raises(LeakyMeasurementError):
             are_equivalent(t, t, us)
-
-    def test_bijection_diagnostic(self):
-        m = equivalence_bijection(named_tester("0Z"), named_tester("+X"), 1j * qmath.SIGMA_Y)
-        assert sorted(m) == [0, 1]
-        assert equivalence_bijection(named_tester("0Z"), named_tester("0X"), I2) is None
 
 
 class TestEigenoperator:
