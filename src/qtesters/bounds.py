@@ -44,8 +44,8 @@ class SearchConfig:
             raise ValueError("starts must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,31 +10,37 @@ basis       list or dump the named unitary bases
 qkd         Monte-Carlo protocol runs (lm05, extended)
 
 Every invocation prints one JSON report to stdout:
-``{"command", "status", "elapsed_ms", "stages_ms", "payload"}``.
+``{"command", "status", "elapsed_ms", "stages_ms", "provenance", "payload"}``.
 ``stages_ms`` maps each timed stage to its wall milliseconds: for
 ``verify``, one entry per suite run; for ``bound``, ``search``; for
 ``qkd``, ``tables``, ``rounds`` and ``trace`` (trace I/O); empty for the
-other commands.  Identical argv (seeds included) produce byte-identical
-payloads: timings stay outside the payload, keys are sorted and floats
-are canonicalized to 12 significant digits.  Human-readable logs go to
-stderr and are silenced by ``--json-only``.  Exit codes: 0 pass, 1 check
-failure, 2 usage or config error.  A usage error (an unknown flag, a
-missing or malformed argument) also prints a report, with status
-``error`` and the argparse message in ``payload.error``; only ``-h`` /
-``--help`` prints help text instead, and exits 0.
+other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
+``python`` versions that produced the report.  Identical argv (seeds
+included) produce byte-identical payloads: timings and provenance stay
+outside the payload, keys are sorted and floats are canonicalized to 12
+significant digits.  Human-readable logs go to stderr and are silenced by
+``--json-only``.  Exit codes: 0 pass, 1 check failure, 2 usage or config
+error.  A usage error (an unknown flag, a missing or malformed argument)
+also prints a report, with status ``error`` and the argparse message in
+``payload.error``; only ``-h`` / ``--help`` prints help text instead, and
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 
 import numpy as np
 
-from . import bounds, muub, ppovm, qkd, qmath, tester
+from . import __version__, bounds, muub, ppovm, qkd, qmath, tester
 from .qmath import RngHandle
+
+_PROVENANCE = {"qtesters": __version__, "numpy": np.__version__,
+               "python": platform.python_version()}
 
 
 def _canon(obj):
@@ -513,6 +519,7 @@ def _report(command, status: str, started: float, stages: dict, payload: dict) -
         "status": status,
         "elapsed_ms": int((time.perf_counter() - started) * 1000),
         "stages_ms": stages,
+        "provenance": _PROVENANCE,
         "payload": payload,
     })
 

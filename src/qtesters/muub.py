@@ -65,9 +65,11 @@ def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
     d = els[0].shape[0]
     if len(els) not in (d, d * d):
         return False
-    if any(e.shape != (d, d) or not qmath.is_unitary(e, tol) for e in els):
+    if any(e.shape != (d, d) for e in els):
         return False
     els = np.stack(els)
+    if not qmath.is_unitary(els, tol):
+        return False
     off_diagonal = hs_overlap(els[:, None], els)[~np.eye(len(els), dtype=bool)]
     return bool((off_diagonal <= tol * tol).all())
 
@@ -126,6 +128,8 @@ class MuubReport:
 
 def are_muub(a: UnitaryBasis, b: UnitaryBasis, tol: float = KAPPA_TOL) -> MuubReport:
     """Full cross-overlap matrix plus the constant-kappa verdict."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     if a.dim != b.dim:
         raise ValueError("bases act on different dimensions")
     if a.D != b.D:

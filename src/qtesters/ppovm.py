@@ -1,20 +1,20 @@
 """Process-operator formulation of testers.
 
-A tester's statistics can be produced without touching the probe directly:
-represent the channel ``u`` by its rank-one process operator
+A tester's statistics can be produced without touching the probe directly.
+The channel ``u`` is represented by its rank-one process operator
+E(u) = |u)(u| on (output, probe-input), with |u) = (u (x) I) sum_i |i>|i>
+the row-major flattening of u.  With the probe reshaped to a
+(probe-input, ancilla) matrix Psi and projector k to an (output, ancilla)
+matrix X_k (a one-dimensional ancilla for an ancilla-free tester),
+<chi_k|(u (x) I)|psi> = (m_k|u) for |m_k) = vec(X_k Psi^dag).  So each
+tester element is rank one, T_k = |m_k)(m_k|, and
 
-    E(u) = |u) (u|   with   |u) = (u (x) I) sum_i |i>|i>,
+    p_k = |(m_k|u)|^2 = (u|T_k|u) = Tr[T_k E].
 
-and represent the tester by operators T_k built from the probe density
-operator and the measurement projectors.  Then p_k = Tr[T_k E].
-
-Factor order convention (the one place it matters): both E and the T_k act
-on (output space, probe-input space), so the identity element of the
-normalization sum sits on the first slot:  sum_k T_k = I (x) [Tr_anc rho]^t.
-For the probe |0> measured in the computational basis this yields the
-closed form T_k = |k><k| (x) |0><0|, which is the recorded witness for the
-convention; the cross-check against the direct rule |<chi_k|U|psi>|^2 is
-the arbiter and is enforced by the test suite.
+A complete measurement's elements sum to I (x) [Tr_anc rho]^t.  For the
+probe |0> measured in the computational basis T_k = |k><k| (x) |0><0|, the
+recorded witness for the factor order; the cross-check against the direct
+rule |<chi_k|U|psi>|^2 is the arbiter and is enforced by the test suite.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class ChoiOperator:
         n = self.dim * self.dim
         if m.shape != (n, n):
             raise ValueError(f"process operator must be {n}x{n} for d={self.dim}")
-        if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOL:
+        if np.abs(m - m.conj().T).max() > DEFAULT_TOL:
             raise ValueError("process operator is not Hermitian")
         evals = np.linalg.eigvalsh(m)
         if evals.min() < -DEFAULT_TOL:
@@ -51,23 +51,28 @@ class ChoiOperator:
 
 @dataclass(frozen=True, eq=False)
 class TesterElementSet:
-    """PPOVM elements T_k for one tester, plus the probe density operator."""
+    """PPOVM elements T_k for one tester as one (n, d^2, d^2) stack, plus the
+    probe density operator."""
 
-    elements: tuple
+    elements: np.ndarray
     probe: np.ndarray
     complete: bool
 
     def __post_init__(self):
-        els = tuple(qmath.as_matrix(e) for e in self.elements)
-        for e in els:
-            evals = np.linalg.eigvalsh(e)
-            if evals.min() < -DEFAULT_TOL:
-                raise ValueError(f"tester element not PSD (min eigenvalue {evals.min():.3e})")
+        els = np.array(self.elements, dtype=complex)
+        if els.ndim != 3 or els.shape[1] != els.shape[2]:
+            raise ValueError(f"tester elements must be a stack of square matrices, got {els.shape}")
+        if not np.isfinite(els).all():
+            raise ValueError("matrix has non-finite entries")
+        evals = np.linalg.eigvalsh(els)
+        if evals.size and evals.min() < -DEFAULT_TOL:
+            raise ValueError(f"tester element not PSD (min eigenvalue {evals.min():.3e})")
+        els.setflags(write=False)
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "probe", qmath.as_matrix(self.probe))
 
     def normalization(self) -> np.ndarray:
-        return sum(self.elements)
+        return self.elements.sum(0)
 
 
 def choi_operator(u: np.ndarray) -> ChoiOperator:
@@ -78,46 +83,30 @@ def choi_operator(u: np.ndarray) -> ChoiOperator:
 
 
 def tester_elements(t: Tester) -> TesterElementSet:
-    """PPOVM elements T_k = Tr_anc[(P_k (x) I)(I (x) S rho^t S)].
+    """PPOVM elements T_k = |m_k)(m_k|, m_k = vec(X_k Psi^dag), all at once.
 
-    The ambient space is ordered (output, ancilla, probe-input); the probe
-    density operator rho lives on (probe-input, ancilla), is partially
-    transposed on its first factor and reordered by the factor swap S.
-    Ancilla-free testers use a one-dimensional ancilla.
+    One stacked matmul gives every conj(X_k) Psi^t = conj(X_k Psi^dag) from
+    the conjugated projector rows, and one outer product gives every T_k.
     """
     d = t.dim
-    danc = d if t.is_bipartite else 1
+    rows = t.projector_matrix()
+    psi = t.input.reshape(d, -1)
+    m_conj = (rows.reshape(len(rows), d, -1) @ psi.T).reshape(len(rows), d * d)
+    elements = m_conj.conj()[:, :, None] * m_conj[:, None, :]
+    complete = bool(np.abs(rows.T @ rows.conj() - np.eye(t.input.size)).max() <= DEFAULT_TOL)
     rho = np.outer(t.input, t.input.conj())
-    rho_t = qmath.partial_transpose_first(rho, d)
-    s = qmath.swap_factors(d, danc)
-    srs = s @ rho_t @ s.conj().T  # now on (ancilla, probe-input)
-    i_out = np.eye(d, dtype=complex)
-    i_in = np.eye(d, dtype=complex)
-    elements = []
-    for chi in t.projectors:
-        p_k = np.outer(chi, chi.conj())  # on (output, ancilla)
-        big = np.kron(p_k, i_in) @ np.kron(i_out, srs)
-        big = big.reshape(d, danc, d, d, danc, d)
-        t_k = np.einsum("mbnpbq->mnpq", big).reshape(d * d, d * d)
-        elements.append(t_k)
-    proj_sum = sum(np.outer(c, c.conj()) for c in t.projectors)
-    complete = bool(
-        np.max(np.abs(proj_sum - np.eye(t.input.size))) <= DEFAULT_TOL
-    )
-    return TesterElementSet(elements=tuple(elements), probe=rho, complete=complete)
+    return TesterElementSet(elements=elements, probe=rho, complete=complete)
 
 
 def probability_via_choi(ts: TesterElementSet, e: ChoiOperator) -> Distribution:
-    """p_k = Tr[T_k E], clamped to [0, 1] after a reality check."""
-    probs = []
-    for t_k in ts.elements:
-        if t_k.shape != e.matrix.shape:
-            raise ValueError(
-                f"element shape {t_k.shape} does not match the process operator {e.matrix.shape}"
-            )
-        val = np.trace(t_k @ e.matrix)
-        if abs(val.imag) > DEFAULT_TOL:
-            raise ValueError(f"Tr[T_k E] has imaginary part {val.imag:.3e}")
-        probs.append(min(max(val.real, 0.0), 1.0))
-    p = np.asarray(probs)
+    """p_k = Tr[T_k E] for every k from one matvec against E, clamped to
+    [0, 1] after a reality check."""
+    if ts.elements.shape[1:] != e.matrix.shape:
+        raise ValueError(f"element shape {ts.elements.shape[1:]} does not match the process "
+                         f"operator {e.matrix.shape}")
+    vals = ts.elements.reshape(len(ts.elements), -1) @ e.matrix.T.reshape(-1)
+    imag = np.abs(vals.imag) > DEFAULT_TOL
+    if imag.any():
+        raise ValueError(f"Tr[T_k E] has imaginary part {vals.imag[imag][0]:.3e}")
+    p = np.clip(vals.real, 0.0, 1.0)
     return Distribution(p, leaky=bool(p.sum() < 1.0 - 1e-6))

@@ -49,7 +49,7 @@ def as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -57,7 +57,7 @@ def as_matrix(m) -> np.ndarray:
 def as_state(v, unnormalized: bool = False, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a pure-state vector (unit norm unless explicitly waived)."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("state has non-finite entries")
     if not unnormalized:
         nrm2 = float(np.vdot(v, v).real)
@@ -66,16 +66,32 @@ def as_state(v, unnormalized: bool = False, tol: float = DEFAULT_TOL) -> np.ndar
     return v
 
 
+def as_states(vs, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``as_state`` for every row of an (n, size) stack at once, with its
+    checks and messages; the first failing row is reported."""
+    vs = np.asarray(vs, dtype=complex)
+    if not np.isfinite(vs).all():
+        raise ValueError("state has non-finite entries")
+    # einsum raises no overflow warning: a huge entry gives inf, which fails
+    nrm2 = np.einsum("ij,ij->i", vs.conj(), vs).real
+    dev = np.abs(nrm2 - 1.0)
+    if dev.max(initial=0.0) > tol:
+        raise ValueError(f"state norm^2 = {float(nrm2[dev > tol][0])!r} is not 1 within {tol}")
+    return vs
+
+
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff u is a square matrix, or a stack (..., d, d) of them, and
+    every matrix is unitary within tol."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
-    d = u.shape[0]
     # a unitary's entries are at most 1 in modulus; testing that first keeps
     # huge or non-finite entries out of the product
     if not (np.abs(u) <= 1 + tol).all():
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) <= tol)
+    gram = u.conj().swapaxes(-1, -2) @ u
+    return bool(np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0) <= tol)
 
 
 def assert_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -123,15 +139,6 @@ def swap_operator(d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
-
-
-def swap_factors(d1: int, d2: int) -> np.ndarray:
-    """Permutation sending |a>_{d1} |b>_{d2} to |b>_{d2} |a>_{d1}."""
-    s = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for a in range(d1):
-        for b in range(d2):
-            s[b * d1 + a, a * d2 + b] = 1.0
-    return s
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:

@@ -51,20 +51,23 @@ class Tester:
 
     def __post_init__(self):
         d = self.dim
-        psi = qmath.as_state(self.input)
-        projs = tuple(qmath.as_state(p) for p in self.projectors)
-        if psi.size not in (d, d * d):
-            raise ValueError(f"probe size {psi.size} is neither d nor d^2 for d={d}")
-        if any(p.size != psi.size for p in projs):
+        # the probe and the projectors are validated as one stack, probe first
+        flat = [np.asarray(v, dtype=complex).reshape(-1) for v in (self.input, *self.projectors)]
+        size, n = flat[0].size, len(flat) - 1
+        if size not in (d, d * d):
+            raise ValueError(f"probe size {size} is neither d nor d^2 for d={d}")
+        if any(p.size != size for p in flat[1:]):
             raise ValueError("projector dimension differs from the probe dimension")
-        if len(projs) not in (d, d * d) or len(projs) > psi.size:
-            raise ValueError(f"projector count {len(projs)} must be d or d^2 and fit the space")
-        m = np.stack(projs).conj()
-        if np.max(np.abs(m @ m.conj().T - np.eye(len(projs)))) > DEFAULT_TOL:
+        if n not in (d, d * d) or n > size:
+            raise ValueError(f"projector count {n} must be d or d^2 and fit the space")
+        states = qmath.as_states(np.stack(flat))
+        psi, projs = states[0], states[1:]
+        m = projs.conj()
+        if np.abs(m @ projs.T - np.eye(n)).max() > DEFAULT_TOL:
             raise ValueError("projectors are not orthonormal")
         m.setflags(write=False)
         object.__setattr__(self, "input", psi)
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "projectors", tuple(projs))
         object.__setattr__(self, "_projector_matrix", m)
 
     @property
@@ -356,14 +359,15 @@ def bell_tester_set(measurement_rotation: np.ndarray | None = None) -> TesterSet
 
 
 def random_tester(d: int, rng, bipartite: bool = False) -> Tester:
-    """Haar-random tester: random probe, random full orthonormal measurement."""
+    """Haar-random tester: random probe, random full orthonormal measurement.
+
+    The measurement basis and the unitary whose first column is the probe
+    are drawn as one stack of two, which takes them from the numpy
+    Generator ``rng`` bit for bit as two sequential draws would.
+    """
     n = d * d if bipartite else d
-    basis = qmath.haar_random_unitary(n, rng)
-    return Tester(
-        input=qmath.haar_random_state(n, rng),
-        projectors=tuple(basis[:, i].copy() for i in range(n)),
-        dim=d,
-    )
+    basis, probe = qmath.haar_random_unitary(n, rng, shape=(2,))
+    return Tester(input=probe[:, 0], projectors=tuple(basis.T), dim=d)
 
 
 def named_tester_set(name: str) -> TesterSet:

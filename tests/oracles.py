@@ -123,3 +123,31 @@ def pairwise_hs_overlaps(a, b, embed_dim=1):
     i_e = np.eye(embed_dim)
     return np.array([[abs(np.trace(np.kron(p, i_e).conj().T @ np.kron(q, i_e))) ** 2
                       for q in b] for p in a])
+
+
+def kron_tester_elements(probe, projectors, d):
+    """PPOVM elements T_k = Tr_anc[(P_k (x) I)(I (x) S rho^t S)], one
+    np.kron-built operator per projector.
+
+    The ambient space is ordered (output, ancilla, probe-input).  The probe
+    density operator rho lives on (probe-input, ancilla); it is partially
+    transposed on its first factor and reordered by the factor swap S to
+    (ancilla, probe-input).  An ancilla-free probe has a one-dimensional
+    ancilla.  Returns the (n, d^2, d^2) stack.
+    """
+    psi = np.asarray(probe, dtype=complex)
+    danc = psi.size // d
+    rho = np.outer(psi, psi.conj())
+    rho_t = rho.reshape(d, danc, d, danc).transpose(2, 1, 0, 3).reshape(psi.size, psi.size)
+    swap = np.zeros((psi.size, psi.size))
+    for a in range(d):
+        for b in range(danc):
+            swap[b * d + a, a * danc + b] = 1.0
+    srs = swap @ rho_t @ swap.T
+    i_d = np.eye(d)
+    elements = []
+    for chi in projectors:
+        p_k = np.outer(chi, np.conj(chi))
+        big = (np.kron(p_k, i_d) @ np.kron(i_d, srs)).reshape(d, danc, d, d, danc, d)
+        elements.append(np.einsum("mbnpbq->mnpq", big).reshape(d * d, d * d))
+    return np.stack(elements)

@@ -1,9 +1,12 @@
 import json
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import qtesters
 from qtesters import cli
 
 
@@ -47,6 +50,22 @@ class TestVerify:
         assert err == ""
         _, _, err = run_cli(capsys, "verify", "--suite", "qmath", "--seed", "0")
         assert "suite" in err
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("argv", [
+        ("basis", "list"),
+        ("verify", "--suite", "muub"),
+        ("muub-check", "--b1", "pauli", "--b2", "pauli"),
+        ("bound", "--t1", "0Z", "--t2", "nosuch"),
+        ("bound", "--badflag"),
+    ], ids=["pass", "verify", "fail", "error", "usage-error"])
+    def test_every_report_has_provenance(self, capsys, argv):
+        _, report, _ = run_cli(capsys, *argv, "--json-only")
+        assert report["provenance"] == {"qtesters": qtesters.__version__,
+                                        "numpy": np.__version__,
+                                        "python": platform.python_version()}
+        assert "provenance" not in report["payload"]
 
 
 class TestBound:
@@ -278,3 +297,14 @@ class TestMalformedLiterals:
         error = self._expect_error(capsys, "bound", "--t1", "0Z", "--t2", "0X",
                                    "--starts", "1", "--tol", "nan")
         assert "tolerance" in error
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("muub-check", "--b1", "pauli", "--b2", "pauli"),
+    ("bound", "--t1", "0Z", "--t2", "0X", "--starts", "1"),
+], ids=["muub-check", "bound"])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+    code, report, _ = run_cli(capsys, *argv, "--tol", tol, "--json-only")
+    assert code == 2 and report["status"] == "error"
+    assert "tolerance must be finite and positive" in report["payload"]["error"]

@@ -110,6 +110,8 @@ def test_seeded_run_matches_frozen_hash(protocol, kind, policy, seed):
 VERIFY_FROZEN = {
     0: "e08e92d391a863cebd14b8757bd04317e341dbc47d0524b58131f354cf1ef524",
     1: "7dc979d33dd9ecb000d4e390a2b7ed72c54728b995edc1c84d2ffe8d4e916d17",
+    2: "92a8ea3e86f331022f6ab4c5a996e32d8993c96c6b76d0b44a7795144a066721",
+    3: "956462a1c9eb2578b55cb502f8154988773e115e2ea9f977efb928b2d07667ce",
 }
 
 

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
+import oracles
 from qtesters import ppovm, qmath, tester
-from qtesters.ppovm import ChoiOperator, choi_operator, probability_via_choi, tester_elements
-from qtesters.tester import named_tester, outcome_distribution, random_tester
+from qtesters.ppovm import (
+    ChoiOperator,
+    TesterElementSet,
+    choi_operator,
+    probability_via_choi,
+    tester_elements,
+)
+from qtesters.tester import (
+    named_tester,
+    outcome_distribution,
+    outcome_probabilities,
+    random_tester,
+)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -112,3 +124,67 @@ class TestProbabilityViaChoi:
         with pytest.raises(ValueError):
             probability_via_choi(tester_elements(t),
                                  choi_operator(qmath.haar_random_unitary(3, gen)))
+
+
+KINDS = ("ancilla-free", "bipartite", "leaky-bipartite")
+
+
+def _tester_of_kind(kind, d, gen):
+    """A random tester; "leaky-bipartite" keeps d of the d^2 projectors."""
+    if kind != "leaky-bipartite":
+        return random_tester(d, gen, bipartite=kind == "bipartite")
+    basis = qmath.haar_random_unitary(d * d, gen)
+    return tester.Tester(input=qmath.haar_random_state(d * d, gen),
+                         projectors=tuple(basis[:, i].copy() for i in range(d)), dim=d)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", (2, 3))
+class TestStackedElements:
+    """The stacked rank-one elements against the np.kron construction."""
+
+    def test_match_kron_reference(self, gen, d, kind):
+        for _ in range(5):
+            t = _tester_of_kind(kind, d, gen)
+            els = tester_elements(t).elements
+            assert isinstance(els, np.ndarray) and els.shape == (t.n_outcomes, d * d, d * d)
+            ref = oracles.kron_tester_elements(t.input, t.projectors, d)
+            np.testing.assert_allclose(els, ref, rtol=0, atol=1e-12)
+
+    def test_each_element_rank_one(self, gen, d, kind):
+        t = _tester_of_kind(kind, d, gen)
+        for t_k in tester_elements(t).elements:
+            np.testing.assert_allclose(t_k @ t_k, np.trace(t_k) * t_k, rtol=0, atol=1e-12)
+
+    def test_probability_matches_direct_rule(self, gen, d, kind):
+        for _ in range(5):
+            t = _tester_of_kind(kind, d, gen)
+            u = qmath.haar_random_unitary(d, gen)
+            via = probability_via_choi(tester_elements(t), choi_operator(u)).probabilities
+            if kind == "leaky-bipartite":
+                direct = outcome_probabilities(t, u)
+            else:
+                direct = outcome_distribution(t, u).probabilities
+            np.testing.assert_allclose(via, direct, rtol=0, atol=1e-12)
+
+
+class TestProbabilityViaChoiErrors:
+    def test_shape_mismatch_message(self, gen):
+        t = random_tester(2, gen)
+        want = r"^element shape \(4, 4\) does not match the process operator \(9, 9\)$"
+        with pytest.raises(ValueError, match=want):
+            probability_via_choi(tester_elements(t),
+                                 choi_operator(qmath.haar_random_unitary(3, gen)))
+
+    def test_imaginary_part_message(self):
+        # eigvalsh reads the lower triangle only, so the upper entry 0.5j
+        # passes the PSD check and gives Tr[T E] = 1 + 0.5j against E(I)
+        t_k = np.zeros((4, 4), dtype=complex)
+        t_k[0, 0], t_k[0, 3] = 1.0, 0.5j
+        ts = TesterElementSet(elements=(t_k,), probe=np.eye(2), complete=False)
+        with pytest.raises(ValueError, match=r"^Tr\[T_k E\] has imaginary part 5\.000e-01$"):
+            probability_via_choi(ts, choi_operator(I2))
+
+    def test_element_not_psd_message(self):
+        with pytest.raises(ValueError, match=r"^tester element not PSD \(min eigenvalue"):
+            TesterElementSet(elements=(np.eye(4), -np.eye(4)), probe=np.eye(2), complete=False)

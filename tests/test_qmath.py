@@ -194,6 +194,23 @@ class TestValidation:
         v = qmath.as_state([1.0, 1.0], unnormalized=True)
         assert v.size == 2
 
+    def test_as_states_checks_every_row(self):
+        ok = qmath.as_states(np.eye(3))
+        assert ok.shape == (3, 3) and ok.dtype == complex
+        with pytest.raises(ValueError, match="non-finite"):
+            qmath.as_states([[1, 0], [np.inf, 0]])
+        with pytest.raises(ValueError, match=r"^state norm\^2 = 4\.0 is not 1"):
+            qmath.as_states([[1, 0], [0, 2], [3, 0]])
+
+    def test_is_unitary_on_a_stack(self, gen):
+        us = qmath.haar_random_unitary(3, gen, shape=(4,))
+        assert qmath.is_unitary(us)
+        bad = us.copy()
+        bad[2] *= 0.9  # entries stay below 1, so the Gram test rejects it
+        assert not qmath.is_unitary(bad)
+        assert not qmath.is_unitary(np.ones((2, 2, 3)))
+        assert not qmath.is_unitary(np.ones(3))
+
     def test_assert_unitary(self):
         with pytest.raises(ValueError):
             qmath.assert_unitary(np.array([[1, 1], [0, 1]], dtype=complex))

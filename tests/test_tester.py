@@ -260,10 +260,39 @@ class TestNamedTesters:
         with pytest.raises(ValueError):
             Tester(input=tester.KET0, projectors=(tester.KET0, tester.XPLUS), dim=2)
 
+    @pytest.mark.parametrize("bad,message", [
+        (np.array([np.nan, 0]), "state has non-finite entries"),
+        (np.array([1, 1]), r"state norm\^2 = 2\.0 is not 1 within 1e-09"),
+        (np.array([1e200, 0]), r"state norm\^2 = inf is not 1 within 1e-09"),
+    ])
+    @pytest.mark.parametrize("slot", ["probe", "first-projector", "last-projector"])
+    def test_member_checks_keep_their_messages(self, bad, message, slot):
+        probe, projs = tester.KET0, [tester.KET0, tester.KET1]
+        if slot == "probe":
+            probe = bad
+        else:
+            projs[0 if slot == "first-projector" else 1] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Tester(input=probe, projectors=tuple(projs), dim=2)
+
 
 # A scaled identity and a NaN matrix: neither is unitary, and before the row
 # sums were tested unclamped both passed as distributions ([1, 0] and NaNs).
 NOT_UNITARY = {"2I": 2 * I2, "1.01I": 1.01 * I2, "nan": np.full((2, 2), np.nan, dtype=complex)}
+
+
+class TestRandomTester:
+    @pytest.mark.parametrize("d,bipartite", [(2, False), (2, True), (3, False), (3, True)])
+    def test_draws_equal_two_sequential_draws(self, d, bipartite):
+        n = d * d if bipartite else d
+        g1, g2 = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            t = tester.random_tester(d, g1, bipartite=bipartite)
+            basis = qmath.haar_random_unitary(n, g2)
+            probe = qmath.haar_random_state(n, g2)
+            assert np.array_equal(t.input, probe)
+            assert np.array_equal(np.stack(t.projectors), basis.T)
+        assert np.array_equal(g1.standard_normal(3), g2.standard_normal(3))
 
 
 class TestNonUnitaryInput:
