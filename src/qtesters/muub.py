@@ -334,31 +334,35 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     embedded cross overlap lies in [0, D] (range check) and the two
     families verify as a MUUB pair.
 
-    Each tester's entropies over a family are one stacked call, with the
-    checks of ``outcome_distribution``, listed per tester, then per element.
+    Each tester's entropies over both families are one stacked call, with
+    the checks of ``outcome_distribution``; failures are listed per check,
+    then per tester, then per element.  Families of different dimension
+    raise ValueError.
     """
+    if fam1.dim != fam2.dim:
+        raise ValueError("bases act on different dimensions")
     failures = []
-    if fam1.D != fam2.D or fam1.dim != fam2.dim:
+    if fam1.D != fam2.D:
         failures.append("families differ in dimension or size")
     dd = fam1.D
     log_d = np.log2(dd)
     if not is_complete_set(s1) or not is_complete_set(s2):
         failures.append("tester sets are not complete")
-
-    def check(ts, fam, expect, who):
+    # each tester's entropies over both families from one checked call:
+    # entries [:dd] are on family 1, the rest on family 2
+    us = np.concatenate((np.stack(fam1.elements), np.stack(fam2.elements)))
+    hs = [[entropy_bits(_checked_probabilities(t, us)) for t in ts] for ts in (s1, s2)]
+    for s, f, expect, who in ((0, 0, "deterministic", "set1/family1"),
+                              (0, 1, "uniform", "set1/family2"),
+                              (1, 1, "deterministic", "set2/family2"),
+                              (1, 0, "uniform", "set2/family1")):
         target = 0.0 if expect == "deterministic" else log_d
-        us = np.stack(fam.elements)
-        for t in ts:
-            for h in entropy_bits(_checked_probabilities(t, us)):
-                if abs(h - target) > tol:
+        for t, h in zip((s1, s2)[s], hs[s]):
+            for x in (h[:dd], h[dd:])[f]:
+                if abs(x - target) > tol:
                     failures.append(
-                        f"{who}: tester {t.label} entropy {h:.6f} bits, expected {expect}"
+                        f"{who}: tester {t.label} entropy {x:.6f} bits, expected {expect}"
                     )
-
-    check(s1, fam1, "deterministic", "set1/family1")
-    check(s1, fam2, "uniform", "set1/family2")
-    check(s2, fam2, "deterministic", "set2/family2")
-    check(s2, fam1, "uniform", "set2/family1")
     hypothesis = not failures
     cross = embedded_cross_overlaps(fam1, fam2)
     range_pass = bool(np.all(cross >= -DEFAULT_TOL) and np.all(cross <= dd + DEFAULT_TOL))

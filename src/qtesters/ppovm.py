@@ -64,6 +64,9 @@ class TesterElementSet:
             raise ValueError(f"tester elements must be a stack of square matrices, got {els.shape}")
         if not np.isfinite(els).all():
             raise ValueError("matrix has non-finite entries")
+        # eigvalsh reads only the lower triangle, so Hermiticity is checked first
+        if np.abs(els - els.conj().swapaxes(1, 2)).max(initial=0.0) > DEFAULT_TOL:
+            raise ValueError("tester element is not Hermitian")
         evals = np.linalg.eigvalsh(els)
         if evals.size and evals.min() < -DEFAULT_TOL:
             raise ValueError(f"tester element not PSD (min eigenvalue {evals.min():.3e})")

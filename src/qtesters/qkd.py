@@ -27,6 +27,11 @@ The adversary is configurable: ``none``, a tester-hijack
 against Alice, then applies her inferred unitary to the kept probe), or
 ``intercept-resend`` (Eve measures in flight, never storing anything).
 
+A run first builds its outcome tables.  Each is one stacked Born-rule
+product |M (U psi)|^2 over whole arrays of probes or control states psi,
+conjugated measurement rows M and encodings U, with entries below 1e-9
+snapped to exact zeros; the rounds only gather and sample its rows.
+
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
 bit-for-bit reproducible from its (seed, stream) and its memory does not
@@ -53,7 +58,7 @@ from . import muub as muub_mod
 from . import tester as tester_mod
 from .muub import UnitaryBasis, balanced_qubit_rotation, build_named_basis, verify_prop_maximal
 from .qmath import RngHandle
-from .tester import HypothesisViolation, TesterSet, is_complete_set, outcome_probabilities
+from .tester import HypothesisViolation, TesterSet, is_complete_set
 
 EVE_KINDS = ("none", "qmm-equivalent-tester", "intercept-resend")
 RESEND_POLICIES = ("fixed-zero", "random-input")
@@ -176,17 +181,12 @@ def _snap_rows(table: np.ndarray) -> np.ndarray:
     not a distribution.
     """
     t = np.array(table, dtype=float)
-    flat = t.reshape(-1, t.shape[-1])
-    flat[flat < _SNAP] = 0.0
-    total = flat.sum(axis=1, keepdims=True)
+    t[t < _SNAP] = 0.0
+    total = t.sum(axis=-1, keepdims=True)
     if not total.all():
         raise ConfigError("an outcome table row is not a distribution: no entry is >= 1e-9")
-    flat /= total
+    t /= total
     return t
-
-
-def _dist(projs: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return np.abs(projs @ state) ** 2
 
 
 def _cumulative(table: np.ndarray) -> np.ndarray:
@@ -317,75 +317,51 @@ def default_lm05_config(rounds: int = 100_000, control_fraction: float = 0.0,
 
 def _lm05_tables(cfg: ProtocolConfig):
     testers = [t for s in cfg.tester_sets for t in s]
-    enc = list(cfg.encoding_sets[0])
+    enc = np.stack(cfg.encoding_sets[0].elements)
     if cfg.d != 2 or len(enc) != 2 or len(testers) != 4:
         raise ConfigError("the qubit protocol needs d=2, two 2-member tester sets and 2 encodings")
     if any(t.is_bipartite for t in testers):
         raise ConfigError("the qubit protocol uses ancilla-free testers")
-    cm_bases = [np.stack([p.conj() for p in s.testers[0].projectors]) for s in cfg.tester_sets]
+    probes = np.stack([t.input for t in testers])[:, :, None]  # columns
+    rows = np.stack([t.projector_matrix() for t in testers])
+    cm = np.stack([s.testers[0].projector_matrix() for s in cfg.tester_sets])
+    states = cm.conj()[..., None]  # states[b, m]: state m of control basis b, a column
 
-    n_t = len(testers)
-    p_bob = np.empty((n_t, 2, 2))
-    self_idx = np.empty(n_t, dtype=np.int64)
-    basis_id = np.empty(n_t, dtype=np.int64)
-    state_idx = np.empty(n_t, dtype=np.int64)
-    p_state_in_basis = np.empty((n_t, 2, 2))
-    # row 0: the probe measured as sent (identity); rows 1, 2: the encodings
-    enc_stack = np.stack([np.eye(2, dtype=complex)] + enc)
+    # [tester, u]: u is the identity (the probe as sent), then each encoding
+    us = np.concatenate((np.eye(2)[None], enc))
+    p_sent = np.abs(rows[:, None] @ (us @ probes[:, None]))[..., 0] ** 2
+    own, p_bob = p_sent[:, 0], p_sent[:, 1:]
+    self_idx = own.argmax(-1)
+    p_state_in_basis = np.abs(cm @ probes[:, None])[..., 0] ** 2
+    in_basis = p_state_in_basis.max(-1) > 1.0 - 1e-9
+    basis_id = 1 - in_basis[:, ::-1].argmax(-1)  # the last basis holding the probe
+    state_idx = p_state_in_basis[np.arange(len(testers)), basis_id].argmax(-1)
     for ti, t in enumerate(testers):
-        own, *p_enc = outcome_probabilities(t, enc_stack)
-        if own.max() < 1.0 - 1e-9:
+        if own[ti].max() < 1.0 - 1e-9:
             raise ConfigError(f"tester {t.label!r} probe is not a measurement state")
-        self_idx[ti] = int(np.argmax(own))
-        for bit, p in enumerate(p_enc):
+        for bit, p in enumerate(p_bob[ti]):
             if p.max() < 1.0 - 1e-9:
-                raise ConfigError(
-                    f"tester {t.label!r} is not deterministic on encoding {bit}"
-                )
-            p_bob[ti, bit] = p
-        if int(np.argmax(p_bob[ti, 0])) != self_idx[ti] or int(np.argmax(p_bob[ti, 1])) == self_idx[ti]:
+                raise ConfigError(f"tester {t.label!r} is not deterministic on encoding {bit}")
+        if p_bob[ti, 0].argmax() != self_idx[ti] or p_bob[ti, 1].argmax() == self_idx[ti]:
             raise ConfigError("encodings must act as (stay, flip) on every probe")
-        found = None
-        for b, mb in enumerate(cm_bases):
-            p = _dist(mb, t.input)
-            p_state_in_basis[ti, b] = p
-            if p.max() > 1.0 - 1e-9:
-                found = (b, int(np.argmax(p)))
-        if found is None:
+        if not in_basis[ti].any():
             raise ConfigError(f"tester {t.label!r} probe lies in neither control basis")
-        basis_id[ti], state_idx[ti] = found
 
-    if cfg.eve.resend_policy == "fixed-zero":
-        resend = [np.array([1, 0], dtype=complex)]
-    else:
-        resend = [t.input for t in testers]
-    p_cm_eve = np.stack([
-        np.stack([_dist(mb, e) for mb in cm_bases]) for e in resend
-    ])
-
-    p_enc_state_basis = np.empty((2, 2, 2, 2))
-    p_basis_basis = np.empty((2, 2, 2, 2))
-    p_basis_state_tester = np.empty((2, 2, n_t, 2))
-    for b in range(2):
-        for m in range(2):
-            state = cm_bases[b][m].conj()
-            for bit, u in enumerate(enc):
-                p_enc_state_basis[b, m, bit] = _dist(cm_bases[b], u @ state)
-            for b2 in range(2):
-                p_basis_basis[b, m, b2] = _dist(cm_bases[b2], state)
-            for ti, t in enumerate(testers):
-                p_basis_state_tester[b, m, ti] = _dist(t.projector_matrix(), state)
-
+    ket0 = np.eye(2, dtype=complex)[:1, :, None]
+    resend = ket0 if cfg.eve.resend_policy == "fixed-zero" else probes
+    # [b, m, bit]: encoding bit applied to state m of basis b, measured in basis b
+    p_enc_state_basis = np.abs(cm[:, None, None] @ (enc @ states[:, :, None]))[..., 0] ** 2
     tables = dict(
         p_bob=_snap_rows(p_bob),
         self_idx=self_idx,
         basis_id=basis_id,
         state_idx=state_idx,
         p_state_in_basis=_snap_rows(p_state_in_basis),
-        p_cm_eve=_snap_rows(p_cm_eve),
+        p_cm_eve=_snap_rows(np.abs(cm @ resend[:, None])[..., 0] ** 2),
         p_enc_state_basis=_snap_rows(p_enc_state_basis),
-        p_basis_state_tester=_snap_rows(p_basis_state_tester),
-        p_basis_basis=_snap_rows(p_basis_basis),
+        # [b, m, tester] and [b, m, b2]: state m of basis b, measured by each
+        p_basis_state_tester=_snap_rows(np.abs(rows @ states[:, :, None])[..., 0] ** 2),
+        p_basis_basis=_snap_rows(np.abs(cm @ states[:, :, None])[..., 0] ** 2),
     )
     return testers, tables
 
@@ -527,31 +503,25 @@ def _extended_tables(cfg: ProtocolConfig):
             "tester sets are not deterministic/uniform on the encoding families: "
             + "; ".join(report.failures[:3])
         )
-    sets = [list(s1), list(s2)]
-    # p_out[s, ti, sa, j]: tester ti of set s on element j of family sa; one
-    # stacked call per tester over both families
+    testers = [t for s in cfg.tester_sets for t in s]
+    d, n = cfg.d, testers[0].input.size
+    probes = np.stack([t.input for t in testers]).reshape(2, dd, n)
+    rows = np.stack([t.projector_matrix() for t in testers]).reshape(2, dd, -1, n)
     fams = np.stack([np.stack(f1.elements), np.stack(f2.elements)])
-    p_out = _snap_rows([[outcome_probabilities(t, fams) for t in ts] for ts in sets])
+    # p_out[s, ti, sa, j]: tester ti of set s on element j of family sa; the
+    # probe as a (system, ancilla) matrix takes u (x) I_d as a plain product
+    amps = (fams @ probes.reshape(2, dd, 1, 1, d, -1)).reshape(2, dd, 2, dd, n, 1)
+    p_out = _snap_rows(np.abs(rows[:, :, None, None] @ amps)[..., 0] ** 2)
+    # decode[s, ti, k]: the digit of family s that tester ti of set s reads off outcome k
     decode = np.full((2, dd, dd), -1, dtype=np.int64)
-    for s in range(2):
-        for ti in range(dd):
-            for j in range(dd):
-                k = int(np.argmax(p_out[s, ti, s, j]))
-                if decode[s, ti, k] != -1:
-                    raise HypothesisViolation("deterministic outcomes do not separate digits")
-                decode[s, ti, k] = j
-    collapse = np.empty((2, 2, dd, dd))
-    for se in range(2):
-        probe_basis = np.stack([t.input.conj() for t in sets[se]])
-        for sb in range(2):
-            for ti, t in enumerate(sets[sb]):
-                collapse[se, sb, ti] = np.abs(probe_basis @ t.input) ** 2
-    p_proj = np.empty((2, dd, 2, dd))
-    for se in range(2):
-        for k in range(dd):
-            chi = sets[se][0].projectors[k]
-            for sb in range(2):
-                p_proj[se, k, sb] = _dist(sets[sb][0].projector_matrix(), chi)
+    np.put_along_axis(decode, p_out[[0, 1], :, [0, 1]].argmax(-1), np.arange(dd), axis=-1)
+    if (decode < 0).any():
+        raise HypothesisViolation("deterministic outcomes do not separate digits")
+    # collapse[se, sb, ti]: probe ti of set sb measured in the probe basis of
+    # set se; p_proj[se, k, sb]: projector k of set se measured by set sb
+    collapse = np.abs(probes.conj()[:, None, None] @ probes[None, :, :, :, None])[..., 0] ** 2
+    meas = rows[:, 0]
+    p_proj = np.abs(meas @ meas.conj()[:, :, None, :, None])[..., 0] ** 2
     return dict(p_out=p_out, decode=decode, collapse=_snap_rows(collapse),
                 p_proj=_snap_rows(p_proj))
 

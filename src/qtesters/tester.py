@@ -152,12 +152,8 @@ class TesterSet:
             raise ValueError("empty tester set")
         if any(t.dim != self.dim for t in ts):
             raise ValueError("testers have mixed dimensions")
-        ref = ts[0].projectors
-        for t in ts[1:]:
-            if t.n_outcomes != len(ref) or any(
-                np.max(np.abs(a - b)) > DEFAULT_TOL for a, b in zip(t.projectors, ref)
-            ):
-                raise ValueError("testers do not share one projector list")
+        if not _share_projectors(ts, DEFAULT_TOL):
+            raise ValueError("testers do not share one projector list")
         object.__setattr__(self, "testers", ts)
 
     def __iter__(self):
@@ -167,16 +163,28 @@ class TesterSet:
         return len(self.testers)
 
 
+def _share_projectors(testers, tol: float) -> bool:
+    """True iff every tester's projectors have the first tester's count and
+    size and lie within ``tol`` of them entrywise, compared as one stack."""
+    if len({t.projector_matrix().shape for t in testers}) > 1:
+        return False
+    m = np.stack([t.projector_matrix() for t in testers])
+    return bool(np.abs(m - m[0]).max() <= tol)
+
+
 def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
-    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d); the
-    one place where a unitary acts on a probe.
+    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d): the
+    Born rule for one tester, which every entropy, bound and structure
+    check reads.
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
     one (a single column), with no Kronecker product formed.  Every product
     is stacked per unitary, so each row of the result is the same bit for
-    bit whatever else is in the stack: the QKD tables and the structure
-    checks take one call per tester over a whole family.
+    bit whatever else is in the stack: the structure checks take one call
+    per tester over whole families.  The QKD outcome tables evaluate the
+    same rule as stacked products over whole tester sets and control
+    states, in ``qkd``.
     """
     amps = (u @ t.input.reshape(t.dim, -1)).reshape(u.shape[:-2] + (t.input.size, 1))
     return np.abs((t.projector_matrix() @ amps)[..., 0]) ** 2
@@ -226,18 +234,14 @@ def is_complete_set(s, tol: float = DEFAULT_TOL) -> bool:
     testers = list(s.testers) if isinstance(s, TesterSet) else list(s)
     if not testers:
         raise ValueError("empty tester set")
-    ref = testers[0]
-    for t in testers[1:]:
-        if t.input.size != ref.input.size or t.n_outcomes != ref.n_outcomes:
-            return False
-        if any(np.max(np.abs(a - b)) > tol for a, b in zip(t.projectors, ref.projectors)):
-            return False
+    if not _share_projectors(testers, tol):
+        return False
     inputs = np.stack([t.input for t in testers])
     gram = inputs.conj() @ inputs.T
     if np.max(np.abs(gram - np.eye(len(testers)))) > tol:
         return False
     resolution = inputs.T @ inputs.conj()
-    return bool(np.max(np.abs(resolution - np.eye(ref.input.size))) <= tol)
+    return bool(np.max(np.abs(resolution - np.eye(inputs.shape[1]))) <= tol)
 
 
 def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_TOL):

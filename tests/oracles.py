@@ -151,3 +151,109 @@ def kron_tester_elements(probe, projectors, d):
         big = (np.kron(p_k, i_d) @ np.kron(i_d, srs)).reshape(d, danc, d, d, danc, d)
         elements.append(np.einsum("mbnpbq->mnpq", big).reshape(d * d, d * d))
     return np.stack(elements)
+
+
+def _born(rows, state):
+    """|<m_k|state>|^2 for the conjugated measurement rows m_k^*."""
+    return np.abs(rows @ state) ** 2
+
+
+def snap_rows(table):
+    """Entries below 1e-9 set to 0, then each distribution (last axis)
+    divided by its sum, one distribution at a time."""
+    t = np.array(table, dtype=float)
+    for idx in np.ndindex(t.shape[:-1]):
+        row = t[idx]
+        row[row < 1e-9] = 0.0
+        row /= row.sum()
+    return t
+
+
+def loop_lm05_tables(cfg):
+    """The qubit protocol's outcome tables, filled one entry at a time.
+
+    Bob's tables come from the np.kron rule; every control-mode table is
+    a control basis measured on one state.  Inputs are assumed valid.
+    """
+    testers = [t for s in cfg.tester_sets for t in s]
+    enc = list(cfg.encoding_sets[0])
+    cm_bases = [np.stack([p.conj() for p in s.testers[0].projectors]) for s in cfg.tester_sets]
+    n_t = len(testers)
+    p_bob = np.empty((n_t, 2, 2))
+    self_idx = np.empty(n_t, dtype=np.int64)
+    basis_id = np.empty(n_t, dtype=np.int64)
+    state_idx = np.empty(n_t, dtype=np.int64)
+    p_state_in_basis = np.empty((n_t, 2, 2))
+    for ti, t in enumerate(testers):
+        own = kron_outcome_probabilities(t.input, t.projectors, 2, np.eye(2))
+        self_idx[ti] = np.argmax(own)
+        for bit, u in enumerate(enc):
+            p_bob[ti, bit] = kron_outcome_probabilities(t.input, t.projectors, 2, u)
+        for b, mb in enumerate(cm_bases):
+            p = _born(mb, t.input)
+            p_state_in_basis[ti, b] = p
+            if p.max() > 1.0 - 1e-9:
+                basis_id[ti], state_idx[ti] = b, np.argmax(p)
+    if cfg.eve.resend_policy == "fixed-zero":
+        resend = [KET0]
+    else:
+        resend = [t.input for t in testers]
+    p_cm_eve = np.empty((len(resend), 2, 2))
+    for e, state in enumerate(resend):
+        for b, mb in enumerate(cm_bases):
+            p_cm_eve[e, b] = _born(mb, state)
+    p_enc_state_basis = np.empty((2, 2, 2, 2))
+    p_basis_basis = np.empty((2, 2, 2, 2))
+    p_basis_state_tester = np.empty((2, 2, n_t, 2))
+    for b in range(2):
+        for m in range(2):
+            state = cm_bases[b][m].conj()
+            for bit, u in enumerate(enc):
+                p_enc_state_basis[b, m, bit] = _born(cm_bases[b], u @ state)
+            for b2 in range(2):
+                p_basis_basis[b, m, b2] = _born(cm_bases[b2], state)
+            for ti, t in enumerate(testers):
+                p_basis_state_tester[b, m, ti] = _born(np.stack([p.conj() for p in t.projectors]),
+                                                       state)
+    return dict(
+        p_bob=snap_rows(p_bob), self_idx=self_idx, basis_id=basis_id, state_idx=state_idx,
+        p_state_in_basis=snap_rows(p_state_in_basis), p_cm_eve=snap_rows(p_cm_eve),
+        p_enc_state_basis=snap_rows(p_enc_state_basis),
+        p_basis_state_tester=snap_rows(p_basis_state_tester),
+        p_basis_basis=snap_rows(p_basis_basis),
+    )
+
+
+def loop_extended_tables(cfg):
+    """The D-ary protocol's outcome tables, filled one entry at a time, with
+    Bob's table from the np.kron rule.  Inputs are assumed valid."""
+    sets = [list(s) for s in cfg.tester_sets]
+    dd = cfg.D
+    p_out = np.empty((2, dd, 2, dd, len(sets[0][0].projectors)))
+    for s in range(2):
+        for ti, t in enumerate(sets[s]):
+            for sa, fam in enumerate(cfg.encoding_sets):
+                for j, u in enumerate(fam):
+                    p_out[s, ti, sa, j] = kron_outcome_probabilities(t.input, t.projectors,
+                                                                     t.dim, u)
+    p_out = snap_rows(p_out)
+    decode = np.full((2, dd, dd), -1, dtype=np.int64)
+    for s in range(2):
+        for ti in range(dd):
+            for j in range(dd):
+                decode[s, ti, np.argmax(p_out[s, ti, s, j])] = j
+    collapse = np.empty((2, 2, dd, dd))
+    for se in range(2):
+        probe_basis = np.stack([t.input.conj() for t in sets[se]])
+        for sb in range(2):
+            for ti, t in enumerate(sets[sb]):
+                collapse[se, sb, ti] = _born(probe_basis, t.input)
+    p_proj = np.empty((2, dd, 2, dd))
+    for se in range(2):
+        for k in range(dd):
+            chi = sets[se][0].projectors[k]
+            for sb in range(2):
+                p_proj[se, k, sb] = _born(np.stack([p.conj() for p in sets[sb][0].projectors]),
+                                          chi)
+    return dict(p_out=p_out, decode=decode, collapse=snap_rows(collapse),
+                p_proj=snap_rows(p_proj))

@@ -392,3 +392,11 @@ class TestPropChecksOnStacks:
                         want.append(f"{who}: tester {t.label} entropy {h:.6f} bits, "
                                     f"expected {expect}")
         assert want and [f for f in rep.failures if " entropy " in f] == want
+
+    def test_maximal_family_shape_mismatch_raises(self):
+        s1, s2 = named_tester_set("z"), named_tester_set("xcomp")
+        rot = build_named_basis("rotation", 2)
+        with pytest.raises(ValueError, match=r"^bases act on different dimensions$"):
+            verify_prop_maximal(s1, s2, rot, build_named_basis("weyl", 3))
+        with pytest.raises(ValueError, match=r"^bases span subspaces of different sizes$"):
+            verify_prop_maximal(s1, s2, rot, build_named_basis("pauli", 2))

@@ -177,13 +177,22 @@ class TestProbabilityViaChoiErrors:
                                  choi_operator(qmath.haar_random_unitary(3, gen)))
 
     def test_imaginary_part_message(self):
-        # eigvalsh reads the lower triangle only, so the upper entry 0.5j
-        # passes the PSD check and gives Tr[T E] = 1 + 0.5j against E(I)
+        # an imaginary diagonal part of 5e-10 passes the 1e-9 Hermiticity
+        # check, and the PSD operator E = 1e9 I scales it to Tr[T E] = 1e9 + 0.5j
+        t_k = np.zeros((4, 4), dtype=complex)
+        t_k[0, 0] = 1.0 + 5e-10j
+        ts = TesterElementSet(elements=(t_k,), probe=np.eye(2), complete=False)
+        e = ChoiOperator(dim=2, matrix=1e9 * np.eye(4))
+        with pytest.raises(ValueError, match=r"^Tr\[T_k E\] has imaginary part 5\.000e-01$"):
+            probability_via_choi(ts, e)
+
+    def test_element_not_hermitian_message(self):
+        # eigvalsh reads the lower triangle only, so this element would pass
+        # the PSD check, and gives Tr[T E] = 1 + 0.5j against E(I)
         t_k = np.zeros((4, 4), dtype=complex)
         t_k[0, 0], t_k[0, 3] = 1.0, 0.5j
-        ts = TesterElementSet(elements=(t_k,), probe=np.eye(2), complete=False)
-        with pytest.raises(ValueError, match=r"^Tr\[T_k E\] has imaginary part 5\.000e-01$"):
-            probability_via_choi(ts, choi_operator(I2))
+        with pytest.raises(ValueError, match=r"^tester element is not Hermitian$"):
+            TesterElementSet(elements=(np.eye(4), t_k), probe=np.eye(2), complete=False)
 
     def test_element_not_psd_message(self):
         with pytest.raises(ValueError, match=r"^tester element not PSD \(min eigenvalue"):

@@ -23,7 +23,8 @@ from qtesters.qkd import (
 )
 from qtesters.muub import UnitaryBasis, build_named_basis
 from qtesters.qmath import RngHandle
-from qtesters.tester import HypothesisViolation, named_tester_set
+from qtesters.tester import (HypothesisViolation, Tester, TesterSet, named_tester,
+                              named_tester_set)
 
 
 def within_3_sigma(rate, se, target):
@@ -335,3 +336,123 @@ class TestConfigDimensions:
     def test_tester_set_dim_not_d(self):
         with pytest.raises(ConfigError, match="d=3"):
             self._config(d=3)
+
+
+LM05_TABLE_CONFIGS = [(policy, kind) for policy in qkd.RESEND_POLICIES for kind in qkd.EVE_KINDS]
+
+
+def _assert_tables_equal(got, want):
+    assert sorted(got) == sorted(want)
+    for key, w in want.items():
+        g = got[key]
+        assert g.dtype == w.dtype and g.shape == w.shape, key
+        assert np.array_equal(g, w), key
+
+
+class TestTablesAgainstLoopOracle:
+    """Every table equals the entry-by-entry loop construction bit for bit."""
+
+    @pytest.mark.parametrize("policy, kind", LM05_TABLE_CONFIGS)
+    def test_lm05(self, policy, kind):
+        cfg = default_lm05_config(rounds=10, control_fraction=0.3,
+                                  eve=EveStrategy(kind=kind, resend_policy=policy))
+        testers, tables = qkd._lm05_tables(cfg)
+        assert testers == [t for s in cfg.tester_sets for t in s]
+        _assert_tables_equal(tables, oracles.loop_lm05_tables(cfg))
+
+    @pytest.mark.parametrize("D", [2, 4])
+    @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
+    def test_extended(self, D, kind):
+        cfg = default_extended_config(D=D, rounds=10, eve=EveStrategy(kind=kind))
+        _assert_tables_equal(qkd._extended_tables(cfg), oracles.loop_extended_tables(cfg))
+
+
+class TestSnapRows:
+    def test_transposed_view(self):
+        table = np.array([[[0.2, 0.6], [1e-12, 0.2]], [[1, 0], [0.5, 0.5]]]).transpose(1, 0, 2)
+        got = qkd._snap_rows(table)
+        np.testing.assert_allclose(got, [[[0.25, 0.75], [1, 0]], [[0, 1], [0.5, 0.5]]],
+                                   rtol=0, atol=1e-15)
+        assert np.array_equal(got, oracles.snap_rows(table))
+
+    def test_input_left_unchanged(self):
+        table = np.array([[1e-12, 0.5, 0.5]])
+        qkd._snap_rows(table)
+        assert table[0, 0] == 1e-12
+
+
+def _config(sets, encs, D=2, d=2):
+    return ProtocolConfig(d=d, D=D, rounds=10, control_fraction=0.0, eve=EveStrategy(),
+                          tester_sets=sets, encoding_sets=encs, rng=RngHandle(seed=0))
+
+
+def _computational_set(d):
+    eye = np.eye(d, dtype=complex)
+    return TesterSet(tuple(Tester(input=eye[k], projectors=tuple(eye), dim=d, label=f"{k}")
+                           for k in range(d)), dim=d)
+
+
+class TestTableErrors:
+    """The exact message of every table error that a valid config can reach.
+
+    Three checks have no test.  "uses ancilla-free testers": a complete
+    bipartite qubit set has 4 members, so the member count check fires
+    first.  "probe lies in neither control basis": a probe that passes the
+    measurement-state check is a basis vector of its own set's control
+    basis up to the 1e-9 tolerances.  "deterministic outcomes do not
+    separate digits": at D = d = 2 a collision forces a diagonal family
+    member, and then no partner family is unbiased and uniform for the set.
+    """
+
+    ZX = (named_tester_set("z"), named_tester_set("x"))
+    QUBIT_COUNT = r"^the qubit protocol needs d=2, two 2-member tester sets and 2 encodings$"
+
+    def test_lm05_needs_d_2(self):
+        cfg = _config((_computational_set(3),) * 2, (build_named_basis("weyl", 3),), D=9, d=3)
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT):
+            run_lm05(cfg)
+
+    def test_lm05_needs_2_encodings(self):
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT):
+            run_lm05(_config(self.ZX, (build_named_basis("pauli", 2),), D=4))
+
+    def test_lm05_needs_4_testers(self):
+        cfg = _config((named_tester_set("bell"), named_tester_set("z")),
+                      (build_named_basis("rotation", 2),))
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT):
+            run_lm05(cfg)
+
+    def test_lm05_probe_not_a_measurement_state(self):
+        plus_z = TesterSet((named_tester("+Z"), named_tester("-Z")), dim=2)
+        cfg = _config((plus_z, named_tester_set("x")), (build_named_basis("rotation", 2),))
+        with pytest.raises(ConfigError, match=r"^tester '\+Z' probe is not a measurement state$"):
+            run_lm05(cfg)
+
+    def test_lm05_not_deterministic_on_encoding(self):
+        cfg = _config(self.ZX, (build_named_basis("hadamard-pair", 2),))
+        with pytest.raises(ConfigError, match=r"^tester '0Z' is not deterministic on encoding 0$"):
+            run_lm05(cfg)
+
+    def test_lm05_stay_flip(self):
+        z_enc = UnitaryBasis(2, (np.eye(2, dtype=complex), np.diag([1, -1]).astype(complex)))
+        with pytest.raises(ConfigError,
+                           match=r"^encodings must act as \(stay, flip\) on every probe$"):
+            run_lm05(_config(self.ZX, (z_enc,)))
+
+    def test_extended_needs_two_families(self):
+        with pytest.raises(ConfigError, match=r"^the D-ary protocol needs two encoding families$"):
+            run_extended(_config(self.ZX, (build_named_basis("rotation", 2),)))
+
+    def test_extended_sets_need_D_members(self):
+        encs = (build_named_basis("pauli", 2), build_named_basis("pauli-unbiased", 2))
+        with pytest.raises(ConfigError, match=r"^tester sets must have D members$"):
+            run_extended(_config(self.ZX, encs, D=4))
+
+    def test_extended_hypothesis_message(self):
+        encs = (build_named_basis("rotation", 2), build_named_basis("hadamard-pair", 2))
+        failure = "set2/family2: tester {} entropy 1.000000 bits, expected deterministic"
+        want = ("tester sets are not deterministic/uniform on the encoding families: "
+                + "; ".join(failure.format(t) for t in ("+X", "+X", "-X")))
+        with pytest.raises(HypothesisViolation) as info:
+            run_extended(_config(self.ZX, encs))
+        assert str(info.value) == want

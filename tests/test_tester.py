@@ -116,8 +116,31 @@ class TestCompleteSets:
         assert is_complete_set(named_tester_set("bell"))
 
     def test_tester_set_requires_shared_measurement(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^testers do not share one projector list$"):
             TesterSet(testers=(named_tester("0Z"), named_tester("0X")), dim=2)
+
+    def test_projector_size_or_count_mismatch(self, leaky_tester):
+        bell = named_tester("bell:0")
+        # same count (2), different size: a message, not a broadcasting error
+        with pytest.raises(ValueError, match=r"^testers do not share one projector list$"):
+            TesterSet(testers=(named_tester("0Z"), leaky_tester), dim=2)
+        with pytest.raises(ValueError, match=r"^testers do not share one projector list$"):
+            TesterSet(testers=(bell, leaky_tester), dim=2)
+        assert not is_complete_set([named_tester("0Z"), leaky_tester])
+        assert not is_complete_set([bell, leaky_tester])
+
+    @pytest.mark.parametrize("shift, shared", [(0.9e-9, True), (1.1e-9, False)])
+    def test_projector_tolerance_on_the_last_member(self, shift, shared):
+        z = np.eye(2, dtype=complex)
+        # a phase shift keeps the moved projector normalized to well inside 1e-9
+        moved = (z[0], z[1] * np.exp(1j * shift))
+        testers = (named_tester("0Z"), Tester(input=tester.KET1, projectors=moved, dim=2))
+        assert is_complete_set(testers) is shared
+        if shared:
+            TesterSet(testers=testers, dim=2)
+        else:
+            with pytest.raises(ValueError, match=r"^testers do not share one projector list$"):
+                TesterSet(testers=testers, dim=2)
 
 
 class TestEquivalence:
