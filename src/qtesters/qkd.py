@@ -30,7 +30,10 @@ against Alice, then applies her inferred unitary to the kept probe), or
 A run first builds its outcome tables.  Each is one stacked Born-rule
 product |M (U psi)|^2 over whole arrays of probes or control states psi,
 conjugated measurement rows M and encodings U, with entries below 1e-9
-snapped to exact zeros; the rounds only gather and sample its rows.
+snapped to exact zeros, and is kept as cumulative thresholds.  A block of
+rounds samples every round's outcome at once: the round's table indices
+give one flat row index, and its uniform draw is compared with each
+threshold of that row.  The rounds yield one array per record column.
 
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
@@ -39,9 +42,9 @@ grow with the round count.
 
 Trace format.  Given ``trace`` (a path, or an open text handle), a run
 writes a CSV file: a header line ``round,<record columns>`` (the columns
-are listed in ``_lm05_rounds`` and ``_extended_rounds``), then one line
-per round holding the round index and the round's record, all decimal
-integers, with -1 in the fields the round does not use.  Lines end in
+are ``_LM05_COLUMNS`` and ``_EXT_COLUMNS``), then one line per round
+holding the round index and the round's record, all decimal integers,
+with -1 in the fields the round does not use.  Lines end in
 "\\r\\n", and nothing is quoted, so the bytes are those ``csv.writer``
 would write.  Rows are encoded and written once per block of 8192 rounds.
 """
@@ -49,6 +52,7 @@ would write.  Rows are encoded and written once per block of 8192 rounds.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -190,14 +194,21 @@ def _snap_rows(table: np.ndarray) -> np.ndarray:
 
 
 def _cumulative(table: np.ndarray) -> np.ndarray:
-    """Cumulative sums along each distribution, without the last bin."""
-    return np.cumsum(table, axis=-1)[..., :-1]
+    """Cumulative sums along each distribution, without the last bin, with
+    the bin axis first: entry [j, *idx] is row idx's threshold j."""
+    return np.ascontiguousarray(np.moveaxis(np.cumsum(table, axis=-1)[..., :-1], -1, 0))
 
 
-def _sample(cum_rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per row, the first bin whose cumulative probability exceeds r (the
-    last bin if none does), for rows gathered from a ``_cumulative`` table."""
-    return (cum_rows <= r[:, None]).sum(axis=1)
+def _sample(cum: np.ndarray, idx: tuple, r: np.ndarray) -> np.ndarray:
+    """Per round, the first bin of row ``cum[:, *idx]`` (a ``_cumulative``
+    table) whose cumulative probability exceeds r, or the last bin if none
+    does.  An index outside the table raises ValueError."""
+    flat = np.ravel_multi_index(idx, cum.shape[1:])
+    thresholds = cum.reshape(len(cum), -1)
+    out = (thresholds[0][flat] <= r).astype(np.int64)
+    for c in thresholds[1:]:
+        out += c[flat] <= r
+    return out
 
 
 def _index(x: np.ndarray, n: int) -> np.ndarray:
@@ -254,9 +265,11 @@ def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trac
     """Run ``rounds_fn(draws)`` block by block over one generator stream,
     streaming the records to ``trace`` (a path or text handle) when given.
 
-    ``rounds_fn`` returns a block of records and a vector of integer counts;
-    the counts summed over all blocks are returned.  ``stages``, when given,
-    gains the wall milliseconds spent in the rounds and in trace I/O.
+    ``rounds_fn`` returns a block's record columns and a vector of integer
+    counts; the counts summed over all blocks are returned.  The columns are
+    stacked into rows only for the trace.  ``stages``, when given, gains the
+    wall milliseconds spent in the rounds and in the trace (row stacking,
+    encoding and I/O).
     """
     gen = cfg.rng.generator()
     t_rounds = 0.0
@@ -270,11 +283,11 @@ def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trac
         for start in range(0, cfg.rounds, _BLOCK):
             n = min(_BLOCK, cfg.rounds - start)
             t1 = time.perf_counter()
-            rec, counts = rounds_fn(gen.random((n, n_draws)))
+            cols, counts = rounds_fn(gen.random((n, n_draws)))
             totals = totals + counts
             t_rounds += time.perf_counter() - t1
             if fh is not None:
-                fh.write(_csv_rows(np.column_stack((np.arange(start, start + n), rec))))
+                fh.write(_csv_rows(np.column_stack((np.arange(start, start + n), *cols))))
     finally:
         if own:
             fh.close()
@@ -366,82 +379,65 @@ def _lm05_tables(cfg: ProtocolConfig):
     return testers, tables
 
 
+# draws columns: 0 bob tester, 1 alice mode, 2 alice bit/basis, 3 eve choice,
+#   4 eve collapse, 5 eve outcome, 6 alice cm outcome, 7 bob outcome.
+# record columns, in this order; a round leaves the fields it does not use at -1
 _LM05_COLUMNS = ("bob_tester", "mode", "alice_bit", "alice_basis", "eve_choice",
                  "alice_cm_outcome", "bob_outcome", "bob_bit", "cm_matched",
                  "cm_mismatch", "eve_bit")
 
 
 def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
-    """Records and counts for one block of qubit-protocol rounds.
+    """Record columns (``_LM05_COLUMNS``) and counts for one block of
+    qubit-protocol rounds.
 
-    draws columns: 0 bob tester, 1 alice mode, 2 alice bit/basis,
-      3 eve choice, 4 eve collapse, 5 eve outcome, 6 alice cm outcome,
-      7 bob outcome.
-    rec columns: 0 bob tester, 1 mode, 2 alice bit, 3 alice basis,
-      4 eve choice, 5 alice cm outcome, 6 bob outcome, 7 bob bit,
-      8 cm matched, 9 cm mismatch, 10 eve bit.  Unused fields stay -1.
+    Every round is evaluated as an encoding round and as a control round,
+    and its mode picks the fields it keeps.
     eve_kind: 0 none, 1 equivalent-tester hijack, 2 intercept-resend.
     counts: control rounds, bob errors, cm comparisons, cm mismatches,
       eve correct.
     """
     self_idx, basis_id, state_idx = tables["self_idx"], tables["basis_id"], tables["state_idx"]
     n_testers = self_idx.size
-    rec = np.full((draws.shape[0], 11), -1, dtype=np.int64)
+    unused = np.full(draws.shape[0], -1)
     t = _index(draws[:, 0], n_testers)
     cm = draws[:, 1] < control_fraction
-    rec[:, 0] = t
-    rec[:, 1] = cm
-
     enc = ~cm
-    de, te = draws[enc], t[enc]
-    bit = _index(de[:, 2], 2)
-    rec[enc, 2] = bit
+    bit = _index(draws[:, 2], 2)  # alice's bit in encoding mode, her basis in control mode
+    choice, ebit = unused, unused
     if eve_kind == 0:
-        out = _sample(cum["p_bob"][te, bit], de[:, 7])
+        out = _sample(cum["p_bob"], (t, bit), draws[:, 7])
+        cm_out = _sample(cum["p_state_in_basis"], (t, bit), draws[:, 6])
     elif eve_kind == 1:
-        tev = _index(de[:, 3], n_testers)
-        rec[enc, 4] = tev
-        eout = _sample(cum["p_bob"][tev, bit], de[:, 5])
+        tev = _index(draws[:, 3], n_testers)
+        eout = _sample(cum["p_bob"], (tev, bit), draws[:, 5])
         ebit = (eout != self_idx[tev]).astype(np.int64)
-        rec[enc, 10] = ebit
-        out = _sample(cum["p_bob"][te, ebit], de[:, 7])
+        out = _sample(cum["p_bob"], (t, ebit), draws[:, 7])
+        cm_choice = _index(draws[:, 3], tables["p_cm_eve"].shape[0])
+        choice = np.where(enc, tev, cm_choice)
+        cm_out = _sample(cum["p_cm_eve"], (cm_choice, bit), draws[:, 6])
     else:
-        be = _index(de[:, 3], 2)
-        rec[enc, 4] = be
-        m = _sample(cum["p_state_in_basis"][te, be], de[:, 4])
-        eout = _sample(cum["p_enc_state_basis"][be, m, bit], de[:, 5])
-        rec[enc, 10] = eout != m
-        out = _sample(cum["p_basis_state_tester"][be, eout, te], de[:, 7])
-    rec[enc, 6] = out
-    rec[enc, 7] = out != self_idx[te]
-
-    dc, tc = draws[cm], t[cm]
-    basis = _index(dc[:, 2], 2)
-    rec[cm, 3] = basis
-    if eve_kind == 0:
-        out = _sample(cum["p_state_in_basis"][tc, basis], dc[:, 6])
-    elif eve_kind == 1:
-        choice = _index(dc[:, 3], tables["p_cm_eve"].shape[0])
-        rec[cm, 4] = choice
-        out = _sample(cum["p_cm_eve"][choice, basis], dc[:, 6])
-    else:
-        be = _index(dc[:, 3], 2)
-        rec[cm, 4] = be
-        m = _sample(cum["p_state_in_basis"][tc, be], dc[:, 4])
-        out = _sample(cum["p_basis_basis"][be, m, basis], dc[:, 6])
-    rec[cm, 5] = out
-    matched = basis == basis_id[tc]
-    rec[cm, 8] = matched
-    rec[cm, 9] = np.where(matched, out != state_idx[tc], -1)
-
+        choice = _index(draws[:, 3], 2)
+        m = _sample(cum["p_state_in_basis"], (t, choice), draws[:, 4])
+        eout = _sample(cum["p_enc_state_basis"], (choice, m, bit), draws[:, 5])
+        ebit = eout != m
+        out = _sample(cum["p_basis_state_tester"], (choice, eout, t), draws[:, 7])
+        cm_out = _sample(cum["p_basis_basis"], (choice, m, bit), draws[:, 6])
+    bob_bit = out != self_idx[t]
+    matched = cm & (bit == basis_id[t])
+    mismatch = matched & (cm_out != state_idx[t])
+    cols = (t, cm, np.where(enc, bit, -1), np.where(cm, bit, -1), choice,
+            np.where(cm, cm_out, -1), np.where(enc, out, -1), np.where(enc, bob_bit, -1),
+            np.where(cm, matched, -1), np.where(matched, mismatch, -1),
+            np.where(enc, ebit, -1))
     counts = np.array([
-        np.sum(cm),
-        np.sum(enc & (rec[:, 7] != rec[:, 2])),
-        np.sum(rec[:, 8] == 1),
-        np.sum(rec[:, 9] == 1),
-        np.sum(enc & (rec[:, 10] == rec[:, 2])),
+        np.count_nonzero(cm),
+        np.count_nonzero(enc & (bob_bit != bit)),
+        np.count_nonzero(matched),
+        np.count_nonzero(mismatch),
+        np.count_nonzero(enc & (ebit == bit)),
     ])
-    return rec, counts
+    return cols, counts
 
 
 def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
@@ -526,63 +522,51 @@ def _extended_tables(cfg: ProtocolConfig):
                 p_proj=_snap_rows(p_proj))
 
 
+# draws columns: 0 bob set, 1 bob tester, 2 alice set, 3 alice digit, 4 eve set,
+#   5 eve tester/collapse, 6 eve outcome, 7 eve fallback guess, 8 bob outcome.
+# record columns, in this order; a round leaves the fields it does not use at -1
 _EXT_COLUMNS = ("bob_set", "bob_tester", "alice_set", "alice_digit", "eve_set",
                 "eve_tester_or_collapse", "eve_outcome", "eve_digit", "bob_outcome",
                 "bob_digit", "sifted", "bob_error", "eve_correct")
 
 
 def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
-    """Records and counts for one block of D-ary protocol rounds.
+    """Record columns (``_EXT_COLUMNS``) and counts for one block of D-ary
+    protocol rounds.
 
-    draws columns: 0 bob set, 1 bob tester, 2 alice set, 3 alice digit,
-      4 eve set, 5 eve tester/collapse, 6 eve outcome,
-      7 eve fallback guess, 8 bob outcome.
-    rec columns: 0 bob set, 1 bob tester, 2 alice set, 3 alice digit,
-      4 eve set, 5 eve tester/collapse, 6 eve outcome, 7 eve digit,
-      8 bob outcome, 9 bob digit, 10 sifted, 11 bob error, 12 eve correct.
-      Unused fields stay -1.
     eve_set_policy: 0 fixed set 0, 1 uniform.
     counts: sifted, bob errors, eve correct.
     """
-    rec = np.full((draws.shape[0], 13), -1, dtype=np.int64)
     sb = _index(draws[:, 0], 2)
     tb = _index(draws[:, 1], n_digits)
     sa = _index(draws[:, 2], 2)
     dig = _index(draws[:, 3], n_digits)
-    rec[:, 0] = sb
-    rec[:, 1] = tb
-    rec[:, 2] = sa
-    rec[:, 3] = dig
+    sift = sb == sa
     p_out = cum["p_out"]
     if eve_kind == 0:
-        out = _sample(p_out[sb, tb, sa, dig], draws[:, 8])
+        out = _sample(p_out, (sb, tb, sa, dig), draws[:, 8])
+        se = te = eout = edig = ecorrect = np.full(draws.shape[0], -1)
     else:
         se = np.zeros_like(sb) if eve_set_policy == 0 else _index(draws[:, 4], 2)
-        rec[:, 4] = se
         if eve_kind == 1:
             te = _index(draws[:, 5], n_digits)
-            rec[:, 5] = te
-            eout = _sample(p_out[se, te, sa, dig], draws[:, 6])
+            eout = _sample(p_out, (se, te, sa, dig), draws[:, 6])
             eraw = decode[se, te, eout]
-            out = _sample(p_out[sb, tb, se, eraw], draws[:, 8])
+            out = _sample(p_out, (sb, tb, se, eraw), draws[:, 8])
         else:
-            m = _sample(cum["collapse"][se, sb, tb], draws[:, 5])
-            rec[:, 5] = m
-            eout = _sample(p_out[se, m, sa, dig], draws[:, 6])
-            eraw = decode[se, m, eout]
-            out = _sample(cum["p_proj"][se, eout, sb], draws[:, 8])
-        rec[:, 6] = eout
-        rec[:, 7] = np.where(se == sa, eraw, _index(draws[:, 7], n_digits))
-    rec[:, 8] = out
+            te = _sample(cum["collapse"], (se, sb, tb), draws[:, 5])
+            eout = _sample(p_out, (se, te, sa, dig), draws[:, 6])
+            eraw = decode[se, te, eout]
+            out = _sample(cum["p_proj"], (se, eout, sb), draws[:, 8])
+        edig = np.where(se == sa, eraw, _index(draws[:, 7], n_digits))
+        ecorrect = np.where(sift, edig == dig, -1)
     bdig = decode[sb, tb, out]
-    rec[:, 9] = bdig
-    sift = sb == sa
-    rec[:, 10] = sift
-    rec[:, 11] = np.where(sift, bdig != dig, -1)
-    if eve_kind != 0:
-        rec[:, 12] = np.where(sift, rec[:, 7] == dig, -1)
-    counts = np.array([np.sum(sift), np.sum(rec[:, 11] == 1), np.sum(rec[:, 12] == 1)])
-    return rec, counts
+    error = sift & (bdig != dig)
+    cols = (sb, tb, sa, dig, se, te, eout, edig, out, bdig, sift,
+            np.where(sift, error, -1), ecorrect)
+    counts = np.array([np.count_nonzero(sift), np.count_nonzero(error),
+                       np.count_nonzero(ecorrect == 1)])
+    return cols, counts
 
 
 def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
@@ -647,13 +631,23 @@ def resolve_basis(spec, d: int) -> UnitaryBasis:
     return muub_mod.basis_from_json(spec)
 
 
+def _int_field(obj: dict, key: str, default=None) -> int:
+    """An integer config field: a JSON integer, or an integral float such as
+    1e5; a bool, a string or a fractional number raises ConfigError."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"bad protocol config: {key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def config_from_json(obj: dict) -> ProtocolConfig:
     """ProtocolConfig from its JSON object; a malformed config raises
     ConfigError, or ValueError from a malformed tester or basis literal."""
     if not isinstance(obj, dict):
         raise ConfigError("bad protocol config: not a JSON object")
     try:
-        d = int(obj.get("d", 2))
+        d = _int_field(obj, "d", 2)
         eve_obj = obj.get("eve", {})
         if not isinstance(eve_obj, dict):
             raise ConfigError("bad protocol config: eve is not a JSON object")
@@ -662,19 +656,24 @@ def config_from_json(obj: dict) -> ProtocolConfig:
             resend_policy=eve_obj.get("resend_policy", "fixed-zero"),
             set_policy=eve_obj.get("set_policy", "fixed"),
         )
+        control_fraction = obj.get("control_fraction", 0.0)
+        if isinstance(control_fraction, bool) or not isinstance(control_fraction, numbers.Real):
+            raise ConfigError("bad protocol config: control_fraction must be a number, "
+                              f"not {control_fraction!r}")
         tester_sets = tuple(resolve_tester_set(s) for s in obj["tester_sets"])
         encoding_sets = tuple(resolve_basis(b, d) for b in obj["encoding_sets"])
         if not encoding_sets:
             raise ConfigError("bad protocol config: encoding_sets is empty")
         return ProtocolConfig(
             d=d,
-            D=int(obj.get("D", encoding_sets[0].D)),
-            rounds=int(obj["rounds"]),
-            control_fraction=float(obj.get("control_fraction", 0.0)),
+            D=_int_field(obj, "D", encoding_sets[0].D),
+            rounds=_int_field(obj, "rounds"),
+            control_fraction=float(control_fraction),
             eve=eve,
             tester_sets=tester_sets,
             encoding_sets=encoding_sets,
-            rng=RngHandle(seed=int(obj.get("seed", 0)), stream=int(obj.get("stream", 0))),
+            rng=RngHandle(seed=_int_field(obj, "seed", 0),
+                          stream=_int_field(obj, "stream", 0)),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad protocol config: {exc}") from exc

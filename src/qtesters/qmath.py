@@ -15,6 +15,7 @@ All conventions used by the rest of the package are fixed here, once:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ class RngHandle:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"rng {name} must be a non-negative integer, not {value!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this handle's stream."""

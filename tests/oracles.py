@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own code paths: entropy
 sums are minimized by dense grid scans over explicit Euler-angle matrices,
-and protocol rates come from exhaustive enumeration of the finite round
-state space.  The frozen constants asserted by the tests were produced by
-these functions; the tests also re-run them at moderate resolution to keep
-the constants honest.
+protocol rates come from exhaustive enumeration of the finite round state
+space, and the round kernels gather each round's table row by its full
+index.  The frozen constants asserted by the tests were produced by these
+functions; the tests also re-run them at moderate resolution to keep the
+constants honest.
 """
 
 import numpy as np
@@ -257,3 +258,131 @@ def loop_extended_tables(cfg):
                                           chi)
     return dict(p_out=p_out, decode=decode, collapse=snap_rows(collapse),
                 p_proj=snap_rows(p_proj))
+
+
+def row_cumulative(table):
+    """Cumulative sums along each distribution, without the last bin, with
+    the bin axis last."""
+    return np.cumsum(table, axis=-1)[..., :-1]
+
+
+def row_sample(cum_rows, r):
+    """Per row, the first bin whose cumulative probability exceeds r (the
+    last bin if none does), for rows gathered from a ``row_cumulative``
+    table."""
+    return (cum_rows <= r[:, None]).sum(axis=1)
+
+
+def _uniform_index(x, n):
+    return (x * n).astype(np.int64)
+
+
+def record_lm05_rounds(draws, eve_kind, control_fraction, tables):
+    """Records (rows of the 11 qubit-protocol columns) and counts for one
+    block of rounds, with the encoding and control rounds gathered apart
+    and each round's table row gathered by its full index."""
+    cum = {k: row_cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+    self_idx, basis_id, state_idx = tables["self_idx"], tables["basis_id"], tables["state_idx"]
+    n_testers = self_idx.size
+    rec = np.full((draws.shape[0], 11), -1, dtype=np.int64)
+    t = _uniform_index(draws[:, 0], n_testers)
+    cm = draws[:, 1] < control_fraction
+    rec[:, 0] = t
+    rec[:, 1] = cm
+
+    enc = ~cm
+    de, te = draws[enc], t[enc]
+    bit = _uniform_index(de[:, 2], 2)
+    rec[enc, 2] = bit
+    if eve_kind == 0:
+        out = row_sample(cum["p_bob"][te, bit], de[:, 7])
+    elif eve_kind == 1:
+        tev = _uniform_index(de[:, 3], n_testers)
+        rec[enc, 4] = tev
+        eout = row_sample(cum["p_bob"][tev, bit], de[:, 5])
+        ebit = (eout != self_idx[tev]).astype(np.int64)
+        rec[enc, 10] = ebit
+        out = row_sample(cum["p_bob"][te, ebit], de[:, 7])
+    else:
+        be = _uniform_index(de[:, 3], 2)
+        rec[enc, 4] = be
+        m = row_sample(cum["p_state_in_basis"][te, be], de[:, 4])
+        eout = row_sample(cum["p_enc_state_basis"][be, m, bit], de[:, 5])
+        rec[enc, 10] = eout != m
+        out = row_sample(cum["p_basis_state_tester"][be, eout, te], de[:, 7])
+    rec[enc, 6] = out
+    rec[enc, 7] = out != self_idx[te]
+
+    dc, tc = draws[cm], t[cm]
+    basis = _uniform_index(dc[:, 2], 2)
+    rec[cm, 3] = basis
+    if eve_kind == 0:
+        out = row_sample(cum["p_state_in_basis"][tc, basis], dc[:, 6])
+    elif eve_kind == 1:
+        choice = _uniform_index(dc[:, 3], tables["p_cm_eve"].shape[0])
+        rec[cm, 4] = choice
+        out = row_sample(cum["p_cm_eve"][choice, basis], dc[:, 6])
+    else:
+        be = _uniform_index(dc[:, 3], 2)
+        rec[cm, 4] = be
+        m = row_sample(cum["p_state_in_basis"][tc, be], dc[:, 4])
+        out = row_sample(cum["p_basis_basis"][be, m, basis], dc[:, 6])
+    rec[cm, 5] = out
+    matched = basis == basis_id[tc]
+    rec[cm, 8] = matched
+    rec[cm, 9] = np.where(matched, out != state_idx[tc], -1)
+
+    counts = np.array([
+        np.sum(cm),
+        np.sum(enc & (rec[:, 7] != rec[:, 2])),
+        np.sum(rec[:, 8] == 1),
+        np.sum(rec[:, 9] == 1),
+        np.sum(enc & (rec[:, 10] == rec[:, 2])),
+    ])
+    return rec, counts
+
+
+def record_extended_rounds(draws, eve_kind, eve_set_policy, n_digits, tables):
+    """Records (rows of the 13 D-ary protocol columns) and counts for one
+    block of rounds, each round's table row gathered by its full index."""
+    cum = {k: row_cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+    decode = tables["decode"]
+    rec = np.full((draws.shape[0], 13), -1, dtype=np.int64)
+    sb = _uniform_index(draws[:, 0], 2)
+    tb = _uniform_index(draws[:, 1], n_digits)
+    sa = _uniform_index(draws[:, 2], 2)
+    dig = _uniform_index(draws[:, 3], n_digits)
+    rec[:, 0] = sb
+    rec[:, 1] = tb
+    rec[:, 2] = sa
+    rec[:, 3] = dig
+    p_out = cum["p_out"]
+    if eve_kind == 0:
+        out = row_sample(p_out[sb, tb, sa, dig], draws[:, 8])
+    else:
+        se = np.zeros_like(sb) if eve_set_policy == 0 else _uniform_index(draws[:, 4], 2)
+        rec[:, 4] = se
+        if eve_kind == 1:
+            te = _uniform_index(draws[:, 5], n_digits)
+            rec[:, 5] = te
+            eout = row_sample(p_out[se, te, sa, dig], draws[:, 6])
+            eraw = decode[se, te, eout]
+            out = row_sample(p_out[sb, tb, se, eraw], draws[:, 8])
+        else:
+            m = row_sample(cum["collapse"][se, sb, tb], draws[:, 5])
+            rec[:, 5] = m
+            eout = row_sample(p_out[se, m, sa, dig], draws[:, 6])
+            eraw = decode[se, m, eout]
+            out = row_sample(cum["p_proj"][se, eout, sb], draws[:, 8])
+        rec[:, 6] = eout
+        rec[:, 7] = np.where(se == sa, eraw, _uniform_index(draws[:, 7], n_digits))
+    rec[:, 8] = out
+    bdig = decode[sb, tb, out]
+    rec[:, 9] = bdig
+    sift = sb == sa
+    rec[:, 10] = sift
+    rec[:, 11] = np.where(sift, bdig != dig, -1)
+    if eve_kind != 0:
+        rec[:, 12] = np.where(sift, rec[:, 7] == dig, -1)
+    counts = np.array([np.sum(sift), np.sum(rec[:, 11] == 1), np.sum(rec[:, 12] == 1)])
+    return rec, counts

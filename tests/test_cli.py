@@ -293,6 +293,20 @@ class TestMalformedLiterals:
                                      "encoding_sets": ["rotation"]})
         assert "D=9" in self._expect_error(capsys, "qkd", "lm05", "--config", path)
 
+    @pytest.mark.parametrize("rounds", [2.7, True, "12"])
+    def test_config_rounds_not_an_integer(self, capsys, tmp_path, rounds):
+        path = self._file(tmp_path, {"rounds": rounds, "tester_sets": ["z", "x"],
+                                     "encoding_sets": ["rotation"]})
+        error = self._expect_error(capsys, "qkd", "lm05", "--config", path)
+        assert "rounds must be an integer" in error
+
+    def test_negative_seed_fails_before_the_tables(self, capsys):
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--rounds", "10", "--seed", "-1",
+                                  "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert report["payload"]["error"].startswith("rng seed must be a non-negative integer")
+        assert report["stages_ms"] == {}
+
     def test_nan_tolerance(self, capsys):
         error = self._expect_error(capsys, "bound", "--t1", "0Z", "--t2", "0X",
                                    "--starts", "1", "--tol", "nan")

@@ -285,6 +285,25 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match="not a distribution"):
             qkd._snap_rows(np.array([[1e-12, 1e-12]]))
 
+    @pytest.mark.parametrize("key", ["d", "D", "rounds", "seed", "stream"])
+    @pytest.mark.parametrize("value", [2.7, True, False, "12", None, float("inf")])
+    def test_integer_fields_are_not_coerced(self, key, value):
+        obj = {**default_lm05_config(rounds=12).to_json(), key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            config_from_json(obj)
+
+    def test_integral_float_accepted(self):
+        obj = {**default_lm05_config(rounds=12).to_json(), "rounds": 1e5, "seed": 3.0}
+        cfg = config_from_json(obj)
+        assert cfg.rounds == 100_000 and type(cfg.rounds) is int
+        assert cfg.rng.seed == 3 and type(cfg.rng.seed) is int
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_control_fraction_must_be_a_number(self, value):
+        obj = {**default_lm05_config(rounds=12).to_json(), "control_fraction": value}
+        with pytest.raises(ConfigError, match="control_fraction must be a number"):
+            config_from_json(obj)
+
     def test_bad_config_raises(self):
         with pytest.raises(ConfigError):
             config_from_json({"rounds": 10})
@@ -379,6 +398,97 @@ class TestSnapRows:
         table = np.array([[1e-12, 0.5, 0.5]])
         qkd._snap_rows(table)
         assert table[0, 0] == 1e-12
+
+
+# a full block of rounds, and the tail block of a 20 000-round run
+KERNEL_BLOCKS = [qkd._BLOCK, 20_000 - 2 * qkd._BLOCK]
+
+
+class TestKernelsAgainstRecordOracle:
+    """The record columns, stacked, and the counts equal the row-gather
+    kernels' records and counts bit for bit on the same draws."""
+
+    @pytest.mark.parametrize("n", KERNEL_BLOCKS)
+    @pytest.mark.parametrize("policy, kind", LM05_TABLE_CONFIGS)
+    def test_lm05(self, policy, kind, n):
+        cfg = default_lm05_config(rounds=10, eve=EveStrategy(kind=kind, resend_policy=policy))
+        _, tables = qkd._lm05_tables(cfg)
+        cum = {k: qkd._cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+        draws = np.random.default_rng(n).random((n, 8))
+        eve_kind = qkd.EVE_KINDS.index(kind)
+        cols, counts = qkd._lm05_rounds(draws, eve_kind, 0.3, cum, tables)
+        rec, want = oracles.record_lm05_rounds(draws, eve_kind, 0.3, tables)
+        assert len(cols) == len(qkd._LM05_COLUMNS)
+        got = np.column_stack(cols)
+        assert got.dtype == rec.dtype and np.array_equal(got, rec)
+        assert np.array_equal(counts, want)
+
+    @pytest.mark.parametrize("n", KERNEL_BLOCKS)
+    @pytest.mark.parametrize("policy", qkd.SET_POLICIES)
+    @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
+    @pytest.mark.parametrize("D", [2, 4])
+    def test_extended(self, D, kind, policy, n):
+        cfg = default_extended_config(D=D, rounds=10,
+                                      eve=EveStrategy(kind=kind, set_policy=policy))
+        tables = qkd._extended_tables(cfg)
+        cum = {k: qkd._cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+        draws = np.random.default_rng(n).random((n, 9))
+        eve_kind, set_policy = qkd.EVE_KINDS.index(kind), qkd.SET_POLICIES.index(policy)
+        cols, counts = qkd._extended_rounds(draws, eve_kind, set_policy, D, cum,
+                                            tables["decode"])
+        rec, want = oracles.record_extended_rounds(draws, eve_kind, set_policy, D, tables)
+        assert len(cols) == len(qkd._EXT_COLUMNS)
+        got = np.column_stack(cols)
+        assert got.dtype == rec.dtype and np.array_equal(got, rec)
+        assert np.array_equal(counts, want)
+
+
+def _bench_run(protocol, kind):
+    """One of the benchmark's nine protocol x Eve configurations, 20 000 rounds."""
+    eve = EveStrategy(kind=kind)
+    if protocol == "lm05":
+        return run_lm05, default_lm05_config(rounds=20_000, control_fraction=0.3, eve=eve,
+                                             seed=11)
+    return run_extended, default_extended_config(D=int(protocol[3:]), rounds=20_000, eve=eve,
+                                                 seed=11)
+
+
+class TestTracedAndUntracedAgree:
+    @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
+    @pytest.mark.parametrize("protocol", ["lm05", "ext2", "ext4"])
+    def test_same_stats(self, protocol, kind):
+        run, cfg = _bench_run(protocol, kind)
+        buf = io.StringIO(newline="")
+        assert run(cfg) == run(cfg, trace=buf)
+        assert buf.getvalue().count("\r\n") == cfg.rounds + 1
+
+
+class TestSample:
+    def test_threshold_lands_in_next_bin(self):
+        cum = qkd._cumulative(np.array([[0.25, 0.25, 0.25, 0.25]]))
+        assert cum.shape == (3, 1)
+        r = np.array([0.0, 0.2499, 0.25, 0.5, 0.75, 0.9999])
+        got = qkd._sample(cum, (np.zeros(6, dtype=np.int64),), r)
+        assert got.tolist() == [0, 0, 1, 2, 3, 3]
+
+    def test_deterministic_rows(self):
+        cum = qkd._cumulative(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        r = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        for row, bin_ in enumerate([1, 0, 2]):
+            assert qkd._sample(cum, (np.full(3, row),), r).tolist() == [bin_] * 3
+
+    def test_rows_by_index_tuple(self):
+        table = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])
+        cum = qkd._cumulative(table)
+        i, j = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 0, 1])
+        r = np.array([0.9, 0.1, 0.4, 0.5, 0.0])
+        assert qkd._sample(cum, (i, j), r).tolist() == [0, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize("row", [3, -1])
+    def test_out_of_range_index_raises(self, row):
+        cum = qkd._cumulative(np.full((3, 2), 0.5))
+        with pytest.raises(ValueError):
+            qkd._sample(cum, (np.array([0, row]),), np.array([0.1, 0.1]))
 
 
 def _config(sets, encs, D=2, d=2):

@@ -138,6 +138,18 @@ class TestVectorize:
         np.testing.assert_array_equal(qmath.devectorize(qmath.vectorize(a)), a)
 
 
+class TestRngHandle:
+    @pytest.mark.parametrize("field", ["seed", "stream"])
+    @pytest.mark.parametrize("value", [-1, 1.0, 2.5, True, "3", None])
+    def test_rejects_what_is_not_a_non_negative_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^rng {field} must be a non-negative integer"):
+            RngHandle(**{"seed": 0, field: value})
+
+    def test_numpy_integers_accepted(self):
+        h = RngHandle(seed=np.int64(11), stream=np.uint8(3))
+        assert h.generator().random() == RngHandle(seed=11, stream=3).generator().random()
+
+
 class TestHaarSampling:
     def test_unitarity(self, gen):
         for d in (1, 2, 3, 5):
