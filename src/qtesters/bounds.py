@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmath
 from .qmath import RngHandle
-from .tester import Tester, _checked_probabilities, entropy_bits, outcome_probabilities
+from .tester import Tester, outcome_distribution, outcome_probabilities, shannon_entropy
 
 TRIVIAL_SATURATION_TOL = 1e-6  # bits
 
@@ -77,6 +77,8 @@ class BoundEstimate:
 def su_generators(d: int) -> np.ndarray:
     """Traceless Hermitian basis of su(d): the d^2 - 1 generalized Gell-Mann
     matrices (symmetric, antisymmetric, then diagonal), stacked."""
+    if d < 2:
+        raise ValueError(f"su(d) needs d >= 2, got d={d}")
     gens = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -104,8 +106,8 @@ def entropy_sum(t1: Tester, t2: Tester, u: np.ndarray):
     """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    h = entropy_bits(_checked_probabilities(t1, u)) + entropy_bits(_checked_probabilities(t2, u))
-    return float(h) if h.ndim == 0 else h
+    p1, p2 = outcome_distribution(t1, u), outcome_distribution(t2, u)
+    return shannon_entropy(p1) + shannon_entropy(p2)
 
 
 def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -247,7 +249,8 @@ def _entropy_objective(t1: Tester, t2: Tester, gens: np.ndarray):
     without the per-call checks, which the search does not need."""
     def f(theta):
         u = unitary_from_params(theta, gens)
-        return entropy_bits(outcome_probabilities(t1, u)) + entropy_bits(outcome_probabilities(t2, u))
+        p1, p2 = outcome_probabilities(t1, u), outcome_probabilities(t2, u)
+        return shannon_entropy(p1) + shannon_entropy(p2)
     return f
 
 
@@ -288,7 +291,9 @@ def mub_overlap_bound(meas1, meas2) -> float:
 
 
 def classify_saturation(value: float, n_outcomes: int) -> str:
-    """"trivial" below 1e-6 bits, "maximal" within 1e-6 of log2(outcomes)."""
+    """"trivial" below 1e-6 bits, "maximal" within 1e-6 of log2(n_outcomes):
+    for a tester pair, the smaller outcome count, as a unitary that makes the
+    other tester deterministic leaves a sum of at most log2 of it."""
     if value <= TRIVIAL_SATURATION_TOL:
         return "trivial"
     if value >= np.log2(n_outcomes) - TRIVIAL_SATURATION_TOL:

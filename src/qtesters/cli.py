@@ -4,7 +4,8 @@ Subcommands
 -----------
 verify      randomized consistency/property suites (qmath, tester, ppovm,
             bounds, muub, props, all)
-bound       entropic-bound search for a tester pair
+bound       entropic-bound search for a tester pair, classified against
+            log2 of the smaller outcome count
 muub-check  mutual-unbiasedness verdict for two unitary bases
 basis       list or dump the named unitary bases
 qkd         Monte-Carlo protocol runs (lm05, extended)
@@ -157,14 +158,14 @@ def _suite_tester(seed: int) -> list:
         for k in range(10):
             t = tester.random_tester(d, gen, bipartite=k % 2 == 1)
             u = qmath.haar_random_unitary(d, gen)
-            worst = max(worst, abs(tester.outcome_distribution(t, u).probabilities.sum() - 1.0))
+            worst = max(worst, abs(tester.outcome_distribution(t, u).sum() - 1.0))
     checks.append({"name": "distribution-normalization", "max_dev": worst})
     t = tester.random_tester(2, gen)
     u = qmath.haar_random_unitary(2, gen)
-    base = tester.outcome_distribution(t, u).probabilities
+    base = tester.outcome_distribution(t, u)
     worst = 0.0
     for phi in gen.uniform(0, 2 * np.pi, 5):
-        p = tester.outcome_distribution(t, np.exp(1j * phi) * u).probabilities
+        p = tester.outcome_distribution(t, np.exp(1j * phi) * u)
         worst = max(worst, float(np.max(np.abs(p - base))))
     checks.append({"name": "global-phase-invariance", "max_dev": worst, "tol": 1e-12})
     ok = True
@@ -208,10 +209,8 @@ def _suite_ppovm(seed: int) -> list:
         for k in range(50):
             t = tester.random_tester(d, gen, bipartite=k % 2 == 1)
             u = qmath.haar_random_unitary(d, gen)
-            direct = tester.outcome_distribution(t, u).probabilities
-            via = ppovm.probability_via_choi(
-                ppovm.tester_elements(t), ppovm.choi_operator(u)
-            ).probabilities
+            direct = tester.outcome_distribution(t, u)
+            via = ppovm.probability_via_choi(ppovm.tester_elements(t), ppovm.choi_operator(u))
             dev = float(np.max(np.abs(direct - via)))
             checks.append({
                 "name": f"direct-vs-process-rule-d{d}-{k:02d}",
@@ -374,7 +373,8 @@ def _cmd_bound(args, log, stages) -> tuple:
     payload = est.to_json()
     payload.update({
         "t1": t1.label, "t2": t2.label,
-        "classification": bounds.classify_saturation(est.value, t1.n_outcomes),
+        "classification": bounds.classify_saturation(
+            est.value, min(t1.n_outcomes, t2.n_outcomes)),
     })
     return True, payload
 

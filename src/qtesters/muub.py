@@ -27,11 +27,11 @@ from .qmath import DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tester import (
     ENTROPY_ZERO_TOL,
     TesterSet,
-    _checked_probabilities,
     are_equivalent,
-    entropy_bits,
     is_complete_set,
     is_eigenoperator,
+    outcome_distribution,
+    shannon_entropy,
 )
 
 KAPPA_TOL = 1e-6
@@ -57,8 +57,6 @@ def hs_overlap(u: np.ndarray, v: np.ndarray):
 def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
     """True iff all elements are unitary, pairwise Hilbert-Schmidt orthogonal,
     and their count is d or d^2."""
-    if isinstance(elements, UnitaryBasis):
-        elements = elements.elements
     els = [np.asarray(e, dtype=complex) for e in elements]
     if not els or els[0].ndim != 2:
         return False
@@ -216,15 +214,6 @@ class TrivialBoundReport:
     def verdict(self) -> bool:
         return self.hypothesis_pass and self.s1_pass and self.s2_pass
 
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_pass": self.hypothesis_pass,
-            "s1_pass": self.s1_pass,
-            "s2_pass": self.s2_pass,
-            "verdict": self.verdict,
-            "failures": list(self.failures),
-        }
-
 
 def _stack(mats, d: int) -> np.ndarray:
     """The matrices as one complex (n, d, d) stack, also for n = 0."""
@@ -304,15 +293,6 @@ class MaximalBoundReport:
     def verdict(self) -> bool:
         return self.hypothesis_pass and self.range_pass and self.muub.verdict
 
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_pass": self.hypothesis_pass,
-            "range_pass": self.range_pass,
-            "muub": self.muub.to_json(),
-            "verdict": self.verdict,
-            "failures": list(self.failures),
-        }
-
 
 def embedded_cross_overlaps(a: UnitaryBasis, b: UnitaryBasis) -> np.ndarray:
     """|Tr(U_m^dag U'_n)|^2 with the unitaries embedded the way the testers
@@ -351,7 +331,7 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     # each tester's entropies over both families from one checked call:
     # entries [:dd] are on family 1, the rest on family 2
     us = np.concatenate((np.stack(fam1.elements), np.stack(fam2.elements)))
-    hs = [[entropy_bits(_checked_probabilities(t, us)) for t in ts] for ts in (s1, s2)]
+    hs = [[shannon_entropy(outcome_distribution(t, us)) for t in ts] for ts in (s1, s2)]
     for s, f, expect, who in ((0, 0, "deterministic", "set1/family1"),
                               (0, 1, "uniform", "set1/family2"),
                               (1, 1, "deterministic", "set2/family2"),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import qmath
 from .qmath import DEFAULT_TOL
-from .tester import Distribution, Tester
+from .tester import LEAK_TOL, Tester
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +101,10 @@ def tester_elements(t: Tester) -> TesterElementSet:
     return TesterElementSet(elements=elements, probe=rho, complete=complete)
 
 
-def probability_via_choi(ts: TesterElementSet, e: ChoiOperator) -> Distribution:
-    """p_k = Tr[T_k E] for every k from one matvec against E, clamped to
-    [0, 1] after a reality check."""
+def probability_via_choi(ts: TesterElementSet, e: ChoiOperator) -> np.ndarray:
+    """p_k = Tr[T_k E] for every k from one matvec against E, as a float
+    array clamped to [0, 1] after a reality check; it must be finite and sum
+    to 1 within 1e-9 unless the sum is below 1 - 1e-6 (a leaky tester)."""
     if ts.elements.shape[1:] != e.matrix.shape:
         raise ValueError(f"element shape {ts.elements.shape[1:]} does not match the process "
                          f"operator {e.matrix.shape}")
@@ -112,4 +113,9 @@ def probability_via_choi(ts: TesterElementSet, e: ChoiOperator) -> Distribution:
     if imag.any():
         raise ValueError(f"Tr[T_k E] has imaginary part {vals.imag[imag][0]:.3e}")
     p = np.clip(vals.real, 0.0, 1.0)
-    return Distribution(p, leaky=bool(p.sum() < 1.0 - 1e-6))
+    if not np.isfinite(p).all():
+        raise ValueError(f"probabilities are not finite: {p}")
+    total = float(p.sum())
+    if total >= 1.0 - LEAK_TOL and abs(total - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return p

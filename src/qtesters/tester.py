@@ -51,6 +51,8 @@ class Tester:
 
     def __post_init__(self):
         d = self.dim
+        if d < 1:
+            raise ValueError(f"tester dimension must be at least 1, got dim={d}")
         # the probe and the projectors are validated as one stack, probe first
         flat = [np.asarray(v, dtype=complex).reshape(-1) for v in (self.input, *self.projectors)]
         size, n = flat[0].size, len(flat) - 1
@@ -83,14 +85,6 @@ class Tester:
         (read-only, computed once)."""
         return self._projector_matrix
 
-    def _checked_unitary(self, u: np.ndarray, stacked: bool = False) -> np.ndarray:
-        """u as a complex array, after checking it is d x d (or, if
-        ``stacked``, of shape (..., d, d))."""
-        u = np.asarray(u, dtype=complex)
-        if (u.shape[-2:] if stacked else u.shape) != (self.dim, self.dim):
-            raise ValueError(f"unitary shape {u.shape} does not match d={self.dim}")
-        return u
-
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -109,34 +103,6 @@ def tester_from_json(obj: dict) -> Tester:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad tester literal: {type(exc).__name__}: {exc}") from exc
     return Tester(input=psi, projectors=projs, dim=dim, label=label)
-
-
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """Outcome probabilities; ``leaky`` marks an intentionally sub-normalized case."""
-
-    probabilities: np.ndarray
-    leaky: bool = False
-
-    def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
-        if not np.isfinite(p).all():
-            raise ValueError(f"probabilities are not finite: {p}")
-        neg = p < 0
-        if neg.any():
-            # numerical dust from |amp|^2 arithmetic
-            p[neg & (p > -1e-12)] = 0.0
-            neg = p < 0
-        if neg.any() or (p > 1 + 1e-9).any():
-            raise ValueError(f"probabilities out of range: {p}")
-        total = float(p.sum())
-        if not self.leaky and abs(total - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-    def __len__(self) -> int:
-        return self.probabilities.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,13 +156,19 @@ def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
     return np.abs((t.projector_matrix() @ amps)[..., 0]) ** 2
 
 
-def _checked_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
-    """outcome_probabilities for u of shape (..., d, d), after checking the
-    shape; then per row that no probability leaked and that the row sums to
-    1 (a non-unitary or non-finite u fails here), and only then each entry
-    clamped to at most 1.
+def outcome_distribution(t: Tester, u: np.ndarray) -> np.ndarray:
+    """The checked Born rule: ``outcome_probabilities`` as a float array of
+    shape ``u.shape[:-2] + (n_outcomes,)``, for u of shape (..., d, d).
+
+    It checks the shape of u, then per row that no probability leaked and
+    that the row sums to 1 (a non-unitary or non-finite u fails here), and
+    only then clamps each entry to at most 1.  Each row of a stack is the
+    single-matrix call's bit for bit.
     """
-    p = outcome_probabilities(t, t._checked_unitary(u, stacked=True))
+    u = np.asarray(u, dtype=complex)
+    if u.shape[-2:] != (t.dim, t.dim):
+        raise ValueError(f"unitary shape {u.shape} does not match d={t.dim}")
+    p = outcome_probabilities(t, u)
     total = p.sum(-1)
     leak = total < 1.0 - LEAK_TOL
     if leak.any():
@@ -209,29 +181,23 @@ def _checked_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
     return np.minimum(p, 1.0)
 
 
-def outcome_distribution(t: Tester, u: np.ndarray) -> Distribution:
-    """Probabilities p_k = |<chi_k| U |psi>|^2 for the tester's projectors."""
-    return Distribution(_checked_probabilities(t, t._checked_unitary(u)), leaky=False)
-
-
-def entropy_bits(p: np.ndarray) -> np.ndarray:
+def shannon_entropy(p):
     """-sum p log2 p in bits over the last axis, with 0*log(0) = 0; entries
-    that are not positive add nothing."""
-    q = np.where(p > 0, p, 1.0)
-    return -(q * np.log2(q)).sum(-1)
+    that are not positive add nothing.
 
-
-def shannon_entropy(p) -> float:
-    """-sum p log2 p in bits, with 0*log(0) = 0."""
-    if isinstance(p, Distribution):
-        p = p.probabilities
-    return float(entropy_bits(np.asarray(p, dtype=float)))
+    A float for one distribution, an array of shape ``p.shape[:-1]`` for a
+    stack, each row the single-distribution value bit for bit.
+    """
+    q = np.asarray(p, dtype=float)
+    q = np.where(q > 0, q, 1.0)
+    h = -(q * np.log2(q)).sum(-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def is_complete_set(s, tol: float = DEFAULT_TOL) -> bool:
     """True iff inputs are orthonormal, resolve the identity, and the
     measurement is shared by every member."""
-    testers = list(s.testers) if isinstance(s, TesterSet) else list(s)
+    testers = list(s)
     if not testers:
         raise ValueError("empty tester set")
     if not _share_projectors(testers, tol):
@@ -253,8 +219,8 @@ def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_T
     """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    p1 = np.sort(_checked_probabilities(t1, u), axis=-1)
-    p2 = np.sort(_checked_probabilities(t2, u), axis=-1)
+    p1 = np.sort(outcome_distribution(t1, u), axis=-1)
+    p2 = np.sort(outcome_distribution(t2, u), axis=-1)
     if p1.shape[-1] != p2.shape[-1]:
         ok = np.zeros(p1.shape[:-1], dtype=bool)
     else:
@@ -285,19 +251,21 @@ def can_distinguish(t: Tester, u1: np.ndarray, u2: np.ndarray) -> bool:
     Raises HypothesisViolation when either entropy is nonzero, and rejects
     bipartite testers with entangled probes (operators of the form
     ``u (x) I`` only have separable eigenvectors, so the eigenoperator
-    picture does not apply there).
+    picture does not apply there) and stacks of unitaries.
     """
     if t.is_bipartite and _schmidt_rank(t.input, t.dim) > 1:
         raise ValueError("distinguishability requires a separable (ancilla-free) probe")
-    d1 = outcome_distribution(t, u1)
-    d2 = outcome_distribution(t, u2)
-    h1 = shannon_entropy(d1)
-    h2 = shannon_entropy(d2)
+    p1 = outcome_distribution(t, u1)
+    p2 = outcome_distribution(t, u2)
+    if p1.ndim > 1 or p2.ndim > 1:
+        raise ValueError("distinguishability takes two d x d unitaries, not stacks")
+    h1 = shannon_entropy(p1)
+    h2 = shannon_entropy(p2)
     if h1 > ENTROPY_ZERO_TOL or h2 > ENTROPY_ZERO_TOL:
         raise HypothesisViolation(
             f"hypothesis violated: entropies ({h1:.3e}, {h2:.3e}) bits are not both zero"
         )
-    return int(np.argmax(d1.probabilities)) != int(np.argmax(d2.probabilities))
+    return int(np.argmax(p1)) != int(np.argmax(p2))
 
 
 # ---------------------------------------------------------------------------

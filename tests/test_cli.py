@@ -121,6 +121,23 @@ class TestBound:
         assert code == 0
         assert report["payload"]["value"] == pytest.approx(0.0, abs=1e-5)
 
+    @pytest.mark.parametrize("zz_first", [False, True])
+    def test_classification_does_not_depend_on_order(self, capsys, tmp_path, zz_first):
+        # probe |00> measured in Z (x) Z has 4 outcomes, and 0X has 2; either
+        # can be made deterministic, so 1 bit = log2 2 is the largest bound
+        from qtesters.tester import KET0, KET1, Tester
+
+        zz = Tester(input=np.kron(KET0, KET0), dim=2, label="zz",
+                    projectors=tuple(np.kron(a, b) for a in (KET0, KET1) for b in (KET0, KET1)))
+        path = tmp_path / "zz.json"
+        path.write_text(json.dumps(zz.to_json()))
+        t1, t2 = (str(path), "0X") if zz_first else ("0X", str(path))
+        code, report, _ = run_cli(capsys, "bound", "--t1", t1, "--t2", t2,
+                                  "--starts", "8", "--seed", "1", "--json-only")
+        assert code == 0
+        assert report["payload"]["value"] == pytest.approx(1.0, abs=1e-3)
+        assert report["payload"]["classification"] == "maximal"
+
 
 class TestMuubCheck:
     def test_verdict_true_exits_0(self, capsys):
@@ -306,6 +323,20 @@ class TestMalformedLiterals:
         assert code == 2 and report["status"] == "error"
         assert report["payload"]["error"].startswith("rng seed must be a non-negative integer")
         assert report["stages_ms"] == {}
+
+    @pytest.mark.parametrize("dim,message", [
+        # (-2)^2 = 4 matches the probe size, so only the sign is wrong
+        (-2, "tester dimension must be at least 1, got dim=-2"),
+        # a valid tester, but su(1) has no generators to search over
+        (1, "su(d) needs d >= 2, got d=1"),
+    ])
+    def test_bound_on_a_dimension_below_2(self, capsys, tmp_path, dim, message):
+        from qtesters.qmath import state_to_json
+
+        basis = [state_to_json(e) for e in np.eye(dim * dim)]
+        path = self._file(tmp_path, {"dim": dim, "input": basis[0], "projectors": basis})
+        error = self._expect_error(capsys, "bound", "--t1", path, "--t2", path, "--starts", "1")
+        assert error == message
 
     def test_nan_tolerance(self, capsys):
         error = self._expect_error(capsys, "bound", "--t1", "0Z", "--t2", "0X",

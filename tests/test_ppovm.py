@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,13 +103,13 @@ class TestTesterElements:
 class TestProbabilityViaChoi:
     def test_deterministic_case(self):
         p = probability_via_choi(tester_elements(named_tester("0Z")),
-                                 choi_operator(I2)).probabilities
+                                 choi_operator(I2))
         np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
     def test_normalization(self, gen):
         t = random_tester(3, gen, bipartite=True)
         u = qmath.haar_random_unitary(3, gen)
-        p = probability_via_choi(tester_elements(t), choi_operator(u)).probabilities
+        p = probability_via_choi(tester_elements(t), choi_operator(u))
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_direct_rule(self, gen):
@@ -115,8 +117,8 @@ class TestProbabilityViaChoi:
             for k in range(30):
                 t = random_tester(d, gen, bipartite=k % 2 == 1)
                 u = qmath.haar_random_unitary(d, gen)
-                direct = outcome_distribution(t, u).probabilities
-                via = probability_via_choi(tester_elements(t), choi_operator(u)).probabilities
+                direct = outcome_distribution(t, u)
+                via = probability_via_choi(tester_elements(t), choi_operator(u))
                 assert np.max(np.abs(direct - via)) <= 1e-9
 
     def test_dimension_mismatch(self, gen):
@@ -160,11 +162,11 @@ class TestStackedElements:
         for _ in range(5):
             t = _tester_of_kind(kind, d, gen)
             u = qmath.haar_random_unitary(d, gen)
-            via = probability_via_choi(tester_elements(t), choi_operator(u)).probabilities
+            via = probability_via_choi(tester_elements(t), choi_operator(u))
             if kind == "leaky-bipartite":
                 direct = outcome_probabilities(t, u)
             else:
-                direct = outcome_distribution(t, u).probabilities
+                direct = outcome_distribution(t, u)
             np.testing.assert_allclose(via, direct, rtol=0, atol=1e-12)
 
 
@@ -185,6 +187,33 @@ class TestProbabilityViaChoiErrors:
         e = ChoiOperator(dim=2, matrix=1e9 * np.eye(4))
         with pytest.raises(ValueError, match=r"^Tr\[T_k E\] has imaginary part 5\.000e-01$"):
             probability_via_choi(ts, e)
+
+    def test_non_finite_message(self):
+        # 2 * 1e308 overflows, and the overflows of opposite sign add to NaN
+        a, b = np.array([1, 1, 0, 0]), np.array([1, -1, 0, 0])
+        ts = TesterElementSet(elements=(2 * np.outer(a, a),), probe=np.eye(2), complete=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = ChoiOperator(dim=2, matrix=1e308 * np.outer(b, b))
+            with pytest.raises(ValueError, match=r"^probabilities are not finite: \[nan\]$"):
+                probability_via_choi(ts, e)
+
+    @pytest.mark.parametrize("second,total", [
+        (0.5, "1.25"),                          # above 1 + 1e-9
+        (0.25 - 1e-7, "0.9999998999999999"),    # below 1 - 1e-9, not below 1 - 1e-6
+    ])
+    def test_sum_message(self, second, total):
+        # against E(I), Tr[T_k E] is T_k[0, 0] + T_k[0, 3] + T_k[3, 0] + T_k[3, 3]
+        ts = TesterElementSet(elements=(np.diag([0.75, 0, 0, 0]), np.diag([0, 0, 0, second])),
+                              probe=np.eye(2), complete=False)
+        with pytest.raises(ValueError, match=rf"^probabilities sum to {re.escape(total)}, not 1$"):
+            probability_via_choi(ts, choi_operator(I2))
+
+    def test_subnormalized_sum_is_not_checked(self):
+        # a sum below 1 - 1e-6 is a tester whose projectors leave out part of the space
+        ts = TesterElementSet(elements=(np.diag([0.5, 0, 0, 0]), np.diag([0, 0, 0, 0.25])),
+                              probe=np.eye(2), complete=False)
+        p = probability_via_choi(ts, choi_operator(I2))
+        assert type(p) is np.ndarray and p.dtype == float and p.tolist() == [0.5, 0.25]
 
     def test_element_not_hermitian_message(self):
         # eigvalsh reads the lower triangle only, so this element would pass

@@ -3,7 +3,6 @@ import pytest
 
 from qtesters import qmath, tester
 from qtesters.tester import (
-    Distribution,
     HypothesisViolation,
     LeakyMeasurementError,
     Tester,
@@ -25,17 +24,17 @@ H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
 
 class TestOutcomeDistribution:
     def test_fixed_point(self):
-        p = outcome_distribution(named_tester("0Z"), I2).probabilities
+        p = outcome_distribution(named_tester("0Z"), I2)
         np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-12)
 
     def test_hadamard_rotation_uniform(self):
-        p = outcome_distribution(named_tester("0Z"), H_ROT).probabilities
+        p = outcome_distribution(named_tester("0Z"), H_ROT)
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
 
     def test_bell_tester_deterministic_on_pauli(self):
         # (sigma_x (x) I) maps the k-th Bell probe onto a single Bell outcome
         t = named_tester("bell:0")
-        p = outcome_distribution(t, qmath.SIGMA_X).probabilities
+        p = outcome_distribution(t, qmath.SIGMA_X)
         np.testing.assert_allclose(p, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
     def test_normalization_over_random_testers(self, gen):
@@ -43,7 +42,7 @@ class TestOutcomeDistribution:
             for k in range(8):
                 t = random_tester(d, gen, bipartite=k % 2 == 1)
                 u = qmath.haar_random_unitary(d, gen)
-                total = outcome_distribution(t, u).probabilities.sum()
+                total = outcome_distribution(t, u).sum()
                 assert abs(total - 1.0) <= 1e-9
 
     def test_leaky_subspace_tester_raises(self):
@@ -60,18 +59,60 @@ class TestOutcomeDistribution:
     def test_global_phase_invariance_quarter_turns(self, gen):
         t = random_tester(2, gen)
         u = qmath.haar_random_unitary(2, gen)
-        base = outcome_distribution(t, u).probabilities
+        base = outcome_distribution(t, u)
         for phase in (1j, -1.0, -1j):
-            p = outcome_distribution(t, phase * u).probabilities
+            p = outcome_distribution(t, phase * u)
             assert np.max(np.abs(p - base)) <= 5e-16
 
     def test_global_phase_invariance_random_angle(self, gen):
         t = random_tester(3, gen, bipartite=True)
         u = qmath.haar_random_unitary(3, gen)
-        base = outcome_distribution(t, u).probabilities
+        base = outcome_distribution(t, u)
         for phi in gen.uniform(0, 2 * np.pi, 4):
-            p = outcome_distribution(t, np.exp(1j * phi) * u).probabilities
+            p = outcome_distribution(t, np.exp(1j * phi) * u)
             assert np.max(np.abs(p - base)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,bipartite", [(2, False), (3, False), (2, True), (3, True)])
+def test_stacked_rows_equal_single_matrix_calls(gen, d, bipartite):
+    t = random_tester(d, gen, bipartite=bipartite)
+    us = qmath.haar_random_unitary(d, gen, shape=(2, 3))
+    p = outcome_distribution(t, us)
+    assert p.shape == (2, 3, t.n_outcomes) and p.dtype == float
+    h = shannon_entropy(p)
+    assert h.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = outcome_distribution(t, us[idx])
+        assert single.shape == (t.n_outcomes,) and np.array_equal(p[idx], single)
+        h_single = shannon_entropy(single)
+        assert type(h_single) is float and h_single == h[idx]
+
+
+class TestStackedErrors:
+    def test_leak_message(self, leaky_tester):
+        us = np.stack([I2, qmath.SIGMA_Z, qmath.SIGMA_X])
+        want = r"^leaky measurement: outcome probabilities sum to 0\.000000000$"
+        with pytest.raises(LeakyMeasurementError, match=want):
+            outcome_distribution(leaky_tester, qmath.SIGMA_X)
+        with pytest.raises(LeakyMeasurementError, match=want):
+            outcome_distribution(leaky_tester, us)
+
+    def test_sum_message(self):
+        want = r"^probabilities sum to 4\.0, not 1$"
+        with pytest.raises(ValueError, match=want):
+            outcome_distribution(named_tester("0Z"), 2 * I2)
+        with pytest.raises(ValueError, match=want):
+            outcome_distribution(named_tester("0Z"), np.stack([I2, 2 * I2, H_ROT]))
+
+    def test_shape_message(self):
+        with pytest.raises(ValueError, match=r"^unitary shape \(2, 3\) does not match d=2$"):
+            outcome_distribution(named_tester("0Z"), np.ones((2, 3)))
+
+    def test_can_distinguish_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="not stacks"):
+            can_distinguish(named_tester("0Z"), np.stack([I2, I2]), qmath.SIGMA_X)
+        with pytest.raises(ValueError, match="not stacks"):
+            can_distinguish(named_tester("0Z"), I2, np.stack([I2, qmath.SIGMA_X]))
 
 
 class TestShannonEntropy:
@@ -242,20 +283,6 @@ class TestCanDistinguish:
             assert can_distinguish(t, u1, u2) != eig
 
 
-class TestDistributionType:
-    def test_tiny_negative_clamped(self):
-        d = Distribution(np.array([1.0, -1e-13]))
-        assert d.probabilities[1] == 0.0
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([0.7, 0.2]))
-
-    def test_leaky_flag_allows_subnormal(self):
-        d = Distribution(np.array([0.5, 0.2]), leaky=True)
-        assert d.leaky and len(d) == 2
-
-
 class TestNamedTesters:
     def test_all_names_build(self):
         for name in tester.TESTER_NAMES:
@@ -342,11 +369,3 @@ class TestNonUnitaryInput:
         with pytest.raises(ValueError, match="not 1"):
             are_equivalent(t1, t2, np.stack([I2, H_ROT, NOT_UNITARY[name]]))
 
-
-class TestDistributionFinite:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="not finite"):
-            Distribution(np.array([bad, 1.0]))
-        with pytest.raises(ValueError, match="not finite"):
-            Distribution(np.array([bad, 0.5]), leaky=True)
