@@ -291,11 +291,13 @@ def mub_overlap_bound(meas1, meas2) -> float:
 
 
 def classify_saturation(value: float, n_outcomes: int) -> str:
-    """"trivial" below 1e-6 bits, "maximal" within 1e-6 of log2(n_outcomes):
-    for a tester pair, the smaller outcome count, as a unitary that makes the
-    other tester deterministic leaves a sum of at most log2 of it."""
+    """"trivial" below 1e-6 bits, "maximal" within 1e-6 of log2(n_outcomes),
+    "above-cap" above that, else "intermediate".  For a tester pair, log2 of
+    the smaller outcome count caps the bound only when a unitary can make the
+    other tester deterministic, which an entangled bipartite probe may bar."""
+    excess = value - np.log2(n_outcomes)
     if value <= TRIVIAL_SATURATION_TOL:
         return "trivial"
-    if value >= np.log2(n_outcomes) - TRIVIAL_SATURATION_TOL:
+    if abs(excess) <= TRIVIAL_SATURATION_TOL:
         return "maximal"
-    return "intermediate"
+    return "above-cap" if excess > 0 else "intermediate"

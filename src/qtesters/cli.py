@@ -5,7 +5,8 @@ Subcommands
 verify      randomized consistency/property suites (qmath, tester, ppovm,
             bounds, muub, props, all)
 bound       entropic-bound search for a tester pair, classified against
-            log2 of the smaller outcome count
+            log2 of the smaller outcome count: trivial, intermediate,
+            maximal or above-cap
 muub-check  mutual-unbiasedness verdict for two unitary bases
 basis       list or dump the named unitary bases
 qkd         Monte-Carlo protocol runs (lm05, extended)
@@ -16,15 +17,16 @@ Every invocation prints one JSON report to stdout:
 ``verify``, one entry per suite run; for ``bound``, ``search``; for
 ``qkd``, ``tables``, ``rounds`` and ``trace`` (trace I/O); empty for the
 other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
-``python`` versions that produced the report.  Identical argv (seeds
-included) produce byte-identical payloads: timings and provenance stay
-outside the payload, keys are sorted and floats are canonicalized to 12
-significant digits.  Human-readable logs go to stderr and are silenced by
-``--json-only``.  Exit codes: 0 pass, 1 check failure, 2 usage or config
-error.  A usage error (an unknown flag, a missing or malformed argument)
-also prints a report, with status ``error`` and the argparse message in
-``payload.error``; only ``-h`` / ``--help`` prints help text instead, and
-exits 0.
+``python`` versions that produced the report.  The payloads of ``bound``,
+``muub-check`` and ``qkd`` hold their effective settings under ``config``.
+Identical argv (seeds included) produce byte-identical payloads: timings
+and provenance stay outside the payload, keys are sorted and floats are
+canonicalized to 12 significant digits.  Human-readable logs go to stderr
+and are silenced by ``--json-only``.  Exit codes: 0 pass, 1 check
+failure, 2 usage or config error.  A usage error (an unknown flag, a
+missing or malformed argument) also prints a report, with status
+``error`` and the argparse message in ``payload.error``; only ``-h`` /
+``--help`` prints help text instead, and exits 0.
 """
 
 from __future__ import annotations
@@ -373,6 +375,8 @@ def _cmd_bound(args, log, stages) -> tuple:
     payload = est.to_json()
     payload.update({
         "t1": t1.label, "t2": t2.label,
+        "config": {"starts": cfg.starts, "iters": cfg.max_iterations,
+                   "tol": cfg.tolerance, "seed": cfg.rng.seed},
         "classification": bounds.classify_saturation(
             est.value, min(t1.n_outcomes, t2.n_outcomes)),
     })
@@ -384,7 +388,8 @@ def _cmd_muub_check(args, log, stages) -> tuple:
     b2 = _resolve_basis(args.b2, args.d)
     report = muub.are_muub(b1, b2, tol=args.tol)
     log(f"verdict: {report.verdict} (kappa={report.kappa})")
-    return bool(report.verdict), {"b1": args.b1, "b2": args.b2, **report.to_json()}
+    return bool(report.verdict), {"b1": args.b1, "b2": args.b2, **report.to_json(),
+                                  "config": {"d": b1.dim, "tol": args.tol}}
 
 
 def _cmd_basis(args, log, stages) -> tuple:

@@ -305,56 +305,49 @@ def embedded_cross_overlaps(a: UnitaryBasis, b: UnitaryBasis) -> np.ndarray:
     return scale * hs_overlap(np.stack(a.elements)[:, None], np.stack(b.elements))
 
 
+def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
+                       fam2: UnitaryBasis, tol: float = 1e-6) -> tuple:
+    """The maximal-bound hypothesis for two families of one dimension and
+    size D: s1 deterministic on fam1 and uniform on fam2, and s2 the other
+    way around, all within ``tol`` bits.
+
+    Returns (rows, failures): rows[s][i], tester i of set s on fam1 then
+    fam2, is one checked ``outcome_distribution`` call, so a leaking row
+    raises; each set's entropies are one ``shannon_entropy`` call, and
+    failures are listed per check, then per tester, then per element.
+    """
+    dd = fam1.D
+    us = np.concatenate((np.stack(fam1.elements), np.stack(fam2.elements)))
+    rows = tuple(np.stack([outcome_distribution(t, us) for t in ts]) for ts in (s1, s2))
+    hs = [shannon_entropy(r).reshape(len(r), 2, dd) for r in rows]
+    failures = []
+    for s, f in ((0, 0), (0, 1), (1, 1), (1, 0)):
+        expect, target = ("deterministic", 0.0) if s == f else ("uniform", np.log2(dd))
+        for t, h in zip((s1, s2)[s], hs[s][:, f]):
+            failures += [f"set{s + 1}/family{f + 1}: tester {t.label} entropy {x:.6f} bits, "
+                         f"expected {expect}" for x in h if abs(x - target) > tol]
+    return rows, failures
+
+
 def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
                         fam2: UnitaryBasis, tol: float = 1e-6) -> MaximalBoundReport:
     """Check the maximal-bound structure result on concrete data.
 
-    Hypothesis: s1 deterministic on fam1 and uniform on fam2, and s2 the
-    other way around, all within ``tol`` bits.  Conclusions checked: every
-    embedded cross overlap lies in [0, D] (range check) and the two
-    families verify as a MUUB pair.
-
-    Each tester's entropies over both families are one stacked call, with
-    the checks of ``outcome_distribution``; failures are listed per check,
-    then per tester, then per element.  Families of different dimension
-    raise ValueError.
+    Hypothesis: both sets complete, and ``maximal_hypothesis`` within
+    ``tol`` bits.  Conclusions checked: every embedded cross overlap lies in
+    [0, D] (range check) and the two families verify as a MUUB pair.
+    Families of different dimension or size raise ValueError.
     """
-    if fam1.dim != fam2.dim:
-        raise ValueError("bases act on different dimensions")
-    failures = []
-    if fam1.D != fam2.D:
-        failures.append("families differ in dimension or size")
-    dd = fam1.D
-    log_d = np.log2(dd)
-    if not is_complete_set(s1) or not is_complete_set(s2):
-        failures.append("tester sets are not complete")
-    # each tester's entropies over both families from one checked call:
-    # entries [:dd] are on family 1, the rest on family 2
-    us = np.concatenate((np.stack(fam1.elements), np.stack(fam2.elements)))
-    hs = [[shannon_entropy(outcome_distribution(t, us)) for t in ts] for ts in (s1, s2)]
-    for s, f, expect, who in ((0, 0, "deterministic", "set1/family1"),
-                              (0, 1, "uniform", "set1/family2"),
-                              (1, 1, "deterministic", "set2/family2"),
-                              (1, 0, "uniform", "set2/family1")):
-        target = 0.0 if expect == "deterministic" else log_d
-        for t, h in zip((s1, s2)[s], hs[s]):
-            for x in (h[:dd], h[dd:])[f]:
-                if abs(x - target) > tol:
-                    failures.append(
-                        f"{who}: tester {t.label} entropy {x:.6f} bits, expected {expect}"
-                    )
+    report = are_muub(fam1, fam2)
+    complete = is_complete_set(s1) and is_complete_set(s2)
+    failures = [] if complete else ["tester sets are not complete"]
+    failures += maximal_hypothesis(s1, s2, fam1, fam2, tol)[1]
     hypothesis = not failures
     cross = embedded_cross_overlaps(fam1, fam2)
-    range_pass = bool(np.all(cross >= -DEFAULT_TOL) and np.all(cross <= dd + DEFAULT_TOL))
+    range_pass = bool(np.all(cross >= -DEFAULT_TOL) and np.all(cross <= fam1.D + DEFAULT_TOL))
     if not range_pass:
         failures.append("an embedded cross overlap left [0, D]")
-    report = are_muub(fam1, fam2)
-    return MaximalBoundReport(
-        hypothesis_pass=hypothesis,
-        range_pass=range_pass,
-        muub=report,
-        failures=tuple(failures),
-    )
+    return MaximalBoundReport(hypothesis, range_pass, report, tuple(failures))
 
 
 def _partner_objective(basis: UnitaryBasis, gens: np.ndarray):

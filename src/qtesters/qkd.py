@@ -17,10 +17,11 @@ tester he started with.
   tester sets and a tester within it; Alice draws one of two unitary
   encoding families and a digit.  After her public family announcement the
   rounds where Bob's set is uniform for her family are discarded; on the
-  kept rounds his deterministic outcome decodes the digit.  The two tester
-  sets must be deterministic on their own family and uniform on the other
-  (checked up front, fail fast), which forces the families to be mutually
-  unbiased unitary bases.
+  kept rounds his deterministic outcome decodes the digit.  A run first
+  checks, on its own outcome rows, that each tester set is deterministic on
+  its own family and uniform on the other, and then, with ``are_muub``,
+  that the families are mutually unbiased unitary bases; ``verify --suite
+  props`` checks the theorem's range conclusion.
 
 The adversary is configurable: ``none``, a tester-hijack
 (``qmm-equivalent-tester``: Eve keeps Bob's probe, runs her own tester
@@ -58,9 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import muub as muub_mod
 from . import tester as tester_mod
-from .muub import UnitaryBasis, balanced_qubit_rotation, build_named_basis, verify_prop_maximal
+from .muub import (UnitaryBasis, are_muub, balanced_qubit_rotation, basis_from_json,
+                   build_named_basis, maximal_hypothesis)
 from .qmath import RngHandle
 from .tester import HypothesisViolation, TesterSet, is_complete_set
 
@@ -493,21 +494,19 @@ def _extended_tables(cfg: ProtocolConfig):
     dd = cfg.D
     if len(s1) != dd or len(s2) != dd:
         raise ConfigError("tester sets must have D members")
-    report = verify_prop_maximal(s1, s2, f1, f2, tol=1e-6)
-    if not report.hypothesis_pass or not report.muub.verdict:
-        raise HypothesisViolation(
-            "tester sets are not deterministic/uniform on the encoding families: "
-            + "; ".join(report.failures[:3])
-        )
-    testers = [t for s in cfg.tester_sets for t in s]
-    d, n = cfg.d, testers[0].input.size
-    probes = np.stack([t.input for t in testers]).reshape(2, dd, n)
-    rows = np.stack([t.projector_matrix() for t in testers]).reshape(2, dd, -1, n)
-    fams = np.stack([np.stack(f1.elements), np.stack(f2.elements)])
-    # p_out[s, ti, sa, j]: tester ti of set s on element j of family sa; the
-    # probe as a (system, ancilla) matrix takes u (x) I_d as a plain product
-    amps = (fams @ probes.reshape(2, dd, 1, 1, d, -1)).reshape(2, dd, 2, dd, n, 1)
-    p_out = _snap_rows(np.abs(rows[:, :, None, None] @ amps)[..., 0] ** 2)
+    # the hypothesis is checked on Bob's own rows; at a finite tolerance it
+    # does not imply unbiased families, so the MUUB verdict is checked too
+    dists, failures = maximal_hypothesis(s1, s2, f1, f2, tol=1e-6)
+    if failures:
+        raise HypothesisViolation("tester sets are not deterministic/uniform on the encoding "
+                                  "families: " + "; ".join(failures[:3]))
+    muub = are_muub(f1, f2)
+    if not muub.verdict:
+        dev = np.abs(muub.overlaps - muub.expected_kappa).max()
+        raise HypothesisViolation("the encoding families are not mutually unbiased: the "
+                                  f"largest |overlap - kappa| is {dev:.3e}")
+    # p_out[s, ti, sa, j]: tester ti of set s on element j of family sa
+    p_out = _snap_rows(np.stack(dists).reshape(2, dd, 2, dd, -1))
     # decode[s, ti, k]: the digit of family s that tester ti of set s reads off outcome k
     decode = np.full((2, dd, dd), -1, dtype=np.int64)
     np.put_along_axis(decode, p_out[[0, 1], :, [0, 1]].argmax(-1), np.arange(dd), axis=-1)
@@ -515,8 +514,9 @@ def _extended_tables(cfg: ProtocolConfig):
         raise HypothesisViolation("deterministic outcomes do not separate digits")
     # collapse[se, sb, ti]: probe ti of set sb measured in the probe basis of
     # set se; p_proj[se, k, sb]: projector k of set se measured by set sb
+    probes = np.stack([t.input for t in s1] + [t.input for t in s2]).reshape(2, dd, -1)
     collapse = np.abs(probes.conj()[:, None, None] @ probes[None, :, :, :, None])[..., 0] ** 2
-    meas = rows[:, 0]
+    meas = np.stack([s1.testers[0].projector_matrix(), s2.testers[0].projector_matrix()])
     p_proj = np.abs(meas @ meas.conj()[:, :, None, :, None])[..., 0] ** 2
     return dict(p_out=p_out, decode=decode, collapse=_snap_rows(collapse),
                 p_proj=_snap_rows(p_proj))
@@ -628,7 +628,7 @@ def resolve_tester_set(spec) -> TesterSet:
 def resolve_basis(spec, d: int) -> UnitaryBasis:
     if isinstance(spec, str):
         return build_named_basis(spec, d)
-    return muub_mod.basis_from_json(spec)
+    return basis_from_json(spec)
 
 
 def _int_field(obj: dict, key: str, default=None) -> int:

@@ -6,7 +6,9 @@ protocol rates come from exhaustive enumeration of the finite round state
 space, and the round kernels gather each round's table row by its full
 index.  The frozen constants asserted by the tests were produced by these
 functions; the tests also re-run them at moderate resolution to keep the
-constants honest.
+constants honest.  One reference is a former library path kept whole:
+``gated_extended_p_out``, the D-ary protocol's earlier gate, which calls
+the library's own theorem check.
 """
 
 import numpy as np
@@ -258,6 +260,36 @@ def loop_extended_tables(cfg):
                                           chi)
     return dict(p_out=p_out, decode=decode, collapse=snap_rows(collapse),
                 p_proj=snap_rows(p_proj))
+
+
+GATE_MESSAGE = "tester sets are not deterministic/uniform on the encoding families: "
+RANGE_FAILURE = "an embedded cross overlap left [0, D]"
+
+
+def gated_extended_p_out(cfg):
+    """Bob's D-ary table behind the protocol's former gate: the whole
+    ``verify_prop_maximal`` theorem check, passed when its hypothesis and its
+    MUUB verdict hold, then one broadcast Born-rule product over both tester
+    sets and both families, snapped.
+
+    Returns (report, p_out), with p_out None when the gate rejects; the run
+    then raised HypothesisViolation with ``GATE_MESSAGE`` followed by the
+    first three report failures, joined by "; ".
+    """
+    from qtesters.muub import verify_prop_maximal
+
+    s1, s2 = cfg.tester_sets
+    f1, f2 = cfg.encoding_sets
+    report = verify_prop_maximal(s1, s2, f1, f2, tol=1e-6)
+    if not report.hypothesis_pass or not report.muub.verdict:
+        return report, None
+    testers = [t for s in cfg.tester_sets for t in s]
+    d, dd, n = cfg.d, cfg.D, testers[0].input.size
+    probes = np.stack([t.input for t in testers]).reshape(2, dd, n)
+    rows = np.stack([t.projector_matrix() for t in testers]).reshape(2, dd, -1, n)
+    fams = np.stack([np.stack(f1.elements), np.stack(f2.elements)])
+    amps = (fams @ probes.reshape(2, dd, 1, 1, d, -1)).reshape(2, dd, 2, dd, n, 1)
+    return report, snap_rows(np.abs(rows[:, :, None, None] @ amps)[..., 0] ** 2)
 
 
 def row_cumulative(table):

@@ -277,3 +277,4 @@ class TestSearchConfig:
         assert bounds.classify_saturation(1e-9, 2) == "trivial"
         assert bounds.classify_saturation(1.0, 2) == "maximal"
         assert bounds.classify_saturation(0.4, 2) == "intermediate"
+        assert bounds.classify_saturation(1.0 + 2e-6, 2) == "above-cap"

@@ -80,6 +80,7 @@ class TestBound:
         assert len(payload["nfev"]) == len(payload["nit"]) == 8
         assert payload["converged"] == [True] * 8
         assert payload["minimizer"]["rows"] == 2
+        assert payload["config"] == {"starts": 8, "iters": 2000, "tol": 1e-10, "seed": 1}
 
     def test_zero_iterations_exits_2(self, capsys):
         code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "0X", "--starts", "2",
@@ -123,20 +124,29 @@ class TestBound:
 
     @pytest.mark.parametrize("zz_first", [False, True])
     def test_classification_does_not_depend_on_order(self, capsys, tmp_path, zz_first):
-        # probe |00> measured in Z (x) Z has 4 outcomes, and 0X has 2; either
-        # can be made deterministic, so 1 bit = log2 2 is the largest bound
         from qtesters.tester import KET0, KET1, Tester
 
-        zz = Tester(input=np.kron(KET0, KET0), dim=2, label="zz",
-                    projectors=tuple(np.kron(a, b) for a in (KET0, KET1) for b in (KET0, KET1)))
+        zz = tuple(np.kron(a, b) for a in (KET0, KET1) for b in (KET0, KET1))
+        cases = [
+            # probe |00> measured in Z (x) Z has 4 outcomes, and 0X has 2;
+            # either can be made deterministic, so 1 bit = log2 2 is the
+            # largest bound
+            (zz[0], 1.0, "maximal"),
+            # the Bell probe (|00> + |11>)/sqrt2 in Z (x) Z has 1 + H_Z(u|0>)
+            # bits under u (x) I, and 0X has H_X(u|0>); Maassen-Uffink puts
+            # H_Z + H_X >= 1, so the bound is 2 bits, above log2 2
+            ((zz[0] + zz[3]) / np.sqrt(2), 2.0, "above-cap"),
+        ]
         path = tmp_path / "zz.json"
-        path.write_text(json.dumps(zz.to_json()))
         t1, t2 = (str(path), "0X") if zz_first else ("0X", str(path))
-        code, report, _ = run_cli(capsys, "bound", "--t1", t1, "--t2", t2,
-                                  "--starts", "8", "--seed", "1", "--json-only")
-        assert code == 0
-        assert report["payload"]["value"] == pytest.approx(1.0, abs=1e-3)
-        assert report["payload"]["classification"] == "maximal"
+        for psi, value, label in cases:
+            path.write_text(json.dumps(Tester(input=psi, projectors=zz, dim=2,
+                                              label="zz").to_json()))
+            code, report, _ = run_cli(capsys, "bound", "--t1", t1, "--t2", t2,
+                                      "--starts", "8", "--seed", "1", "--json-only")
+            assert code == 0
+            assert report["payload"]["value"] == pytest.approx(value, abs=1e-3)
+            assert report["payload"]["classification"] == label
 
 
 class TestMuubCheck:
@@ -145,6 +155,7 @@ class TestMuubCheck:
                                   "--b2", "hadamard-pair", "--json-only")
         assert code == 0
         assert report["payload"]["kappa"] == pytest.approx(2.0, abs=1e-6)
+        assert report["payload"]["config"] == {"d": 2, "tol": 1e-6}
 
     def test_verdict_false_exits_1(self, capsys):
         code, report, _ = run_cli(capsys, "muub-check", "--b1", "pauli",

@@ -22,9 +22,9 @@ from qtesters.qkd import (
     run_lm05,
 )
 from qtesters.muub import UnitaryBasis, build_named_basis
-from qtesters.qmath import RngHandle
-from qtesters.tester import (HypothesisViolation, Tester, TesterSet, named_tester,
-                              named_tester_set)
+from qtesters.qmath import SIGMA_X, RngHandle, haar_random_unitary
+from qtesters.tester import (HypothesisViolation, LeakyMeasurementError, Tester, TesterSet,
+                              bell_states, named_tester, named_tester_set)
 
 
 def within_3_sigma(rate, se, target):
@@ -502,6 +502,62 @@ def _computational_set(d):
                            for k in range(d)), dim=d)
 
 
+def _perturbed(cfg, v):
+    """The config with its second encoding family right-multiplied by v."""
+    f1, f2 = cfg.encoding_sets
+    return _config(cfg.tester_sets, (f1, UnitaryBasis(2, tuple(u @ v for u in f2))), D=cfg.D)
+
+
+def _conjugated(cfg, w):
+    """The config with every probe and projector rotated by w (x) I (the
+    ``cli._conjugate_set`` pattern) and every family element conjugated as
+    w u w^dag, which leaves every outcome distribution unchanged."""
+    wk = np.kron(w, np.eye(cfg.tester_sets[0].testers[0].input.size // cfg.d))
+    encs = tuple(UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in f))
+                 for f in cfg.encoding_sets)
+    return _config(tuple(cli._conjugate_set(s, wk) for s in cfg.tester_sets), encs, D=cfg.D)
+
+
+def _gate_configs(D):
+    """A fixture, 10 Haar-conjugated copies of it, and its second family
+    right-multiplied by exp(i delta H) for three deltas."""
+    base = default_extended_config(D=D, rounds=10)
+    conjugated = [_conjugated(base, w) for w in haar_random_unitary(2, RngHandle(D, 7),
+                                                                     shape=(10,))]
+    lam, q = np.linalg.eigh(np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.7]]))
+    perturbed = [_perturbed(base, (q * np.exp(1j * delta * lam)) @ q.conj().T)
+                 for delta in (1e-7, 1e-5, 1e-3)]
+    return [base] + conjugated + perturbed
+
+
+class TestGateAgainstTheoremCheck:
+    """The run's own hypothesis check plus ``are_muub`` accepts and rejects
+    the configs that the whole ``verify_prop_maximal`` gate did, with the
+    same table and, on a hypothesis failure, the same message less the range
+    conclusion."""
+
+    @pytest.mark.parametrize("D", [2, 4])
+    def test_same_verdicts_tables_and_messages(self, D):
+        seen = set()
+        for cfg in _gate_configs(D):
+            report, want = oracles.gated_extended_p_out(cfg)
+            if want is not None:
+                seen.add("accepted")
+                assert np.array_equal(qkd._extended_tables(cfg)["p_out"], want)
+                continue
+            with pytest.raises(HypothesisViolation) as info:
+                qkd._extended_tables(cfg)
+            if report.hypothesis_pass:
+                seen.add("not unbiased")
+                assert str(info.value).startswith(
+                    "the encoding families are not mutually unbiased: ")
+            else:
+                seen.add("hypothesis")
+                failures = [f for f in report.failures if f != oracles.RANGE_FAILURE]
+                assert str(info.value) == oracles.GATE_MESSAGE + "; ".join(failures[:3])
+        assert seen == {"accepted", "not unbiased", "hypothesis"}
+
+
 class TestTableErrors:
     """The exact message of every table error that a valid config can reach.
 
@@ -566,3 +622,24 @@ class TestTableErrors:
         with pytest.raises(HypothesisViolation) as info:
             run_extended(_config(self.ZX, encs))
         assert str(info.value) == want
+
+    def test_extended_families_not_unbiased(self):
+        # a 1e-5 rotation keeps every entropy within the 1e-6-bit hypothesis,
+        # but moves the cross overlaps by 2e-5, past are_muub's 1e-6
+        delta = 1e-5
+        cfg = _perturbed(default_extended_config(D=4, rounds=10),
+                         np.cos(delta) * np.eye(2) + 1j * np.sin(delta) * SIGMA_X)
+        with pytest.raises(HypothesisViolation, match=(
+                r"^the encoding families are not mutually unbiased: "
+                r"the largest \|overlap - kappa\| is 2\.000e-05$")):
+            run_extended(cfg)
+
+    def test_extended_leaky_set(self):
+        # complete Bell probes, but only 2 of the 4 Bell projectors
+        bells = bell_states()
+        leaky = TesterSet(tuple(Tester(input=b, projectors=bells[:2], dim=2) for b in bells),
+                          dim=2)
+        encs = (build_named_basis("pauli", 2), build_named_basis("pauli-unbiased", 2))
+        want = r"^leaky measurement: outcome probabilities sum to 0\.000000000$"
+        with pytest.raises(LeakyMeasurementError, match=want):
+            run_extended(_config((leaky, leaky), encs, D=4))
