@@ -8,14 +8,18 @@ leaves every outcome distribution unchanged.  The search result is an
 upper bound on the true infimum together with a per-start trace, never a
 certificate.
 
+``_multistart`` is the one search, shared with the MUUB partner search.
+Its objectives see stacks of unitaries: the su(d) coordinates and their
+exp map are private to the search, which returns each start's unitary.
+
 All starts of a search run in lockstep: each simplex step evaluates the
 objective once on the stacked points of every live start, so the cost of a
 step is a few stacked numpy calls, not one Python call per start.  The
-starts stay independent: the objective computes each row with stacked
-(per-matrix) products and last-axis reductions only, so a start's values do
-not depend on which other starts share a call, and every start follows the
-path that scipy's non-adaptive Nelder-Mead takes from the same point (up
-to the evaluation-budget stop described in ``_multistart``).
+starts stay independent: the exp map and the objective compute each row
+with stacked (per-matrix) products and last-axis reductions only, so a
+start's values do not depend on which other starts share a call, and every
+start follows the path that scipy's non-adaptive Nelder-Mead takes from the
+same point (up to the evaluation-budget stop described in ``_multistart``).
 """
 
 from __future__ import annotations
@@ -137,9 +141,9 @@ _NONZDELT, _ZDELT = 0.05, 0.00025
 class _Runs(NamedTuple):
     """Per-start results of ``_multistart``, in start order."""
 
-    x: np.ndarray          # (starts, n) best vertex of each final simplex
+    u: np.ndarray          # (starts, d, d) unitary at the best vertex of each final simplex
     initial: np.ndarray    # objective at each start point
-    final: np.ndarray      # objective at x
+    final: np.ndarray      # objective at u
     nfev: np.ndarray
     nit: np.ndarray        # 1 + simplex steps taken, as scipy counts
     converged: np.ndarray  # stopped by the xatol/fatol test
@@ -157,24 +161,30 @@ def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple:
     return sim[rows, ind], fsim[rows, ind]
 
 
-def _multistart(f, n_params: int, cfg: SearchConfig, xatol: float, fatol: float) -> _Runs:
-    """Nelder-Mead from cfg.starts points drawn uniformly in [-pi, pi)^n_params,
-    all starts in lockstep.
+def _multistart(g, d: int, cfg: SearchConfig, xatol: float, fatol: float) -> _Runs:
+    """Nelder-Mead over su(d) coordinates from cfg.starts points drawn
+    uniformly in [-pi, pi)^(d^2 - 1), all starts in lockstep.
 
-    ``f`` maps a (k, n_params) stack of points to their k values and must
-    compute each row independently of the others.  Every start then takes
-    the steps of scipy's non-adaptive Nelder-Mead with options ``xatol``,
-    ``fatol``, ``maxiter=cfg.max_iterations`` and
+    Every simplex point is mapped through ``unitary_from_params``, and ``g``
+    maps the resulting (k, d, d) stack of unitaries to their k values; it
+    must compute each row independently of the others.  The coordinates
+    stay inside this function: each start's result is its unitary.  Every
+    start takes the steps of scipy's non-adaptive Nelder-Mead with options
+    ``xatol``, ``fatol``, ``maxiter=cfg.max_iterations`` and
     ``maxfev=4*cfg.max_iterations``, with one difference: a start stops at
     the first iteration boundary where its evaluation count has reached
-    maxfev, where scipy stops mid-iteration.  Per step, one call of ``f``
+    maxfev, where scipy stops mid-iteration.  Per step, one call of ``g``
     evaluates the reflections of all live starts, one more the single
     further point (expansion, outside or inside contraction) of each start
     that needs one, and one more the shrunk simplices of the starts that
     shrink.  The starts are independent, and a caller reduces them in start
     order.
     """
-    n = n_params
+    gens, n = su_generators(d), d * d - 1
+
+    def f(theta):
+        return g(unitary_from_params(theta, gens))
+
     maxiter, maxfev = cfg.max_iterations, 4 * cfg.max_iterations
     x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, n))
     k = np.arange(n)
@@ -207,7 +217,7 @@ def _multistart(f, n_params: int, cfg: SearchConfig, xatol: float, fatol: float)
             nfev[gone], nit[gone], converged[gone] = nf[stop], it, done[stop]
             live, sim, fsim, nf = live[~stop], sim[~stop], fsim[~stop], nf[~stop]
             if live.size == 0:
-                return _Runs(x, initial, final, nfev, nit, converged)
+                return _Runs(unitary_from_params(x, gens), initial, final, nfev, nit, converged)
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         worst = sim[:, -1]
         xr = _REFLECT * xbar - (_REFLECT - 1) * worst
@@ -244,14 +254,13 @@ def _multistart(f, n_params: int, cfg: SearchConfig, xatol: float, fatol: float)
         sim, fsim = _sort_simplices(sim, fsim)
 
 
-def _entropy_objective(t1: Tester, t2: Tester, gens: np.ndarray):
-    """entropy_sum at the exp map of each row of a (k, n) stack of parameters,
-    without the per-call checks, which the search does not need."""
-    def f(theta):
-        u = unitary_from_params(theta, gens)
+def _entropy_objective(t1: Tester, t2: Tester):
+    """entropy_sum at each unitary of a (k, d, d) stack, without the per-call
+    checks, which the search does not need."""
+    def g(u):
         p1, p2 = outcome_probabilities(t1, u), outcome_probabilities(t2, u)
         return shannon_entropy(p1) + shannon_entropy(p2)
-    return f
+    return g
 
 
 def estimate_bound(t1: Tester, t2: Tester, cfg: SearchConfig) -> BoundEstimate:
@@ -262,13 +271,11 @@ def estimate_bound(t1: Tester, t2: Tester, cfg: SearchConfig) -> BoundEstimate:
     """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    d = t1.dim
-    gens = su_generators(d)
-    runs = _multistart(_entropy_objective(t1, t2, gens), d * d - 1, cfg, 1e-8, cfg.tolerance)
+    runs = _multistart(_entropy_objective(t1, t2), t1.dim, cfg, 1e-8, cfg.tolerance)
     best = runs.best
     return BoundEstimate(
         value=max(float(runs.final[best]), 0.0),
-        minimizer=unitary_from_params(runs.x[best], gens),
+        minimizer=runs.u[best],
         starts=tuple(zip(runs.initial.tolist(), runs.final.tolist())),
         nfev=tuple(runs.nfev.tolist()),
         nit=tuple(runs.nit.tolist()),

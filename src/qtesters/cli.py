@@ -19,6 +19,8 @@ Every invocation prints one JSON report to stdout:
 other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
 ``python`` versions that produced the report.  The payloads of ``bound``,
 ``muub-check`` and ``qkd`` hold their effective settings under ``config``.
+No flag is silently ignored: ``muub-check --d`` sizes a named basis, and
+with two basis files it is a usage error (exit 2).
 Identical argv (seeds included) produce byte-identical payloads: timings
 and provenance stay outside the payload, keys are sorted and floats are
 canonicalized to 12 significant digits.  Human-readable logs go to stderr
@@ -384,8 +386,12 @@ def _cmd_bound(args, log, stages) -> tuple:
 
 
 def _cmd_muub_check(args, log, stages) -> tuple:
-    b1 = _resolve_basis(args.b1, args.d)
-    b2 = _resolve_basis(args.b2, args.d)
+    if args.d is not None and args.b1 not in muub.BASIS_NAMES and args.b2 not in muub.BASIS_NAMES:
+        raise ValueError("--d sets the dimension of a named basis, and neither --b1 nor --b2 "
+                         "is a basis name")
+    d = 2 if args.d is None else args.d
+    b1 = _resolve_basis(args.b1, d)
+    b2 = _resolve_basis(args.b2, d)
     report = muub.are_muub(b1, b2, tol=args.tol)
     log(f"verdict: {report.verdict} (kappa={report.kappa})")
     return bool(report.verdict), {"b1": args.b1, "b2": args.b2, **report.to_json(),
@@ -482,7 +488,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("muub-check", help="check two unitary bases for mutual unbiasedness")
     sp.add_argument("--b1", required=True, help="basis name or JSON file")
     sp.add_argument("--b2", required=True, help="basis name or JSON file")
-    sp.add_argument("--d", type=int, default=2)
+    sp.add_argument("--d", type=int, default=None,
+                    help="dimension of a named basis, default 2; an error when neither "
+                         "basis is a name")
     sp.add_argument("--tol", type=float, default=1e-6)
     common(sp)
 

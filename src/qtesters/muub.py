@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .bounds import SearchConfig, _multistart, entropy_sum, su_generators, unitary_from_params
+from .bounds import SearchConfig, _multistart, entropy_sum
 from .qmath import DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .tester import (
     ENTROPY_ZERO_TOL,
@@ -350,9 +350,9 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     return MaximalBoundReport(hypothesis, range_pass, report, tuple(failures))
 
 
-def _partner_objective(basis: UnitaryBasis, gens: np.ndarray):
+def _partner_objective(basis: UnitaryBasis):
     """Squared deviation of all cross overlaps |Tr(P_k^dag P_l V)|^2 from 1,
-    for V the exp map of each row of a (k, n) stack of parameters.
+    for each V of a (k, d, d) stack of unitaries.
 
     Tr(P_k^dag P_l V) = sum_ij (P_k^dag P_l)_ij V_ji, so the D^2 traces for
     one V are a single stacked matrix-vector product with the products
@@ -362,12 +362,11 @@ def _partner_objective(basis: UnitaryBasis, gens: np.ndarray):
     els = np.stack(basis.elements)
     pairs = (np.swapaxes(els.conj(), -1, -2)[:, None] @ els[None]).reshape(dd * dd, d * d)
 
-    def f(theta):
-        v = unitary_from_params(theta, gens)
+    def g(v):
         vt = np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (d * d, 1))
         traces = (pairs @ vt)[..., 0]
         return ((np.abs(traces) ** 2 - 1.0) ** 2).sum(-1)
-    return f
+    return g
 
 
 def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
@@ -377,15 +376,16 @@ def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
     orthogonal unitary basis of the full matrix space).  Minimizes the
     squared deviation of all cross overlaps from 1 with the lockstep
     multi-start simplex descent used for bound estimation: the starts are
-    independent, and the first start with the least residual wins.  Returns
-    (partner, residual); the caller judges whether the residual is small
-    enough to accept.
+    independent, and the first start with the least residual wins.  The
+    search tolerances are fixed (xatol 1e-10, fatol 1e-14); ``cfg`` supplies
+    the starts, the iteration limit and the seed, and ``cfg.tolerance`` is
+    not used.  Returns (partner, residual); the caller judges whether the
+    residual is small enough to accept.
     """
     d = basis.dim
     if basis.D != d * d:
         raise ValueError("partner search is implemented for full bases (D = d^2) only")
-    gens = su_generators(d)
-    runs = _multistart(_partner_objective(basis, gens), d * d - 1, cfg, 1e-10, 1e-14)
-    v = unitary_from_params(runs.x[runs.best], gens)
+    runs = _multistart(_partner_objective(basis), d, cfg, 1e-10, 1e-14)
+    v = runs.u[runs.best]
     partner = UnitaryBasis(dim=d, elements=tuple(p @ v for p in basis))
     return partner, float(runs.final[runs.best])

@@ -41,19 +41,25 @@ blocks of rounds that continue one generator stream, so a run is
 bit-for-bit reproducible from its (seed, stream) and its memory does not
 grow with the round count.
 
-Trace format.  Given ``trace`` (a path, or an open text handle), a run
-writes a CSV file: a header line ``round,<record columns>`` (the columns
-are ``_LM05_COLUMNS`` and ``_EXT_COLUMNS``), then one line per round
-holding the round index and the round's record, all decimal integers,
-with -1 in the fields the round does not use.  Lines end in
-"\\r\\n", and nothing is quoted, so the bytes are those ``csv.writer``
-would write.  Rows are encoded and written once per block of 8192 rounds.
+Trace format.  Given ``trace`` (any path-like: a ``str``, ``bytes`` or
+``os.PathLike`` path, or an open text handle), a run writes a CSV file: a
+header line ``round,<record columns>`` (the columns are ``_LM05_COLUMNS``
+and ``_EXT_COLUMNS``), then one line per round holding the round index and
+the round's record, all decimal integers, with -1 in the fields the round
+does not use.  Lines end in "\\r\\n", and nothing is quoted, so the bytes
+are those ``csv.writer`` would write.  Rows are encoded and written once
+per block of 8192 rounds.
+
+A JSON config (``config_from_json``) has the keys of
+``ProtocolConfig.to_json()``; an unknown key, also one under ``eve``, is
+rejected by name, so a misspelled setting never runs with its default.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
+import os
 import time
 from dataclasses import dataclass
 
@@ -261,21 +267,28 @@ def _csv_rows(table: np.ndarray) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trace,
-              stages: dict | None) -> np.ndarray:
-    """Run ``rounds_fn(draws)`` block by block over one generator stream,
-    streaming the records to ``trace`` (a path or text handle) when given.
+def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted: tuple,
+              trace, stages: dict | None) -> ProtocolStats:
+    """Build the round kernel with ``build()`` and run it block by block
+    over one generator stream, streaming the records to ``trace`` (a
+    path-like or text handle) when given; return the run's stats.
 
-    ``rounds_fn`` returns a block's record columns and a vector of integer
-    counts; the counts summed over all blocks are returned.  The columns are
-    stacked into rows only for the trace.  ``stages``, when given, gains the
-    wall milliseconds spent in the rounds and in the trace (row stacking,
-    encoding and I/O).
+    The kernel returns a block's record columns and its integer counts,
+    summed over all blocks and named by the ``ProtocolStats`` fields in
+    ``counted``; counts not named are 0, and ``sifted`` defaults to the
+    non-control rounds.  The columns are stacked into rows only for the
+    trace.  ``stages``, when given, gains the wall milliseconds spent in the
+    tables (``build()``), in the rounds and in the trace (row
+    stacking, encoding and I/O).
     """
+    started = time.perf_counter()
+    rounds_fn = build()
+    if stages is not None:
+        stages["tables"] = _ms(time.perf_counter() - started)
     gen = cfg.rng.generator()
     t_rounds = 0.0
     started = time.perf_counter()
-    own = isinstance(trace, (str, bytes))
+    own = isinstance(trace, (str, bytes, os.PathLike))
     fh = open(trace, "w", newline="") if own else trace
     try:
         if fh is not None:
@@ -295,7 +308,17 @@ def _simulate(cfg: ProtocolConfig, n_draws: int, columns: tuple, rounds_fn, trac
     if stages is not None:
         stages["rounds"] = _ms(t_rounds)
         stages["trace"] = _ms(time.perf_counter() - started - t_rounds)
-    return totals
+    c = dict(control_rounds=0, cm_comparisons=0, cm_mismatches=0)
+    c.update(zip(counted, totals.tolist()))
+    c.setdefault("sifted", cfg.rounds - c["control_rounds"])
+    c["eve_rounds"] = 0 if cfg.eve.kind == "none" else c["sifted"]
+    sift_fraction, sift_se = _rate(c["sifted"], cfg.rounds)
+    bob_rate, bob_se = _rate(c["bob_errors"], c["sifted"])
+    cm_rate, cm_se = _rate(c["cm_mismatches"], c["cm_comparisons"])
+    eve_acc, eve_se = _rate(c["eve_correct"], c["eve_rounds"])
+    return ProtocolStats(rounds=cfg.rounds, sift_fraction=sift_fraction, sift_se=sift_se,
+                         bob_error_rate=bob_rate, bob_error_se=bob_se, cm_mismatch_rate=cm_rate,
+                         cm_mismatch_se=cm_se, eve_accuracy=eve_acc, eve_accuracy_se=eve_se, **c)
 
 
 def _ms(seconds: float) -> float:
@@ -386,6 +409,8 @@ def _lm05_tables(cfg: ProtocolConfig):
 _LM05_COLUMNS = ("bob_tester", "mode", "alice_bit", "alice_basis", "eve_choice",
                  "alice_cm_outcome", "bob_outcome", "bob_bit", "cm_matched",
                  "cm_mismatch", "eve_bit")
+# the kernel's counts, in this order, named by their ProtocolStats fields
+_LM05_COUNTS = ("control_rounds", "bob_errors", "cm_comparisons", "cm_mismatches", "eve_correct")
 
 
 def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
@@ -395,8 +420,7 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
     Every round is evaluated as an encoding round and as a control round,
     and its mode picks the fields it keeps.
     eve_kind: 0 none, 1 equivalent-tester hijack, 2 intercept-resend.
-    counts: control rounds, bob errors, cm comparisons, cm mismatches,
-      eve correct.
+    counts: ``_LM05_COUNTS``.
     """
     self_idx, basis_id, state_idx = tables["self_idx"], tables["basis_id"], tables["state_idx"]
     n_testers = self_idx.size
@@ -444,21 +468,12 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
 def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the qubit protocol; optionally write a per-round CSV trace
     (see the module docstring) and record stage times in ``stages``."""
-    started = time.perf_counter()
-    _, tables = _lm05_tables(cfg)
-    eve_kind = EVE_KINDS.index(cfg.eve.kind)
-    cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
-    if stages is not None:
-        stages["tables"] = _ms(time.perf_counter() - started)
-    control_rounds, bob_errors, cm_comparisons, cm_mismatches, eve_correct = (
-        int(c) for c in _simulate(
-            cfg, 8, _LM05_COLUMNS,
-            lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables),
-            trace, stages))
-    sifted = cfg.rounds - control_rounds
-    eve_rounds = 0 if eve_kind == 0 else sifted
-    return _assemble_stats(cfg.rounds, control_rounds, sifted, bob_errors,
-                           cm_comparisons, cm_mismatches, eve_rounds, eve_correct)
+    def build():
+        _, tables = _lm05_tables(cfg)
+        eve_kind = EVE_KINDS.index(cfg.eve.kind)
+        cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+        return lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables)
+    return _simulate(cfg, build, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +543,7 @@ def _extended_tables(cfg: ProtocolConfig):
 _EXT_COLUMNS = ("bob_set", "bob_tester", "alice_set", "alice_digit", "eve_set",
                 "eve_tester_or_collapse", "eve_outcome", "eve_digit", "bob_outcome",
                 "bob_digit", "sifted", "bob_error", "eve_correct")
+_EXT_COUNTS = ("sifted", "bob_errors", "eve_correct")
 
 
 def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
@@ -535,7 +551,7 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
     protocol rounds.
 
     eve_set_policy: 0 fixed set 0, 1 uniform.
-    counts: sifted, bob errors, eve correct.
+    counts: ``_EXT_COUNTS``.
     """
     sb = _index(draws[:, 0], 2)
     tb = _index(draws[:, 1], n_digits)
@@ -574,39 +590,15 @@ def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) ->
     (see the module docstring) and record stage times in ``stages``."""
     if cfg.control_fraction != 0.0:
         raise ConfigError("control mode is not modeled for the D-ary protocol")
-    started = time.perf_counter()
-    tables = _extended_tables(cfg)
-    eve_kind = EVE_KINDS.index(cfg.eve.kind)
-    set_policy = SET_POLICIES.index(cfg.eve.set_policy)
-    cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
-    if stages is not None:
-        stages["tables"] = _ms(time.perf_counter() - started)
-    sifted, bob_errors, eve_correct = (
-        int(c) for c in _simulate(
-            cfg, 9, _EXT_COLUMNS,
-            lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
-                                           tables["decode"]),
-            trace, stages))
-    eve_rounds = 0 if eve_kind == 0 else sifted
-    return _assemble_stats(cfg.rounds, 0, sifted, bob_errors, 0, 0,
-                           eve_rounds, eve_correct)
 
-
-def _assemble_stats(rounds, control_rounds, sifted, bob_errors, cm_comparisons,
-                    cm_mismatches, eve_rounds, eve_correct) -> ProtocolStats:
-    sift_fraction, sift_se = _rate(sifted, rounds)
-    bob_rate, bob_se = _rate(bob_errors, sifted)
-    cm_rate, cm_se = _rate(cm_mismatches, cm_comparisons)
-    eve_acc, eve_se = _rate(eve_correct, eve_rounds)
-    return ProtocolStats(
-        rounds=rounds, control_rounds=control_rounds, sifted=sifted,
-        sift_fraction=sift_fraction, sift_se=sift_se,
-        bob_errors=bob_errors, bob_error_rate=bob_rate, bob_error_se=bob_se,
-        cm_comparisons=cm_comparisons, cm_mismatches=cm_mismatches,
-        cm_mismatch_rate=cm_rate, cm_mismatch_se=cm_se,
-        eve_rounds=eve_rounds, eve_correct=eve_correct,
-        eve_accuracy=eve_acc, eve_accuracy_se=eve_se,
-    )
+    def build():
+        tables = _extended_tables(cfg)
+        eve_kind = EVE_KINDS.index(cfg.eve.kind)
+        set_policy = SET_POLICIES.index(cfg.eve.set_policy)
+        cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+        return lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
+                                              tables["decode"])
+    return _simulate(cfg, build, 9, _EXT_COLUMNS, _EXT_COUNTS, trace, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +633,16 @@ def _int_field(obj: dict, key: str, default=None) -> int:
     return int(value)
 
 
+_CONFIG_KEYS = ("d", "D", "rounds", "control_fraction", "eve", "tester_sets", "encoding_sets",
+                "seed", "stream")  # the keys of ProtocolConfig.to_json()
+_EVE_KEYS = ("kind", "resend_policy", "set_policy")  # the keys of EveStrategy.to_json()
+
+
 def config_from_json(obj: dict) -> ProtocolConfig:
     """ProtocolConfig from its JSON object; a malformed config raises
-    ConfigError, or ValueError from a malformed tester or basis literal."""
+    ConfigError, or ValueError from a malformed tester or basis literal.
+    An unknown key, at the top level or under ``eve``, is a ConfigError
+    that names it, so a misspelled setting never falls back to a default."""
     if not isinstance(obj, dict):
         raise ConfigError("bad protocol config: not a JSON object")
     try:
@@ -651,6 +650,10 @@ def config_from_json(obj: dict) -> ProtocolConfig:
         eve_obj = obj.get("eve", {})
         if not isinstance(eve_obj, dict):
             raise ConfigError("bad protocol config: eve is not a JSON object")
+        unknown = [k for k in obj if k not in _CONFIG_KEYS]
+        unknown += [f"eve.{k}" for k in eve_obj if k not in _EVE_KEYS]
+        if unknown:
+            raise ConfigError(f"bad protocol config: unknown keys {unknown}")
         eve = EveStrategy(
             kind=eve_obj.get("kind", "none"),
             resend_policy=eve_obj.get("resend_policy", "fixed-zero"),

@@ -159,23 +159,24 @@ class TestEstimateBound:
 
 def _named_objective(a, b):
     t1, t2 = named_tester(a), named_tester(b)
-    return bounds._entropy_objective(t1, t2, su_generators(2)), 3
+    return bounds._entropy_objective(t1, t2), 2
 
 
 def _random_objective(d, bipartite=False):
     gen = RngHandle(seed=11).generator()
     t1 = random_tester(d, gen, bipartite=bipartite)
     t2 = random_tester(d, gen, bipartite=bipartite)
-    return bounds._entropy_objective(t1, t2, su_generators(d)), d * d - 1
+    return bounds._entropy_objective(t1, t2), d
 
 
 def _partner_objective(d):
     basis = muub.build_named_basis("weyl", d)
-    return muub._partner_objective(basis, su_generators(d)), d * d - 1
+    return muub._partner_objective(basis), d
 
 
 class TestLockstepSearch:
-    """The lockstep search against scipy's Nelder-Mead, start by start."""
+    """The lockstep search against scipy's Nelder-Mead, start by start: scipy
+    runs on the su(d) coordinates, through the same exp map."""
 
     @pytest.mark.parametrize("make, starts, xatol, fatol", [
         (lambda: _named_objective("0Z", "0X"), 8, 1e-8, 1e-10),
@@ -184,18 +185,20 @@ class TestLockstepSearch:
         (lambda: _partner_objective(3), 2, 1e-10, 1e-14),
     ], ids=["0Z-0X", "0Z-+Z", "random-d3", "weyl3-partner"])
     def test_matches_scipy_per_start(self, make, starts, xatol, fatol):
-        f, n = make()
+        g, d = make()
+        gens = su_generators(d)
         cfg = SearchConfig(starts=starts, rng=RngHandle(seed=3, stream=1))
-        runs = bounds._multistart(f, n, cfg, xatol, fatol)
-        x0s = cfg.rng.generator().uniform(-np.pi, np.pi, size=(starts, n))
+        runs = bounds._multistart(g, d, cfg, xatol, fatol)
+        x0s = cfg.rng.generator().uniform(-np.pi, np.pi, size=(starts, len(gens)))
         options = {"xatol": xatol, "fatol": fatol, "maxiter": cfg.max_iterations,
                    "maxfev": 4 * cfg.max_iterations}
         for i, x0 in enumerate(x0s):
-            ref = minimize(lambda th: f(th[None])[0], x0, method="Nelder-Mead",
-                           options=options)
+            ref = minimize(lambda th: g(bounds.unitary_from_params(th[None], gens))[0], x0,
+                           method="Nelder-Mead", options=options)
             assert abs(runs.final[i] - ref.fun) <= 1e-12
-            np.testing.assert_allclose(runs.x[i], ref.x, rtol=0, atol=1e-12)
-            assert runs.initial[i] == f(x0[None])[0]
+            np.testing.assert_allclose(runs.u[i], bounds.unitary_from_params(ref.x, gens),
+                                       rtol=0, atol=1e-12)
+            assert runs.initial[i] == g(bounds.unitary_from_params(x0[None], gens))[0]
             assert (runs.nfev[i], runs.nit[i], runs.converged[i]) == (
                 ref.nfev, ref.nit, ref.success)
 
@@ -206,12 +209,12 @@ class TestLockstepSearch:
     ], ids=["d2", "d3", "d4", "d4-bipartite", "weyl3-partner"])
     @pytest.mark.parametrize("batch", [1, 2, 3, 5, 8])
     def test_objective_rows_do_not_depend_on_the_batch(self, make, batch):
-        f, n = make()
-        theta = RngHandle(seed=batch).generator().uniform(-np.pi, np.pi, size=(batch, n))
-        values = f(theta)
+        g, d = make()
+        u = qmath.haar_random_unitary(d, RngHandle(seed=batch).generator(), shape=(batch,))
+        values = g(u)
         assert values.shape == (batch,)
         for i in range(batch):
-            assert values[i] == f(theta[i:i + 1])[0]
+            assert values[i] == g(u[i:i + 1])[0]
 
     def test_exp_map_rows_do_not_depend_on_the_batch(self, gen):
         gens = su_generators(4)

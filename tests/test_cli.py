@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qtesters
-from qtesters import cli
+from qtesters import cli, muub
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,20 @@ class TestMuubCheck:
         code, report, _ = run_cli(capsys, "muub-check", "--b1", "pauli",
                                   "--b2", "pauli", "--json-only")
         assert code == 1 and report["status"] == "fail"
+
+    def test_d_with_two_basis_files_exits_2(self, capsys, tmp_path):
+        w3 = tmp_path / "w3.json"
+        w3.write_text(json.dumps(muub.build_named_basis("weyl", 3).to_json()))
+        code, report, _ = run_cli(capsys, "muub-check", "--b1", str(w3), "--b2", str(w3),
+                                  "--d", "7", "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert "--d" in report["payload"]["error"]
+        # without --d, or with a named basis for --d to size, the check runs
+        for d_args in ([], ["--d", "3"]):
+            b1 = "weyl" if d_args else str(w3)
+            code, report, _ = run_cli(capsys, "muub-check", "--b1", b1, "--b2", str(w3),
+                                      *d_args, "--json-only")
+            assert code == 1 and report["payload"]["config"]["d"] == 3
 
 
 class TestBasis:

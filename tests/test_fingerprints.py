@@ -11,6 +11,11 @@ Each verify case hashes the payload of ``verify --suite all`` with floats
 rounded to 9 significant digits and magnitudes below 1e-9 set to 0, so that
 reordered floating-point arithmetic keeps the hash while any change to the
 random stream or to a checked value moves it.
+
+Each search case hashes, the same way, the JSON of one seeded
+``estimate_bound`` or ``find_unbiased_partner`` call on the inputs of the
+benchmark's bound-search workload, so a change to the multi-start search
+that moves a start's path moves the hash.
 """
 
 import hashlib
@@ -21,6 +26,8 @@ import numbers
 import pytest
 
 from qtesters import cli, qkd
+from qtesters.bounds import SearchConfig, estimate_bound
+from qtesters.muub import build_named_basis, find_unbiased_partner
 from qtesters.qkd import (
     EveStrategy,
     default_extended_config,
@@ -28,6 +35,8 @@ from qtesters.qkd import (
     run_extended,
     run_lm05,
 )
+from qtesters.qmath import RngHandle
+from qtesters.tester import named_tester, random_tester
 
 ROUNDS = {0: 1000, 1: 20_000}
 
@@ -135,3 +144,45 @@ def test_verify_payload_matches_frozen_hash(capsys, seed):
     assert code == 0 and report["status"] == "pass"
     digest = hashlib.sha256(json.dumps(_canonical(report["payload"]), sort_keys=True).encode())
     assert digest.hexdigest() == VERIFY_FROZEN[seed]
+
+
+def _search(starts, stream):
+    return SearchConfig(starts=starts, rng=RngHandle(7665, stream))
+
+
+def _random_pair(d, bipartite, stream):
+    gen = RngHandle(1910, stream).generator()
+    return random_tester(d, gen, bipartite=bipartite), random_tester(d, gen, bipartite=bipartite)
+
+
+# case: (tester pair, starts, search stream)
+SEARCH_CASES = {
+    "0Z0X": (lambda: (named_tester("0Z"), named_tester("0X")), 8, 0),
+    "0ZpZ": (lambda: (named_tester("0Z"), named_tester("+Z")), 8, 1),
+    "0ZpX": (lambda: (named_tester("0Z"), named_tester("+X")), 8, 2),
+    "d3": (lambda: _random_pair(3, False, 3), 8, 3),
+    "d4bip": (lambda: _random_pair(4, True, 4), 4, 4),
+}
+
+SEARCH_FROZEN = {
+    "0Z0X": "6ddb78e2c1aaebcebfe97c9ecf1c0ac438dbd5fde332e4c94887da5befd1628b",
+    "0ZpZ": "e12a05d684d3af145e1228e88929ff21ea0b19da15519437dca620d0b46e80b0",
+    "0ZpX": "fb0083eeb0eda5d4aec27a58ed82960896fa01a83ebfa8df0021c0ffb17f74dc",
+    "d3": "a8b48a6359445fea3eb27654d9b0e7e541128b3513f3ec44c19879aa8b611227",
+    "d4bip": "8e7ac77181dc151ffa177eef5b4aa3559f76210460db45a16a407d2dadbe01ef",
+    "weyl3-partner": "9fa3a240ea69665758bc572032bfdaf39d31fe4339a503a09df09787e858ac22",
+}
+
+
+def _search_output(case):
+    if case == "weyl3-partner":
+        partner, residual = find_unbiased_partner(build_named_basis("weyl", 3), _search(2, 99))
+        return {"residual": residual, "partner": partner.to_json()}
+    pair, starts, stream = SEARCH_CASES[case]
+    return estimate_bound(*pair(), _search(starts, stream)).to_json()
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_FROZEN))
+def test_seeded_search_matches_frozen_hash(case):
+    digest = hashlib.sha256(json.dumps(_canonical(_search_output(case)), sort_keys=True).encode())
+    assert digest.hexdigest() == SEARCH_FROZEN[case]

@@ -203,6 +203,13 @@ class TestTrace:
         assert path.read_bytes() == buf.getvalue().encode("ascii")
         assert path.read_bytes().count(b"\r\n") == 9_001
 
+    def test_path_like_target_gets_the_str_path_bytes(self, tmp_path):
+        cfg = default_extended_config(D=4, rounds=300, seed=3,
+                                      eve=EveStrategy(kind="intercept-resend"))
+        assert run_extended(cfg, trace=tmp_path / "t.csv") == run_extended(
+            cfg, trace=str(tmp_path / "s.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
     def test_one_round_trace(self, tmp_path):
         path = tmp_path / "trace.csv"
         run_extended(default_extended_config(D=2, rounds=1, seed=0), trace=str(path))
@@ -303,6 +310,17 @@ class TestConfigJson:
         obj = {**default_lm05_config(rounds=12).to_json(), "control_fraction": value}
         with pytest.raises(ConfigError, match="control_fraction must be a number"):
             config_from_json(obj)
+
+    def test_misspelled_keys_are_rejected_by_name(self):
+        obj = {"rounds": 2000, "tester_sets": ["z", "x"], "encoding_sets": ["rotation"],
+               "contol_fraction": 0.3, "eve": {"knd": "intercept-resend"}}
+        with pytest.raises(ConfigError, match=r"unknown keys \['contol_fraction', 'eve\.knd'\]"):
+            config_from_json(obj)
+        cfg = default_lm05_config(rounds=12)
+        with pytest.raises(ConfigError, match=r"unknown keys \['eve\.knd'\]"):
+            config_from_json({**cfg.to_json(), "eve": {"knd": "none"}})
+        assert set(qkd._CONFIG_KEYS) == set(cfg.to_json())
+        assert set(qkd._EVE_KEYS) == set(cfg.eve.to_json())
 
     def test_bad_config_raises(self):
         with pytest.raises(ConfigError):
