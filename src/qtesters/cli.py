@@ -20,7 +20,8 @@ other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
 ``python`` versions that produced the report.  The payloads of ``bound``,
 ``muub-check`` and ``qkd`` hold their effective settings under ``config``.
 No flag is silently ignored: ``muub-check --d`` sizes a named basis, and
-with two basis files it is a usage error (exit 2).
+with two basis files it is a usage error (exit 2), as ``--name`` or
+``--d`` (the options of ``basis dump``) is with ``basis list``.
 Identical argv (seeds included) produce byte-identical payloads: timings
 and provenance stay outside the payload, keys are sorted and floats are
 canonicalized to 12 significant digits.  Human-readable logs go to stderr
@@ -400,9 +401,15 @@ def _cmd_muub_check(args, log, stages) -> tuple:
 
 def _cmd_basis(args, log, stages) -> tuple:
     if args.action == "list":
+        given = [flag for flag, value in (("--name", args.name), ("--d", args.d))
+                 if value is not None]
+        if given:
+            raise ValueError(f"basis list does not take {' or '.join(given)}; --name and --d "
+                             "are for basis dump")
         return True, {"names": list(muub.BASIS_NAMES)}
-    b = muub.build_named_basis(args.name, args.d)
-    return True, {"name": args.name, **b.to_json()}
+    name = "pauli" if args.name is None else args.name
+    b = muub.build_named_basis(name, 2 if args.d is None else args.d)
+    return True, {"name": name, **b.to_json()}
 
 
 _EVE_SHORT = {"none": "none", "qmm": "qmm-equivalent-tester", "intercept": "intercept-resend"}
@@ -496,8 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("basis", help="list or dump named unitary bases")
     sp.add_argument("action", choices=["list", "dump"])
-    sp.add_argument("--name", default="pauli")
-    sp.add_argument("--d", type=int, default=2)
+    sp.add_argument("--name", default=None, help="dump only; default pauli")
+    sp.add_argument("--d", type=int, default=None, help="dump only; default 2")
     common(sp)
 
     sp = sub.add_parser("qkd", help="run a key-distribution simulation")

@@ -36,6 +36,16 @@ rounds samples every round's outcome at once: the round's table indices
 give one flat row index, and its uniform draw is compared with each
 threshold of that row.  The rounds yield one array per record column.
 
+The tables are built once per distinct config per process.  A run reuses
+the round kernel (the checked tables, their thresholds and the block
+closure, all read-only) of an earlier run of the same protocol whose table
+inputs were byte-identical: d, D, the control fraction, Eve's kind and
+policies; each tester's dim, shapes and probe and projector bytes, set by
+set and in order; and each encoding family's dim, D and element bytes, in
+order.  The rounds and the seed are not part of that key.  A build that
+fails its checks is never cached, so such a config raises on every run.
+The ``_KERNEL_CACHE_SIZE`` (32) most recently used kernels are kept.
+
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
 bit-for-bit reproducible from its (seed, stream) and its memory does not
@@ -57,6 +67,7 @@ rejected by name, so a misspelled setting never runs with its default.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import os
@@ -77,6 +88,8 @@ SET_POLICIES = ("fixed", "uniform")
 
 _SNAP = 1e-9  # probabilities below this are treated as exact zeros in the tables
 _BLOCK = 8192  # rounds simulated per block of draws; bounds memory at any round count
+_KERNEL_CACHE_SIZE = 32  # round kernels kept per process, see _kernel
+_KERNELS: dict = {}  # _kernel_key -> round kernel, least recently used first
 
 
 class ConfigError(ValueError):
@@ -254,35 +267,76 @@ def _csv_rows(table: np.ndarray) -> str:
         # the unsigned view of abs() is the true magnitude, even for the most
         # negative value, whose abs() wraps to itself
         mag = np.abs(x, out=x).view(f"u{size}")
-        q = mag[:, :, None] // _POW10[w - 1::-1].astype(mag.dtype)
-        leading = q[:, :, :-1] == 0
-        q %= 10
-        q += ord("0")
-        digits = q.astype(np.uint8, copy=False)
-        digits[:, :, :-1][leading] = 0
-        grid[:, (signs[:, None] + 1 + np.arange(w)).ravel()] = digits.reshape(n, -1)
+        if w == 1:  # one digit per field: no division and no leading zeros
+            grid[:, signs + 1] = mag + np.uint8(ord("0"))
+        else:
+            q = mag[:, :, None] // _POW10[w - 1::-1].astype(mag.dtype)
+            leading = q[:, :, :-1] == 0
+            q %= 10
+            q += ord("0")
+            digits = q.astype(np.uint8, copy=False)
+            digits[:, :, :-1][leading] = 0
+            grid[:, (signs[:, None] + 1 + np.arange(w)).ravel()] = digits.reshape(n, -1)
         a = b
     text = grid.tobytes()
     del grid
     return text.translate(None, b"\0").decode("ascii")
 
 
+def _kernel_key(build, cfg: ProtocolConfig) -> tuple:
+    """Every value that ``build`` and the kernel it returns read from
+    ``cfg``, as a hashable tuple: the builder itself (it stands for the
+    runner), d, D, the control fraction and Eve's kind and policies; per
+    tester of each set, in order, its dim, the shapes of its probe and of
+    its projector matrix, and the bytes of both; per encoding family, in
+    order, its dim, D and the bytes of its stacked elements.  The rounds
+    and the rng are left out: no table depends on them."""
+    eve = cfg.eve
+    testers = tuple(tuple((t.dim, t.input.shape, t.projector_matrix().shape, t.input.tobytes(),
+                           t.projector_matrix().tobytes()) for t in s) for s in cfg.tester_sets)
+    families = tuple((f.dim, f.D, np.stack(f.elements).tobytes()) for f in cfg.encoding_sets)
+    return (build, cfg.d, cfg.D, cfg.control_fraction, eve.kind, eve.resend_policy,
+            eve.set_policy, testers, families)
+
+
+def _kernel(build, cfg: ProtocolConfig):
+    """``build(cfg)``, or the kernel that an earlier call in this process
+    built from an equal ``_kernel_key``.  Only kernels whose build returned
+    are kept, so a config that fails its checks raises on every call; the
+    ``_KERNEL_CACHE_SIZE`` most recently used are kept."""
+    key = _kernel_key(build, cfg)
+    kernel = _KERNELS.pop(key, None)
+    if kernel is None:
+        kernel = build(cfg)
+    _KERNELS[key] = kernel  # reinserted last: the dict runs least to most recently used
+    if len(_KERNELS) > _KERNEL_CACHE_SIZE:
+        del _KERNELS[next(iter(_KERNELS))]
+    return kernel
+
+
+def _read_only(*tables: dict) -> None:
+    for table in tables:
+        for a in table.values():
+            a.setflags(write=False)
+
+
 def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted: tuple,
               trace, stages: dict | None) -> ProtocolStats:
-    """Build the round kernel with ``build()`` and run it block by block
-    over one generator stream, streaming the records to ``trace`` (a
-    path-like or text handle) when given; return the run's stats.
+    """Get the round kernel of ``build`` for ``cfg`` (``_kernel``) and run
+    it block by block over one generator stream, streaming the records to
+    ``trace`` (a path-like or text handle) when given; return the run's
+    stats.
 
     The kernel returns a block's record columns and its integer counts,
     summed over all blocks and named by the ``ProtocolStats`` fields in
     ``counted``; counts not named are 0, and ``sifted`` defaults to the
     non-control rounds.  The columns are stacked into rows only for the
-    trace.  ``stages``, when given, gains the wall milliseconds spent in the
-    tables (``build()``), in the rounds and in the trace (row
-    stacking, encoding and I/O).
+    trace.  ``stages``, when given, gains the wall milliseconds spent
+    getting the kernel (``tables``, a cache hit or a build), in the rounds
+    and in the trace (row stacking, encoding and I/O).
     """
     started = time.perf_counter()
-    rounds_fn = build()
+    rounds_fn = _kernel(build, cfg)
     if stages is not None:
         stages["tables"] = _ms(time.perf_counter() - started)
     gen = cfg.rng.generator()
@@ -465,15 +519,20 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
     return cols, counts
 
 
+def _lm05_kernel(cfg: ProtocolConfig):
+    """The qubit protocol's round kernel: its checked tables, their
+    thresholds and the block closure, which holds no part of ``cfg``."""
+    _, tables = _lm05_tables(cfg)
+    cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+    _read_only(tables, cum)
+    return functools.partial(_lm05_rounds, eve_kind=EVE_KINDS.index(cfg.eve.kind),
+                             control_fraction=cfg.control_fraction, cum=cum, tables=tables)
+
+
 def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the qubit protocol; optionally write a per-round CSV trace
     (see the module docstring) and record stage times in ``stages``."""
-    def build():
-        _, tables = _lm05_tables(cfg)
-        eve_kind = EVE_KINDS.index(cfg.eve.kind)
-        cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
-        return lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables)
-    return _simulate(cfg, build, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
+    return _simulate(cfg, _lm05_kernel, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +644,23 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
     return cols, counts
 
 
+def _extended_kernel(cfg: ProtocolConfig):
+    """The D-ary protocol's round kernel: its checked tables, their
+    thresholds and the block closure, which holds no part of ``cfg``."""
+    tables = _extended_tables(cfg)
+    cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+    _read_only(tables, cum)
+    return functools.partial(_extended_rounds, eve_kind=EVE_KINDS.index(cfg.eve.kind),
+                             eve_set_policy=SET_POLICIES.index(cfg.eve.set_policy),
+                             n_digits=cfg.D, cum=cum, decode=tables["decode"])
+
+
 def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the D-ary protocol; optionally write a per-round CSV trace
     (see the module docstring) and record stage times in ``stages``."""
     if cfg.control_fraction != 0.0:
         raise ConfigError("control mode is not modeled for the D-ary protocol")
-
-    def build():
-        tables = _extended_tables(cfg)
-        eve_kind = EVE_KINDS.index(cfg.eve.kind)
-        set_policy = SET_POLICIES.index(cfg.eve.set_policy)
-        cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
-        return lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
-                                              tables["decode"])
-    return _simulate(cfg, build, 9, _EXT_COLUMNS, _EXT_COUNTS, trace, stages)
+    return _simulate(cfg, _extended_kernel, 9, _EXT_COLUMNS, _EXT_COUNTS, trace, stages)
 
 
 # ---------------------------------------------------------------------------

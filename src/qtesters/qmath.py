@@ -203,12 +203,12 @@ def haar_random_state(d: int, rng) -> np.ndarray:
     return haar_random_unitary(d, rng)[:, 0].copy()
 
 
-def complete_onb(first: np.ndarray, rng) -> np.ndarray:
-    """Unitary whose first column is ``first``, completed Haar-randomly."""
+def complete_onb(first: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unitary whose first column is ``first``, completed by Gram-Schmidt
+    from the columns of the unitary ``w`` (Haar-randomly for a Haar ``w``)."""
     first = as_state(first)
     d = first.size
     cols = [first]
-    w = haar_random_unitary(d, rng)
     for i in range(d):
         if len(cols) == d:
             break
@@ -225,8 +225,14 @@ def complete_onb(first: np.ndarray, rng) -> np.ndarray:
 
 def unitary_mapping(source: np.ndarray, target: np.ndarray, rng) -> np.ndarray:
     """A unitary sending ``source`` to ``target`` exactly, Haar-random on the
-    orthogonal complement."""
-    return complete_onb(target, rng) @ complete_onb(source, rng).conj().T
+    orthogonal complement.
+
+    The two completions are drawn from ``rng`` as one stack of two, the
+    target's first, which takes them bit for bit as two sequential draws
+    would.
+    """
+    w_target, w_source = haar_random_unitary(np.size(target), rng, shape=(2,))
+    return complete_onb(target, w_target) @ complete_onb(source, w_source).conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ protocol rates come from exhaustive enumeration of the finite round state
 space, and the round kernels gather each round's table row by its full
 index.  The frozen constants asserted by the tests were produced by these
 functions; the tests also re-run them at moderate resolution to keep the
-constants honest.  One reference is a former library path kept whole:
+constants honest.  Two references are former library paths kept whole:
 ``gated_extended_p_out``, the D-ary protocol's earlier gate, which calls
-the library's own theorem check.
+the library's own theorem check, and ``sequential_unitary_mapping``.
 """
 
 import numpy as np
+
+from qtesters import qmath
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -418,3 +420,13 @@ def record_extended_rounds(draws, eve_kind, eve_set_policy, n_digits, tables):
         rec[:, 12] = np.where(sift, rec[:, 7] == dig, -1)
     counts = np.array([np.sum(sift), np.sum(rec[:, 11] == 1), np.sum(rec[:, 12] == 1)])
     return rec, counts
+
+
+def sequential_unitary_mapping(source, target, gen):
+    """``qmath.unitary_mapping`` with its two completions drawn one after
+    the other, the target's first, as the library drew them before."""
+    d = np.size(target)
+    w_target = qmath.haar_random_unitary(d, gen)
+    w_source = qmath.haar_random_unitary(d, gen)
+    return (qmath.complete_onb(target, w_target)
+            @ qmath.complete_onb(source, w_source).conj().T)

@@ -182,6 +182,21 @@ class TestBasis:
         code, report, _ = run_cli(capsys, "basis", "list", "--json-only")
         assert code == 0 and "weyl" in report["payload"]["names"]
 
+    @pytest.mark.parametrize("flags", [["--name", "weyl"], ["--d", "3"],
+                                       ["--name", "nosuch", "--d", "7"]])
+    def test_list_with_a_dump_flag_exits_2(self, capsys, flags):
+        code, report, _ = run_cli(capsys, "basis", "list", *flags, "--json-only")
+        assert code == 2 and report["status"] == "error"
+        named = [f for f in ("--name", "--d") if f in flags]
+        assert report["payload"]["error"].startswith(
+            f"basis list does not take {' or '.join(named)};")
+
+    def test_dump_defaults_to_pauli_d2(self, capsys):
+        code, report, _ = run_cli(capsys, "basis", "dump", "--json-only")
+        assert code == 0 and report["payload"]["name"] == "pauli"
+        assert report["payload"] == {"name": "pauli",
+                                     **muub.build_named_basis("pauli", 2).to_json()}
+
     def test_dump_weyl_d3(self, capsys):
         code, report, _ = run_cli(capsys, "basis", "dump", "--name", "weyl",
                                   "--d", "3", "--json-only")

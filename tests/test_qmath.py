@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qtesters import qmath
 from qtesters.qmath import RngHandle
 
@@ -197,6 +198,17 @@ class TestUnitaryMapping:
             u = qmath.unitary_mapping(src, dst, gen)
             assert qmath.is_unitary(u, 1e-9)
             assert np.max(np.abs(u @ src - dst)) < 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_draw_equals_two_sequential_draws(self, d):
+        states = qmath.haar_random_unitary(d, RngHandle(seed=d, stream=1))
+        src, dst = states[:, 0], states[:, -1]
+        stacked, sequential = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(3):  # each call continues the same stream
+            u = qmath.unitary_mapping(src, dst, stacked)
+            assert u.tobytes() == oracles.sequential_unitary_mapping(src, dst,
+                                                                     sequential).tobytes()
+        assert stacked.random() == sequential.random()
 
 
 class TestValidation:
