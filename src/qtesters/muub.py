@@ -311,21 +311,23 @@ def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     size D: s1 deterministic on fam1 and uniform on fam2, and s2 the other
     way around, all within ``tol`` bits.
 
-    Returns (rows, failures): rows[s][i], tester i of set s on fam1 then
-    fam2, is one checked ``outcome_distribution`` call, so a leaking row
-    raises; each set's entropies are one ``shannon_entropy`` call, and
-    failures are listed per check, then per tester, then per element.
+    Returns (rows, failures): rows[s][i] is tester i of set s on fam1 then
+    fam2, and each set's rows are one checked ``outcome_distribution``
+    call, so a leaking row raises; each set's entropies are one
+    ``shannon_entropy`` call, and failures are listed per check, then per
+    tester, then per element.
     """
     dd = fam1.D
     us = np.concatenate((np.stack(fam1.elements), np.stack(fam2.elements)))
-    rows = tuple(np.stack([outcome_distribution(t, us) for t in ts]) for ts in (s1, s2))
+    rows = tuple(outcome_distribution(ts, us) for ts in (s1, s2))
     hs = [shannon_entropy(r).reshape(len(r), 2, dd) for r in rows]
     failures = []
     for s, f in ((0, 0), (0, 1), (1, 1), (1, 0)):
         expect, target = ("deterministic", 0.0) if s == f else ("uniform", np.log2(dd))
-        for t, h in zip((s1, s2)[s], hs[s][:, f]):
-            failures += [f"set{s + 1}/family{f + 1}: tester {t.label} entropy {x:.6f} bits, "
-                         f"expected {expect}" for x in h if abs(x - target) > tol]
+        h = hs[s][:, f]
+        failures += [f"set{s + 1}/family{f + 1}: tester {(s1, s2)[s].testers[i].label} entropy "
+                     f"{h[i, j]:.6f} bits, expected {expect}"
+                     for i, j in zip(*np.nonzero(np.abs(h - target) > tol))]
     return rows, failures
 
 

@@ -36,16 +36,6 @@ rounds samples every round's outcome at once: the round's table indices
 give one flat row index, and its uniform draw is compared with each
 threshold of that row.  The rounds yield one array per record column.
 
-The tables are built once per distinct config per process.  A run reuses
-the round kernel (the checked tables, their thresholds and the block
-closure, all read-only) of an earlier run of the same protocol whose table
-inputs were byte-identical: d, D, the control fraction, Eve's kind and
-policies; each tester's dim, shapes and probe and projector bytes, set by
-set and in order; and each encoding family's dim, D and element bytes, in
-order.  The rounds and the seed are not part of that key.  A build that
-fails its checks is never cached, so such a config raises on every run.
-The ``_KERNEL_CACHE_SIZE`` (32) most recently used kernels are kept.
-
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
 bit-for-bit reproducible from its (seed, stream) and its memory does not
@@ -67,7 +57,6 @@ rejected by name, so a misspelled setting never runs with its default.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
 import os
@@ -88,8 +77,6 @@ SET_POLICIES = ("fixed", "uniform")
 
 _SNAP = 1e-9  # probabilities below this are treated as exact zeros in the tables
 _BLOCK = 8192  # rounds simulated per block of draws; bounds memory at any round count
-_KERNEL_CACHE_SIZE = 32  # round kernels kept per process, see _kernel
-_KERNELS: dict = {}  # _kernel_key -> round kernel, least recently used first
 
 
 class ConfigError(ValueError):
@@ -204,8 +191,7 @@ def _snap_rows(table: np.ndarray) -> np.ndarray:
     Raises ConfigError for a row with no entry of at least 1e-9, which is
     not a distribution.
     """
-    t = np.array(table, dtype=float)
-    t[t < _SNAP] = 0.0
+    t = np.where(table < _SNAP, 0.0, table)
     total = t.sum(axis=-1, keepdims=True)
     if not total.all():
         raise ConfigError("an outcome table row is not a distribution: no entry is >= 1e-9")
@@ -216,7 +202,8 @@ def _snap_rows(table: np.ndarray) -> np.ndarray:
 def _cumulative(table: np.ndarray) -> np.ndarray:
     """Cumulative sums along each distribution, without the last bin, with
     the bin axis first: entry [j, *idx] is row idx's threshold j."""
-    return np.ascontiguousarray(np.moveaxis(np.cumsum(table, axis=-1)[..., :-1], -1, 0))
+    c = np.cumsum(table, axis=-1)[..., :-1]
+    return np.ascontiguousarray(c.transpose((-1,) + tuple(range(c.ndim - 1))))
 
 
 def _sample(cum: np.ndarray, idx: tuple, r: np.ndarray) -> np.ndarray:
@@ -236,9 +223,6 @@ def _index(x: np.ndarray, n: int) -> np.ndarray:
     return (x * n).astype(np.int64)
 
 
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # every power of ten below 2**64
-
-
 def _csv_rows(table: np.ndarray) -> str:
     """The rows of a non-empty 2-D int64 table as ``csv.writer`` writes
     them: decimal fields joined by "," with each row ended by "\\r\\n".
@@ -248,95 +232,61 @@ def _csv_rows(table: np.ndarray) -> str:
     magnitude) and a separator.  The sign byte of a non-negative value and
     leading zeros stay 0, and dropping the 0 bytes leaves the text.
     Adjacent columns of equal width are converted together, in the
-    smallest integer type that holds them.
+    smallest integer type that holds them.  Of a w-digit magnitude, q_i =
+    the leading i + 1 digits takes one division by a power of ten for each
+    i < w - 1 (q_(w-1) is the magnitude), and digit i is q_i - 10 q_(i-1),
+    so a one-digit column is converted without any division.
     """
     n = table.shape[0]
+    table = np.asfortranarray(table)  # the reductions and casts below run down columns
     widths = [len(str(max(hi, -lo)))
               for hi, lo in zip(table.max(axis=0).tolist(), table.min(axis=0).tolist())]
-    ends = np.cumsum(np.add(widths, 2))  # slot j ends just past its separator
-    grid = np.zeros((n, ends[-1] + 1), dtype=np.uint8)
-    grid[:, ends[:-1] - 1] = ord(",")
-    grid[:, -2:] = (ord("\r"), ord("\n"))
-    a = 0
+    grid = np.zeros((n, sum(widths) + 2 * len(widths) + 1), dtype=np.uint8)
+    a = start = 0
     for w, run in itertools.groupby(widths):
-        b = a + len(list(run))
+        k = len(list(run))
+        stop = start + k * (w + 2)
+        slots = grid[:, start:stop].reshape(n, k, w + 2)  # [row, column, byte]
         size = 1 if w <= 2 else 2 if w <= 4 else 4 if w <= 9 else 8  # holds +-(10**w - 1)
-        x = table[:, a:b].astype(f"i{size}")
-        signs = ends[a:b] - w - 2
-        grid[:, signs] = (x < 0) * np.uint8(ord("-"))
+        x = table[:, a:a + k].astype(f"i{size}")
+        slots[:, :, 0] = (x < 0) * np.uint8(ord("-"))
+        slots[:, :, -1] = ord(",")
         # the unsigned view of abs() is the true magnitude, even for the most
         # negative value, whose abs() wraps to itself
         mag = np.abs(x, out=x).view(f"u{size}")
-        if w == 1:  # one digit per field: no division and no leading zeros
-            grid[:, signs + 1] = mag + np.uint8(ord("0"))
-        else:
-            q = mag[:, :, None] // _POW10[w - 1::-1].astype(mag.dtype)
-            leading = q[:, :, :-1] == 0
-            q %= 10
-            q += ord("0")
-            digits = q.astype(np.uint8, copy=False)
-            digits[:, :, :-1][leading] = 0
-            grid[:, (signs[:, None] + 1 + np.arange(w)).ravel()] = digits.reshape(n, -1)
-        a = b
+        q = np.empty((w,) + mag.shape, mag.dtype)  # q[i]: the leading i + 1 digits
+        q[-1] = mag
+        for i in range(w - 1):
+            np.floor_divide(mag, mag.dtype.type(10 ** (w - 1 - i)), out=q[i])
+        # digit i is q[i] - 10 q[i - 1], exact modulo 256; leading zeros stay 0
+        q8 = q.astype(np.uint8)
+        digits = q8 + np.uint8(ord("0"))
+        digits[1:] -= q8[:-1] * np.uint8(10)
+        digits[:-1] *= q[:-1] != 0
+        slots[:, :, 1:-1] = digits.transpose(1, 2, 0)
+        a, start = a + k, stop
+    grid[:, -2:] = (ord("\r"), ord("\n"))
     text = grid.tobytes()
     del grid
     return text.translate(None, b"\0").decode("ascii")
 
 
-def _kernel_key(build, cfg: ProtocolConfig) -> tuple:
-    """Every value that ``build`` and the kernel it returns read from
-    ``cfg``, as a hashable tuple: the builder itself (it stands for the
-    runner), d, D, the control fraction and Eve's kind and policies; per
-    tester of each set, in order, its dim, the shapes of its probe and of
-    its projector matrix, and the bytes of both; per encoding family, in
-    order, its dim, D and the bytes of its stacked elements.  The rounds
-    and the rng are left out: no table depends on them."""
-    eve = cfg.eve
-    testers = tuple(tuple((t.dim, t.input.shape, t.projector_matrix().shape, t.input.tobytes(),
-                           t.projector_matrix().tobytes()) for t in s) for s in cfg.tester_sets)
-    families = tuple((f.dim, f.D, np.stack(f.elements).tobytes()) for f in cfg.encoding_sets)
-    return (build, cfg.d, cfg.D, cfg.control_fraction, eve.kind, eve.resend_policy,
-            eve.set_policy, testers, families)
-
-
-def _kernel(build, cfg: ProtocolConfig):
-    """``build(cfg)``, or the kernel that an earlier call in this process
-    built from an equal ``_kernel_key``.  Only kernels whose build returned
-    are kept, so a config that fails its checks raises on every call; the
-    ``_KERNEL_CACHE_SIZE`` most recently used are kept."""
-    key = _kernel_key(build, cfg)
-    kernel = _KERNELS.pop(key, None)
-    if kernel is None:
-        kernel = build(cfg)
-    _KERNELS[key] = kernel  # reinserted last: the dict runs least to most recently used
-    if len(_KERNELS) > _KERNEL_CACHE_SIZE:
-        del _KERNELS[next(iter(_KERNELS))]
-    return kernel
-
-
-def _read_only(*tables: dict) -> None:
-    for table in tables:
-        for a in table.values():
-            a.setflags(write=False)
-
-
 def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted: tuple,
               trace, stages: dict | None) -> ProtocolStats:
-    """Get the round kernel of ``build`` for ``cfg`` (``_kernel``) and run
-    it block by block over one generator stream, streaming the records to
-    ``trace`` (a path-like or text handle) when given; return the run's
-    stats.
+    """Build the round kernel with ``build()`` and run it block by block
+    over one generator stream, streaming the records to ``trace`` (a
+    path-like or text handle) when given; return the run's stats.
 
     The kernel returns a block's record columns and its integer counts,
     summed over all blocks and named by the ``ProtocolStats`` fields in
     ``counted``; counts not named are 0, and ``sifted`` defaults to the
     non-control rounds.  The columns are stacked into rows only for the
-    trace.  ``stages``, when given, gains the wall milliseconds spent
-    getting the kernel (``tables``, a cache hit or a build), in the rounds
-    and in the trace (row stacking, encoding and I/O).
+    trace.  ``stages``, when given, gains the wall milliseconds spent in the
+    tables (``build()``), in the rounds and in the trace (row
+    stacking, encoding and I/O).
     """
     started = time.perf_counter()
-    rounds_fn = _kernel(build, cfg)
+    rounds_fn = build()
     if stages is not None:
         stages["tables"] = _ms(time.perf_counter() - started)
     gen = cfg.rng.generator()
@@ -355,7 +305,8 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
             totals = totals + counts
             t_rounds += time.perf_counter() - t1
             if fh is not None:
-                fh.write(_csv_rows(np.column_stack((np.arange(start, start + n), *cols))))
+                # stacked as rows, so the transposed table is column-major
+                fh.write(_csv_rows(np.stack((np.arange(start, start + n), *cols)).T))
     finally:
         if own:
             fh.close()
@@ -413,8 +364,8 @@ def _lm05_tables(cfg: ProtocolConfig):
         raise ConfigError("the qubit protocol needs d=2, two 2-member tester sets and 2 encodings")
     if any(t.is_bipartite for t in testers):
         raise ConfigError("the qubit protocol uses ancilla-free testers")
-    probes = np.stack([t.input for t in testers])[:, :, None]  # columns
-    rows = np.stack([t.projector_matrix() for t in testers])
+    probes = np.concatenate([s.input for s in cfg.tester_sets])[:, :, None]  # columns
+    rows = np.concatenate([s.projector_matrix() for s in cfg.tester_sets])
     cm = np.stack([s.testers[0].projector_matrix() for s in cfg.tester_sets])
     states = cm.conj()[..., None]  # states[b, m]: state m of control basis b, a column
 
@@ -427,16 +378,21 @@ def _lm05_tables(cfg: ProtocolConfig):
     in_basis = p_state_in_basis.max(-1) > 1.0 - 1e-9
     basis_id = 1 - in_basis[:, ::-1].argmax(-1)  # the last basis holding the probe
     state_idx = p_state_in_basis[np.arange(len(testers)), basis_id].argmax(-1)
-    for ti, t in enumerate(testers):
-        if own[ti].max() < 1.0 - 1e-9:
-            raise ConfigError(f"tester {t.label!r} probe is not a measurement state")
-        for bit, p in enumerate(p_bob[ti]):
-            if p.max() < 1.0 - 1e-9:
-                raise ConfigError(f"tester {t.label!r} is not deterministic on encoding {bit}")
-        if p_bob[ti, 0].argmax() != self_idx[ti] or p_bob[ti, 1].argmax() == self_idx[ti]:
-            raise ConfigError("encodings must act as (stay, flip) on every probe")
-        if not in_basis[ti].any():
-            raise ConfigError(f"tester {t.label!r} probe lies in neither control basis")
+    # per tester, in this order: a probe that is no measurement state, an
+    # encoding (0, then 1) it is not deterministic on, encodings that do not
+    # stay and flip, and a probe in neither control basis
+    bob_idx = p_bob.argmax(-1)
+    fails = np.column_stack((own.max(-1) < 1.0 - 1e-9, p_bob.max(-1) < 1.0 - 1e-9,
+                             (bob_idx[:, 0] != self_idx) | (bob_idx[:, 1] == self_idx),
+                             ~in_basis.any(-1)))
+    if fails.any():
+        ti, check = np.argwhere(fails)[0]
+        label = testers[ti].label
+        raise ConfigError((f"tester {label!r} probe is not a measurement state",
+                           f"tester {label!r} is not deterministic on encoding 0",
+                           f"tester {label!r} is not deterministic on encoding 1",
+                           "encodings must act as (stay, flip) on every probe",
+                           f"tester {label!r} probe lies in neither control basis")[check])
 
     ket0 = np.eye(2, dtype=complex)[:1, :, None]
     resend = ket0 if cfg.eve.resend_policy == "fixed-zero" else probes
@@ -519,20 +475,15 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
     return cols, counts
 
 
-def _lm05_kernel(cfg: ProtocolConfig):
-    """The qubit protocol's round kernel: its checked tables, their
-    thresholds and the block closure, which holds no part of ``cfg``."""
-    _, tables = _lm05_tables(cfg)
-    cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
-    _read_only(tables, cum)
-    return functools.partial(_lm05_rounds, eve_kind=EVE_KINDS.index(cfg.eve.kind),
-                             control_fraction=cfg.control_fraction, cum=cum, tables=tables)
-
-
 def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the qubit protocol; optionally write a per-round CSV trace
     (see the module docstring) and record stage times in ``stages``."""
-    return _simulate(cfg, _lm05_kernel, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
+    def build():
+        _, tables = _lm05_tables(cfg)
+        eve_kind = EVE_KINDS.index(cfg.eve.kind)
+        cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+        return lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables)
+    return _simulate(cfg, build, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +539,7 @@ def _extended_tables(cfg: ProtocolConfig):
         raise HypothesisViolation("deterministic outcomes do not separate digits")
     # collapse[se, sb, ti]: probe ti of set sb measured in the probe basis of
     # set se; p_proj[se, k, sb]: projector k of set se measured by set sb
-    probes = np.stack([t.input for t in s1] + [t.input for t in s2]).reshape(2, dd, -1)
+    probes = np.stack((s1.input, s2.input))
     collapse = np.abs(probes.conj()[:, None, None] @ probes[None, :, :, :, None])[..., 0] ** 2
     meas = np.stack([s1.testers[0].projector_matrix(), s2.testers[0].projector_matrix()])
     p_proj = np.abs(meas @ meas.conj()[:, :, None, :, None])[..., 0] ** 2
@@ -644,23 +595,20 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
     return cols, counts
 
 
-def _extended_kernel(cfg: ProtocolConfig):
-    """The D-ary protocol's round kernel: its checked tables, their
-    thresholds and the block closure, which holds no part of ``cfg``."""
-    tables = _extended_tables(cfg)
-    cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
-    _read_only(tables, cum)
-    return functools.partial(_extended_rounds, eve_kind=EVE_KINDS.index(cfg.eve.kind),
-                             eve_set_policy=SET_POLICIES.index(cfg.eve.set_policy),
-                             n_digits=cfg.D, cum=cum, decode=tables["decode"])
-
-
 def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the D-ary protocol; optionally write a per-round CSV trace
     (see the module docstring) and record stage times in ``stages``."""
     if cfg.control_fraction != 0.0:
         raise ConfigError("control mode is not modeled for the D-ary protocol")
-    return _simulate(cfg, _extended_kernel, 9, _EXT_COLUMNS, _EXT_COUNTS, trace, stages)
+
+    def build():
+        tables = _extended_tables(cfg)
+        eve_kind = EVE_KINDS.index(cfg.eve.kind)
+        set_policy = SET_POLICIES.index(cfg.eve.set_policy)
+        cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+        return lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
+                                              tables["decode"])
+    return _simulate(cfg, build, 9, _EXT_COLUMNS, _EXT_COUNTS, trace, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,12 @@ def tester_from_json(obj: dict) -> Tester:
 
 @dataclass(frozen=True, eq=False)
 class TesterSet:
-    """Testers sharing one measurement; completeness is checked separately."""
+    """Testers sharing one measurement; completeness is checked separately.
+
+    ``input`` and ``projector_matrix()`` are the members' probes and
+    projector matrices stacked on a leading axis (read-only), so the Born
+    rule takes a whole set as it takes one tester.
+    """
 
     testers: tuple
     dim: int
@@ -120,7 +125,16 @@ class TesterSet:
             raise ValueError("testers have mixed dimensions")
         if not _share_projectors(ts, DEFAULT_TOL):
             raise ValueError("testers do not share one projector list")
+        probes = np.stack([t.input for t in ts])
+        m = np.stack([t.projector_matrix() for t in ts])
+        probes.setflags(write=False)
+        m.setflags(write=False)
         object.__setattr__(self, "testers", ts)
+        object.__setattr__(self, "input", probes)
+        object.__setattr__(self, "_projector_matrix", m)
+
+    def projector_matrix(self) -> np.ndarray:
+        return self._projector_matrix
 
     def __iter__(self):
         return iter(self.testers)
@@ -138,32 +152,41 @@ def _share_projectors(testers, tol: float) -> bool:
     return bool(np.abs(m - m[0]).max() <= tol)
 
 
-def outcome_probabilities(t: Tester, u: np.ndarray) -> np.ndarray:
+def outcome_probabilities(t: Tester | TesterSet, u: np.ndarray) -> np.ndarray:
     """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d): the
-    Born rule for one tester, which every entropy, bound and structure
-    check reads.
+    Born rule for one tester, or for each member of a tester set, which
+    every entropy, bound and structure check reads.
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
     one (a single column), with no Kronecker product formed.  Every product
-    is stacked per unitary, so each row of the result is the same bit for
-    bit whatever else is in the stack: the structure checks take one call
-    per tester over whole families.  The QKD outcome tables evaluate the
-    same rule as stacked products over whole tester sets and control
-    states, in ``qkd``.
+    is stacked per member and unitary, so each row of the result is the
+    same bit for bit whatever else is in the stack: the structure checks
+    take one call per tester set over whole families.  The QKD outcome
+    tables evaluate the same rule as stacked products over control states
+    too, in ``qkd``.
     """
-    amps = (u @ t.input.reshape(t.dim, -1)).reshape(u.shape[:-2] + (t.input.size, 1))
-    return np.abs((t.projector_matrix() @ amps)[..., 0]) ** 2
+    psi = t.input.reshape(t.input.shape[:-1] + (t.dim, -1))
+    m = t.projector_matrix()
+    if psi.ndim == 3:  # a tester set: its members' axis goes before u's stack axes
+        ones = (1,) * (u.ndim - 2)
+        psi = psi.reshape(psi.shape[:1] + ones + psi.shape[1:])
+        m = m.reshape(m.shape[:1] + ones + m.shape[1:])
+    amps = u @ psi
+    amps = amps.reshape(amps.shape[:-2] + (t.input.shape[-1], 1))
+    return np.abs((m @ amps)[..., 0]) ** 2
 
 
-def outcome_distribution(t: Tester, u: np.ndarray) -> np.ndarray:
+def outcome_distribution(t: Tester | TesterSet, u: np.ndarray) -> np.ndarray:
     """The checked Born rule: ``outcome_probabilities`` as a float array of
-    shape ``u.shape[:-2] + (n_outcomes,)``, for u of shape (..., d, d).
+    shape ``u.shape[:-2] + (n_outcomes,)`` for a tester, and
+    ``(members,) + u.shape[:-2] + (n_outcomes,)`` for a tester set, for u
+    of shape (..., d, d).
 
     It checks the shape of u, then per row that no probability leaked and
     that the row sums to 1 (a non-unitary or non-finite u fails here), and
     only then clamps each entry to at most 1.  Each row of a stack is the
-    single-matrix call's bit for bit.
+    single-tester, single-matrix call's bit for bit.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (t.dim, t.dim):

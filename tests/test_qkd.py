@@ -1,9 +1,6 @@
-import copy
 import csv
-import dataclasses
 import io
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-import test_fingerprints
 from qtesters import cli, qkd
 from qtesters.qkd import (
     ConfigError,
@@ -665,144 +661,3 @@ class TestTableErrors:
         want = r"^leaky measurement: outcome probabilities sum to 0\.000000000$"
         with pytest.raises(LeakyMeasurementError, match=want):
             run_extended(_config((leaky, leaky), encs, D=4))
-
-
-def _unchecked(cfg, **changes):
-    """A copy of ``cfg`` with ``changes`` set past ProtocolConfig's checks."""
-    out = copy.copy(cfg)
-    for name, value in changes.items():
-        object.__setattr__(out, name, value)
-    return out
-
-
-def _outcome(run, cfg):
-    """A traced run's stats and trace text, or its error's type and message."""
-    buf = io.StringIO(newline="")
-    try:
-        return run(cfg, trace=buf), buf.getvalue()
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _reversed_set(s, projectors=False):
-    """The tester set in reverse order, or each tester with its projectors
-    in reverse order."""
-    if projectors:
-        return TesterSet(tuple(Tester(input=t.input, projectors=t.projectors[::-1], dim=t.dim,
-                                      label=t.label) for t in s), dim=s.dim)
-    return TesterSet(s.testers[::-1], dim=s.dim)
-
-
-def _key_variants():
-    """(field, base run, base config, variant run, variant config): each
-    variant differs from its base in that one key field only, and its cold
-    outcome differs from the base's, so a shared kernel would show."""
-    lm05 = default_lm05_config(rounds=600, control_fraction=0.3, seed=2,
-                               eve=EveStrategy(kind="qmm-equivalent-tester"))
-    ext2 = default_extended_config(D=2, rounds=600, seed=2,
-                                   eve=EveStrategy(kind="qmm-equivalent-tester"))
-    ext4 = default_extended_config(D=4, rounds=600, seed=2)
-    z, x = lm05.tester_sets
-    rotation = lm05.encoding_sets[0]
-    replace = dataclasses.replace
-    return [
-        # an lm05 run of a D = 4 config after an extended run of the same content
-        ("runner", run_extended, ext4, run_lm05, ext4),
-        ("d", run_lm05, lm05, run_lm05, _unchecked(lm05, d=3)),
-        ("D", run_extended, ext4, run_extended, _unchecked(ext4, D=2)),
-        ("control_fraction", run_lm05, lm05, run_lm05, replace(lm05, control_fraction=0.5)),
-        ("eve.kind", run_lm05, lm05, run_lm05,
-         replace(lm05, eve=EveStrategy(kind="intercept-resend"))),
-        ("eve.resend_policy", run_lm05, lm05, run_lm05,
-         replace(lm05, eve=replace(lm05.eve, resend_policy="random-input"))),
-        ("eve.set_policy", run_extended, ext2, run_extended,
-         replace(ext2, eve=replace(ext2.eve, set_policy="uniform"))),
-        ("tester input", run_lm05, lm05, run_lm05,
-         replace(lm05, tester_sets=(_reversed_set(z), x))),
-        ("tester projectors", run_lm05, lm05, run_lm05,
-         replace(lm05, tester_sets=(_reversed_set(z, projectors=True), x))),
-        ("family elements", run_lm05, lm05, run_lm05,
-         replace(lm05, encoding_sets=(UnitaryBasis(2, rotation.elements[::-1]),))),
-        ("family order", run_extended, ext2, run_extended,
-         replace(ext2, encoding_sets=ext2.encoding_sets[::-1])),
-    ]
-
-
-def _plain(cfg, tester=None, family=None):
-    """``cfg`` as namespaces, with fields of its first tester and its first
-    encoding family replaced by ``tester`` and ``family``."""
-    sets = [[SimpleNamespace(dim=t.dim, input=t.input, projector_matrix=t.projector_matrix)
-             for t in s] for s in cfg.tester_sets]
-    families = [SimpleNamespace(dim=f.dim, D=f.D, elements=f.elements)
-                for f in cfg.encoding_sets]
-    vars(sets[0][0]).update(tester or {})
-    vars(families[0]).update(family or {})
-    return SimpleNamespace(d=cfg.d, D=cfg.D, control_fraction=cfg.control_fraction,
-                           eve=cfg.eve, tester_sets=sets, encoding_sets=families)
-
-
-class TestKernelCache:
-    """A run reuses a round kernel only for an equal key, never keeps a
-    failed build, gets the outputs of a cold run and keeps at most
-    ``_KERNEL_CACHE_SIZE`` kernels."""
-
-    @pytest.fixture(autouse=True)
-    def cold(self):
-        qkd._KERNELS.clear()
-
-    @pytest.mark.parametrize("field, base_run, base, run, cfg",
-                             [pytest.param(*v, id=v[0]) for v in _key_variants()])
-    def test_a_config_differing_in_one_field_gets_its_own_kernel(self, field, base_run, base,
-                                                                 run, cfg):
-        cold = _outcome(run, cfg)
-        qkd._KERNELS.clear()
-        assert _outcome(base_run, base) != cold
-        assert _outcome(run, cfg) == cold
-        if field == "runner":
-            assert cold[0] is ConfigError
-
-    def test_key_holds_each_dim_shape_and_size(self):
-        # for valid testers and families these follow from the bytes, so
-        # they are checked on the key alone
-        cfg = default_extended_config(D=4, rounds=10)
-        key = lambda c: qkd._kernel_key(qkd._extended_kernel, c)
-        t = cfg.tester_sets[0].testers[0]
-        m = t.projector_matrix()
-        assert key(_plain(cfg)) == key(cfg)
-        for tester, family in [({"dim": 4}, None), ({"input": t.input.reshape(2, 2)}, None),
-                               ({"projector_matrix": lambda: m.reshape(2, 8)}, None),
-                               (None, {"dim": 4}), (None, {"D": 5})]:
-            assert key(_plain(cfg, tester, family)) != key(cfg)
-
-    @pytest.mark.parametrize("D", [2, 4])
-    def test_a_failed_build_raises_on_every_call(self, D):
-        cfg = _gate_configs(D)[-2]  # its second family turned by exp(i 1e-5 H)
-        errors = []
-        for _ in range(3):
-            with pytest.raises(HypothesisViolation) as info:
-                run_extended(cfg)
-            errors.append(str(info.value))
-        assert len(set(errors)) == 1 and not qkd._KERNELS
-
-    def test_warm_runs_match_cold_runs_and_the_frozen_hashes(self):
-        for case in test_fingerprints._cases():
-            qkd._KERNELS.clear()
-            cold = test_fingerprints._fingerprint(*case)
-            kernel = qkd._KERNELS.copy()
-            warm = test_fingerprints._fingerprint(*case)
-            assert qkd._KERNELS == kernel  # the same kernel object, not a rebuild
-            assert warm == cold == test_fingerprints.FROZEN["-".join(map(str, case))]
-
-    def test_cached_arrays_are_read_only(self):
-        run_extended(default_extended_config(D=4, rounds=1))
-        (kernel,) = qkd._KERNELS.values()
-        arrays = [*kernel.keywords["cum"].values(), kernel.keywords["decode"]]
-        assert arrays and not any(a.flags.writeable for a in arrays)
-
-    def test_holds_at_most_its_bound_and_drops_the_least_recent(self):
-        n = qkd._KERNEL_CACHE_SIZE + 8
-        fractions = [k / n for k in range(n)]
-        for f in fractions:
-            run_lm05(default_lm05_config(rounds=1, control_fraction=f))
-            assert len(qkd._KERNELS) <= qkd._KERNEL_CACHE_SIZE
-        assert [key[3] for key in qkd._KERNELS] == fractions[-qkd._KERNEL_CACHE_SIZE:]

@@ -88,6 +88,27 @@ def test_stacked_rows_equal_single_matrix_calls(gen, d, bipartite):
         assert type(h_single) is float and h_single == h[idx]
 
 
+@pytest.mark.parametrize("d,bipartite", [(2, False), (3, False), (2, True), (3, True)])
+def test_tester_set_rows_equal_single_tester_calls(gen, d, bipartite):
+    base = random_tester(d, gen, bipartite=bipartite)
+    probes = qmath.haar_random_unitary(base.input.size, gen).T  # orthonormal rows
+    s = TesterSet(testers=tuple(Tester(input=p, projectors=base.projectors, dim=d)
+                                for p in probes), dim=d)
+    us = qmath.haar_random_unitary(d, gen, shape=(2, 3))
+    p = outcome_distribution(s, us)
+    assert p.shape == (len(s), 2, 3, base.n_outcomes)
+    assert outcome_distribution(s, us[1, 2]).shape == (len(s), base.n_outcomes)
+    for i, t in enumerate(s):
+        assert np.array_equal(p[i], outcome_distribution(t, us))
+        assert np.array_equal(outcome_distribution(s, us[1, 2])[i], outcome_distribution(t, us[1, 2]))
+
+
+def test_tester_set_leak_raises(leaky_tester):
+    s = TesterSet(testers=(leaky_tester,), dim=leaky_tester.dim)
+    with pytest.raises(LeakyMeasurementError):
+        outcome_distribution(s, np.stack([np.eye(2), qmath.SIGMA_X]))
+
+
 class TestStackedErrors:
     def test_leak_message(self, leaky_tester):
         us = np.stack([I2, qmath.SIGMA_Z, qmath.SIGMA_X])
