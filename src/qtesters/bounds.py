@@ -14,12 +14,18 @@ exp map are private to the search, which returns each start's unitary.
 
 All starts of a search run in lockstep: each simplex step evaluates the
 objective once on the stacked points of every live start, so the cost of a
-step is a few stacked numpy calls, not one Python call per start.  The
-starts stay independent: the exp map and the objective compute each row
-with stacked (per-matrix) products and last-axis reductions only, so a
-start's values do not depend on which other starts share a call, and every
-start follows the path that scipy's non-adaptive Nelder-Mead takes from the
-same point (up to the evaluation-budget stop described in ``_multistart``).
+step is a few stacked numpy calls, not one Python call per start.  With
+1-8 matrices of 2 x 2 to 4 x 4 per call, that fixed cost of each numpy call,
+not the arithmetic, is what a step spends its time on, so a step makes as
+few calls as it can: the entropy objective takes both testers of a pair
+through one Born-rule product and one entropy call when they have one probe
+and projector shape, and the search skips its stop tests at boundaries
+where no start can stop.  The starts stay independent: the exp map and the
+objective compute each row with stacked (per-matrix) products and last-axis
+reductions only, so a start's values do not depend on which other starts
+share a call, and every start follows the path that scipy's non-adaptive
+Nelder-Mead takes from the same point (up to the evaluation-budget stop
+described in ``_multistart``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,13 @@ import numpy as np
 
 from . import qmath
 from .qmath import RngHandle
-from .tester import Tester, outcome_distribution, outcome_probabilities, shannon_entropy
+from .tester import (
+    Tester,
+    TesterStack,
+    outcome_distribution,
+    outcome_probabilities,
+    shannon_entropy,
+)
 
 TRIVIAL_SATURATION_TOL = 1e-6  # bits
 
@@ -125,7 +137,7 @@ def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     n, d = gens.shape[0], gens.shape[-1]
     h = (theta[..., None, :] @ gens.reshape(n, d * d)).reshape(theta.shape[:-1] + (d, d))
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # scipy's non-adaptive Nelder-Mead and its initial simplex's relative and
@@ -177,8 +189,12 @@ def _multistart(g, d: int, cfg: SearchConfig, xatol: float, fatol: float) -> _Ru
     evaluates the reflections of all live starts, one more the single
     further point (expansion, outside or inside contraction) of each start
     that needs one, and one more the shrunk simplices of the starts that
-    shrink.  The starts are independent, and a caller reduces them in start
-    order.
+    shrink.  The rest of a step is a fixed number of small array operations
+    over all live starts: the stop tests run only at a boundary where some
+    start can stop (the last iteration, the evaluation budget reached, or a
+    simplex whose values lie within ``fatol``), and the further point of
+    every live start is evaluated without a mask when all of them need one.
+    The starts are independent, and a caller reduces them in start order.
     """
     gens, n = su_generators(d), d * d - 1
 
@@ -203,34 +219,41 @@ def _multistart(g, d: int, cfg: SearchConfig, xatol: float, fatol: float) -> _Ru
     # them have taken the same number of steps, it - 1
     live, nf, it = np.arange(cfg.starts), np.full(cfg.starts, n + 1), 1
     while True:
-        over = nf >= maxfev if it < maxiter else np.ones(live.size, dtype=bool)
         # scipy's tolerance test; the vertices are sorted by value, so the
         # largest |f_0 - f_j| is f_n - f_0, and the x test runs only when
         # some start passes the f test
-        done = ~over & (fsim[:, -1] - fsim[:, 0] <= fatol)
-        if done.any():
-            done[done] = np.abs(sim[done, 1:] - sim[done, :1]).max(axis=(1, 2)) <= xatol
-        stop = over | done
-        if stop.any():
-            gone = live[stop]
-            x[gone], final[gone] = sim[stop, 0], fsim[stop, 0]
-            nfev[gone], nit[gone], converged[gone] = nf[stop], it, done[stop]
-            live, sim, fsim, nf = live[~stop], sim[~stop], fsim[~stop], nf[~stop]
-            if live.size == 0:
-                return _Runs(unitary_from_params(x, gens), initial, final, nfev, nit, converged)
+        near = fsim[:, -1] - fsim[:, 0] <= fatol
+        if it >= maxiter or nf.max() >= maxfev or near.any():
+            over = nf >= maxfev if it < maxiter else np.ones(live.size, dtype=bool)
+            done = ~over & near
+            if done.any():
+                done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+            stop = over | done
+            if stop.any():
+                gone = live[stop]
+                x[gone], final[gone] = sim[stop, 0], fsim[stop, 0]
+                nfev[gone], nit[gone], converged[gone] = nf[stop], it, done[stop]
+                live, sim, fsim, nf = live[~stop], sim[~stop], fsim[~stop], nf[~stop]
+                if live.size == 0:
+                    return _Runs(unitary_from_params(x, gens), initial, final, nfev, nit,
+                                 converged)
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         worst = sim[:, -1]
-        xr = _REFLECT * xbar - (_REFLECT - 1) * worst
+        # (_REFLECT - 1) * worst is worst, exactly
+        xr = _REFLECT * xbar - worst
         fxr = f(xr)
         expand = fxr < fsim[:, 0]
         accept = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept & (fxr < fsim[:, -1])
         second = ~accept
+        outside = ~expand & second & (fxr < fsim[:, -1])
         c = np.where(expand, _EXPAND, np.where(outside, _OUTSIDE, _INSIDE))[:, None]
         x2 = c * xbar - (c - 1) * worst
-        f2 = np.full_like(fxr, np.nan)
-        if second.any():
-            f2[second] = f(x2[second])
+        if second.all():
+            f2 = f(x2)
+        else:
+            f2 = np.full_like(fxr, np.nan)
+            if second.any():
+                f2[second] = f(x2[second])
         # the second point replaces the worst vertex if the expansion beats
         # the reflection, the outside contraction is no worse than it, or the
         # inside contraction beats the worst vertex; a failed contraction
@@ -256,10 +279,23 @@ def _multistart(g, d: int, cfg: SearchConfig, xatol: float, fatol: float) -> _Ru
 
 def _entropy_objective(t1: Tester, t2: Tester):
     """entropy_sum at each unitary of a (k, d, d) stack, without the per-call
-    checks, which the search does not need."""
+    checks, which the search does not need.
+
+    Two testers of one probe and projector shape are one ``TesterStack``:
+    one Born-rule product and one entropy call per evaluation give both
+    entropies.  Otherwise each tester takes its own.  Either way the value
+    is h1 + h2, each term the single-tester call's bit for bit.
+    """
+    if t1.projector_matrix().shape != t2.projector_matrix().shape:
+        def g(u):
+            return (shannon_entropy(outcome_probabilities(t1, u))
+                    + shannon_entropy(outcome_probabilities(t2, u)))
+        return g
+    pair = TesterStack((t1, t2), t1.dim)
+
     def g(u):
-        p1, p2 = outcome_probabilities(t1, u), outcome_probabilities(t2, u)
-        return shannon_entropy(p1) + shannon_entropy(p2)
+        h = shannon_entropy(outcome_probabilities(pair, u))
+        return h[0] + h[1]
     return g
 
 

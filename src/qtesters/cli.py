@@ -496,15 +496,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b1", required=True, help="basis name or JSON file")
     sp.add_argument("--b2", required=True, help="basis name or JSON file")
     sp.add_argument("--d", type=int, default=None,
-                    help="dimension of a named basis, default 2; an error when neither "
-                         "basis is a name")
+                    help="dimension of a named basis, default 2 (weyl: 2 to "
+                         f"{muub.WEYL_MAX_D}); an error when neither basis is a name")
     sp.add_argument("--tol", type=float, default=1e-6)
     common(sp)
 
     sp = sub.add_parser("basis", help="list or dump named unitary bases")
     sp.add_argument("action", choices=["list", "dump"])
     sp.add_argument("--name", default=None, help="dump only; default pauli")
-    sp.add_argument("--d", type=int, default=None, help="dump only; default 2")
+    sp.add_argument("--d", type=int, default=None,
+                    help=f"dump only; default 2 (weyl: 2 to {muub.WEYL_MAX_D})")
     common(sp)
 
     sp = sub.add_parser("qkd", help="run a key-distribution simulation")

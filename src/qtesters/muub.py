@@ -37,6 +37,9 @@ from .tester import (
 KAPPA_TOL = 1e-6
 
 BASIS_NAMES = ("pauli", "rotation", "hadamard-pair", "weyl", "pauli-unbiased")
+# largest d of a named weyl basis: its d^2 elements and the (d^2, d^2)
+# matrix of their overlaps take 16 d^4 bytes each, 16 MB at d = 32
+WEYL_MAX_D = 32
 
 
 def hs_overlap(u: np.ndarray, v: np.ndarray):
@@ -54,6 +57,14 @@ def hs_overlap(u: np.ndarray, v: np.ndarray):
     return float(ov) if ov.ndim == 0 else ov
 
 
+def _cross_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``hs_overlap`` of every pair (a_i, b_j) of two (n, d, d) stacks, as
+    an (n_a, n_b) array: one product of the flattened stacks, so no
+    (n_a, n_b, d, d) temporary is formed."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    return np.abs(a.conj() @ b.T) ** 2
+
+
 def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
     """True iff all elements are unitary, pairwise Hilbert-Schmidt orthogonal,
     and their count is d or d^2."""
@@ -68,7 +79,7 @@ def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
     els = np.stack(els)
     if not qmath.is_unitary(els, tol):
         return False
-    off_diagonal = hs_overlap(els[:, None], els)[~np.eye(len(els), dtype=bool)]
+    off_diagonal = _cross_overlaps(els, els)[~np.eye(len(els), dtype=bool)]
     return bool((off_diagonal <= tol * tol).all())
 
 
@@ -134,7 +145,7 @@ def are_muub(a: UnitaryBasis, b: UnitaryBasis, tol: float = KAPPA_TOL) -> MuubRe
         raise ValueError("bases span subspaces of different sizes")
     d, dd = a.dim, a.D
     expected = 1.0 if dd == d * d else float(d)
-    overlaps = hs_overlap(np.stack(a.elements)[:, None], np.stack(b.elements))
+    overlaps = _cross_overlaps(np.stack(a.elements), np.stack(b.elements))
     mean = float(overlaps.mean())
     constant = bool(np.max(np.abs(overlaps - mean)) <= tol)
     verdict = constant and abs(mean - expected) <= tol
@@ -168,10 +179,15 @@ def balanced_qubit_rotation() -> np.ndarray:
 
 def build_named_basis(name: str, d: int) -> UnitaryBasis:
     """Named bases: "pauli" (d=2), "rotation" {I, i sy} (d=2), "hadamard-pair"
-    {(I -+ i sy)/sqrt 2} (d=2), "weyl" (any d), "pauli-unbiased" (d=2)."""
+    {(I -+ i sy)/sqrt 2} (d=2), "weyl" (2 <= d <= WEYL_MAX_D = 32: its
+    elements and its orthogonality check take about 16 MB each at d = 32),
+    "pauli-unbiased" (d=2).  A d out of range raises ValueError before
+    anything is allocated."""
     if name == "weyl":
         if d < 2:
             raise ValueError("weyl basis needs d >= 2")
+        if d > WEYL_MAX_D:
+            raise ValueError(f"weyl basis needs d <= {WEYL_MAX_D}, got d={d}")
         return UnitaryBasis(dim=d, elements=_weyl_basis(d))
     if d != 2:
         raise ValueError(f"basis {name!r} is only defined for d=2")

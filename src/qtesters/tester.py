@@ -106,12 +106,13 @@ def tester_from_json(obj: dict) -> Tester:
 
 
 @dataclass(frozen=True, eq=False)
-class TesterSet:
-    """Testers sharing one measurement; completeness is checked separately.
+class TesterStack:
+    """Testers of one dimension and one probe and projector shape.
 
     ``input`` and ``projector_matrix()`` are the members' probes and
     projector matrices stacked on a leading axis (read-only), so the Born
-    rule takes a whole set as it takes one tester.
+    rule takes the whole stack as it takes one tester.  The members need
+    not share projectors.
     """
 
     testers: tuple
@@ -123,8 +124,7 @@ class TesterSet:
             raise ValueError("empty tester set")
         if any(t.dim != self.dim for t in ts):
             raise ValueError("testers have mixed dimensions")
-        if not _share_projectors(ts, DEFAULT_TOL):
-            raise ValueError("testers do not share one projector list")
+        self._check_members(ts)
         probes = np.stack([t.input for t in ts])
         m = np.stack([t.projector_matrix() for t in ts])
         probes.setflags(write=False)
@@ -132,6 +132,11 @@ class TesterSet:
         object.__setattr__(self, "testers", ts)
         object.__setattr__(self, "input", probes)
         object.__setattr__(self, "_projector_matrix", m)
+
+    @staticmethod
+    def _check_members(ts):
+        if len({t.projector_matrix().shape for t in ts}) > 1:
+            raise ValueError("testers have mixed probe or projector shapes")
 
     def projector_matrix(self) -> np.ndarray:
         return self._projector_matrix
@@ -143,6 +148,17 @@ class TesterSet:
         return len(self.testers)
 
 
+@dataclass(frozen=True, eq=False)
+class TesterSet(TesterStack):
+    """Testers sharing one measurement, stacked as a ``TesterStack``;
+    completeness is checked separately."""
+
+    @staticmethod
+    def _check_members(ts):
+        if not _share_projectors(ts, DEFAULT_TOL):
+            raise ValueError("testers do not share one projector list")
+
+
 def _share_projectors(testers, tol: float) -> bool:
     """True iff every tester's projectors have the first tester's count and
     size and lie within ``tol`` of them entrywise, compared as one stack."""
@@ -152,23 +168,26 @@ def _share_projectors(testers, tol: float) -> bool:
     return bool(np.abs(m - m[0]).max() <= tol)
 
 
-def outcome_probabilities(t: Tester | TesterSet, u: np.ndarray) -> np.ndarray:
+def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
     """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d): the
-    Born rule for one tester, or for each member of a tester set, which
-    every entropy, bound and structure check reads.
+    Born rule for one tester, or for each member of a tester stack (a
+    tester set is one), which every entropy, bound and structure check
+    reads.
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
-    one (a single column), with no Kronecker product formed.  Every product
-    is stacked per member and unitary, so each row of the result is the
-    same bit for bit whatever else is in the stack: the structure checks
-    take one call per tester set over whole families.  The QKD outcome
-    tables evaluate the same rule as stacked products over control states
-    too, in ``qkd``.
+    one (a single column), with no Kronecker product formed.  A stack's
+    members each meet u through their own probe and projector matrix, so
+    they need not share projectors.  Every product is stacked per member
+    and unitary, so each row of the result is the same bit for bit whatever
+    else is in the stack: the structure checks take one call per tester set
+    over whole families, and the bound search one call per pair of testers
+    of one shape.  The QKD outcome tables evaluate the same rule as stacked
+    products over control states too, in ``qkd``.
     """
     psi = t.input.reshape(t.input.shape[:-1] + (t.dim, -1))
     m = t.projector_matrix()
-    if psi.ndim == 3:  # a tester set: its members' axis goes before u's stack axes
+    if psi.ndim == 3:  # a tester stack: its members' axis goes before u's stack axes
         ones = (1,) * (u.ndim - 2)
         psi = psi.reshape(psi.shape[:1] + ones + psi.shape[1:])
         m = m.reshape(m.shape[:1] + ones + m.shape[1:])
@@ -177,10 +196,10 @@ def outcome_probabilities(t: Tester | TesterSet, u: np.ndarray) -> np.ndarray:
     return np.abs((m @ amps)[..., 0]) ** 2
 
 
-def outcome_distribution(t: Tester | TesterSet, u: np.ndarray) -> np.ndarray:
+def outcome_distribution(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
     """The checked Born rule: ``outcome_probabilities`` as a float array of
     shape ``u.shape[:-2] + (n_outcomes,)`` for a tester, and
-    ``(members,) + u.shape[:-2] + (n_outcomes,)`` for a tester set, for u
+    ``(members,) + u.shape[:-2] + (n_outcomes,)`` for a tester stack, for u
     of shape (..., d, d).
 
     It checks the shape of u, then per row that no probability leaked and

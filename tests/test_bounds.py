@@ -18,9 +18,12 @@ from qtesters.tester import (
     X_BASIS,
     Z_BASIS,
     LeakyMeasurementError,
+    Tester,
+    bell_states,
     named_tester,
     random_tester,
 )
+from test_fingerprints import SEARCH_CASES
 
 I2 = np.eye(2, dtype=complex)
 H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
@@ -223,6 +226,126 @@ class TestLockstepSearch:
         assert u.shape == (2, 3, 4, 4)
         for idx in np.ndindex(2, 3):
             np.testing.assert_array_equal(u[idx], bounds.unitary_from_params(theta[idx], gens))
+
+
+def _bell_zz():
+    """A Bell probe measured in the product basis Z (x) Z: four outcomes on
+    a probe of size 4, so it shares no shape with an ancilla-free tester."""
+    return Tester(input=bell_states()[0], projectors=tuple(np.eye(4)), dim=2, label="bell-zz")
+
+
+def _same_runs(a, b):
+    for field in bounds._Runs._fields:
+        x, y = getattr(a, field), getattr(b, field)
+        if (x.dtype, x.shape, x.tobytes()) != (y.dtype, y.shape, y.tobytes()):
+            return field
+    return None
+
+
+def _nan_objective(g, bound):
+    """g, but NaN wherever |u_00| > bound: rows stay independent.  A start
+    whose simplex lies where g is NaN fails every comparison, so it shrinks
+    at every step and spends the evaluation budget before the iteration
+    limit."""
+    def with_holes(u):
+        return np.where(np.abs(u[:, 0, 0]) > bound, np.nan, g(u))
+    return with_holes
+
+
+class TestSearchMatchesTheLockstepOracle:
+    """``_multistart`` and ``_entropy_objective`` against the search they
+    replaced (``oracles.lockstep_multistart`` on
+    ``oracles.pairwise_entropy_objective``): every ``_Runs`` field is the same
+    bytes."""
+
+    @staticmethod
+    def _both(t1, t2, cfg, wrap=lambda g: g):
+        new = bounds._multistart(wrap(bounds._entropy_objective(t1, t2)), t1.dim, cfg,
+                                 1e-8, cfg.tolerance)
+        old = oracles.lockstep_multistart(wrap(oracles.pairwise_entropy_objective(t1, t2)),
+                                          t1.dim, cfg, 1e-8, cfg.tolerance)
+        return new, old
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_benchmark_bound_cases(self, case):
+        pair, starts, stream = SEARCH_CASES[case]
+        cfg = SearchConfig(starts=starts, rng=RngHandle(7665, stream))
+        assert _same_runs(*self._both(*pair(), cfg)) is None
+
+    def test_weyl3_partner(self):
+        g = muub._partner_objective(muub.build_named_basis("weyl", 3))
+        cfg = SearchConfig(starts=2, rng=RngHandle(7665, 99))
+        new = bounds._multistart(g, 3, cfg, 1e-10, 1e-14)
+        old = oracles.lockstep_multistart(g, 3, cfg, 1e-10, 1e-14)
+        assert _same_runs(new, old) is None
+
+    @pytest.mark.parametrize("order", ["0X-bell", "bell-0X"])
+    def test_pair_of_mismatched_shape(self, order):
+        t1, t2 = T0X, _bell_zz()
+        if order == "bell-0X":
+            t1, t2 = t2, t1
+        cfg = SearchConfig(starts=4, rng=RngHandle(seed=21))
+        assert _same_runs(*self._both(t1, t2, cfg)) is None
+
+    def test_objective_with_nan_values(self):
+        gen = RngHandle(seed=12).generator()
+        t1, t2 = random_tester(3, gen), random_tester(3, gen)
+        cfg = SearchConfig(starts=6, max_iterations=300, rng=RngHandle(seed=13))
+        seen = []
+
+        def wrap(g):
+            h = _nan_objective(g, 0.8)
+
+            def counted(u):
+                v = h(u)
+                seen.append(np.isnan(v).sum())
+                return v
+            return counted
+        new, old = self._both(t1, t2, cfg, wrap=wrap)
+        assert _same_runs(new, old) is None
+        assert sum(seen) > 0 and np.isfinite(new.final).any()
+
+    def test_one_start(self):
+        cfg = SearchConfig(starts=1, rng=RngHandle(seed=14))
+        assert _same_runs(*self._both(T0Z, TPZ, cfg)) is None
+
+    def test_stop_on_maxiter(self):
+        gen = RngHandle(seed=15).generator()
+        t1, t2 = random_tester(3, gen), random_tester(3, gen)
+        cfg = SearchConfig(starts=4, max_iterations=40, rng=RngHandle(seed=16))
+        new, old = self._both(t1, t2, cfg)
+        assert _same_runs(new, old) is None
+        assert (new.nit == 40).all() and not new.converged.any()
+
+    def test_stop_on_maxfev(self):
+        gen = RngHandle(seed=18).generator()
+        t1, t2 = random_tester(3, gen), random_tester(3, gen)
+        cfg = SearchConfig(starts=4, max_iterations=60, rng=RngHandle(seed=17))
+        new, old = self._both(t1, t2, cfg, wrap=lambda g: _nan_objective(g, 0.6))
+        assert _same_runs(new, old) is None
+        budget = new.nfev >= 4 * cfg.max_iterations
+        assert budget.any() and (new.nit[budget] < cfg.max_iterations).all()
+        assert (new.nit[~budget] == cfg.max_iterations).any()
+
+
+def _pairs(d):
+    gen = RngHandle(seed=30 + d).generator()
+    plain = random_tester(d, gen), random_tester(d, gen)
+    bip = random_tester(d, gen, bipartite=True), random_tester(d, gen, bipartite=True)
+    return {"plain": plain, "ancilla": bip, "mixed": (plain[0], bip[0])}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["plain", "ancilla", "mixed"])
+@pytest.mark.parametrize("swap", [False, True], ids=["t1-t2", "t2-t1"])
+def test_entropy_objective_equals_entropy_sum(d, kind, swap):
+    t1, t2 = _pairs(d)[kind]
+    if swap:
+        t1, t2 = t2, t1
+    u = qmath.haar_random_unitary(d, RngHandle(seed=d).generator(), shape=(5,))
+    got = bounds._entropy_objective(t1, t2)(u)
+    assert got.tobytes() == entropy_sum(t1, t2, u).tobytes()
+    assert got.tobytes() == oracles.pairwise_entropy_objective(t1, t2)(u).tobytes()
 
 
 class TestMubOverlapBound:

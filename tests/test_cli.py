@@ -2,6 +2,7 @@ import json
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,27 @@ class TestBasis:
         assert code == 0
         assert len(report["payload"]["elements"]) == 9
         assert report["payload"]["elements"][0]["rows"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "dump", "--name", "weyl", "--d", "100000"],
+    ["muub-check", "--b1", "weyl", "--b2", "weyl", "--d", "100000"],
+], ids=["basis-dump", "muub-check"])
+def test_weyl_d_above_the_cap_exits_2_without_allocating(capsys, monkeypatch, argv):
+    def unreachable(d):
+        raise AssertionError(f"weyl basis of d={d} built")
+
+    monkeypatch.setattr(muub, "_weyl_basis", unreachable)
+    tracemalloc.start()
+    try:
+        code, report, _ = run_cli(capsys, *argv, "--json-only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and report["status"] == "error"
+    assert report["payload"]["error"] == (
+        f"weyl basis needs d <= {muub.WEYL_MAX_D}, got d=100000")
+    assert peak < 1 << 20
 
 
 class TestQkd:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,21 @@ class TestNamedBases:
     def test_unsupported_dim(self):
         with pytest.raises(ValueError):
             build_named_basis("pauli", 3)
+
+    def test_weyl_dimension_cap(self, monkeypatch):
+        # the basis and its overlap check hold 16 d^4 bytes each (16 MiB at
+        # d = 32), not one (D, D, d, d) product of 16 d^6 bytes
+        tracemalloc.start()
+        try:
+            assert build_named_basis("weyl", muub.WEYL_MAX_D).D == muub.WEYL_MAX_D ** 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * muub.WEYL_MAX_D ** 4
+        monkeypatch.setattr(muub, "_weyl_basis", lambda d: pytest.fail(f"built d={d}"))
+        d = muub.WEYL_MAX_D + 1
+        with pytest.raises(ValueError, match=rf"^weyl basis needs d <= {d - 1}, got d={d}$"):
+            build_named_basis("weyl", d)
 
     def test_json_roundtrip(self):
         b = build_named_basis("weyl", 3)
@@ -333,6 +350,15 @@ class TestStackedOverlaps:
         np.testing.assert_allclose(embedded_cross_overlaps(weyl, other),
                                    oracles.pairwise_hs_overlaps(weyl, other, 3),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cross_overlaps_match_hs_overlap(self, d, gen):
+        a = qmath.haar_random_unitary(d, gen, shape=(d * d,))
+        b = np.stack(build_named_basis("weyl", d).elements)
+        for x, y in ((a, b), (b, a), (b, b), (a[:3], a)):
+            got = muub._cross_overlaps(x, y)
+            assert got.shape == (len(x), len(y))
+            np.testing.assert_allclose(got, hs_overlap(x[:, None], y), rtol=0, atol=1e-12)
 
     def test_are_muub_overlaps_match_pairwise_oracle(self):
         import oracles

@@ -7,6 +7,7 @@ from qtesters.tester import (
     LeakyMeasurementError,
     Tester,
     TesterSet,
+    TesterStack,
     are_equivalent,
     can_distinguish,
     is_complete_set,
@@ -14,6 +15,7 @@ from qtesters.tester import (
     named_tester,
     named_tester_set,
     outcome_distribution,
+    outcome_probabilities,
     random_tester,
     shannon_entropy,
 )
@@ -101,6 +103,32 @@ def test_tester_set_rows_equal_single_tester_calls(gen, d, bipartite):
     for i, t in enumerate(s):
         assert np.array_equal(p[i], outcome_distribution(t, us))
         assert np.array_equal(outcome_distribution(s, us[1, 2])[i], outcome_distribution(t, us[1, 2]))
+
+
+@pytest.mark.parametrize("d,bipartite", [(2, False), (3, False), (2, True), (3, True)])
+def test_tester_stack_rows_equal_single_tester_calls(gen, d, bipartite):
+    # members with their own projectors: no shared measurement
+    testers = tuple(random_tester(d, gen, bipartite=bipartite) for _ in range(3))
+    s = TesterStack(testers, d)
+    us = qmath.haar_random_unitary(d, gen, shape=(2, 3))
+    p = outcome_probabilities(s, us)
+    assert p.shape == (3, 2, 3, testers[0].n_outcomes)
+    for i, t in enumerate(testers):
+        assert p[i].tobytes() == outcome_probabilities(t, us).tobytes()
+        for idx in np.ndindex(2, 3):
+            assert p[i][idx].tobytes() == outcome_probabilities(t, us[idx]).tobytes()
+
+
+def test_tester_stack_rejects_mixed_members(gen, leaky_tester):
+    plain, bip = random_tester(2, gen), random_tester(2, gen, bipartite=True)
+    with pytest.raises(ValueError, match=r"^testers have mixed probe or projector shapes$"):
+        TesterStack((plain, bip), 2)
+    with pytest.raises(ValueError, match=r"^testers have mixed probe or projector shapes$"):
+        TesterStack((bip, leaky_tester), 2)
+    with pytest.raises(ValueError, match=r"^testers have mixed dimensions$"):
+        TesterStack((plain, random_tester(3, gen)), 2)
+    with pytest.raises(ValueError, match=r"^empty tester set$"):
+        TesterStack((), 2)
 
 
 def test_tester_set_leak_raises(leaky_tester):
