@@ -269,7 +269,7 @@ def _suite_muub(seed: int) -> list:
     checks = []
     for name, d in (("pauli", 2), ("rotation", 2), ("hadamard-pair", 2),
                     ("pauli-unbiased", 2), ("weyl", 2), ("weyl", 3)):
-        ok = muub.is_orthogonal_unitary_basis(muub.build_named_basis(name, d))
+        ok = muub.is_orthogonal_unitary_basis(muub.build_named_basis(name, d).elements)
         checks.append({"name": f"named-basis-{name}-d{d}", "pass": bool(ok)})
     rot = muub.build_named_basis("rotation", 2)
     had = muub.build_named_basis("hadamard-pair", 2)

@@ -13,6 +13,9 @@ structure results that connect tester statistics to such bases:
 * maximal-bound check: two unitary families that are deterministic for one
   complete tester set while uniform for the other form a MUUB pair, with
   every embedded cross overlap inside [0, D].
+
+A ``UnitaryBasis`` holds its elements as one read-only (D, d, d) array, and
+``hs_overlap`` gives the overlap of one pair or of every pair of two stacks.
 """
 
 from __future__ import annotations
@@ -45,57 +48,55 @@ WEYL_MAX_D = 32
 def hs_overlap(u: np.ndarray, v: np.ndarray):
     """Squared Hilbert-Schmidt overlap |Tr(u^dag v)|^2 = |sum_ij conj(u_ij) v_ij|^2.
 
-    ``u`` and ``v`` of shapes (..., d, d) broadcast over leading axes: a float
-    for two matrices, an array for stacks (``hs_overlap(a[:, None], b)`` for
-    every pair of the stacks ``a`` and ``b``).
+    For two d x d matrices it is a float.  For an (n, d, d) stack ``u`` and
+    an (m, d, d) stack ``v`` it is the (n, m) array of the overlap of every
+    pair (u_i, v_j): one product of the flattened stacks, |U^* V^T|^2, so no
+    (n, m, d, d) temporary is formed.  Any other pair of shapes raises
+    ValueError.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape[-2:] != v.shape[-2:]:
-        raise ValueError("operators have different shapes")
-    ov = np.abs((u.conj() * v).sum(axis=(-2, -1))) ** 2
-    return float(ov) if ov.ndim == 0 else ov
-
-
-def _cross_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``hs_overlap`` of every pair (a_i, b_j) of two (n, d, d) stacks, as
-    an (n_a, n_b) array: one product of the flattened stacks, so no
-    (n_a, n_b, d, d) temporary is formed."""
-    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
-    return np.abs(a.conj() @ b.T) ** 2
+    if u.ndim != v.ndim or u.ndim not in (2, 3) or u.shape[-2:] != v.shape[-2:]:
+        raise ValueError(f"operators of shapes {u.shape} and {v.shape} do not pair")
+    size = u.shape[-2] * u.shape[-1]
+    ov = np.abs(u.reshape(-1, size).conj() @ v.reshape(-1, size).T) ** 2
+    return float(ov[0, 0]) if u.ndim == 2 else ov
 
 
 def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
-    """True iff all elements are unitary, pairwise Hilbert-Schmidt orthogonal,
-    and their count is d or d^2."""
-    els = [np.asarray(e, dtype=complex) for e in elements]
-    if not els or els[0].ndim != 2:
+    """True iff the elements (a sequence of matrices or one (D, d, d) stack)
+    are d x d unitaries, pairwise Hilbert-Schmidt orthogonal, and their
+    count is d or d^2."""
+    try:
+        els = np.asarray(elements, dtype=complex)
+    except ValueError:  # matrices of different shapes
         return False
-    d = els[0].shape[0]
-    if len(els) not in (d, d * d):
+    if els.ndim != 3 or not els.size or len(els) not in (els.shape[1], els.shape[1] ** 2):
         return False
-    if any(e.shape != (d, d) for e in els):
-        return False
-    els = np.stack(els)
     if not qmath.is_unitary(els, tol):
         return False
-    off_diagonal = _cross_overlaps(els, els)[~np.eye(len(els), dtype=bool)]
+    off_diagonal = hs_overlap(els, els)[~np.eye(len(els), dtype=bool)]
     return bool((off_diagonal <= tol * tol).all())
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryBasis:
-    """Pairwise HS-orthogonal unitaries spanning a D in {d, d^2} subspace."""
+    """Pairwise HS-orthogonal unitaries spanning a D in {d, d^2} subspace.
+
+    ``elements`` is one read-only complex (D, d, d) array, copied from the
+    given matrices and checked once on construction.
+    """
 
     dim: int
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        els = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not is_orthogonal_unitary_basis(els):
+        if not is_orthogonal_unitary_basis(self.elements):
             raise ValueError("elements are not an orthogonal unitary basis of size d or d^2")
-        if els[0].shape[0] != self.dim:
+        els = np.array(self.elements, dtype=complex)
+        if els.shape[1] != self.dim:
             raise ValueError("element dimension does not match dim")
+        els.setflags(write=False)
         object.__setattr__(self, "elements", els)
 
     @property
@@ -145,7 +146,7 @@ def are_muub(a: UnitaryBasis, b: UnitaryBasis, tol: float = KAPPA_TOL) -> MuubRe
         raise ValueError("bases span subspaces of different sizes")
     d, dd = a.dim, a.D
     expected = 1.0 if dd == d * d else float(d)
-    overlaps = _cross_overlaps(np.stack(a.elements), np.stack(b.elements))
+    overlaps = hs_overlap(a.elements, b.elements)
     mean = float(overlaps.mean())
     constant = bool(np.max(np.abs(overlaps - mean)) <= tol)
     verdict = constant and abs(mean - expected) <= tol
@@ -274,7 +275,7 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
                 if is_eigenoperator(w, psi, tol):
                     failures.append(f"U_{m}^dag U_{n} is an eigenoperator of a probe")
     hypothesis = not failures
-    overlaps = hs_overlap(us[:, None], us)
+    overlaps = hs_overlap(us, us)
     s1_pass = True
     for m, n in zip(*np.triu_indices(len(us), 1)):
         if overlaps[m, n] > tol * tol:
@@ -318,7 +319,7 @@ def embedded_cross_overlaps(a: UnitaryBasis, b: UnitaryBasis) -> np.ndarray:
     overlaps are d^2 times the bare ones, and no embedding is formed.
     """
     scale = a.dim ** 2 if a.D == a.dim ** 2 else 1
-    return scale * hs_overlap(np.stack(a.elements)[:, None], np.stack(b.elements))
+    return scale * hs_overlap(a.elements, b.elements)
 
 
 def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
@@ -334,15 +335,16 @@ def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     tester, then per element.
     """
     dd = fam1.D
-    us = np.concatenate((np.stack(fam1.elements), np.stack(fam2.elements)))
+    us = np.concatenate((fam1.elements, fam2.elements))
     rows = tuple(outcome_distribution(ts, us) for ts in (s1, s2))
     hs = [shannon_entropy(r).reshape(len(r), 2, dd) for r in rows]
     failures = []
     for s, f in ((0, 0), (0, 1), (1, 1), (1, 0)):
         expect, target = ("deterministic", 0.0) if s == f else ("uniform", np.log2(dd))
         h = hs[s][:, f]
-        failures += [f"set{s + 1}/family{f + 1}: tester {(s1, s2)[s].testers[i].label} entropy "
-                     f"{h[i, j]:.6f} bits, expected {expect}"
+        failures += [f"set{s + 1}/family{f + 1} element {j}: tester "
+                     f"{(s1, s2)[s].testers[i].label} entropy {h[i, j]:.6f} bits, "
+                     f"expected {expect}"
                      for i, j in zip(*np.nonzero(np.abs(h - target) > tol))]
     return rows, failures
 
@@ -377,7 +379,7 @@ def _partner_objective(basis: UnitaryBasis):
     P_k^dag P_l, formed once.
     """
     d, dd = basis.dim, basis.D
-    els = np.stack(basis.elements)
+    els = basis.elements
     pairs = (np.swapaxes(els.conj(), -1, -2)[:, None] @ els[None]).reshape(dd * dd, d * d)
 
     def g(v):

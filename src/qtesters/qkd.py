@@ -359,9 +359,11 @@ def default_lm05_config(rounds: int = 100_000, control_fraction: float = 0.0,
 
 def _lm05_tables(cfg: ProtocolConfig):
     testers = [t for s in cfg.tester_sets for t in s]
-    enc = np.stack(cfg.encoding_sets[0].elements)
-    if cfg.d != 2 or len(enc) != 2 or len(testers) != 4:
-        raise ConfigError("the qubit protocol needs d=2, two 2-member tester sets and 2 encodings")
+    fams = cfg.encoding_sets
+    if cfg.d != 2 or len(fams) != 1 or fams[0].D != 2 or len(testers) != 4:
+        raise ConfigError("the qubit protocol needs d=2, two 2-member tester sets and one family "
+                          f"of 2 encodings; encoding families: {len(fams)}")
+    enc = fams[0].elements
     if any(t.is_bipartite for t in testers):
         raise ConfigError("the qubit protocol uses ancilla-free testers")
     probes = np.concatenate([s.input for s in cfg.tester_sets])[:, :, None]  # columns

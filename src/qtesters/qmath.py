@@ -61,21 +61,15 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def as_state(v, unnormalized: bool = False, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a pure-state vector (unit norm unless explicitly waived)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ValueError("state has non-finite entries")
-    if not unnormalized:
-        nrm2 = float(np.vdot(v, v).real)
-        if abs(nrm2 - 1.0) > tol:
-            raise ValueError(f"state norm^2 = {nrm2!r} is not 1 within {tol}")
-    return v
+def as_state(v, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Validate a pure-state vector: finite entries and unit norm within tol.
+    It is ``as_states`` on the vector as one row."""
+    return as_states(np.asarray(v, dtype=complex).reshape(1, -1), tol)[0]
 
 
 def as_states(vs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``as_state`` for every row of an (n, size) stack at once, with its
-    checks and messages; the first failing row is reported."""
+    """Validate every row of an (n, size) stack as a pure-state vector, with
+    finite entries and unit norm within tol; the first failing row is reported."""
     vs = np.asarray(vs, dtype=complex)
     if not np.isfinite(vs).all():
         raise ValueError("state has non-finite entries")

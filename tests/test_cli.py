@@ -291,6 +291,17 @@ class TestQkd:
         assert code == 2 and report["status"] == "error"
         assert "encoding_sets" in report["payload"]["error"]
 
+    def test_lm05_second_encoding_family_exits_2(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "rounds": 10, "tester_sets": ["z", "x"],
+            "encoding_sets": ["rotation", "hadamard-pair"],
+        }))
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--config", str(cfgfile),
+                                  "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert "encoding families: 2" in report["payload"]["error"]
+
     def test_extended_rejects_control_fraction(self, capsys):
         code, report, _ = run_cli(capsys, "qkd", "extended", "--rounds", "10",
                                   "--control-fraction", "0.5", "--json-only")

@@ -69,6 +69,15 @@ class TestOrthogonalUnitaryBasis:
         with pytest.raises(ValueError):
             UnitaryBasis(dim=2, elements=(I2, H_ROT))
 
+    def test_elements_are_one_read_only_copy(self):
+        given = np.stack([I2, 1j * qmath.SIGMA_Y])
+        b = UnitaryBasis(dim=2, elements=given)
+        assert b.elements.shape == (2, 2, 2) and b.elements.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            b.elements[0, 0, 0] = 0
+        given[0] = 0
+        np.testing.assert_array_equal(b.elements[0], I2)
+
 
 class TestAreMuub:
     def test_rotation_vs_hadamard_pair(self):
@@ -310,23 +319,38 @@ class TestStackedOverlaps:
     def test_scalar_call_returns_float(self):
         assert isinstance(hs_overlap(I2, H_ROT), float)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stacks_match_pairwise_oracle(self, d, gen):
+        # a Haar stack of D = d unitaries and the D = d^2 Weyl basis, both orders
         import oracles
 
-        a = qmath.haar_random_unitary(d, gen, shape=(3,))
-        b = qmath.haar_random_unitary(d, gen, shape=(4,))
-        got = hs_overlap(a[:, None], b)
-        assert got.shape == (3, 4)
-        np.testing.assert_allclose(got, oracles.pairwise_hs_overlaps(a, b), rtol=0, atol=1e-12)
-        # same-shape stacks pair row by row
-        paired = hs_overlap(a, b[:3])
-        np.testing.assert_allclose(paired, np.diag(oracles.pairwise_hs_overlaps(a, b[:3])),
-                                   rtol=0, atol=1e-12)
+        a = qmath.haar_random_unitary(d, gen, shape=(d,))
+        b = build_named_basis("weyl", d).elements
+        for x, y in ((a, b), (b, a), (b, b), (a[:1], a)):
+            got = hs_overlap(x, y)
+            assert got.shape == (len(x), len(y))
+            np.testing.assert_allclose(got, oracles.pairwise_hs_overlaps(x, y),
+                                       rtol=0, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            hs_overlap(I2, np.eye(3))
+        stack = np.stack([I2, H_ROT])
+        for u, v in ((I2, np.eye(3)), (stack, np.eye(3)[None]), (I2, stack), (stack, I2),
+                     (stack[None], stack[None]), (I2[0], I2[0])):
+            with pytest.raises(ValueError, match="do not pair"):
+                hs_overlap(u, v)
+
+    def test_embedded_cross_overlaps_memory(self):
+        # the (256, 256) overlaps of two d = 16 Weyl bases take 1 MiB; a
+        # (D, D, d, d) temporary would take 256 MiB
+        a, b = build_named_basis("weyl", 16), build_named_basis("weyl", 16)
+        tracemalloc.start()
+        try:
+            cross = embedded_cross_overlaps(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cross.shape == (256, 256)
+        assert peak <= 8 * 2 ** 20
 
     @pytest.mark.parametrize("pair", [("rotation", "hadamard-pair"), ("pauli", "pauli-unbiased")])
     def test_embedded_cross_overlaps_match_kron_oracle(self, pair, gen):
@@ -350,15 +374,6 @@ class TestStackedOverlaps:
         np.testing.assert_allclose(embedded_cross_overlaps(weyl, other),
                                    oracles.pairwise_hs_overlaps(weyl, other, 3),
                                    rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_cross_overlaps_match_hs_overlap(self, d, gen):
-        a = qmath.haar_random_unitary(d, gen, shape=(d * d,))
-        b = np.stack(build_named_basis("weyl", d).elements)
-        for x, y in ((a, b), (b, a), (b, b), (a[:3], a)):
-            got = muub._cross_overlaps(x, y)
-            assert got.shape == (len(x), len(y))
-            np.testing.assert_allclose(got, hs_overlap(x[:, None], y), rtol=0, atol=1e-12)
 
     def test_are_muub_overlaps_match_pairwise_oracle(self):
         import oracles
@@ -412,12 +427,13 @@ class TestPropChecksOnStacks:
                                 (s2, "uniform", "set2/family1")):
             target = 0.0 if expect == "deterministic" else 1.0
             for t in ts:
-                for u in rot:
+                for j, u in enumerate(rot):
                     h = shannon_entropy(outcome_distribution(t, u))
                     if abs(h - target) > 1e-6:
-                        want.append(f"{who}: tester {t.label} entropy {h:.6f} bits, "
+                        want.append(f"{who} element {j}: tester {t.label} entropy {h:.6f} bits, "
                                     f"expected {expect}")
         assert want and [f for f in rep.failures if " entropy " in f] == want
+        assert len(set(want)) == len(want)
 
     def test_maximal_family_shape_mismatch_raises(self):
         s1, s2 = named_tester_set("z"), named_tester_set("xcomp")

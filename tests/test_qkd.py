@@ -589,21 +589,27 @@ class TestTableErrors:
     """
 
     ZX = (named_tester_set("z"), named_tester_set("x"))
-    QUBIT_COUNT = r"^the qubit protocol needs d=2, two 2-member tester sets and 2 encodings$"
+    QUBIT_COUNT = (r"^the qubit protocol needs d=2, two 2-member tester sets and one family of "
+                   r"2 encodings; encoding families: {}$")
 
     def test_lm05_needs_d_2(self):
         cfg = _config((_computational_set(3),) * 2, (build_named_basis("weyl", 3),), D=9, d=3)
-        with pytest.raises(ConfigError, match=self.QUBIT_COUNT):
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT.format(1)):
             run_lm05(cfg)
 
     def test_lm05_needs_2_encodings(self):
-        with pytest.raises(ConfigError, match=self.QUBIT_COUNT):
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT.format(1)):
             run_lm05(_config(self.ZX, (build_named_basis("pauli", 2),), D=4))
+
+    def test_lm05_needs_one_family(self):
+        encs = (build_named_basis("rotation", 2), build_named_basis("hadamard-pair", 2))
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT.format(2)):
+            run_lm05(_config(self.ZX, encs))
 
     def test_lm05_needs_4_testers(self):
         cfg = _config((named_tester_set("bell"), named_tester_set("z")),
                       (build_named_basis("rotation", 2),))
-        with pytest.raises(ConfigError, match=self.QUBIT_COUNT):
+        with pytest.raises(ConfigError, match=self.QUBIT_COUNT.format(1)):
             run_lm05(cfg)
 
     def test_lm05_probe_not_a_measurement_state(self):
@@ -634,9 +640,9 @@ class TestTableErrors:
 
     def test_extended_hypothesis_message(self):
         encs = (build_named_basis("rotation", 2), build_named_basis("hadamard-pair", 2))
-        failure = "set2/family2: tester {} entropy 1.000000 bits, expected deterministic"
+        failure = "set2/family2 element {}: tester {} entropy 1.000000 bits, expected deterministic"
         want = ("tester sets are not deterministic/uniform on the encoding families: "
-                + "; ".join(failure.format(t) for t in ("+X", "+X", "-X")))
+                + "; ".join(failure.format(j, t) for j, t in ((0, "+X"), (1, "+X"), (0, "-X"))))
         with pytest.raises(HypothesisViolation) as info:
             run_extended(_config(self.ZX, encs))
         assert str(info.value) == want

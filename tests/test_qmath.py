@@ -213,10 +213,12 @@ class TestUnitaryMapping:
 
 class TestValidation:
     def test_as_state_norm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^state norm\^2 = 2\.0 is not 1 within 1e-09$"):
             qmath.as_state([1.0, 1.0])
-        v = qmath.as_state([1.0, 1.0], unnormalized=True)
-        assert v.size == 2
+        with pytest.raises(ValueError, match="^state has non-finite entries$"):
+            qmath.as_state([np.nan, 1.0])
+        v = qmath.as_state(np.eye(2)[:, :1])
+        assert v.shape == (2,) and v.dtype == complex
 
     def test_as_states_checks_every_row(self):
         ok = qmath.as_states(np.eye(3))
