@@ -375,6 +375,17 @@ class TestStackedOverlaps:
                                    oracles.pairwise_hs_overlaps(weyl, other, 3),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cross_overlaps_match_hs_overlap(self, d, gen):
+        # the stacked call agrees with the scalar call on every pair
+        a = qmath.haar_random_unitary(d, gen, shape=(d * d,))
+        b = build_named_basis("weyl", d).elements
+        for x, y in ((a, b), (b, a), (b, b), (a[:3], a)):
+            got = hs_overlap(x, y)
+            assert got.shape == (len(x), len(y))
+            want = [[hs_overlap(p, q) for q in y] for p in x]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_are_muub_overlaps_match_pairwise_oracle(self):
         import oracles
 
