@@ -2,30 +2,25 @@
 
 The bound for a pair of testers is the infimum over all unitaries of the
 summed outcome entropies.  ``estimate_bound`` searches for it with
-multi-start Nelder-Mead over a traceless-Hermitian-generator
-parameterization of SU(d); the global phase is dropped because it provably
-leaves every outcome distribution unchanged.  The search result is an
-upper bound on the true infimum together with a per-start trace, never a
-certificate.
+multi-start Riemannian steepest descent on U(d) (Abrudan, Eriksson &
+Koivunen, IEEE TSP 56(3), 1134, 2008): each step multiplies the unitary by
+the exp of its traceless Hermitian gradient, so the global phase, which
+leaves every outcome distribution unchanged, never moves.  The search
+result is an upper bound on the true infimum together with a per-start
+trace, never a certificate.
 
 ``_multistart`` is the one search, shared with the MUUB partner search.
-Its objectives see stacks of unitaries: the su(d) coordinates and their
+Its objectives see stacks of unitaries and return their values and
+Hermitian gradients; the su(d) coordinates of the start points and their
 exp map are private to the search, which returns each start's unitary.
 
-All starts of a search run in lockstep: each simplex step evaluates the
-objective once on the stacked points of every live start, so the cost of a
-step is a few stacked numpy calls, not one Python call per start.  With
-1-8 matrices of 2 x 2 to 4 x 4 per call, that fixed cost of each numpy call,
-not the arithmetic, is what a step spends its time on, so a step makes as
-few calls as it can: the entropy objective takes both testers of a pair
-through one Born-rule product and one entropy call when they have one probe
-and projector shape, and the search skips its stop tests at boundaries
-where no start can stop.  The starts stay independent: the exp map and the
-objective compute each row with stacked (per-matrix) products and last-axis
-reductions only, so a start's values do not depend on which other starts
-share a call, and every start follows the path that scipy's non-adaptive
-Nelder-Mead takes from the same point (up to the evaluation-budget stop
-described in ``_multistart``).
+All starts of a search run in lockstep: each iteration evaluates the
+objective once on the stacked trial points of every live start, so the
+cost of an iteration is a few stacked numpy calls, not one Python call per
+start.  The starts stay independent: the exp maps and the objective
+compute each row with stacked (per-matrix) products, ``eigh`` and last-axis
+reductions only, so a start's path does not depend on which other starts
+share a call.
 """
 
 from __future__ import annotations
@@ -40,8 +35,8 @@ from .qmath import RngHandle
 from .tester import (
     Tester,
     TesterStack,
+    outcome_amplitudes,
     outcome_distribution,
-    outcome_probabilities,
     shannon_entropy,
 )
 
@@ -52,7 +47,7 @@ TRIVIAL_SATURATION_TOL = 1e-6  # bits
 class SearchConfig:
     starts: int = 16
     max_iterations: int = 2000
-    tolerance: float = 1e-10  # bits; function-value convergence target
+    tolerance: float = 1e-10  # gradient-norm stop of estimate_bound's starts
     rng: RngHandle = field(default_factory=lambda: RngHandle(seed=0))
 
     def __post_init__(self):
@@ -68,9 +63,9 @@ class SearchConfig:
 class BoundEstimate:
     """Best entropy sum found, the unitary achieving it, the per-start
     (initial value, final value) trace, and per start the objective
-    evaluations, the iterations (counted as scipy counts them) and whether
-    the start met its tolerances before ``max_iterations`` or the evaluation
-    budget."""
+    evaluations, the descent iterations and whether the start stopped
+    before ``max_iterations`` (at a gradient norm of at most the tolerance,
+    or at a vanishing step)."""
 
     value: float
     minimizer: np.ndarray
@@ -140,25 +135,21 @@ def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-# scipy's non-adaptive Nelder-Mead and its initial simplex's relative and
-# zero steps.  With reflection coefficient 1, every trial point is
-# c * xbar - (c - 1) * worst, for c = 2 (reflect), 3 (expand, coefficient 2),
-# 3/2 and 1/2 (outside and inside contraction, coefficient 1/2); this rounds
-# exactly as scipy's formulas do.  Shrinks halve each vertex's offset.
-_REFLECT, _EXPAND, _OUTSIDE, _INSIDE = 2.0, 3.0, 1.5, 0.5
-_SIGMA = 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
+# Armijo sufficient-decrease fraction; the first step size, the clip range of
+# the Barzilai-Borwein step, and the step size below which a start stops
+_ARMIJO = 1e-4
+_MU_START, _MU_LOW, _MU_HIGH, _MU_STOP = 0.5, 1e-6, 1e3, 1e-14
 
 
 class _Runs(NamedTuple):
     """Per-start results of ``_multistart``, in start order."""
 
-    u: np.ndarray          # (starts, d, d) unitary at the best vertex of each final simplex
+    u: np.ndarray          # (starts, d, d) unitary where each start stopped
     initial: np.ndarray    # objective at each start point
     final: np.ndarray      # objective at u
     nfev: np.ndarray
-    nit: np.ndarray        # 1 + simplex steps taken, as scipy counts
-    converged: np.ndarray  # stopped by the xatol/fatol test
+    nit: np.ndarray
+    converged: np.ndarray  # stopped before the iteration cap
 
     @property
     def best(self) -> int:
@@ -166,120 +157,90 @@ class _Runs(NamedTuple):
         return int(np.argmin(self.final))
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple:
-    """Order each simplex's vertices by value, with scipy's default argsort."""
-    ind = np.argsort(fsim, axis=-1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, ind], fsim[rows, ind]
+def _traceless(omega: np.ndarray) -> np.ndarray:
+    d = omega.shape[-1]
+    return omega - (np.trace(omega, axis1=-2, axis2=-1) / d)[:, None, None] * np.eye(d)
 
 
-def _multistart(g, d: int, cfg: SearchConfig, xatol: float, fatol: float) -> _Runs:
-    """Nelder-Mead over su(d) coordinates from cfg.starts points drawn
-    uniformly in [-pi, pi)^(d^2 - 1), all starts in lockstep.
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a^dag b) for each pair of rows of two (k, d, d) stacks."""
+    return (a.conj() * b).real.reshape(len(a), -1).sum(-1)
 
-    Every simplex point is mapped through ``unitary_from_params``, and ``g``
-    maps the resulting (k, d, d) stack of unitaries to their k values; it
-    must compute each row independently of the others.  The coordinates
-    stay inside this function: each start's result is its unitary.  Every
-    start takes the steps of scipy's non-adaptive Nelder-Mead with options
-    ``xatol``, ``fatol``, ``maxiter=cfg.max_iterations`` and
-    ``maxfev=4*cfg.max_iterations``, with one difference: a start stops at
-    the first iteration boundary where its evaluation count has reached
-    maxfev, where scipy stops mid-iteration.  Per step, one call of ``g``
-    evaluates the reflections of all live starts, one more the single
-    further point (expansion, outside or inside contraction) of each start
-    that needs one, and one more the shrunk simplices of the starts that
-    shrink.  The rest of a step is a fixed number of small array operations
-    over all live starts: the stop tests run only at a boundary where some
-    start can stop (the last iteration, the evaluation budget reached, or a
-    simplex whose values lie within ``fatol``), and the further point of
-    every live start is evaluated without a mask when all of them need one.
-    The starts are independent, and a caller reduces them in start order.
+
+def _multistart(g, d: int, cfg: SearchConfig, gtol: float) -> _Runs:
+    """Riemannian steepest descent on U(d) from cfg.starts points, all
+    starts in lockstep.
+
+    The start points are exp maps (``unitary_from_params``) of su(d)
+    coordinates drawn uniformly in [-pi, pi)^(d^2 - 1).  ``g`` maps a
+    (k, d, d) stack of unitaries to (values, omega): the k values and the
+    Hermitian gradients, df = tr(omega H) for U <- exp(iH) U; it must
+    compute each row independently of the others.  Each iteration, every
+    live start takes one trial step U <- exp(-i mu omega0) U, with omega0
+    the traceless part of omega, through one ``eigh``.  The step is kept
+    when f drops by at least 1e-4 mu |omega0|_F^2; then mu becomes the
+    Barzilai-Borwein step <s,s>/<s,y> (s = -mu omega0, y the change in
+    omega0), or 2 mu when <s,y> <= 0, clipped to [1e-6, 1e3].  A rejected
+    step halves mu, which starts at 0.5.  A start stops at |omega0|_F <=
+    gtol (or a gradient that is not finite), at mu < 1e-14, or after
+    ``cfg.max_iterations`` iterations, the only stop that leaves it not
+    converged.  Each iteration evaluates ``g`` once, so nfev = nit + 1.
+    The starts are independent: the first k starts of a run are a k-start
+    run's bit for bit, and a caller reduces them in start order.
     """
-    gens, n = su_generators(d), d * d - 1
-
-    def f(theta):
-        return g(unitary_from_params(theta, gens))
-
-    maxiter, maxfev = cfg.max_iterations, 4 * cfg.max_iterations
-    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, n))
-    k = np.arange(n)
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
-    fsim = f(sim.reshape(-1, n)).reshape(cfg.starts, n + 1)
-    initial = fsim[:, 0].copy()
-    # sorted twice, as scipy does: with ties, argsort of sorted values need
-    # not be the identity
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
-    # per-start results, filled in as each start stops
-    x, final = np.empty((cfg.starts, n)), np.empty(cfg.starts)
-    nfev, nit = np.empty(cfg.starts, dtype=int), np.empty(cfg.starts, dtype=int)
+    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, d * d - 1))
+    u = unitary_from_params(x0, su_generators(d))
+    f, omega = g(u)
+    omega, initial = _traceless(omega), f.copy()
+    mu = np.full(cfg.starts, _MU_START)
+    final, nit = np.empty(cfg.starts), np.empty(cfg.starts, dtype=int)
     converged = np.empty(cfg.starts, dtype=bool)
-    # sim, fsim and nf hold the live starts only, listed in live; all of
-    # them have taken the same number of steps, it - 1
-    live, nf, it = np.arange(cfg.starts), np.full(cfg.starts, n + 1), 1
+    # u, f, omega and mu hold the live starts only, listed in live; all of
+    # them have taken it iterations
+    live, it, out = np.arange(cfg.starts), 0, np.empty_like(u)
     while True:
-        # scipy's tolerance test; the vertices are sorted by value, so the
-        # largest |f_0 - f_j| is f_n - f_0, and the x test runs only when
-        # some start passes the f test
-        near = fsim[:, -1] - fsim[:, 0] <= fatol
-        if it >= maxiter or nf.max() >= maxfev or near.any():
-            over = nf >= maxfev if it < maxiter else np.ones(live.size, dtype=bool)
-            done = ~over & near
-            if done.any():
-                done &= np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
-            stop = over | done
-            if stop.any():
-                gone = live[stop]
-                x[gone], final[gone] = sim[stop, 0], fsim[stop, 0]
-                nfev[gone], nit[gone], converged[gone] = nf[stop], it, done[stop]
-                live, sim, fsim, nf = live[~stop], sim[~stop], fsim[~stop], nf[~stop]
-                if live.size == 0:
-                    return _Runs(unitary_from_params(x, gens), initial, final, nfev, nit,
-                                 converged)
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        # (_REFLECT - 1) * worst is worst, exactly
-        xr = _REFLECT * xbar - worst
-        fxr = f(xr)
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        second = ~accept
-        outside = ~expand & second & (fxr < fsim[:, -1])
-        c = np.where(expand, _EXPAND, np.where(outside, _OUTSIDE, _INSIDE))[:, None]
-        x2 = c * xbar - (c - 1) * worst
-        if second.all():
-            f2 = f(x2)
-        else:
-            f2 = np.full_like(fxr, np.nan)
-            if second.any():
-                f2[second] = f(x2[second])
-        # the second point replaces the worst vertex if the expansion beats
-        # the reflection, the outside contraction is no worse than it, or the
-        # inside contraction beats the worst vertex; a failed contraction
-        # shrinks the simplex; otherwise the reflection replaces it
-        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
-        use2 = second & better
-        shrink = second & ~expand & ~better
-        shrinking = shrink.any()
-        if shrinking:
-            # taken before the worst vertex is replaced below
-            sh = sim[shrink]
-            sh[:, 1:] = sh[:, :1] + _SIGMA * (sh[:, 1:] - sh[:, :1])
-        sim[:, -1] = np.where(use2[:, None], x2, xr)
-        fsim[:, -1] = np.where(use2, f2, fxr)
-        nf += 1 + second
-        if shrinking:
-            sim[shrink] = sh
-            fsim[shrink, 1:] = f(sh[:, 1:].reshape(-1, n)).reshape(-1, n)
-            nf[shrink] += n
+        sq = _inner(omega, omega)
+        done = (sq <= gtol * gtol) | ~np.isfinite(sq) | (mu < _MU_STOP)
+        stop = done | (it >= cfg.max_iterations)
+        if stop.any():
+            gone = live[stop]
+            out[gone], final[gone], nit[gone], converged[gone] = u[stop], f[stop], it, done[stop]
+            keep = ~stop
+            live, u, f, omega, mu, sq = (a[keep] for a in (live, u, f, omega, mu, sq))
+            if live.size == 0:
+                return _Runs(out, initial, final, nit + 1, nit, converged)
+        w, v = np.linalg.eigh(omega)
+        rotation = (v * np.exp(-1j * mu[:, None] * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        u_try = rotation @ u
+        f_try, omega_try = g(u_try)
+        omega_try = _traceless(omega_try)
+        accept = f_try <= f - _ARMIJO * mu * sq
+        sy = -mu * _inner(omega, omega_try - omega)
+        bb = np.divide(mu * mu * sq, sy, out=2.0 * mu, where=sy > 0)
+        mu = np.where(accept, np.clip(bb, _MU_LOW, _MU_HIGH), 0.5 * mu)
+        u = np.where(accept[:, None, None], u_try, u)
+        f = np.where(accept, f_try, f)
+        omega = np.where(accept[:, None, None], omega_try, omega)
         it += 1
-        sim, fsim = _sort_simplices(sim, fsim)
+
+
+def _entropy_terms(t: Tester | TesterStack, u: np.ndarray) -> tuple:
+    """The outcome entropies of t at each unitary of u, and X = A C^dag,
+    whose anti-Hermitian part is their gradient: A is the probe after u,
+    and C = devec(M^dag (w . a)) with a the amplitudes, M the projector
+    matrix and w_k = dH/dp_k = -(log2 p_k + 1/ln 2), 0 where p_k = 0."""
+    sent, m, a = outcome_amplitudes(t, u)
+    p = np.abs(a) ** 2
+    seen = p > 0
+    w = np.where(seen, -(np.log2(np.where(seen, p, 1.0)) + 1.0 / np.log(2.0)), 0.0)
+    c = ((w * a)[..., None, :] @ m.conj()).reshape(sent.shape)
+    return shannon_entropy(p), sent @ c.conj().swapaxes(-1, -2)
 
 
 def _entropy_objective(t1: Tester, t2: Tester):
     """entropy_sum at each unitary of a (k, d, d) stack, without the per-call
-    checks, which the search does not need.
+    checks, which the search does not need, and its Hermitian gradient
+    omega = i (X - X^dag), with X summed over the two testers.
 
     Two testers of one probe and projector shape are one ``TesterStack``:
     one Born-rule product and one entropy call per evaluation give both
@@ -287,27 +248,32 @@ def _entropy_objective(t1: Tester, t2: Tester):
     is h1 + h2, each term the single-tester call's bit for bit.
     """
     if t1.projector_matrix().shape != t2.projector_matrix().shape:
-        def g(u):
-            return (shannon_entropy(outcome_probabilities(t1, u))
-                    + shannon_entropy(outcome_probabilities(t2, u)))
-        return g
-    pair = TesterStack((t1, t2), t1.dim)
+        def terms(u):
+            (h1, x1), (h2, x2) = _entropy_terms(t1, u), _entropy_terms(t2, u)
+            return h1 + h2, x1 + x2
+    else:
+        pair = TesterStack((t1, t2), t1.dim)
+
+        def terms(u):
+            h, x = _entropy_terms(pair, u)
+            return h[0] + h[1], x[0] + x[1]
 
     def g(u):
-        h = shannon_entropy(outcome_probabilities(pair, u))
-        return h[0] + h[1]
+        h, x = terms(u)
+        return h, 1j * (x - x.conj().swapaxes(-1, -2))
     return g
 
 
 def estimate_bound(t1: Tester, t2: Tester, cfg: SearchConfig) -> BoundEstimate:
-    """Multi-start simplex search for min_u of entropy_sum(t1, t2, u).
+    """Multi-start gradient descent for min_u of entropy_sum(t1, t2, u).
 
-    Deterministic per SearchConfig seed; the best value is monotone
-    nonincreasing in the number of starts.
+    A start converges when the Frobenius norm of its traceless gradient is
+    at most ``cfg.tolerance``.  Deterministic per SearchConfig seed; the
+    best value is monotone nonincreasing in the number of starts.
     """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    runs = _multistart(_entropy_objective(t1, t2), t1.dim, cfg, 1e-8, cfg.tolerance)
+    runs = _multistart(_entropy_objective(t1, t2), t1.dim, cfg, cfg.tolerance)
     best = runs.best
     return BoundEstimate(
         value=max(float(runs.final[best]), 0.0),

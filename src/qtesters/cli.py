@@ -269,7 +269,8 @@ def _suite_muub(seed: int) -> list:
     checks = []
     for name, d in (("pauli", 2), ("rotation", 2), ("hadamard-pair", 2),
                     ("pauli-unbiased", 2), ("weyl", 2), ("weyl", 3)):
-        ok = muub.is_orthogonal_unitary_basis(muub.build_named_basis(name, d).elements)
+        # the raw elements: the checked constructor would raise before a False
+        ok = muub.is_orthogonal_unitary_basis(muub._named_elements(name, d))
         checks.append({"name": f"named-basis-{name}-d{d}", "pass": bool(ok)})
     rot = muub.build_named_basis("rotation", 2)
     had = muub.build_named_basis("hadamard-pair", 2)
@@ -487,8 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t1", required=True, help="tester name or JSON file")
     sp.add_argument("--t2", required=True, help="tester name or JSON file")
     sp.add_argument("--starts", type=int, default=16)
-    sp.add_argument("--iters", type=int, default=2000)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--iters", type=int, default=2000,
+                    help="gradient-descent iterations per start at most; a start "
+                         "stopped by this cap is reported as not converged")
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="a start converges when the Frobenius norm of its traceless "
+                         "gradient on U(d) is at most this")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 

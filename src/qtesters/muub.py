@@ -178,34 +178,37 @@ def balanced_qubit_rotation() -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + 1j * (SIGMA_X + SIGMA_Y + SIGMA_Z))
 
 
+def _named_elements(name: str, d: int) -> tuple:
+    """The elements of a named basis, unchecked; a d out of range raises
+    ValueError before anything is allocated."""
+    if name == "weyl":
+        if d < 2:
+            raise ValueError("weyl basis needs d >= 2")
+        if d > WEYL_MAX_D:
+            raise ValueError(f"weyl basis needs d <= {WEYL_MAX_D}, got d={d}")
+        return _weyl_basis(d)
+    if d != 2:
+        raise ValueError(f"basis {name!r} is only defined for d=2")
+    i2 = np.eye(2, dtype=complex)
+    if name == "pauli":
+        return tuple(PAULIS)
+    if name == "rotation":
+        return (i2, 1j * SIGMA_Y)
+    if name == "hadamard-pair":
+        return ((i2 - 1j * SIGMA_Y) / np.sqrt(2), (i2 + 1j * SIGMA_Y) / np.sqrt(2))
+    if name == "pauli-unbiased":
+        v = balanced_qubit_rotation()
+        return tuple(p @ v for p in PAULIS)
+    raise ValueError(f"unknown basis name: {name!r}")
+
+
 def build_named_basis(name: str, d: int) -> UnitaryBasis:
     """Named bases: "pauli" (d=2), "rotation" {I, i sy} (d=2), "hadamard-pair"
     {(I -+ i sy)/sqrt 2} (d=2), "weyl" (2 <= d <= WEYL_MAX_D = 32: its
     elements and its orthogonality check take about 16 MB each at d = 32),
     "pauli-unbiased" (d=2).  A d out of range raises ValueError before
     anything is allocated."""
-    if name == "weyl":
-        if d < 2:
-            raise ValueError("weyl basis needs d >= 2")
-        if d > WEYL_MAX_D:
-            raise ValueError(f"weyl basis needs d <= {WEYL_MAX_D}, got d={d}")
-        return UnitaryBasis(dim=d, elements=_weyl_basis(d))
-    if d != 2:
-        raise ValueError(f"basis {name!r} is only defined for d=2")
-    i2 = np.eye(2, dtype=complex)
-    if name == "pauli":
-        return UnitaryBasis(dim=2, elements=tuple(PAULIS))
-    if name == "rotation":
-        return UnitaryBasis(dim=2, elements=(i2, 1j * SIGMA_Y))
-    if name == "hadamard-pair":
-        return UnitaryBasis(
-            dim=2,
-            elements=((i2 - 1j * SIGMA_Y) / np.sqrt(2), (i2 + 1j * SIGMA_Y) / np.sqrt(2)),
-        )
-    if name == "pauli-unbiased":
-        v = balanced_qubit_rotation()
-        return UnitaryBasis(dim=2, elements=tuple(p @ v for p in PAULIS))
-    raise ValueError(f"unknown basis name: {name!r}")
+    return UnitaryBasis(dim=d, elements=_named_elements(name, d))
 
 
 def rotation_span_samples(n: int = 16) -> list:
@@ -372,11 +375,14 @@ def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
 
 def _partner_objective(basis: UnitaryBasis):
     """Squared deviation of all cross overlaps |Tr(P_k^dag P_l V)|^2 from 1,
-    for each V of a (k, d, d) stack of unitaries.
+    for each V of a (k, d, d) stack of unitaries, and its Hermitian
+    gradient omega = (i/2)(Y - Y^dag) for V <- exp(iH) V, with
+    Y = sum_kl 4 r_kl conj(t_kl) V Q_kl, Q_kl = P_k^dag P_l,
+    t_kl = Tr(Q_kl V) and r_kl = |t_kl|^2 - 1.
 
-    Tr(P_k^dag P_l V) = sum_ij (P_k^dag P_l)_ij V_ji, so the D^2 traces for
-    one V are a single stacked matrix-vector product with the products
-    P_k^dag P_l, formed once.
+    Tr(Q_kl V) = sum_ij (Q_kl)_ij V_ji, so the D^2 traces for one V are a
+    single stacked matrix-vector product with the products Q_kl, formed
+    once, and the sum over Q_kl in Y is one product with the same matrix.
     """
     d, dd = basis.dim, basis.D
     els = basis.elements
@@ -385,7 +391,9 @@ def _partner_objective(basis: UnitaryBasis):
     def g(v):
         vt = np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (d * d, 1))
         traces = (pairs @ vt)[..., 0]
-        return ((np.abs(traces) ** 2 - 1.0) ** 2).sum(-1)
+        r = np.abs(traces) ** 2 - 1.0
+        y = v @ ((4.0 * r * traces.conj())[..., None, :] @ pairs).reshape(v.shape)
+        return (r ** 2).sum(-1), 0.5j * (y - y.conj().swapaxes(-1, -2))
     return g
 
 
@@ -395,17 +403,17 @@ def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
     Only meaningful for D = d^2 bases (where {P_j V} is automatically an
     orthogonal unitary basis of the full matrix space).  Minimizes the
     squared deviation of all cross overlaps from 1 with the lockstep
-    multi-start simplex descent used for bound estimation: the starts are
-    independent, and the first start with the least residual wins.  The
-    search tolerances are fixed (xatol 1e-10, fatol 1e-14); ``cfg`` supplies
-    the starts, the iteration limit and the seed, and ``cfg.tolerance`` is
-    not used.  Returns (partner, residual); the caller judges whether the
-    residual is small enough to accept.
+    multi-start gradient descent used for bound estimation: the starts are
+    independent, and the first start with the least residual wins.  A
+    start converges at a gradient norm of 1e-13, a fixed tolerance;
+    ``cfg`` supplies the starts, the iteration limit and the seed, and
+    ``cfg.tolerance`` is not used.  Returns (partner, residual); the
+    caller judges whether the residual is small enough to accept.
     """
     d = basis.dim
     if basis.D != d * d:
         raise ValueError("partner search is implemented for full bases (D = d^2) only")
-    runs = _multistart(_partner_objective(basis), d, cfg, 1e-10, 1e-14)
+    runs = _multistart(_partner_objective(basis), d, cfg, 1e-13)
     v = runs.u[runs.best]
     partner = UnitaryBasis(dim=d, elements=tuple(p @ v for p in basis))
     return partner, float(runs.final[runs.best])

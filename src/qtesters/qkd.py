@@ -400,7 +400,7 @@ def _lm05_tables(cfg: ProtocolConfig):
     resend = ket0 if cfg.eve.resend_policy == "fixed-zero" else probes
     # [b, m, bit]: encoding bit applied to state m of basis b, measured in basis b
     p_enc_state_basis = np.abs(cm[:, None, None] @ (enc @ states[:, :, None]))[..., 0] ** 2
-    tables = dict(
+    return dict(
         p_bob=_snap_rows(p_bob),
         self_idx=self_idx,
         basis_id=basis_id,
@@ -412,7 +412,6 @@ def _lm05_tables(cfg: ProtocolConfig):
         p_basis_state_tester=_snap_rows(np.abs(rows @ states[:, :, None])[..., 0] ** 2),
         p_basis_basis=_snap_rows(np.abs(cm @ states[:, :, None])[..., 0] ** 2),
     )
-    return testers, tables
 
 
 # draws columns: 0 bob tester, 1 alice mode, 2 alice bit/basis, 3 eve choice,
@@ -481,7 +480,7 @@ def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> Pro
     """Simulate the qubit protocol; optionally write a per-round CSV trace
     (see the module docstring) and record stage times in ``stages``."""
     def build():
-        _, tables = _lm05_tables(cfg)
+        tables = _lm05_tables(cfg)
         eve_kind = EVE_KINDS.index(cfg.eve.kind)
         cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
         return lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables)

@@ -168,22 +168,16 @@ def _share_projectors(testers, tol: float) -> bool:
     return bool(np.abs(m - m[0]).max() <= tol)
 
 
-def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
-    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d): the
-    Born rule for one tester, or for each member of a tester stack (a
-    tester set is one), which every entropy, bound and structure check
-    reads.
+def outcome_amplitudes(t: Tester | TesterStack, u: np.ndarray) -> tuple:
+    """The two products of the Born rule for u of shape (..., d, d):
+    (sent, m, amps), with ``sent`` the probe after u as (system, ancilla)
+    matrices, ``amps`` the amplitudes <chi_k| U |psi> = m vec(sent), and
+    ``m`` the projector matrix, broadcast against them.
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
-    one (a single column), with no Kronecker product formed.  A stack's
-    members each meet u through their own probe and projector matrix, so
-    they need not share projectors.  Every product is stacked per member
-    and unitary, so each row of the result is the same bit for bit whatever
-    else is in the stack: the structure checks take one call per tester set
-    over whole families, and the bound search one call per pair of testers
-    of one shape.  The QKD outcome tables evaluate the same rule as stacked
-    products over control states too, in ``qkd``.
+    one (a single column), with no Kronecker product formed.  For a tester
+    stack, the members' axis goes before u's stack axes.
     """
     psi = t.input.reshape(t.input.shape[:-1] + (t.dim, -1))
     m = t.projector_matrix()
@@ -191,9 +185,27 @@ def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
         ones = (1,) * (u.ndim - 2)
         psi = psi.reshape(psi.shape[:1] + ones + psi.shape[1:])
         m = m.reshape(m.shape[:1] + ones + m.shape[1:])
-    amps = u @ psi
-    amps = amps.reshape(amps.shape[:-2] + (t.input.shape[-1], 1))
-    return np.abs((m @ amps)[..., 0]) ** 2
+    sent = u @ psi
+    column = sent.reshape(sent.shape[:-2] + (t.input.shape[-1], 1))
+    return sent, m, (m @ column)[..., 0]
+
+
+def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
+    """Unchecked p_k = |<chi_k| U |psi>|^2 for u of shape (..., d, d): the
+    Born rule for one tester, or for each member of a tester stack (a
+    tester set is one), which every entropy, bound and structure check
+    reads.
+
+    The amplitudes are ``outcome_amplitudes``.  A stack's members each meet
+    u through their own probe and projector matrix, so they need not share
+    projectors.  Every product is stacked per member and unitary, so each
+    row of the result is the same bit for bit whatever else is in the
+    stack: the structure checks take one call per tester set over whole
+    families, and the bound search one call per pair of testers of one
+    shape.  The QKD outcome tables evaluate the same rule as stacked
+    products over control states too, in ``qkd``.
+    """
+    return np.abs(outcome_amplitudes(t, u)[2]) ** 2
 
 
 def outcome_distribution(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:

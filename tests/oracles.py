@@ -9,14 +9,13 @@ functions; the tests also re-run them at moderate resolution to keep the
 constants honest.  Some references are former library paths kept whole:
 ``gated_extended_p_out``, the D-ary protocol's earlier gate, which calls
 the library's own theorem check, ``sequential_unitary_mapping``, and
-``lockstep_multistart`` with ``pairwise_entropy_objective``, the bound
-search as it ran before its per-step cost was cut, which call the library's
-exp map and Born rule.
+``pairwise_entropy_objective``, the bound search's objective with one
+Born-rule product per tester, which calls the library's Born rule.
 """
 
 import numpy as np
 
-from qtesters import bounds, qmath
+from qtesters import qmath
 from qtesters.tester import outcome_probabilities, shannon_entropy
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -437,82 +436,9 @@ def sequential_unitary_mapping(source, target, gen):
 
 
 def pairwise_entropy_objective(t1, t2):
-    """``bounds._entropy_objective`` with one Born-rule product and one
-    entropy call per tester."""
+    """The values of ``bounds._entropy_objective``, with one Born-rule
+    product and one entropy call per tester."""
     def g(u):
         p1, p2 = outcome_probabilities(t1, u), outcome_probabilities(t2, u)
         return shannon_entropy(p1) + shannon_entropy(p2)
     return g
-
-
-def _sort_simplices(sim, fsim):
-    ind = np.argsort(fsim, axis=-1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, ind], fsim[rows, ind]
-
-
-def lockstep_multistart(g, d, cfg, xatol, fatol):
-    """``bounds._multistart`` with the stop bookkeeping at every step and
-    fancy-indexed simplex sorts: the lockstep search it must match bit for
-    bit."""
-    gens, n = bounds.su_generators(d), d * d - 1
-
-    def f(theta):
-        return g(bounds.unitary_from_params(theta, gens))
-
-    maxiter, maxfev = cfg.max_iterations, 4 * cfg.max_iterations
-    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, n))
-    k = np.arange(n)
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + bounds._NONZDELT) * x0, bounds._ZDELT)
-    fsim = f(sim.reshape(-1, n)).reshape(cfg.starts, n + 1)
-    initial = fsim[:, 0].copy()
-    sim, fsim = _sort_simplices(*_sort_simplices(sim, fsim))
-    x, final = np.empty((cfg.starts, n)), np.empty(cfg.starts)
-    nfev, nit = np.empty(cfg.starts, dtype=int), np.empty(cfg.starts, dtype=int)
-    converged = np.empty(cfg.starts, dtype=bool)
-    live, nf, it = np.arange(cfg.starts), np.full(cfg.starts, n + 1), 1
-    while True:
-        over = nf >= maxfev if it < maxiter else np.ones(live.size, dtype=bool)
-        done = ~over & (fsim[:, -1] - fsim[:, 0] <= fatol)
-        if done.any():
-            done[done] = np.abs(sim[done, 1:] - sim[done, :1]).max(axis=(1, 2)) <= xatol
-        stop = over | done
-        if stop.any():
-            gone = live[stop]
-            x[gone], final[gone] = sim[stop, 0], fsim[stop, 0]
-            nfev[gone], nit[gone], converged[gone] = nf[stop], it, done[stop]
-            live, sim, fsim, nf = live[~stop], sim[~stop], fsim[~stop], nf[~stop]
-            if live.size == 0:
-                return bounds._Runs(bounds.unitary_from_params(x, gens), initial, final,
-                                    nfev, nit, converged)
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = bounds._REFLECT * xbar - (bounds._REFLECT - 1) * worst
-        fxr = f(xr)
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept & (fxr < fsim[:, -1])
-        second = ~accept
-        c = np.where(expand, bounds._EXPAND,
-                     np.where(outside, bounds._OUTSIDE, bounds._INSIDE))[:, None]
-        x2 = c * xbar - (c - 1) * worst
-        f2 = np.full_like(fxr, np.nan)
-        if second.any():
-            f2[second] = f(x2[second])
-        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
-        use2 = second & better
-        shrink = second & ~expand & ~better
-        shrinking = shrink.any()
-        if shrinking:
-            sh = sim[shrink]
-            sh[:, 1:] = sh[:, :1] + bounds._SIGMA * (sh[:, 1:] - sh[:, :1])
-        sim[:, -1] = np.where(use2[:, None], x2, xr)
-        fsim[:, -1] = np.where(use2, f2, fxr)
-        nf += 1 + second
-        if shrinking:
-            sim[shrink] = sh
-            fsim[shrink, 1:] = f(sh[:, 1:].reshape(-1, n)).reshape(-1, n)
-            nf[shrink] += n
-        it += 1
-        sim, fsim = _sort_simplices(sim, fsim)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.optimize import minimize
 
 import oracles
 from qtesters import bounds, muub, qmath
@@ -23,7 +22,6 @@ from qtesters.tester import (
     named_tester,
     random_tester,
 )
-from test_fingerprints import SEARCH_CASES
 
 I2 = np.eye(2, dtype=complex)
 H_ROT = (I2 - 1j * qmath.SIGMA_Y) / np.sqrt(2)
@@ -152,17 +150,13 @@ class TestEstimateBound:
     def test_unconverged_starts_are_the_ones_at_max_iterations(self):
         gen = RngHandle(1910, 3).generator()
         t1, t2 = random_tester(3, gen), random_tester(3, gen)
-        cfg = SearchConfig(starts=8, rng=RngHandle(7665, 3))
+        cfg = SearchConfig(starts=8, max_iterations=80, rng=RngHandle(7665, 3))
         est = estimate_bound(t1, t2, cfg)
         unconverged = [i for i, ok in enumerate(est.converged) if not ok]
         assert unconverged == [i for i, n in enumerate(est.nit) if n == cfg.max_iterations]
-        assert unconverged == [1, 5]
-        assert all(n < 4 * cfg.max_iterations for n in est.nfev)
-
-
-def _named_objective(a, b):
-    t1, t2 = named_tester(a), named_tester(b)
-    return bounds._entropy_objective(t1, t2), 2
+        assert unconverged == [0, 4, 5, 6, 7]
+        assert all(n <= cfg.max_iterations for n in est.nit)
+        assert [n - 1 for n in est.nfev] == list(est.nit)
 
 
 def _random_objective(d, bipartite=False):
@@ -178,32 +172,8 @@ def _partner_objective(d):
 
 
 class TestLockstepSearch:
-    """The lockstep search against scipy's Nelder-Mead, start by start: scipy
-    runs on the su(d) coordinates, through the same exp map."""
-
-    @pytest.mark.parametrize("make, starts, xatol, fatol", [
-        (lambda: _named_objective("0Z", "0X"), 8, 1e-8, 1e-10),
-        (lambda: _named_objective("0Z", "+Z"), 8, 1e-8, 1e-10),
-        (lambda: _random_objective(3), 4, 1e-8, 1e-10),
-        (lambda: _partner_objective(3), 2, 1e-10, 1e-14),
-    ], ids=["0Z-0X", "0Z-+Z", "random-d3", "weyl3-partner"])
-    def test_matches_scipy_per_start(self, make, starts, xatol, fatol):
-        g, d = make()
-        gens = su_generators(d)
-        cfg = SearchConfig(starts=starts, rng=RngHandle(seed=3, stream=1))
-        runs = bounds._multistart(g, d, cfg, xatol, fatol)
-        x0s = cfg.rng.generator().uniform(-np.pi, np.pi, size=(starts, len(gens)))
-        options = {"xatol": xatol, "fatol": fatol, "maxiter": cfg.max_iterations,
-                   "maxfev": 4 * cfg.max_iterations}
-        for i, x0 in enumerate(x0s):
-            ref = minimize(lambda th: g(bounds.unitary_from_params(th[None], gens))[0], x0,
-                           method="Nelder-Mead", options=options)
-            assert abs(runs.final[i] - ref.fun) <= 1e-12
-            np.testing.assert_allclose(runs.u[i], bounds.unitary_from_params(ref.x, gens),
-                                       rtol=0, atol=1e-12)
-            assert runs.initial[i] == g(bounds.unitary_from_params(x0[None], gens))[0]
-            assert (runs.nfev[i], runs.nit[i], runs.converged[i]) == (
-                ref.nfev, ref.nit, ref.success)
+    """The pieces every start of the lockstep search goes through compute
+    each row independently of the other rows of a call."""
 
     @pytest.mark.parametrize("make", [
         lambda: _random_objective(2), lambda: _random_objective(3),
@@ -214,10 +184,12 @@ class TestLockstepSearch:
     def test_objective_rows_do_not_depend_on_the_batch(self, make, batch):
         g, d = make()
         u = qmath.haar_random_unitary(d, RngHandle(seed=batch).generator(), shape=(batch,))
-        values = g(u)
-        assert values.shape == (batch,)
+        values, omega = g(u)
+        assert values.shape == (batch,) and omega.shape == (batch, d, d)
         for i in range(batch):
-            assert values[i] == g(u[i:i + 1])[0]
+            value, om = g(u[i:i + 1])
+            assert values[i] == value[0]
+            assert omega[i].tobytes() == om[0].tobytes()
 
     def test_exp_map_rows_do_not_depend_on_the_batch(self, gen):
         gens = su_generators(4)
@@ -242,90 +214,111 @@ def _same_runs(a, b):
     return None
 
 
-def _nan_objective(g, bound):
-    """g, but NaN wherever |u_00| > bound: rows stay independent.  A start
-    whose simplex lies where g is NaN fails every comparison, so it shrinks
-    at every step and spends the evaluation budget before the iteration
-    limit."""
-    def with_holes(u):
-        return np.where(np.abs(u[:, 0, 0]) > bound, np.nan, g(u))
-    return with_holes
+def _central_differences(g, u, eps=1e-5):
+    """tr(omega G) for each su(d) generator G, by central differences of g
+    along exp(+-i eps G) u: (generators, k)."""
+    gens = su_generators(u.shape[-1])
+    w, v = np.linalg.eigh(gens)
+    out = []
+    for sign in (1, -1):
+        step = (v * np.exp(sign * 1j * eps * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        out.append(np.stack([g(s @ u)[0] for s in step]))
+    return (out[0] - out[1]) / (2 * eps)
 
 
-class TestSearchMatchesTheLockstepOracle:
-    """``_multistart`` and ``_entropy_objective`` against the search they
-    replaced (``oracles.lockstep_multistart`` on
-    ``oracles.pairwise_entropy_objective``): every ``_Runs`` field is the same
-    bytes."""
+class TestGradients:
+    """The Hermitian gradient omega of each objective, df = tr(omega H) for
+    u <- exp(iH) u, against central differences along every su(d)
+    generator; omega is traceless, as a global phase moves no value."""
 
-    @staticmethod
-    def _both(t1, t2, cfg, wrap=lambda g: g):
-        new = bounds._multistart(wrap(bounds._entropy_objective(t1, t2)), t1.dim, cfg,
-                                 1e-8, cfg.tolerance)
-        old = oracles.lockstep_multistart(wrap(oracles.pairwise_entropy_objective(t1, t2)),
-                                          t1.dim, cfg, 1e-8, cfg.tolerance)
-        return new, old
+    @pytest.mark.parametrize("make, atol", [
+        (lambda: _random_objective(2), 5e-9), (lambda: _random_objective(3), 5e-9),
+        (lambda: _random_objective(4), 5e-9),
+        (lambda: _random_objective(2, bipartite=True), 5e-9),
+        (lambda: _random_objective(3, bipartite=True), 5e-9),
+        (lambda: (bounds._entropy_objective(T0X, _bell_zz()), 2), 5e-9),
+        (lambda: (bounds._entropy_objective(_bell_zz(), T0X), 2), 5e-9),
+        (lambda: _partner_objective(3), 5e-7),
+    ], ids=["d2", "d3", "d4", "d2-bipartite", "d3-bipartite", "0X-bell", "bell-0X",
+            "weyl3-partner"])
+    def test_matches_central_differences(self, make, atol):
+        g, d = make()
+        u = qmath.haar_random_unitary(d, RngHandle(seed=19).generator(), shape=(3,))
+        _, omega = g(u)
+        np.testing.assert_allclose(omega, omega.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
+        assert np.abs(np.trace(omega, axis1=-2, axis2=-1)).max() <= 1e-10
+        along = np.einsum("kij,gji->gk", omega, su_generators(d)).real
+        np.testing.assert_allclose(along, _central_differences(g, u), rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-    def test_benchmark_bound_cases(self, case):
-        pair, starts, stream = SEARCH_CASES[case]
-        cfg = SearchConfig(starts=starts, rng=RngHandle(7665, stream))
-        assert _same_runs(*self._both(*pair(), cfg)) is None
 
-    def test_weyl3_partner(self):
-        g = muub._partner_objective(muub.build_named_basis("weyl", 3))
-        cfg = SearchConfig(starts=2, rng=RngHandle(7665, 99))
-        new = bounds._multistart(g, 3, cfg, 1e-10, 1e-14)
-        old = oracles.lockstep_multistart(g, 3, cfg, 1e-10, 1e-14)
-        assert _same_runs(new, old) is None
+def _entropy_search(cfg):
+    gen = RngHandle(seed=15).generator()
+    t1, t2 = random_tester(3, gen), random_tester(3, gen)
+    return bounds._multistart(bounds._entropy_objective(t1, t2), 3, cfg, cfg.tolerance)
 
-    @pytest.mark.parametrize("order", ["0X-bell", "bell-0X"])
-    def test_pair_of_mismatched_shape(self, order):
-        t1, t2 = T0X, _bell_zz()
-        if order == "bell-0X":
-            t1, t2 = t2, t1
-        cfg = SearchConfig(starts=4, rng=RngHandle(seed=21))
-        assert _same_runs(*self._both(t1, t2, cfg)) is None
 
-    def test_objective_with_nan_values(self):
+def _partner_search(cfg):
+    g = muub._partner_objective(muub.build_named_basis("weyl", 3))
+    return bounds._multistart(g, 3, cfg, 1e-13)
+
+
+def _nan_ball(g, centre, radius, omega_too):
+    """g, but NaN (the value, and omega too if asked) for every unitary
+    within ``radius`` of ``centre``; rows stay independent."""
+    def holed(u):
+        f, omega = g(u)
+        inside = np.abs(u - centre).max(axis=(-2, -1)) < radius
+        f = np.where(inside, np.nan, f)
+        if omega_too:
+            omega = np.where(inside[:, None, None], np.nan, omega)
+        return f, omega
+    return holed
+
+
+class TestDescentSearch:
+    @pytest.mark.parametrize("search", [_entropy_search, _partner_search],
+                             ids=["entropy", "partner"])
+    def test_first_starts_are_a_shorter_run(self, search):
+        n, k = 5, 2
+        long = search(SearchConfig(starts=n, max_iterations=300, rng=RngHandle(seed=14)))
+        short = search(SearchConfig(starts=k, max_iterations=300, rng=RngHandle(seed=14)))
+        head = bounds._Runs(*(field[:k] for field in long))
+        assert _same_runs(head, short) is None
+
+    @pytest.mark.parametrize("omega_too", [False, True], ids=["value", "value-and-omega"])
+    def test_nan_rows_leave_the_other_starts_alone(self, omega_too):
         gen = RngHandle(seed=12).generator()
         t1, t2 = random_tester(3, gen), random_tester(3, gen)
+        g = bounds._entropy_objective(t1, t2)
         cfg = SearchConfig(starts=6, max_iterations=300, rng=RngHandle(seed=13))
-        seen = []
+        clean = bounds._multistart(g, 3, cfg, cfg.tolerance)
+        x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, 8))
+        centre = bounds.unitary_from_params(x0[2], su_generators(3))
+        holed = bounds._multistart(_nan_ball(g, centre, 1e-3, omega_too), 3, cfg,
+                                   cfg.tolerance)
+        others = np.arange(cfg.starts) != 2
+        assert _same_runs(bounds._Runs(*(f[others] for f in holed)),
+                          bounds._Runs(*(f[others] for f in clean))) is None
+        assert np.isnan(holed.initial[2]) and np.isnan(holed.final[2])
+        # a NaN gradient stops the start at once; a NaN value rejects every
+        # step until the step size vanishes
+        if omega_too:
+            assert holed.nit[2] == 0
+        else:
+            assert 0 < holed.nit[2] < cfg.max_iterations
+        assert holed.nfev[2] == holed.nit[2] + 1
 
-        def wrap(g):
-            h = _nan_objective(g, 0.8)
-
-            def counted(u):
-                v = h(u)
-                seen.append(np.isnan(v).sum())
-                return v
-            return counted
-        new, old = self._both(t1, t2, cfg, wrap=wrap)
-        assert _same_runs(new, old) is None
-        assert sum(seen) > 0 and np.isfinite(new.final).any()
+    def test_max_iterations_leaves_converged_false(self):
+        cfg = SearchConfig(starts=4, max_iterations=5, rng=RngHandle(seed=16))
+        runs = _entropy_search(cfg)
+        assert (runs.nit == 5).all() and (runs.nfev == 6).all()
+        assert not runs.converged.any()
+        assert (runs.final <= runs.initial).all() and (runs.final < runs.initial).any()
 
     def test_one_start(self):
-        cfg = SearchConfig(starts=1, rng=RngHandle(seed=14))
-        assert _same_runs(*self._both(T0Z, TPZ, cfg)) is None
-
-    def test_stop_on_maxiter(self):
-        gen = RngHandle(seed=15).generator()
-        t1, t2 = random_tester(3, gen), random_tester(3, gen)
-        cfg = SearchConfig(starts=4, max_iterations=40, rng=RngHandle(seed=16))
-        new, old = self._both(t1, t2, cfg)
-        assert _same_runs(new, old) is None
-        assert (new.nit == 40).all() and not new.converged.any()
-
-    def test_stop_on_maxfev(self):
-        gen = RngHandle(seed=18).generator()
-        t1, t2 = random_tester(3, gen), random_tester(3, gen)
-        cfg = SearchConfig(starts=4, max_iterations=60, rng=RngHandle(seed=17))
-        new, old = self._both(t1, t2, cfg, wrap=lambda g: _nan_objective(g, 0.6))
-        assert _same_runs(new, old) is None
-        budget = new.nfev >= 4 * cfg.max_iterations
-        assert budget.any() and (new.nit[budget] < cfg.max_iterations).all()
-        assert (new.nit[~budget] == cfg.max_iterations).any()
+        runs = _entropy_search(SearchConfig(starts=1, rng=RngHandle(seed=14)))
+        assert runs.u.shape == (1, 3, 3) and runs.converged.all()
+        assert qmath.is_unitary(runs.u[0], 1e-12)
 
 
 def _pairs(d):
@@ -343,7 +336,7 @@ def test_entropy_objective_equals_entropy_sum(d, kind, swap):
     if swap:
         t1, t2 = t2, t1
     u = qmath.haar_random_unitary(d, RngHandle(seed=d).generator(), shape=(5,))
-    got = bounds._entropy_objective(t1, t2)(u)
+    got = bounds._entropy_objective(t1, t2)(u)[0]
     assert got.tobytes() == entropy_sum(t1, t2, u).tobytes()
     assert got.tobytes() == oracles.pairwise_entropy_objective(t1, t2)(u).tobytes()
 

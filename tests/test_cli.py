@@ -30,6 +30,21 @@ class TestVerify:
         _, r2, _ = run_cli(capsys, "verify", "--suite", "muub", "--seed", "3", "--json-only")
         assert json.dumps(r1["payload"], sort_keys=True) == json.dumps(r2["payload"], sort_keys=True)
 
+    def test_named_basis_checks_fail_on_non_orthogonal_elements(self, capsys, monkeypatch):
+        named = muub._named_elements
+
+        def bent(name, d):
+            els = named(name, d)
+            return (els[0],) * len(els) if name == "weyl" else els
+        monkeypatch.setattr(muub, "_named_elements", bent)
+        code, report, _ = run_cli(capsys, "verify", "--suite", "muub", "--json-only")
+        assert code == 1 and report["status"] == "fail"
+        verdicts = {c["name"]: c["pass"] for c in report["payload"]["suites"]["muub"]["checks"]
+                    if c["name"].startswith("named-basis-")}
+        assert len(verdicts) == 6
+        assert [name for name, ok in verdicts.items() if not ok] == [
+            "named-basis-weyl-d2", "named-basis-weyl-d3"]
+
     def test_stages_ms_has_one_key_per_suite_run(self, capsys):
         _, report, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "0", "--json-only")
         stages = report["stages_ms"]
@@ -338,6 +353,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+
+    def test_bound_and_bounds_suite_load_no_scipy(self):
+        code = ("import sys; from qtesters import cli; "
+                "codes = [cli.main(['bound', '--t1', '0Z', '--t2', '0X', '--starts', '2', "
+                "'--json-only']), cli.main(['verify', '--suite', 'bounds', '--json-only'])]; "
+                "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+                "file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[0, 0] []"
 
 class TestMalformedLiterals:
     """Malformed tester, basis and config literals exit 2 with a JSON error."""

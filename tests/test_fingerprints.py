@@ -165,12 +165,12 @@ SEARCH_CASES = {
 }
 
 SEARCH_FROZEN = {
-    "0Z0X": "6ddb78e2c1aaebcebfe97c9ecf1c0ac438dbd5fde332e4c94887da5befd1628b",
-    "0ZpZ": "e12a05d684d3af145e1228e88929ff21ea0b19da15519437dca620d0b46e80b0",
-    "0ZpX": "fb0083eeb0eda5d4aec27a58ed82960896fa01a83ebfa8df0021c0ffb17f74dc",
-    "d3": "a8b48a6359445fea3eb27654d9b0e7e541128b3513f3ec44c19879aa8b611227",
-    "d4bip": "8e7ac77181dc151ffa177eef5b4aa3559f76210460db45a16a407d2dadbe01ef",
-    "weyl3-partner": "9fa3a240ea69665758bc572032bfdaf39d31fe4339a503a09df09787e858ac22",
+    "0Z0X": "597ff3d372898289108e41362819cc75091a34b82c2634f64959e82946ccbe79",
+    "0ZpZ": "168672ec2c83e8735df601d8e84c1cf10842bb66906d9c119a89ff0b18b3d960",
+    "0ZpX": "38319f11311a26a5dccaab7f09572c61e45d3d751c6f3479cc6237c7f5c3b6fc",
+    "d3": "72ee55b5e3e93c4d60aeff49d6c47e8fafce5a4daee9ef0d60f6f272f6631641",
+    "d4bip": "d93f645d994299ebeecf026a8df1cd0e1d5816054c384169a9b2bd2e7d70ab55",
+    "weyl3-partner": "cfa74d8f47a0c9835a218ed88fac55844c145e7ff2706cdf3dbd7eb0ee2573ab",
 }
 
 

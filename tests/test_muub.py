@@ -303,6 +303,13 @@ class TestPartnerSearch:
         rep = are_muub(weyl, partner)
         assert rep.verdict and rep.kappa == pytest.approx(1.0, abs=1e-6)
 
+    def test_weyl_partner_found_at_d4(self):
+        weyl = build_named_basis("weyl", 4)
+        partner, residual = find_unbiased_partner(
+            weyl, SearchConfig(starts=2, rng=RngHandle(7665, 99)))
+        assert residual < 1e-12
+        assert are_muub(weyl, partner).verdict
+
     def test_rotation_basis_rejected(self):
         with pytest.raises(ValueError):
             find_unbiased_partner(build_named_basis("rotation", 2),
