@@ -226,8 +226,8 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float) -> _Runs:
 
 def _entropy_terms(t: Tester | TesterStack, u: np.ndarray) -> tuple:
     """The outcome entropies of t at each unitary of u, and X = A C^dag,
-    whose anti-Hermitian part is their gradient: A is the probe after u,
-    and C = devec(M^dag (w . a)) with a the amplitudes, M the projector
+    which gives their gradient omega = i (X - X^dag): A is the probe after
+    u, and C = devec(M^dag (w . a)) with a the amplitudes, M the projector
     matrix and w_k = dH/dp_k = -(log2 p_k + 1/ln 2), 0 where p_k = 0."""
     sent, m, a = outcome_amplitudes(t, u)
     p = np.abs(a) ** 2
