@@ -20,7 +20,9 @@ cost of an iteration is a few stacked numpy calls, not one Python call per
 start.  The starts stay independent: the exp maps and the objective
 compute each row with stacked (per-matrix) products, ``eigh`` and last-axis
 reductions only, so a start's path does not depend on which other starts
-share a call.
+share a call.  A search given a value target (the partner search) ends
+once one start is done at or below it, so the first k starts of a run are
+a k-start run's bit for bit only without a target (``estimate_bound``).
 """
 
 from __future__ import annotations
@@ -149,7 +151,9 @@ class _Runs(NamedTuple):
     final: np.ndarray      # objective at u
     nfev: np.ndarray
     nit: np.ndarray
-    converged: np.ndarray  # stopped before the iteration cap
+    # stopped by its own test (gradient norm or vanished step); False at the
+    # iteration cap, and for a start still live when another met the target
+    converged: np.ndarray
 
     @property
     def best(self) -> int:
@@ -167,7 +171,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj() * b).real.reshape(len(a), -1).sum(-1)
 
 
-def _multistart(g, d: int, cfg: SearchConfig, gtol: float) -> _Runs:
+def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _Runs:
     """Riemannian steepest descent on U(d) from cfg.starts points, all
     starts in lockstep.
 
@@ -185,8 +189,14 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float) -> _Runs:
     gtol (or a gradient that is not finite), at mu < 1e-14, or after
     ``cfg.max_iterations`` iterations, the only stop that leaves it not
     converged.  Each iteration evaluates ``g`` once, so nfev = nit + 1.
-    The starts are independent: the first k starts of a run are a k-start
-    run's bit for bit, and a caller reduces them in start order.
+
+    With a ``target``, the whole run ends at the first iteration where a
+    start stops by its own test with a value at most ``target`` (a NaN value
+    never does): every start still live then is recorded at that iteration,
+    not converged.  Which start wins can then depend on the other starts.
+    Without one, the starts are independent: the first k starts of a run
+    are a k-start run's bit for bit, and a caller reduces them in start
+    order.
     """
     x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, d * d - 1))
     u = unitary_from_params(x0, su_generators(d))
@@ -202,6 +212,8 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float) -> _Runs:
         sq = _inner(omega, omega)
         done = (sq <= gtol * gtol) | ~np.isfinite(sq) | (mu < _MU_STOP)
         stop = done | (it >= cfg.max_iterations)
+        if target is not None and (done & (f <= target)).any():
+            stop[:] = True
         if stop.any():
             gone = live[stop]
             out[gone], final[gone], nit[gone], converged[gone] = u[stop], f[stop], it, done[stop]

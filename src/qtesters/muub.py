@@ -397,23 +397,36 @@ def _partner_objective(basis: UnitaryBasis):
     return g
 
 
+# gradient-norm stop of a partner start, and the residual at which a start
+# that stops ends the whole search: every |Tr(P_k^dag P_l V)|^2 is then
+# within 1e-12 of 1
+_PARTNER_GTOL, _PARTNER_TARGET = 1e-13, 1e-24
+
+
 def find_unbiased_partner(basis: UnitaryBasis, cfg: SearchConfig):
     """Search for a right-multiplier V making {P_j V} unbiased to {P_j}.
 
     Only meaningful for D = d^2 bases (where {P_j V} is automatically an
     orthogonal unitary basis of the full matrix space).  Minimizes the
     squared deviation of all cross overlaps from 1 with the lockstep
-    multi-start gradient descent used for bound estimation: the starts are
-    independent, and the first start with the least residual wins.  A
-    start converges at a gradient norm of 1e-13, a fixed tolerance;
-    ``cfg`` supplies the starts, the iteration limit and the seed, and
-    ``cfg.tolerance`` is not used.  Returns (partner, residual); the
-    caller judges whether the residual is small enough to accept.
+    multi-start gradient descent used for bound estimation.  A start
+    converges at a gradient norm of 1e-13, a fixed tolerance; ``cfg``
+    supplies the starts, the iteration limit and the seed, and
+    ``cfg.tolerance`` is not used.
+
+    The search ends at the first iteration where a start converges (or its
+    step vanishes) at a residual of at most 1e-24, or when every start has
+    stopped; the first start with the least residual at that point wins.
+    So a start that finds a partner ends the others; with many starts, the
+    partner returned can differ from the one the best start would reach if
+    every start ran to the end.  Returns (partner, residual); the caller
+    judges whether the residual is small enough to accept.
     """
     d = basis.dim
     if basis.D != d * d:
         raise ValueError("partner search is implemented for full bases (D = d^2) only")
-    runs = _multistart(_partner_objective(basis), d, cfg, 1e-13)
+    runs = _multistart(_partner_objective(basis), d, cfg, _PARTNER_GTOL,
+                       target=_PARTNER_TARGET)
     v = runs.u[runs.best]
-    partner = UnitaryBasis(dim=d, elements=tuple(p @ v for p in basis))
+    partner = UnitaryBasis(dim=d, elements=basis.elements @ v)
     return partner, float(runs.final[runs.best])

@@ -251,15 +251,15 @@ class TestGradients:
         np.testing.assert_allclose(along, _central_differences(g, u), rtol=0, atol=atol)
 
 
-def _entropy_search(cfg):
+def _entropy_search(cfg, **kw):
     gen = RngHandle(seed=15).generator()
     t1, t2 = random_tester(3, gen), random_tester(3, gen)
-    return bounds._multistart(bounds._entropy_objective(t1, t2), 3, cfg, cfg.tolerance)
+    return bounds._multistart(bounds._entropy_objective(t1, t2), 3, cfg, cfg.tolerance, **kw)
 
 
-def _partner_search(cfg):
+def _partner_search(cfg, **kw):
     g = muub._partner_objective(muub.build_named_basis("weyl", 3))
-    return bounds._multistart(g, 3, cfg, 1e-13)
+    return bounds._multistart(g, 3, cfg, 1e-13, **kw)
 
 
 def _nan_ball(g, centre, radius, omega_too):
@@ -275,6 +275,21 @@ def _nan_ball(g, centre, radius, omega_too):
     return holed
 
 
+def _holed_search(omega_too, **kw):
+    """A 6-start entropy search run clean, and run again with start 2's
+    point inside a NaN ball (``kw`` goes to the second run only)."""
+    gen = RngHandle(seed=12).generator()
+    t1, t2 = random_tester(3, gen), random_tester(3, gen)
+    g = bounds._entropy_objective(t1, t2)
+    cfg = SearchConfig(starts=6, max_iterations=300, rng=RngHandle(seed=13))
+    clean = bounds._multistart(g, 3, cfg, cfg.tolerance)
+    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, 8))
+    centre = bounds.unitary_from_params(x0[2], su_generators(3))
+    holed = bounds._multistart(_nan_ball(g, centre, 1e-3, omega_too), 3, cfg,
+                               cfg.tolerance, **kw)
+    return cfg, clean, holed, np.arange(cfg.starts) != 2
+
+
 class TestDescentSearch:
     @pytest.mark.parametrize("search", [_entropy_search, _partner_search],
                              ids=["entropy", "partner"])
@@ -287,16 +302,7 @@ class TestDescentSearch:
 
     @pytest.mark.parametrize("omega_too", [False, True], ids=["value", "value-and-omega"])
     def test_nan_rows_leave_the_other_starts_alone(self, omega_too):
-        gen = RngHandle(seed=12).generator()
-        t1, t2 = random_tester(3, gen), random_tester(3, gen)
-        g = bounds._entropy_objective(t1, t2)
-        cfg = SearchConfig(starts=6, max_iterations=300, rng=RngHandle(seed=13))
-        clean = bounds._multistart(g, 3, cfg, cfg.tolerance)
-        x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, 8))
-        centre = bounds.unitary_from_params(x0[2], su_generators(3))
-        holed = bounds._multistart(_nan_ball(g, centre, 1e-3, omega_too), 3, cfg,
-                                   cfg.tolerance)
-        others = np.arange(cfg.starts) != 2
+        cfg, clean, holed, others = _holed_search(omega_too)
         assert _same_runs(bounds._Runs(*(f[others] for f in holed)),
                           bounds._Runs(*(f[others] for f in clean))) is None
         assert np.isnan(holed.initial[2]) and np.isnan(holed.final[2])
@@ -307,6 +313,29 @@ class TestDescentSearch:
         else:
             assert 0 < holed.nit[2] < cfg.max_iterations
         assert holed.nfev[2] == holed.nit[2] + 1
+
+    def test_target_ends_the_run_at_the_first_winner(self):
+        cfg = SearchConfig(starts=2, rng=RngHandle(7665, 99))
+        full, cut = _partner_search(cfg), _partner_search(cfg, target=1e-24)
+        assert full.best == cut.best == 0
+        assert full.u[0].tobytes() == cut.u[0].tobytes()
+        assert (full.final[0], full.nit[0]) == (cut.final[0], cut.nit[0])
+        assert cut.nit.tolist() == [45, 45] and cut.converged.tolist() == [True, False]
+        assert (cut.nfev == cut.nit + 1).all()
+
+    def test_unreachable_target_changes_nothing(self):
+        cfg = SearchConfig(starts=4, max_iterations=300, rng=RngHandle(seed=14))
+        assert _same_runs(_entropy_search(cfg, target=-1.0), _entropy_search(cfg)) is None
+
+    @pytest.mark.parametrize("omega_too", [False, True], ids=["value", "value-and-omega"])
+    def test_nan_start_never_ends_the_run(self, omega_too):
+        # every finite value meets an infinite target, so the run ends where
+        # the first finite start is done, after the NaN start has stopped
+        _, clean, holed, others = _holed_search(omega_too, target=np.inf)
+        end = clean.nit[others].min()
+        assert np.isnan(holed.final[2]) and holed.nit[2] < end
+        assert (holed.nit[others] == end).all()
+        assert holed.converged[others].tolist() == (clean.nit[others] == end).tolist()
 
     def test_max_iterations_leaves_converged_false(self):
         cfg = SearchConfig(starts=4, max_iterations=5, rng=RngHandle(seed=16))

@@ -310,6 +310,27 @@ class TestPartnerSearch:
         assert residual < 1e-12
         assert are_muub(weyl, partner).verdict
 
+    @pytest.mark.parametrize("d, iterations", [(3, 45), (4, 109)])
+    def test_search_ends_once_a_start_finds_a_partner(self, monkeypatch, d, iterations):
+        """The losing start stops with the winner instead of running on to
+        the iteration cap: 2 starts evaluate at most 2 (nit + 1) rows."""
+        rows = []
+        objective = muub._partner_objective
+
+        def counted(basis):
+            g = objective(basis)
+
+            def h(v):
+                rows.append(len(v))
+                return g(v)
+            return h
+
+        monkeypatch.setattr(muub, "_partner_objective", counted)
+        _, residual = find_unbiased_partner(build_named_basis("weyl", d),
+                                            SearchConfig(starts=2, rng=RngHandle(7665, 99)))
+        assert residual < 1e-24
+        assert sum(rows) <= 2 * (iterations + 1)
+
     def test_rotation_basis_rejected(self):
         with pytest.raises(ValueError):
             find_unbiased_partner(build_named_basis("rotation", 2),
