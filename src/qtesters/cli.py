@@ -155,15 +155,54 @@ def _suite_qmath(seed: int) -> list:
     return checks
 
 
+# The tester and ppovm suites draw in the order they always have: the same
+# gen.integers, gen.uniform and gen.standard_normal calls, with the same
+# shapes, so every seed keeps its samples.  The Ginibre normals are kept, and
+# the QR and the orthonormal completions then run as stacks, one call per
+# matrix size and draw shape (qmath.haar_from_normals and qmath.complete_onb
+# give each matrix of a stack bit for bit as its own call would).  The
+# functions a suite checks are still called once per sample.
+
+def _haar_stacks(normals: list) -> list:
+    """``qmath.haar_from_normals`` of each array in ``normals``, with one QR
+    per shape of array."""
+    by_shape = {}
+    for i, g in enumerate(normals):
+        by_shape.setdefault(g.shape, []).append(i)
+    out = [None] * len(normals)
+    for idx in by_shape.values():
+        for i, u in zip(idx, qmath.haar_from_normals(np.stack([normals[i] for i in idx]))):
+            out[i] = u
+    return out
+
+
+def _random_testers(gen, specs) -> list:
+    """``tester.random_tester(d, gen, bipartite)`` then
+    ``qmath.haar_random_unitary(d, gen)`` for each (d, bipartite) in
+    ``specs``: the same draws in the same order, orthonormalized as stacks.
+    Returns (tester, unitary) per spec."""
+    normals = []
+    for d, bipartite in specs:
+        n = d * d if bipartite else d
+        normals += [gen.standard_normal((2, 2, n, n)), gen.standard_normal((2, d, d))]
+    us = _haar_stacks(normals)
+    return [(_tester_from_pair(pair, d), u)
+            for (d, _), pair, u in zip(specs, us[::2], us[1::2])]
+
+
+def _tester_from_pair(pair: np.ndarray, d: int) -> tester.Tester:
+    """The tester ``tester.random_tester`` builds from its two unitaries
+    (measurement basis, then the unitary whose first column is the probe)."""
+    basis, probe = pair
+    return tester.Tester(input=probe[:, 0], projectors=tuple(basis.T), dim=d)
+
+
 def _suite_tester(seed: int) -> list:
     gen = RngHandle(seed, 201).generator()
     checks = []
     worst = 0.0
-    for d in (2, 3):
-        for k in range(10):
-            t = tester.random_tester(d, gen, bipartite=k % 2 == 1)
-            u = qmath.haar_random_unitary(d, gen)
-            worst = max(worst, abs(tester.outcome_distribution(t, u).sum() - 1.0))
+    for t, u in _random_testers(gen, [(d, k % 2 == 1) for d in (2, 3) for k in range(10)]):
+        worst = max(worst, abs(tester.outcome_distribution(t, u).sum() - 1.0))
     checks.append({"name": "distribution-normalization", "max_dev": worst})
     t = tester.random_tester(2, gen)
     u = qmath.haar_random_unitary(2, gen)
@@ -174,27 +213,42 @@ def _suite_tester(seed: int) -> list:
         worst = max(worst, float(np.max(np.abs(p - base))))
     checks.append({"name": "global-phase-invariance", "max_dev": worst, "tol": 1e-12})
     ok = True
-    for _ in range(20):
-        ts = [tester.random_tester(2, gen) for _ in range(3)]
-        w = qmath.haar_random_unitary(2, gen)
+    # per sample: three random qubit testers (two draws each), then w
+    for us in qmath.haar_random_unitary(2, gen, shape=(20, 7)):
+        ts = [_tester_from_pair(us[j:j + 2], 2) for j in (0, 2, 4)]
+        w = us[6]
         ok &= tester.are_equivalent(ts[0], ts[0], w)
         if tester.are_equivalent(ts[0], ts[1], w, tol=1e-6):
             ok &= tester.are_equivalent(ts[1], ts[0], w, tol=1e-6)
     checks.append({"name": "equivalence-relation", "pass": bool(ok)})
-    agreements = 0
     trials = 100
-    for _ in range(trials):
+    drawn = {}  # d -> per trial: its number, basis normals, (probe, target, target), mappings
+    for trial in range(trials):
         d = 2 if gen.integers(2) else 3
-        basis = qmath.haar_random_unitary(d, gen)
-        projs = tuple(basis[:, i].copy() for i in range(d))
-        psi = projs[int(gen.integers(d))]
-        t = tester.Tester(input=psi, projectors=projs, dim=d)
-        u1 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
-        u2 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
-        eig = tester.is_eigenoperator(u2.conj().T @ u1, psi)
-        if tester.can_distinguish(t, u1, u2) != (not eig):
-            continue
-        agreements += 1
+        g_basis = gen.standard_normal((2, d, d))
+        picks = [int(gen.integers(d)), int(gen.integers(d))]
+        g_map1 = gen.standard_normal((2, 2, d, d))  # one qmath.unitary_mapping draw
+        picks.append(int(gen.integers(d)))
+        g_map2 = gen.standard_normal((2, 2, d, d))
+        drawn.setdefault(d, []).append((trial, g_basis, picks, np.stack([g_map1, g_map2])))
+    samples = [None] * trials
+    for d, rows in drawn.items():
+        numbers, g_basis, picks, g_maps = (np.array(x) for x in zip(*rows))
+        bases = qmath.haar_from_normals(g_basis)
+        states = bases.swapaxes(-1, -2)[np.arange(len(rows))[:, None], picks]
+        psi = states[:, 0]
+        # qmath.unitary_mapping(psi, target, gen) for both targets of each trial:
+        # (target, source) pairs (target 1, psi) and (target 2, psi)
+        firsts = states[:, [1, 0, 2, 0]].reshape(len(rows), 2, 2, d)
+        onb = qmath.complete_onb(firsts, qmath.haar_from_normals(g_maps))
+        maps = onb[..., 0, :, :] @ onb[..., 1, :, :].conj().swapaxes(-1, -2)
+        for trial, basis, probe, (u1, u2) in zip(numbers, bases, psi, maps):
+            samples[trial] = (d, basis, probe, u1, u2)
+    agreements = 0
+    for d, basis, probe, u1, u2 in samples:
+        t = tester.Tester(input=probe, projectors=tuple(basis.T), dim=d)
+        eig = tester.is_eigenoperator(u2.conj().T @ u1, probe)
+        agreements += tester.can_distinguish(t, u1, u2) == (not eig)
     checks.append({"name": "distinguish-eigenoperator-agreement",
                    "agreements": agreements, "trials": trials,
                    "pass": agreements == trials})
@@ -210,20 +264,19 @@ def _suite_tester(seed: int) -> list:
 def _suite_ppovm(seed: int) -> list:
     gen = RngHandle(seed, 301).generator()
     checks = []
-    for d in (2, 3):
-        for k in range(50):
-            t = tester.random_tester(d, gen, bipartite=k % 2 == 1)
-            u = qmath.haar_random_unitary(d, gen)
-            direct = tester.outcome_distribution(t, u)
-            via = ppovm.probability_via_choi(ppovm.tester_elements(t), ppovm.choi_operator(u))
-            dev = float(np.max(np.abs(direct - via)))
-            checks.append({
-                "name": f"direct-vs-process-rule-d{d}-{k:02d}",
-                "bipartite": k % 2 == 1,
-                "max_dev": dev,
-                "tol": 1e-9,
-                "pass": dev <= 1e-9,
-            })
+    samples = [(d, k) for d in (2, 3) for k in range(50)]
+    drawn = _random_testers(gen, [(d, k % 2 == 1) for d, k in samples])
+    for (d, k), (t, u) in zip(samples, drawn):
+        direct = tester.outcome_distribution(t, u)
+        via = ppovm.probability_via_choi(ppovm.tester_elements(t), ppovm.choi_operator(u))
+        dev = float(np.max(np.abs(direct - via)))
+        checks.append({
+            "name": f"direct-vs-process-rule-d{d}-{k:02d}",
+            "bipartite": k % 2 == 1,
+            "max_dev": dev,
+            "tol": 1e-9,
+            "pass": dev <= 1e-9,
+        })
     return checks
 
 
@@ -299,11 +352,12 @@ def _suite_props(seed: int) -> list:
     checks.append({"name": "trivial-bound-fixture", "pass": bool(rep.verdict)})
     gen = RngHandle(seed, 501).generator()
     ok = True
+    samples = np.array(samples)
     for w in qmath.haar_random_unitary(2, gen, shape=(10,)):
         s1c = _conjugate_set(s1, w)
         s2c = _conjugate_set(s2, w)
-        usc = [w @ u @ w.conj().T for u in rot]
-        smc = [w @ u @ w.conj().T for u in samples]
+        usc = w @ rot.elements @ w.conj().T
+        smc = w @ samples @ w.conj().T
         ok &= muub.verify_prop_trivial(s1c, s2c, usc, smc).verdict
     checks.append({"name": "trivial-bound-conjugated-copies", "pass": bool(ok)})
     had = muub.build_named_basis("hadamard-pair", 2)
@@ -318,8 +372,8 @@ def _suite_props(seed: int) -> list:
     worst_low, worst_high = 0.0, 0.0
     for pair in ((rot, had), (pauli, pub)):
         for w in qmath.haar_random_unitary(2, gen, shape=(50,)):
-            a = muub.UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in pair[0]))
-            b = muub.UnitaryBasis(2, tuple(w @ u @ w.conj().T for u in pair[1]))
+            a = muub.UnitaryBasis(2, w @ pair[0].elements @ w.conj().T)
+            b = muub.UnitaryBasis(2, w @ pair[1].elements @ w.conj().T)
             cross = muub.embedded_cross_overlaps(a, b)
             worst_low = min(worst_low, float(cross.min()))
             worst_high = max(worst_high, float(cross.max() - a.D))
@@ -330,14 +384,14 @@ def _suite_props(seed: int) -> list:
 
 
 def _conjugate_set(s: tester.TesterSet, w: np.ndarray) -> tester.TesterSet:
-    return tester.TesterSet(
-        testers=tuple(
-            tester.Tester(input=w @ t.input, projectors=tuple(w @ p for p in t.projectors),
-                          dim=t.dim, label=t.label)
-            for t in s
-        ),
-        dim=s.dim,
-    )
+    """The set with every probe and projector state rotated by w, each
+    tester's states as one stacked product."""
+    testers = []
+    for t in s:
+        states = (w @ np.stack((t.input,) + t.projectors)[..., None])[..., 0]
+        testers.append(tester.Tester(input=states[0], projectors=tuple(states[1:]),
+                                     dim=t.dim, label=t.label))
+    return tester.TesterSet(testers=tuple(testers), dim=s.dim)
 
 
 _SUITES = {
@@ -351,6 +405,7 @@ _SUITES = {
 
 
 def _cmd_verify(args, log, stages) -> tuple:
+    RngHandle(args.seed)  # a bad seed is an error before any suite runs
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     payload = {"seed": args.seed, "suites": {}}
     all_pass = True

@@ -10,12 +10,15 @@ constants honest.  Some references are former library paths kept whole:
 ``gated_extended_p_out``, the D-ary protocol's earlier gate, which calls
 the library's own theorem check, ``sequential_unitary_mapping``, and
 ``pairwise_entropy_objective``, the bound search's objective with one
-Born-rule product per tester, which calls the library's Born rule.
+Born-rule product per tester, which calls the library's Born rule, and
+``loop_suite_tester`` and ``loop_suite_ppovm``, the ``verify`` tester and
+ppovm suites with one Haar draw and one completion per library call.
 """
 
 import numpy as np
 
-from qtesters import qmath
+from qtesters import ppovm, qmath, tester
+from qtesters.qmath import RngHandle
 from qtesters.tester import outcome_probabilities, shannon_entropy
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -442,3 +445,77 @@ def pairwise_entropy_objective(t1, t2):
         p1, p2 = outcome_probabilities(t1, u), outcome_probabilities(t2, u)
         return shannon_entropy(p1) + shannon_entropy(p2)
     return g
+
+
+def loop_suite_tester(seed):
+    """``cli._suite_tester`` drawing and orthonormalizing one sample at a time."""
+    gen = RngHandle(seed, 201).generator()
+    checks = []
+    worst = 0.0
+    for d in (2, 3):
+        for k in range(10):
+            t = tester.random_tester(d, gen, bipartite=k % 2 == 1)
+            u = qmath.haar_random_unitary(d, gen)
+            worst = max(worst, abs(tester.outcome_distribution(t, u).sum() - 1.0))
+    checks.append({"name": "distribution-normalization", "max_dev": worst})
+    t = tester.random_tester(2, gen)
+    u = qmath.haar_random_unitary(2, gen)
+    base = tester.outcome_distribution(t, u)
+    worst = 0.0
+    for phi in gen.uniform(0, 2 * np.pi, 5):
+        p = tester.outcome_distribution(t, np.exp(1j * phi) * u)
+        worst = max(worst, float(np.max(np.abs(p - base))))
+    checks.append({"name": "global-phase-invariance", "max_dev": worst, "tol": 1e-12})
+    ok = True
+    for _ in range(20):
+        ts = [tester.random_tester(2, gen) for _ in range(3)]
+        w = qmath.haar_random_unitary(2, gen)
+        ok &= tester.are_equivalent(ts[0], ts[0], w)
+        if tester.are_equivalent(ts[0], ts[1], w, tol=1e-6):
+            ok &= tester.are_equivalent(ts[1], ts[0], w, tol=1e-6)
+    checks.append({"name": "equivalence-relation", "pass": bool(ok)})
+    agreements = 0
+    trials = 100
+    for _ in range(trials):
+        d = 2 if gen.integers(2) else 3
+        basis = qmath.haar_random_unitary(d, gen)
+        projs = tuple(basis[:, i].copy() for i in range(d))
+        psi = projs[int(gen.integers(d))]
+        t = tester.Tester(input=psi, projectors=projs, dim=d)
+        u1 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
+        u2 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
+        eig = tester.is_eigenoperator(u2.conj().T @ u1, psi)
+        if tester.can_distinguish(t, u1, u2) != (not eig):
+            continue
+        agreements += 1
+    checks.append({"name": "distinguish-eigenoperator-agreement",
+                   "agreements": agreements, "trials": trials,
+                   "pass": agreements == trials})
+    h = tester.shannon_entropy(np.array([0.5, 0.25, 0.25]))
+    checks.append({"name": "entropy-dyadic", "max_dev": abs(h - 1.5)})
+    for ch in checks:
+        ch.setdefault("tol", 1e-9)
+        if "pass" not in ch:
+            ch["pass"] = ch["max_dev"] <= ch["tol"]
+    return checks
+
+
+def loop_suite_ppovm(seed):
+    """``cli._suite_ppovm`` drawing and orthonormalizing one sample at a time."""
+    gen = RngHandle(seed, 301).generator()
+    checks = []
+    for d in (2, 3):
+        for k in range(50):
+            t = tester.random_tester(d, gen, bipartite=k % 2 == 1)
+            u = qmath.haar_random_unitary(d, gen)
+            direct = tester.outcome_distribution(t, u)
+            via = ppovm.probability_via_choi(ppovm.tester_elements(t), ppovm.choi_operator(u))
+            dev = float(np.max(np.abs(direct - via)))
+            checks.append({
+                "name": f"direct-vs-process-rule-d{d}-{k:02d}",
+                "bipartite": k % 2 == 1,
+                "max_dev": dev,
+                "tol": 1e-9,
+                "pass": dev <= 1e-9,
+            })
+    return checks

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import qtesters
-from qtesters import cli, muub
+from qtesters import cli, muub, tester
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,42 @@ class TestVerify:
         assert len(verdicts) == 6
         assert [name for name, ok in verdicts.items() if not ok] == [
             "named-basis-weyl-d2", "named-basis-weyl-d3"]
+
+    @pytest.mark.parametrize("suite", sorted(cli._SUITES) + ["all"])
+    def test_negative_seed_is_an_error_before_any_suite(self, capsys, suite):
+        code, report, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "-2",
+                                  "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert report["payload"] == {"error": "rng seed must be a non-negative integer, not -2"}
+        assert report["stages_ms"] == {}
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("suite", ["tester", "ppovm"])
+    def test_stacked_suites_equal_their_loop_oracles(self, monkeypatch, suite, seed):
+        """Plain ==: every float of the check lists is equal, not only its
+        printed digits.  The checked functions also see the same arguments,
+        bit for bit and in the same order, so a sample cannot move unseen
+        behind a check that reads only a count."""
+        def as_bytes(arg):
+            if isinstance(arg, (tester.Tester, tester.TesterStack)):
+                return arg.input.tobytes() + arg.projector_matrix().tobytes()
+            return np.asarray(arg).tobytes()
+
+        def run_recorded(suite_fn):
+            calls = []
+            for name in ("outcome_distribution", "is_eigenoperator"):
+                def spy(*args, real=getattr(tester, name), name=name):
+                    calls.append((name,) + tuple(as_bytes(a) for a in args))
+                    return real(*args)
+                monkeypatch.setattr(tester, name, spy)
+            checks = suite_fn(seed)
+            monkeypatch.undo()
+            return checks, calls
+
+        checks, calls = run_recorded(cli._SUITES[suite])
+        want_checks, want_calls = run_recorded(getattr(oracles, f"loop_suite_{suite}"))
+        assert checks == want_checks
+        assert calls == want_calls
 
     def test_stages_ms_has_one_key_per_suite_run(self, capsys):
         _, report, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "0", "--json-only")

@@ -189,6 +189,66 @@ class TestHaarSampling:
         stack = qmath.haar_random_unitary(2, h, shape=(3,))
         assert stack[0].tobytes() == qmath.haar_random_unitary(2, h).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4)], ids=["one", "3", "2x4"])
+    def test_from_normals_equals_the_draw(self, d, shape):
+        g_normals, g_draw = np.random.default_rng(d), np.random.default_rng(d)
+        got = qmath.haar_from_normals(g_normals.standard_normal(shape + (2, d, d)))
+        assert got.shape == shape + (d, d)
+        assert got.tobytes() == qmath.haar_random_unitary(d, g_draw, shape=shape).tobytes()
+
+    def test_interleaved_draws_orthonormalized_per_size(self):
+        # integers and normals of two sizes drawn in one order, the QR run later per size
+        sizes = [2, 3, 3, 2, 2, 3, 2, 2, 3, 3]
+        sequential, staged = np.random.default_rng(3), np.random.default_rng(3)
+        want = [(int(sequential.integers(5)), qmath.haar_random_unitary(d, sequential))
+                for d in sizes]
+        picks, normals = [], {2: [], 3: []}
+        for d in sizes:
+            picks.append(int(staged.integers(5)))
+            normals[d].append(staged.standard_normal((2, d, d)))
+        stacks = {d: iter(qmath.haar_from_normals(np.stack(g))) for d, g in normals.items()}
+        for d, pick, (want_pick, want_u) in zip(sizes, picks, want):
+            assert pick == want_pick
+            assert next(stacks[d]).tobytes() == want_u.tobytes()
+        assert staged.random() == sequential.random()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (2, 2, 3), (2, 0, 0)])
+    def test_from_normals_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"^Ginibre normals must have shape \(\.\.\., 2, d, d\)"):
+            qmath.haar_from_normals(np.zeros(shape))
+
+
+class TestCompleteOnb:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_equals_one_row_calls(self, d, gen):
+        w = qmath.haar_random_unitary(d, gen, shape=(2, 3))
+        first = qmath.haar_random_unitary(d, gen, shape=(2, 3))[..., 0]
+        if d > 1:
+            # w's first column parallel to the state: that row skips it
+            first[1, 2] = np.exp(0.7j) * w[1, 2, :, 0]
+        got = qmath.complete_onb(first, w)
+        assert got.shape == (2, 3, d, d)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j].tobytes() == qmath.complete_onb(first[i, j], w[i, j]).tobytes()
+        assert qmath.is_unitary(got)
+        assert np.array_equal(got[..., 0], first)
+        if d > 1:
+            np.testing.assert_allclose(got[1, 2, :, 1:], w[1, 2, :, 1:], atol=1e-12)
+
+    def test_failed_completion_raises(self):
+        e0 = np.eye(3)[0]
+        collinear = np.outer(e0, np.ones(3))  # every column is |0>, the state itself
+        with pytest.raises(RuntimeError, match="^orthonormal completion failed$"):
+            qmath.complete_onb(np.stack([e0, e0]), np.stack([np.eye(3), collinear]))
+
+    def test_rows_and_shapes_checked(self):
+        with pytest.raises(ValueError, match=r"^state norm\^2 = 4\.0 is not 1"):
+            qmath.complete_onb(np.array([[1, 0], [0, 2]]), np.stack([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="do not match states"):
+            qmath.complete_onb(np.eye(2)[0], np.eye(3))
+
 
 class TestUnitaryMapping:
     def test_maps_source_to_target(self, gen):
