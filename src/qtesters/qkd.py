@@ -34,7 +34,10 @@ conjugated measurement rows M and encodings U, with entries below 1e-9
 snapped to exact zeros, and is kept as cumulative thresholds.  A block of
 rounds samples every round's outcome at once: the round's table indices
 give one flat row index, and its uniform draw is compared with each
-threshold of that row.  The rounds yield one array per record column.
+threshold of that row; two samples of one round that read equally shaped
+tables share one flat row index.  A block yields its counts straight from
+the round masks, and builds one array per record column only when the run
+is traced.
 
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
@@ -122,6 +125,10 @@ class ProtocolConfig:
     rng: RngHandle
 
     def __post_init__(self):
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
+            raise ConfigError(f"rounds must be an integer, not {self.rounds!r}")
+        # a numpy integer becomes a plain int, which to_json() can write
+        object.__setattr__(self, "rounds", int(self.rounds))
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not 0.0 <= self.control_fraction <= 1.0:
@@ -206,11 +213,15 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c.transpose((-1,) + tuple(range(c.ndim - 1))))
 
 
-def _sample(cum: np.ndarray, idx: tuple, r: np.ndarray) -> np.ndarray:
+def _sample(cum: np.ndarray, idx, r: np.ndarray) -> np.ndarray:
     """Per round, the first bin of row ``cum[:, *idx]`` (a ``_cumulative``
     table) whose cumulative probability exceeds r, or the last bin if none
-    does.  An index outside the table raises ValueError."""
-    flat = np.ravel_multi_index(idx, cum.shape[1:])
+    does.  An index tuple outside the table raises ValueError.
+
+    ``idx`` may instead be the rows' flat index, ``np.ravel_multi_index(idx,
+    cum.shape[1:])``, so that samples from equally shaped tables share it.
+    """
+    flat = np.ravel_multi_index(idx, cum.shape[1:]) if isinstance(idx, tuple) else idx
     thresholds = cum.reshape(len(cum), -1)
     out = (thresholds[0][flat] <= r).astype(np.int64)
     for c in thresholds[1:]:
@@ -277,13 +288,14 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
     over one generator stream, streaming the records to ``trace`` (a
     path-like or text handle) when given; return the run's stats.
 
-    The kernel returns a block's record columns and its integer counts,
-    summed over all blocks and named by the ``ProtocolStats`` fields in
-    ``counted``; counts not named are 0, and ``sifted`` defaults to the
-    non-control rounds.  The columns are stacked into rows only for the
-    trace.  ``stages``, when given, gains the wall milliseconds spent in the
-    tables (``build()``), in the rounds and in the trace (row
-    stacking, encoding and I/O).
+    The kernel returns a block's integer counts, summed over all blocks and
+    named by the ``ProtocolStats`` fields in ``counted``, and a zero-argument
+    function that builds the block's record columns; counts not named are 0,
+    and ``sifted`` defaults to the non-control rounds.  The columns are
+    built, and stacked into rows, only for the trace.  ``stages``, when
+    given, gains the wall milliseconds spent in the tables (``build()``), in
+    the rounds and in the trace (building the columns, row stacking,
+    encoding and I/O).
     """
     started = time.perf_counter()
     rounds_fn = build()
@@ -301,12 +313,12 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
         for start in range(0, cfg.rounds, _BLOCK):
             n = min(_BLOCK, cfg.rounds - start)
             t1 = time.perf_counter()
-            cols, counts = rounds_fn(gen.random((n, n_draws)))
+            counts, records = rounds_fn(gen.random((n, n_draws)))
             totals = totals + counts
             t_rounds += time.perf_counter() - t1
             if fh is not None:
                 # stacked as rows, so the transposed table is column-major
-                fh.write(_csv_rows(np.stack((np.arange(start, start + n), *cols)).T))
+                fh.write(_csv_rows(np.stack((np.arange(start, start + n), *records())).T))
     finally:
         if own:
             fh.close()
@@ -425,55 +437,59 @@ _LM05_COUNTS = ("control_rounds", "bob_errors", "cm_comparisons", "cm_mismatches
 
 
 def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
-    """Record columns (``_LM05_COLUMNS``) and counts for one block of
-    qubit-protocol rounds.
+    """Counts and a builder of the record columns (``_LM05_COLUMNS``) for
+    one block of qubit-protocol rounds.
 
     Every round is evaluated as an encoding round and as a control round,
-    and its mode picks the fields it keeps.
+    and its mode picks the fields its record keeps.
     eve_kind: 0 none, 1 equivalent-tester hijack, 2 intercept-resend.
-    counts: ``_LM05_COUNTS``.
+    counts: ``_LM05_COUNTS``, taken from the round masks.
     """
     self_idx, basis_id, state_idx = tables["self_idx"], tables["basis_id"], tables["state_idx"]
     n_testers = self_idx.size
-    unused = np.full(draws.shape[0], -1)
     t = _index(draws[:, 0], n_testers)
     cm = draws[:, 1] < control_fraction
     enc = ~cm
     bit = _index(draws[:, 2], 2)  # alice's bit in encoding mode, her basis in control mode
-    choice, ebit = unused, unused
     if eve_kind == 0:
-        out = _sample(cum["p_bob"], (t, bit), draws[:, 7])
-        cm_out = _sample(cum["p_state_in_basis"], (t, bit), draws[:, 6])
+        # p_bob[t, bit] and p_state_in_basis[t, basis] share one row shape
+        flat = np.ravel_multi_index((t, bit), cum["p_bob"].shape[1:])
+        out = _sample(cum["p_bob"], flat, draws[:, 7])
+        cm_out = _sample(cum["p_state_in_basis"], flat, draws[:, 6])
+        enc_choice = cm_choice = ebit = -1  # Eve's record fields stay -1
     elif eve_kind == 1:
-        tev = _index(draws[:, 3], n_testers)
-        eout = _sample(cum["p_bob"], (tev, bit), draws[:, 5])
-        ebit = (eout != self_idx[tev]).astype(np.int64)
+        enc_choice = _index(draws[:, 3], n_testers)
+        eout = _sample(cum["p_bob"], (enc_choice, bit), draws[:, 5])
+        ebit = (eout != self_idx[enc_choice]).astype(np.int64)
         out = _sample(cum["p_bob"], (t, ebit), draws[:, 7])
         cm_choice = _index(draws[:, 3], tables["p_cm_eve"].shape[0])
-        choice = np.where(enc, tev, cm_choice)
         cm_out = _sample(cum["p_cm_eve"], (cm_choice, bit), draws[:, 6])
     else:
-        choice = _index(draws[:, 3], 2)
-        m = _sample(cum["p_state_in_basis"], (t, choice), draws[:, 4])
-        eout = _sample(cum["p_enc_state_basis"], (choice, m, bit), draws[:, 5])
+        enc_choice = cm_choice = _index(draws[:, 3], 2)
+        m = _sample(cum["p_state_in_basis"], (t, enc_choice), draws[:, 4])
+        # p_enc_state_basis[b, m, bit] and p_basis_basis[b, m, b2] share one row shape
+        flat = np.ravel_multi_index((enc_choice, m, bit), cum["p_basis_basis"].shape[1:])
+        eout = _sample(cum["p_enc_state_basis"], flat, draws[:, 5])
         ebit = eout != m
-        out = _sample(cum["p_basis_state_tester"], (choice, eout, t), draws[:, 7])
-        cm_out = _sample(cum["p_basis_basis"], (choice, m, bit), draws[:, 6])
+        out = _sample(cum["p_basis_state_tester"], (enc_choice, eout, t), draws[:, 7])
+        cm_out = _sample(cum["p_basis_basis"], flat, draws[:, 6])
     bob_bit = out != self_idx[t]
     matched = cm & (bit == basis_id[t])
     mismatch = matched & (cm_out != state_idx[t])
-    cols = (t, cm, np.where(enc, bit, -1), np.where(cm, bit, -1), choice,
-            np.where(cm, cm_out, -1), np.where(enc, out, -1), np.where(enc, bob_bit, -1),
-            np.where(cm, matched, -1), np.where(matched, mismatch, -1),
-            np.where(enc, ebit, -1))
     counts = np.array([
         np.count_nonzero(cm),
         np.count_nonzero(enc & (bob_bit != bit)),
         np.count_nonzero(matched),
         np.count_nonzero(mismatch),
-        np.count_nonzero(enc & (ebit == bit)),
+        0 if eve_kind == 0 else np.count_nonzero(enc & (ebit == bit)),
     ])
-    return cols, counts
+
+    def records():
+        return (t, cm, np.where(enc, bit, -1), np.where(cm, bit, -1),
+                np.where(enc, enc_choice, cm_choice), np.where(cm, cm_out, -1),
+                np.where(enc, out, -1), np.where(enc, bob_bit, -1), np.where(cm, matched, -1),
+                np.where(matched, mismatch, -1), np.where(enc, ebit, -1))
+    return counts, records
 
 
 def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
@@ -558,11 +574,11 @@ _EXT_COUNTS = ("sifted", "bob_errors", "eve_correct")
 
 
 def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
-    """Record columns (``_EXT_COLUMNS``) and counts for one block of D-ary
-    protocol rounds.
+    """Counts and a builder of the record columns (``_EXT_COLUMNS``) for one
+    block of D-ary protocol rounds.
 
     eve_set_policy: 0 fixed set 0, 1 uniform.
-    counts: ``_EXT_COUNTS``.
+    counts: ``_EXT_COUNTS``, taken from the round masks.
     """
     sb = _index(draws[:, 0], 2)
     tb = _index(draws[:, 1], n_digits)
@@ -572,7 +588,6 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
     p_out = cum["p_out"]
     if eve_kind == 0:
         out = _sample(p_out, (sb, tb, sa, dig), draws[:, 8])
-        se = te = eout = edig = ecorrect = np.full(draws.shape[0], -1)
     else:
         se = np.zeros_like(sb) if eve_set_policy == 0 else _index(draws[:, 4], 2)
         if eve_kind == 1:
@@ -586,14 +601,20 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
             eraw = decode[se, te, eout]
             out = _sample(cum["p_proj"], (se, eout, sb), draws[:, 8])
         edig = np.where(se == sa, eraw, _index(draws[:, 7], n_digits))
-        ecorrect = np.where(sift, edig == dig, -1)
     bdig = decode[sb, tb, out]
     error = sift & (bdig != dig)
-    cols = (sb, tb, sa, dig, se, te, eout, edig, out, bdig, sift,
-            np.where(sift, error, -1), ecorrect)
     counts = np.array([np.count_nonzero(sift), np.count_nonzero(error),
-                       np.count_nonzero(ecorrect == 1)])
-    return cols, counts
+                       0 if eve_kind == 0 else np.count_nonzero(sift & (edig == dig))])
+
+    def records():
+        if eve_kind == 0:
+            unused = np.full(sb.shape, -1)  # Eve's record fields
+            eve_cols, ecorrect = (unused,) * 4, unused
+        else:
+            eve_cols, ecorrect = (se, te, eout, edig), np.where(sift, edig == dig, -1)
+        return (sb, tb, sa, dig, *eve_cols, out, bdig, sift, np.where(sift, error, -1),
+                ecorrect)
+    return counts, records
 
 
 def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:

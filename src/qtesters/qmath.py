@@ -71,13 +71,16 @@ def as_states(vs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate every row of an (n, size) stack as a pure-state vector, with
     finite entries and unit norm within tol; the first failing row is reported."""
     vs = np.asarray(vs, dtype=complex)
-    if not np.isfinite(vs).all():
-        raise ValueError("state has non-finite entries")
-    # einsum raises no overflow warning: a huge entry gives inf, which fails
+    # einsum raises no overflow or invalid-value warning: a huge or infinite
+    # entry gives an inf norm and a NaN entry a NaN norm, and as "dev <= tol"
+    # is False for both, every non-finite row fails the norm test
     nrm2 = np.einsum("ij,ij->i", vs.conj(), vs).real
     dev = np.abs(nrm2 - 1.0)
-    if dev.max(initial=0.0) > tol:
-        raise ValueError(f"state norm^2 = {float(nrm2[dev > tol][0])!r} is not 1 within {tol}")
+    if not (dev <= tol).all():
+        if not np.isfinite(vs).all():
+            raise ValueError("state has non-finite entries")
+        bad = float(nrm2[~(dev <= tol)][0])
+        raise ValueError(f"state norm^2 = {bad!r} is not 1 within {tol}")
     return vs
 
 

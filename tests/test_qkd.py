@@ -374,6 +374,17 @@ class TestConfigDimensions:
         with pytest.raises(ConfigError, match="d=3"):
             self._config(d=3)
 
+    @pytest.mark.parametrize("rounds", [1e3, 2.5, True])
+    def test_rounds_must_be_an_integer(self, rounds):
+        with pytest.raises(ConfigError, match=f"^rounds must be an integer, not {rounds!r}$"):
+            self._config(rounds=rounds)
+
+    def test_numpy_integer_rounds(self):
+        cfg = self._config(rounds=np.int64(10))
+        assert type(cfg.rounds) is int and cfg.rounds == 10
+        assert run_extended(cfg) == run_extended(self._config(rounds=10))
+        assert json.loads(json.dumps(cfg.to_json()))["rounds"] == 10
+
 
 LM05_TABLE_CONFIGS = [(policy, kind) for policy in qkd.RESEND_POLICIES for kind in qkd.EVE_KINDS]
 
@@ -422,7 +433,9 @@ KERNEL_BLOCKS = [qkd._BLOCK, 20_000 - 2 * qkd._BLOCK]
 
 class TestKernelsAgainstRecordOracle:
     """The record columns, stacked, and the counts equal the row-gather
-    kernels' records and counts bit for bit on the same draws."""
+    kernels' records and counts bit for bit on the same draws; the counts
+    come from the round masks, so they are the same whether the records are
+    built or not."""
 
     @pytest.mark.parametrize("n", KERNEL_BLOCKS)
     @pytest.mark.parametrize("policy, kind", LM05_TABLE_CONFIGS)
@@ -432,12 +445,14 @@ class TestKernelsAgainstRecordOracle:
         cum = {k: qkd._cumulative(v) for k, v in tables.items() if k.startswith("p_")}
         draws = np.random.default_rng(n).random((n, 8))
         eve_kind = qkd.EVE_KINDS.index(kind)
-        cols, counts = qkd._lm05_rounds(draws, eve_kind, 0.3, cum, tables)
+        unbuilt = qkd._lm05_rounds(draws, eve_kind, 0.3, cum, tables)[0]
+        counts, records = qkd._lm05_rounds(draws, eve_kind, 0.3, cum, tables)
         rec, want = oracles.record_lm05_rounds(draws, eve_kind, 0.3, tables)
+        cols = records()
         assert len(cols) == len(qkd._LM05_COLUMNS)
         got = np.column_stack(cols)
         assert got.dtype == rec.dtype and np.array_equal(got, rec)
-        assert np.array_equal(counts, want)
+        assert np.array_equal(counts, want) and np.array_equal(unbuilt, want)
 
     @pytest.mark.parametrize("n", KERNEL_BLOCKS)
     @pytest.mark.parametrize("policy", qkd.SET_POLICIES)
@@ -450,13 +465,15 @@ class TestKernelsAgainstRecordOracle:
         cum = {k: qkd._cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
         draws = np.random.default_rng(n).random((n, 9))
         eve_kind, set_policy = qkd.EVE_KINDS.index(kind), qkd.SET_POLICIES.index(policy)
-        cols, counts = qkd._extended_rounds(draws, eve_kind, set_policy, D, cum,
-                                            tables["decode"])
+        args = (draws, eve_kind, set_policy, D, cum, tables["decode"])
+        unbuilt = qkd._extended_rounds(*args)[0]
+        counts, records = qkd._extended_rounds(*args)
         rec, want = oracles.record_extended_rounds(draws, eve_kind, set_policy, D, tables)
+        cols = records()
         assert len(cols) == len(qkd._EXT_COLUMNS)
         got = np.column_stack(cols)
         assert got.dtype == rec.dtype and np.array_equal(got, rec)
-        assert np.array_equal(counts, want)
+        assert np.array_equal(counts, want) and np.array_equal(unbuilt, want)
 
 
 def _bench_run(protocol, kind):
@@ -479,6 +496,27 @@ class TestTracedAndUntracedAgree:
         assert buf.getvalue().count("\r\n") == cfg.rounds + 1
 
 
+class TestRecordsOnlyWhenTraced:
+    @pytest.mark.parametrize("protocol, kernel", [("lm05", "_lm05_rounds"),
+                                                  ("ext4", "_extended_rounds")])
+    def test_untraced_run_builds_no_records(self, monkeypatch, protocol, kernel):
+        kernel_fn, built = getattr(qkd, kernel), []
+
+        def counting_kernel(*args):
+            counts, records = kernel_fn(*args)
+
+            def counted_records():
+                built.append(1)
+                return records()
+            return counts, counted_records
+        monkeypatch.setattr(qkd, kernel, counting_kernel)
+        run, cfg = _bench_run(protocol, "intercept-resend")
+        run(cfg)
+        assert built == []
+        run(cfg, trace=io.StringIO(newline=""))
+        assert len(built) == 3  # the 20 000 rounds take 3 blocks
+
+
 class TestSample:
     def test_threshold_lands_in_next_bin(self):
         cum = qkd._cumulative(np.array([[0.25, 0.25, 0.25, 0.25]]))
@@ -499,6 +537,16 @@ class TestSample:
         i, j = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 0, 1])
         r = np.array([0.9, 0.1, 0.4, 0.5, 0.0])
         assert qkd._sample(cum, (i, j), r).tolist() == [0, 1, 0, 1, 1]
+
+    def test_shared_flat_index(self):
+        gen = np.random.default_rng(3)
+        tables = [gen.random((3, 4, 5)) for _ in range(2)]
+        cums = [qkd._cumulative(t / t.sum(-1, keepdims=True)) for t in tables]
+        idx = (gen.integers(0, 3, 100), gen.integers(0, 4, 100))
+        flat = np.ravel_multi_index(idx, (3, 4))
+        r = gen.random(100)
+        for cum in cums:
+            assert np.array_equal(qkd._sample(cum, flat, r), qkd._sample(cum, idx, r))
 
     @pytest.mark.parametrize("row", [3, -1])
     def test_out_of_range_index_raises(self, row):

@@ -288,6 +288,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^state norm\^2 = 4\.0 is not 1"):
             qmath.as_states([[1, 0], [0, 2], [3, 0]])
 
+    # the pytest config turns any warning into an error, so these also check
+    # that the norm test of a non-finite or huge row warns of nothing
+    @pytest.mark.parametrize("entry", [np.nan, complex(0, np.nan), np.inf, -np.inf,
+                                       complex(np.inf, np.inf)])
+    def test_as_states_non_finite_row(self, entry):
+        with pytest.raises(ValueError, match="^state has non-finite entries$"):
+            qmath.as_states([[1, 0], [entry, 0]])
+
+    def test_as_states_huge_finite_row(self):
+        with pytest.raises(ValueError, match=r"^state norm\^2 = inf is not 1 within 1e-09$"):
+            qmath.as_states([[1, 0], [0, 1e200]])
+
     def test_is_unitary_on_a_stack(self, gen):
         us = qmath.haar_random_unitary(3, gen, shape=(4,))
         assert qmath.is_unitary(us)
