@@ -133,8 +133,15 @@ def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     n, d = gens.shape[0], gens.shape[-1]
     h = (theta[..., None, :] @ gens.reshape(n, d * d)).reshape(theta.shape[:-1] + (d, d))
+    return _expi(h, 1.0)
+
+
+def _expi(h: np.ndarray, t) -> np.ndarray:
+    """exp(i t h) for a (..., d, d) stack of Hermitian h through one ``eigh``,
+    t a scalar or one value per matrix; each matrix is computed on its own."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    phase = np.exp(1j * np.asarray(t)[..., None] * w)
+    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # Armijo sufficient-decrease fraction; the first step size, the clip range of
@@ -221,9 +228,7 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
             live, u, f, omega, mu, sq = (a[keep] for a in (live, u, f, omega, mu, sq))
             if live.size == 0:
                 return _Runs(out, initial, final, nit + 1, nit, converged)
-        w, v = np.linalg.eigh(omega)
-        rotation = (v * np.exp(-1j * mu[:, None] * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        u_try = rotation @ u
+        u_try = _expi(omega, -mu) @ u
         f_try, omega_try = g(u_try)
         omega_try = _traceless(omega_try)
         accept = f_try <= f - _ARMIJO * mu * sq

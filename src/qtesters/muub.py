@@ -113,7 +113,7 @@ class UnitaryBasis:
 def basis_from_json(obj: dict) -> UnitaryBasis:
     """UnitaryBasis from its JSON literal; a malformed literal raises ValueError."""
     try:
-        dim = int(obj["dim"])
+        dim = qmath.int_field(obj, "dim")
         elements = tuple(qmath.matrix_from_json(e) for e in obj["elements"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad basis literal: {type(exc).__name__}: {exc}") from exc

@@ -15,11 +15,13 @@ A complete measurement's elements sum to I (x) [Tr_anc rho]^t.  For the
 probe |0> measured in the computational basis T_k = |k><k| (x) |0><0|, the
 recorded witness for the factor order; the cross-check against the direct
 rule |<chi_k|U|psi>|^2 is the arbiter and is enforced by the test suite.
+
+The functions return plain arrays.  E and the T_k are outer products of a
+vector with itself, built from a checked unitary and a validated ``Tester``,
+so they are PSD by construction and are not checked again.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,65 +30,17 @@ from .qmath import DEFAULT_TOL
 from .tester import LEAK_TOL, Tester
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiOperator:
-    """Positive semidefinite process operator; rank one with trace d for
-    unitary channels."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = qmath.as_matrix(self.matrix)
-        n = self.dim * self.dim
-        if m.shape != (n, n):
-            raise ValueError(f"process operator must be {n}x{n} for d={self.dim}")
-        if np.abs(m - m.conj().T).max() > DEFAULT_TOL:
-            raise ValueError("process operator is not Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -DEFAULT_TOL:
-            raise ValueError(f"process operator is not PSD (min eigenvalue {evals.min():.3e})")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class TesterElementSet:
-    """PPOVM elements T_k for one tester as one (n, d^2, d^2) stack, plus the
-    probe density operator."""
-
-    elements: np.ndarray
-    probe: np.ndarray
-    complete: bool
-
-    def __post_init__(self):
-        els = np.array(self.elements, dtype=complex)
-        if els.ndim != 3 or els.shape[1] != els.shape[2]:
-            raise ValueError(f"tester elements must be a stack of square matrices, got {els.shape}")
-        if not np.isfinite(els).all():
-            raise ValueError("matrix has non-finite entries")
-        # eigvalsh reads only the lower triangle, so Hermiticity is checked first
-        if np.abs(els - els.conj().swapaxes(1, 2)).max(initial=0.0) > DEFAULT_TOL:
-            raise ValueError("tester element is not Hermitian")
-        evals = np.linalg.eigvalsh(els)
-        if evals.size and evals.min() < -DEFAULT_TOL:
-            raise ValueError(f"tester element not PSD (min eigenvalue {evals.min():.3e})")
-        els.setflags(write=False)
-        object.__setattr__(self, "elements", els)
-        object.__setattr__(self, "probe", qmath.as_matrix(self.probe))
-
-    def normalization(self) -> np.ndarray:
-        return self.elements.sum(0)
-
-
-def choi_operator(u: np.ndarray) -> ChoiOperator:
-    """Rank-one process operator of a unitary channel (trace d)."""
+def choi_operator(u: np.ndarray) -> np.ndarray:
+    """The (d^2, d^2) rank-one process operator |u)(u| of a unitary channel
+    (trace d); a non-unitary ``u`` raises ValueError."""
     u = qmath.assert_unitary(u)
     w = u.reshape(-1)  # (u (x) I) sum_i |i>|i>, row-major layout
-    return ChoiOperator(dim=u.shape[0], matrix=np.outer(w, w.conj()))
+    return np.outer(w, w.conj())
 
 
-def tester_elements(t: Tester) -> TesterElementSet:
-    """PPOVM elements T_k = |m_k)(m_k|, m_k = vec(X_k Psi^dag), all at once.
+def tester_elements(t: Tester) -> np.ndarray:
+    """PPOVM elements T_k = |m_k)(m_k|, m_k = vec(X_k Psi^dag), all at once,
+    as one read-only (n, d^2, d^2) stack.
 
     One stacked matmul gives every conj(X_k) Psi^t = conj(X_k Psi^dag) from
     the conjugated projector rows, and one outer product gives every T_k.
@@ -96,19 +50,19 @@ def tester_elements(t: Tester) -> TesterElementSet:
     psi = t.input.reshape(d, -1)
     m_conj = (rows.reshape(len(rows), d, -1) @ psi.T).reshape(len(rows), d * d)
     elements = m_conj.conj()[:, :, None] * m_conj[:, None, :]
-    complete = bool(np.abs(rows.T @ rows.conj() - np.eye(t.input.size)).max() <= DEFAULT_TOL)
-    rho = np.outer(t.input, t.input.conj())
-    return TesterElementSet(elements=elements, probe=rho, complete=complete)
+    elements.setflags(write=False)
+    return elements
 
 
-def probability_via_choi(ts: TesterElementSet, e: ChoiOperator) -> np.ndarray:
-    """p_k = Tr[T_k E] for every k from one matvec against E, as a float
-    array clamped to [0, 1] after a reality check; it must be finite and sum
-    to 1 within 1e-9 unless the sum is below 1 - 1e-6 (a leaky tester)."""
-    if ts.elements.shape[1:] != e.matrix.shape:
-        raise ValueError(f"element shape {ts.elements.shape[1:]} does not match the process "
-                         f"operator {e.matrix.shape}")
-    vals = ts.elements.reshape(len(ts.elements), -1) @ e.matrix.T.reshape(-1)
+def probability_via_choi(elements: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """p_k = Tr[T_k E] for every element of the (n, d^2, d^2) stack from one
+    matvec against the process operator E, as a float array clamped to
+    [0, 1] after a reality check; it must be finite and sum to 1 within
+    1e-9 unless the sum is below 1 - 1e-6 (a leaky tester)."""
+    if elements.shape[1:] != e.shape:
+        raise ValueError(f"element shape {elements.shape[1:]} does not match the process "
+                         f"operator {e.shape}")
+    vals = elements.reshape(len(elements), -1) @ e.T.reshape(-1)
     imag = np.abs(vals.imag) > DEFAULT_TOL
     if imag.any():
         raise ValueError(f"Tr[T_k E] has imaginary part {vals.imag[imag][0]:.3e}")

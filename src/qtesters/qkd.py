@@ -71,7 +71,7 @@ import numpy as np
 from . import tester as tester_mod
 from .muub import (UnitaryBasis, are_muub, balanced_qubit_rotation, basis_from_json,
                    build_named_basis, maximal_hypothesis)
-from .qmath import RngHandle
+from .qmath import RngHandle, int_field
 from .tester import HypothesisViolation, TesterSet, is_complete_set
 
 EVE_KINDS = ("none", "qmm-equivalent-tester", "intercept-resend")
@@ -655,16 +655,6 @@ def resolve_basis(spec, d: int) -> UnitaryBasis:
     return basis_from_json(spec)
 
 
-def _int_field(obj: dict, key: str, default=None) -> int:
-    """An integer config field: a JSON integer, or an integral float such as
-    1e5; a bool, a string or a fractional number raises ConfigError."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
-                                       isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"bad protocol config: {key} must be an integer, not {value!r}")
-    return int(value)
-
-
 _CONFIG_KEYS = ("d", "D", "rounds", "control_fraction", "eve", "tester_sets", "encoding_sets",
                 "seed", "stream")  # the keys of ProtocolConfig.to_json()
 _EVE_KEYS = ("kind", "resend_policy", "set_policy")  # the keys of EveStrategy.to_json()
@@ -678,7 +668,7 @@ def config_from_json(obj: dict) -> ProtocolConfig:
     if not isinstance(obj, dict):
         raise ConfigError("bad protocol config: not a JSON object")
     try:
-        d = _int_field(obj, "d", 2)
+        d = int_field(obj, "d", 2, error=ConfigError)
         eve_obj = obj.get("eve", {})
         if not isinstance(eve_obj, dict):
             raise ConfigError("bad protocol config: eve is not a JSON object")
@@ -701,14 +691,14 @@ def config_from_json(obj: dict) -> ProtocolConfig:
             raise ConfigError("bad protocol config: encoding_sets is empty")
         return ProtocolConfig(
             d=d,
-            D=_int_field(obj, "D", encoding_sets[0].D),
-            rounds=_int_field(obj, "rounds"),
+            D=int_field(obj, "D", encoding_sets[0].D, error=ConfigError),
+            rounds=int_field(obj, "rounds", error=ConfigError),
             control_fraction=float(control_fraction),
             eve=eve,
             tester_sets=tester_sets,
             encoding_sets=encoding_sets,
-            rng=RngHandle(seed=_int_field(obj, "seed", 0),
-                          stream=_int_field(obj, "stream", 0)),
+            rng=RngHandle(seed=int_field(obj, "seed", 0, error=ConfigError),
+                          stream=int_field(obj, "stream", 0, error=ConfigError)),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad protocol config: {exc}") from exc

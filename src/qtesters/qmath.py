@@ -5,10 +5,12 @@ All conventions used by the rest of the package are fixed here, once:
 * Tensor factors are ordered (system, ancilla): ``tensor(A, B)`` puts ``A``
   on the system slot, and a bipartite pure state is a flat vector with
   row-major index ``i * d_anc + k`` for the basis ket ``|i>_sys |k>_anc``.
-* ``vectorize`` maps a d x d operator ``u`` to the vector of dimension d^2
-  whose amplitude at position (i, j) is ``<j|u|i>`` (column stacking).  The
-  unnormalised maximally entangled state ``sum_i |i>|i>`` is therefore
-  ``vectorize(identity)``, and ``<<a|b>> = Tr(a^dag b)``.
+* Operators are flattened row-major: ``u.reshape(-1)`` has ``<i|u|j>`` at
+  position i * d + j, so it is ``(u (x) I) sum_i |i>|i>`` and
+  ``<<a|b>> = Tr(a^dag b)``.  The Born rule, ``ppovm`` and the bound
+  gradient all use this layout.  ``vectorize`` stacks columns instead; it
+  serves only ``max_entangled_state``, on the identity, where the two
+  layouts agree, and the ``verify`` qmath checks.
 * Unitarity and orthonormality are checked in max norm with tolerance
   ``DEFAULT_TOL = 1e-9`` unless a caller overrides it.
 """
@@ -289,10 +291,21 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 
+def int_field(obj: dict, key: str, default=None, error=ValueError) -> int:
+    """The integer field ``key`` of a JSON object: an integer or an integral
+    float such as 1e5.  Any other value, a bool or a string included, raises
+    ``error`` naming the field; a missing field without a default, KeyError."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise error(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Matrix from its JSON literal; a malformed literal raises ValueError."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = int_field(obj, "rows"), int_field(obj, "cols")
         entries = obj["entries"]
         if len(entries) != rows * cols:
             raise ValueError(f"literal claims {rows}x{cols} but has {len(entries)} entries")

@@ -99,7 +99,7 @@ def tester_from_json(obj: dict) -> Tester:
     try:
         psi = qmath.state_from_json(obj["input"])
         projs = tuple(qmath.state_from_json(p) for p in obj["projectors"])
-        dim, label = int(obj["dim"]), str(obj.get("label", ""))
+        dim, label = qmath.int_field(obj, "dim"), str(obj.get("label", ""))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad tester literal: {type(exc).__name__}: {exc}") from exc
     return Tester(input=psi, projectors=projs, dim=dim, label=label)

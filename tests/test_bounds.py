@@ -413,6 +413,18 @@ class TestSuGenerators:
         h = np.tensordot(theta, gens, axes=1)
         np.testing.assert_allclose(u, expm(1j * h), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exp_map_with_one_t_per_matrix(self, gen, d):
+        # the search's trial step: a stack of Hermitian h, each with its own t
+        g = gen.standard_normal((5, 2, d, d))
+        h = g[:, 0] + 1j * g[:, 1]
+        h = h + h.conj().swapaxes(-1, -2)
+        t = gen.uniform(-2.0, 2.0, 5)
+        u = bounds._expi(h, t)
+        assert u.shape == (5, d, d)
+        for k in range(5):
+            np.testing.assert_allclose(u[k], expm(1j * t[k] * h[k]), rtol=0, atol=1e-12)
+
 
 class TestSearchConfig:
     def test_validation(self):

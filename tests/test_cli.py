@@ -426,6 +426,33 @@ class TestMalformedLiterals:
         path = self._file(tmp_path, {"dim": 2, "elements": [1]})
         self._expect_error(capsys, "muub-check", "--b1", path, "--b2", "pauli")
 
+    @pytest.mark.parametrize("dim", [2.5, "2", True])
+    def test_tester_literal_dim_not_an_integer(self, capsys, tmp_path, dim):
+        path = self._file(tmp_path, {**tester.named_tester("+X").to_json(), "dim": dim})
+        error = self._expect_error(capsys, "bound", "--t1", path, "--t2", "0X", "--starts", "1")
+        assert error == f"dim must be an integer, not {dim!r}"
+
+    @pytest.mark.parametrize("field,value", [("dim", 2.9), ("dim", "2"), ("rows", 2.5),
+                                             ("cols", False)])
+    def test_basis_literal_integer_field_not_an_integer(self, capsys, tmp_path, field, value):
+        obj = muub.build_named_basis("pauli", 2).to_json()
+        if field == "dim":
+            obj["dim"] = value
+        else:
+            obj["elements"][1] = {**obj["elements"][1], field: value}
+        path = self._file(tmp_path, obj)
+        error = self._expect_error(capsys, "muub-check", "--b1", path, "--b2", "pauli")
+        assert error == f"{field} must be an integer, not {value!r}"
+
+    def test_config_tester_literal_dim_not_an_integer(self, capsys, tmp_path):
+        bell = [tester.named_tester(f"bell:{k}").to_json() for k in range(4)]
+        bell[2]["dim"] = 2.5
+        path = self._file(tmp_path, {"d": 2, "D": 4, "rounds": 10,
+                                     "tester_sets": [bell, "bell-rot"],
+                                     "encoding_sets": ["pauli", "pauli-unbiased"]})
+        error = self._expect_error(capsys, "qkd", "extended", "--config", path)
+        assert error == "dim must be an integer, not 2.5"
+
     def test_basis_literal_with_huge_entries(self, capsys, tmp_path):
         big = {"rows": 2, "cols": 2, "entries": [[1e300, 0.0]] * 4}
         path = self._file(tmp_path, {"dim": 2, "elements": [big, big]})

@@ -9,13 +9,17 @@ checks behind them are reached.  The argv examples are built from the
 parser's own commands, flags and choices mixed with junk values, so they
 reach argparse's usage errors as well as the handlers.  Whatever the
 input, ``main`` must return 0, 1 or 2, print exactly one strict-JSON report
-whose status matches the exit code, and let no exception escape.  Round
+whose status matches the exit code, and let no exception escape.  A
+tester or basis file whose ``dim``, or a matrix's ``rows`` or ``cols``, is
+a bool, a string or a non-integral float must exit 2; half of those
+examples set one such field to a value that looks like an integer.  Round
 counts, starts and iterations are kept small so that a valid run finishes
 quickly.
 """
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import math
@@ -40,6 +44,7 @@ JSON_VALUES = st.recursive(
 TESTER_LITERALS = [tester.named_tester(n).to_json() for n in ("+X", "bell:1")]
 BASIS_LITERALS = [muub.build_named_basis(n, d).to_json()
                   for n, d in (("pauli", 2), ("rotation", 2), ("weyl", 3))]
+TESTER_MATRICES, BASIS_MATRICES = ("input", "projectors"), ("elements",)  # keys of matrix literals
 CONFIG_LITERALS = [
     qkd.default_lm05_config(rounds=50, control_fraction=0.3).to_json(),
     {"d": 2, "D": 2, "rounds": 50, "tester_sets": ["z", "xcomp"],
@@ -89,9 +94,9 @@ def _strict_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _main(argv) -> str:
+def _main(argv) -> tuple:
     """Runs ``cli.main`` and checks its exit code and its one report;
-    returns what it wrote to stderr."""
+    returns the exit code and what it wrote to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -100,12 +105,56 @@ def _main(argv) -> str:
     assert len(lines) == 1, lines
     report = json.loads(lines[0], parse_constant=_strict_constant)
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code]
-    return err.getvalue()
+    return code, err.getvalue()
 
 
-def _run(path, obj, argv):
+def _run(path, obj, argv) -> int:
     path.write_text(json.dumps(obj))
-    assert _main(argv) == ""
+    code, err = _main(argv)
+    assert err == ""
+    return code
+
+
+def _not_an_integer(value) -> bool:
+    """A bool, a string or a non-integral float (NaN and the infinities too)."""
+    return isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer()
+
+
+def _integer_slots(obj, matrix_keys) -> list:
+    """(dict, key) for the ``dim`` of the literal ``obj`` and for the ``rows``
+    and ``cols`` of each matrix literal under a key of ``matrix_keys``, as
+    the value there or in a list there."""
+    if not isinstance(obj, dict):
+        return []
+    matrices = []
+    for k in matrix_keys:
+        v = obj.get(k)
+        matrices += [v] if isinstance(v, dict) else v if isinstance(v, list) else []
+    return [(obj, "dim")] + [(m, f) for m in matrices if isinstance(m, dict)
+                             for f in ("rows", "cols")]
+
+
+def _bad_integer_field(obj, matrix_keys) -> bool:
+    """Whether an integer field of ``obj`` is present and not an integer.  The
+    readers reach every such field unless the literal fails earlier, which
+    also exits 2."""
+    return any(k in m and _not_an_integer(m[k]) for m, k in _integer_slots(obj, matrix_keys))
+
+
+INTEGER_LOOKALIKES = [2.5, 2.9, 1.5, "2", "4", True, False, float("nan"), 2.0, 4.0, 2]
+
+
+@st.composite
+def _literal_files(draw, literals, matrix_keys):
+    """``_json_files``, with one integer field set to a value from
+    ``INTEGER_LOOKALIKES`` half the time (integral floats and integers
+    among them)."""
+    obj = copy.deepcopy(draw(_json_files(literals)))
+    slots = _integer_slots(obj, matrix_keys)
+    if slots and draw(st.booleans()):
+        m, k = draw(st.sampled_from(slots))
+        m[k] = draw(st.sampled_from(INTEGER_LOOKALIKES))
+    return obj
 
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150, database=None,
@@ -118,18 +167,24 @@ def fuzz_dir(tmp_path_factory):
 
 
 @FUZZ
-@given(obj=_json_files(TESTER_LITERALS), other=st.sampled_from(("0X", "+Z")))
+@given(obj=_literal_files(TESTER_LITERALS, TESTER_MATRICES), other=st.sampled_from(("0X", "+Z")))
 def test_tester_files(fuzz_dir, obj, other):
     path = fuzz_dir / "tester.json"
-    _run(path, obj, ["bound", "--t1", str(path), "--t2", other,
-                     "--starts", "1", "--iters", "20", "--json-only"])
+    code = _run(path, obj, ["bound", "--t1", str(path), "--t2", other,
+                            "--starts", "1", "--iters", "20", "--json-only"])
+    if _bad_integer_field(obj, TESTER_MATRICES):
+        assert code == 2
 
 
 @FUZZ
-@given(obj=_json_files(BASIS_LITERALS), other=st.sampled_from(("pauli", "rotation", None)))
+@given(obj=_literal_files(BASIS_LITERALS, BASIS_MATRICES),
+       other=st.sampled_from(("pauli", "rotation", None)))
 def test_basis_files(fuzz_dir, obj, other):
     path = fuzz_dir / "basis.json"
-    _run(path, obj, ["muub-check", "--b1", str(path), "--b2", other or str(path), "--json-only"])
+    code = _run(path, obj, ["muub-check", "--b1", str(path), "--b2", other or str(path),
+                            "--json-only"])
+    if _bad_integer_field(obj, BASIS_MATRICES):
+        assert code == 2
 
 
 @FUZZ
@@ -213,7 +268,7 @@ def test_generated_argv(fuzz_dir, data):
     cwd = os.getcwd()
     os.chdir(fuzz_dir)
     try:
-        err = _main(argv)
+        _, err = _main(argv)
     finally:
         os.chdir(cwd)
     if "--json-only" in argv:

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from qtesters import ppovm, qmath, tester
-from qtesters.ppovm import (
-    ChoiOperator,
-    TesterElementSet,
-    choi_operator,
-    probability_via_choi,
-    tester_elements,
-)
+from qtesters import qmath, tester
+from qtesters.ppovm import choi_operator, probability_via_choi, tester_elements
 from qtesters.tester import (
     named_tester,
     outcome_distribution,
@@ -26,32 +20,29 @@ class TestChoiOperator:
     def test_identity_channel(self):
         e = choi_operator(I2)
         psi = qmath.max_entangled_state(2)
-        np.testing.assert_allclose(e.matrix, np.outer(psi, psi.conj()), atol=1e-14)
-        assert np.trace(e.matrix).real == pytest.approx(2.0, abs=1e-12)
+        assert type(e) is np.ndarray and e.shape == (4, 4)
+        np.testing.assert_allclose(e, np.outer(psi, psi.conj()), atol=1e-14)
+        assert np.trace(e).real == pytest.approx(2.0, abs=1e-12)
 
     def test_sigma_x_channel(self):
         w = np.array([0, 1, 1, 0], dtype=complex)
-        np.testing.assert_allclose(choi_operator(qmath.SIGMA_X).matrix,
-                                   np.outer(w, w.conj()), atol=1e-14)
+        np.testing.assert_allclose(choi_operator(qmath.SIGMA_X), np.outer(w, w.conj()),
+                                   atol=1e-14)
 
     def test_rank_one_scaling(self, gen):
         for d in (2, 3):
-            e = choi_operator(qmath.haar_random_unitary(d, gen)).matrix
+            e = choi_operator(qmath.haar_random_unitary(d, gen))
             np.testing.assert_allclose(e @ e, d * e, atol=1e-10)
             assert np.trace(e).real == pytest.approx(d, abs=1e-10)
 
     def test_injective_modulo_phase(self, gen):
         u = qmath.haar_random_unitary(2, gen)
         v = np.exp(0.731j) * u
-        np.testing.assert_allclose(choi_operator(u).matrix, choi_operator(v).matrix, atol=1e-12)
+        np.testing.assert_allclose(choi_operator(u), choi_operator(v), atol=1e-12)
         assert abs(np.trace(u.conj().T @ v)) ** 2 == pytest.approx(4.0, abs=1e-9)
         w = qmath.haar_random_unitary(2, gen)
-        gap = np.max(np.abs(choi_operator(u).matrix - choi_operator(w).matrix))
+        gap = np.max(np.abs(choi_operator(u) - choi_operator(w)))
         assert gap > 1e-3 and abs(np.trace(u.conj().T @ w)) ** 2 < 4.0 - 1e-3
-
-    def test_psd_validation(self):
-        with pytest.raises(ValueError):
-            ChoiOperator(dim=2, matrix=-np.eye(4, dtype=complex))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -65,26 +56,32 @@ class TestTesterElements:
         rho0 = np.outer(tester.KET0, tester.KET0.conj())
         for k in range(2):
             p_k = np.outer(tester.Z_BASIS[k], tester.Z_BASIS[k].conj())
-            np.testing.assert_allclose(els.elements[k], qmath.tensor(p_k, rho0), atol=1e-14)
+            np.testing.assert_allclose(els[k], qmath.tensor(p_k, rho0), atol=1e-14)
 
     def test_all_elements_psd(self, gen):
         for d in (2, 3):
             for k in range(6):
                 t = random_tester(d, gen, bipartite=k % 2 == 1)
-                els = tester_elements(t)
-                for e in els.elements:
+                for e in tester_elements(t):
                     assert np.linalg.eigvalsh(e).min() >= -1e-9
 
     def test_normalization_sum(self, gen):
         for d in (2, 3):
             for k in range(6):
                 t = random_tester(d, gen, bipartite=k % 2 == 1)
-                els = tester_elements(t)
-                assert els.complete
-                danc = d if t.is_bipartite else 1
-                marginal = qmath.partial_trace_ancilla(els.probe, d) if danc > 1 else els.probe
+                rows = t.projector_matrix()
+                np.testing.assert_allclose(rows.T @ rows.conj(), np.eye(t.input.size),
+                                           atol=1e-9)  # a complete measurement
+                rho = np.outer(t.input, t.input.conj())
+                marginal = qmath.partial_trace_ancilla(rho, d) if t.is_bipartite else rho
                 want = qmath.tensor(np.eye(d, dtype=complex), marginal.T)
-                np.testing.assert_allclose(els.normalization(), want, atol=1e-9)
+                np.testing.assert_allclose(tester_elements(t).sum(0), want, atol=1e-9)
+
+    def test_read_only(self, gen):
+        els = tester_elements(random_tester(2, gen))
+        assert type(els) is np.ndarray and not els.flags.writeable
+        with pytest.raises(ValueError):
+            els[0, 0, 0] = 1.0
 
     def test_projector_phase_invariance(self, gen):
         t = random_tester(2, gen)
@@ -96,8 +93,7 @@ class TestTesterElements:
         )
         a = tester_elements(t)
         b = tester_elements(t2)
-        for x, y in zip(a.elements, b.elements):
-            np.testing.assert_allclose(x, y, atol=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestProbabilityViaChoi:
@@ -148,14 +144,14 @@ class TestStackedElements:
     def test_match_kron_reference(self, gen, d, kind):
         for _ in range(5):
             t = _tester_of_kind(kind, d, gen)
-            els = tester_elements(t).elements
+            els = tester_elements(t)
             assert isinstance(els, np.ndarray) and els.shape == (t.n_outcomes, d * d, d * d)
             ref = oracles.kron_tester_elements(t.input, t.projectors, d)
             np.testing.assert_allclose(els, ref, rtol=0, atol=1e-12)
 
     def test_each_element_rank_one(self, gen, d, kind):
         t = _tester_of_kind(kind, d, gen)
-        for t_k in tester_elements(t).elements:
+        for t_k in tester_elements(t):
             np.testing.assert_allclose(t_k @ t_k, np.trace(t_k) * t_k, rtol=0, atol=1e-12)
 
     def test_probability_matches_direct_rule(self, gen, d, kind):
@@ -179,23 +175,20 @@ class TestProbabilityViaChoiErrors:
                                  choi_operator(qmath.haar_random_unitary(3, gen)))
 
     def test_imaginary_part_message(self):
-        # an imaginary diagonal part of 5e-10 passes the 1e-9 Hermiticity
-        # check, and the PSD operator E = 1e9 I scales it to Tr[T E] = 1e9 + 0.5j
+        # E = 1e9 I scales an imaginary diagonal part of 5e-10, below the
+        # 1e-9 tolerance, to Tr[T E] = 1e9 + 0.5j
         t_k = np.zeros((4, 4), dtype=complex)
         t_k[0, 0] = 1.0 + 5e-10j
-        ts = TesterElementSet(elements=(t_k,), probe=np.eye(2), complete=False)
-        e = ChoiOperator(dim=2, matrix=1e9 * np.eye(4))
         with pytest.raises(ValueError, match=r"^Tr\[T_k E\] has imaginary part 5\.000e-01$"):
-            probability_via_choi(ts, e)
+            probability_via_choi(_stack(t_k), 1e9 * np.eye(4, dtype=complex))
 
     def test_non_finite_message(self):
         # 2 * 1e308 overflows, and the overflows of opposite sign add to NaN
         a, b = np.array([1, 1, 0, 0]), np.array([1, -1, 0, 0])
-        ts = TesterElementSet(elements=(2 * np.outer(a, a),), probe=np.eye(2), complete=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            e = ChoiOperator(dim=2, matrix=1e308 * np.outer(b, b))
+            e = _stack(1e308 * np.outer(b, b))[0]
             with pytest.raises(ValueError, match=r"^probabilities are not finite: \[nan\]$"):
-                probability_via_choi(ts, e)
+                probability_via_choi(_stack(2 * np.outer(a, a)), e)
 
     @pytest.mark.parametrize("second,total", [
         (0.5, "1.25"),                          # above 1 + 1e-9
@@ -203,26 +196,17 @@ class TestProbabilityViaChoiErrors:
     ])
     def test_sum_message(self, second, total):
         # against E(I), Tr[T_k E] is T_k[0, 0] + T_k[0, 3] + T_k[3, 0] + T_k[3, 3]
-        ts = TesterElementSet(elements=(np.diag([0.75, 0, 0, 0]), np.diag([0, 0, 0, second])),
-                              probe=np.eye(2), complete=False)
+        els = _stack(np.diag([0.75, 0, 0, 0]), np.diag([0, 0, 0, second]))
         with pytest.raises(ValueError, match=rf"^probabilities sum to {re.escape(total)}, not 1$"):
-            probability_via_choi(ts, choi_operator(I2))
+            probability_via_choi(els, choi_operator(I2))
 
     def test_subnormalized_sum_is_not_checked(self):
         # a sum below 1 - 1e-6 is a tester whose projectors leave out part of the space
-        ts = TesterElementSet(elements=(np.diag([0.5, 0, 0, 0]), np.diag([0, 0, 0, 0.25])),
-                              probe=np.eye(2), complete=False)
-        p = probability_via_choi(ts, choi_operator(I2))
+        els = _stack(np.diag([0.5, 0, 0, 0]), np.diag([0, 0, 0, 0.25]))
+        p = probability_via_choi(els, choi_operator(I2))
         assert type(p) is np.ndarray and p.dtype == float and p.tolist() == [0.5, 0.25]
 
-    def test_element_not_hermitian_message(self):
-        # eigvalsh reads the lower triangle only, so this element would pass
-        # the PSD check, and gives Tr[T E] = 1 + 0.5j against E(I)
-        t_k = np.zeros((4, 4), dtype=complex)
-        t_k[0, 0], t_k[0, 3] = 1.0, 0.5j
-        with pytest.raises(ValueError, match=r"^tester element is not Hermitian$"):
-            TesterElementSet(elements=(np.eye(4), t_k), probe=np.eye(2), complete=False)
 
-    def test_element_not_psd_message(self):
-        with pytest.raises(ValueError, match=r"^tester element not PSD \(min eigenvalue"):
-            TesterElementSet(elements=(np.eye(4), -np.eye(4)), probe=np.eye(2), complete=False)
+def _stack(*elements):
+    """Hand-made tester elements as one complex (n, 4, 4) stack."""
+    return np.array(elements, dtype=complex)

@@ -337,3 +337,37 @@ class TestJsonLiterals:
         obj = qmath.matrix_to_json(np.eye(2))
         with pytest.raises(ValueError):
             qmath.state_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [2.5, "2", True, None, float("nan"), float("inf")])
+    def test_matrix_shape_fields_are_not_coerced(self, key, value):
+        obj = {**qmath.matrix_to_json(np.eye(2)), key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, not "):
+            qmath.matrix_from_json(obj)
+
+    def test_matrix_integral_float_shape_accepted(self):
+        obj = {**qmath.matrix_to_json(np.eye(2)), "rows": 2.0, "cols": 2.0}
+        np.testing.assert_array_equal(qmath.matrix_from_json(obj), np.eye(2))
+
+
+class TestIntField:
+    def test_reads_integers_and_integral_floats(self):
+        obj = {"a": 3, "b": 1e5, "c": -2.0}
+        assert [qmath.int_field(obj, k) for k in "abc"] == [3, 100_000, -2]
+        assert type(qmath.int_field(obj, "b")) is int
+        assert qmath.int_field(obj, "missing", 7) == 7
+
+    @pytest.mark.parametrize("value", [2.5, "2", True, False, None, [2], float("nan")])
+    def test_rejects_everything_else_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=r"^dim must be an integer, not "):
+            qmath.int_field({"dim": value}, "dim")
+
+    def test_missing_field_without_default(self):
+        with pytest.raises(KeyError):
+            qmath.int_field({}, "dim")
+
+    def test_error_class(self):
+        class Custom(ValueError):
+            pass
+        with pytest.raises(Custom, match=r"^seed must be an integer, not 0\.5$"):
+            qmath.int_field({"seed": 0.5}, "seed", 0, error=Custom)
