@@ -14,15 +14,22 @@ Its objectives see stacks of unitaries and return their values and
 Hermitian gradients; the su(d) coordinates of the start points and their
 exp map are private to the search, which returns each start's unitary.
 
-All starts of a search run in lockstep: each iteration evaluates the
-objective once on the stacked trial points of every live start, so the
-cost of an iteration is a few stacked numpy calls, not one Python call per
-start.  The starts stay independent: the exp maps and the objective
-compute each row with stacked (per-matrix) products, ``eigh`` and last-axis
-reductions only, so a start's path does not depend on which other starts
-share a call.  A search given a value target (the partner search) ends
-once one start is done at or below it, so the first k starts of a run are
-a k-start run's bit for bit only without a target (``estimate_bound``).
+All live starts of a search share each objective call: one call
+evaluates the stacked trial points of every live start, so a call costs a
+few stacked numpy calls, not one Python call per start.  Backtracking runs
+in stacks, and each start keeps its own iteration clock: after a rejected
+step, a start's next call tries its next 2 halvings of the step size as
+two rows, then 4, then 8, and it keeps its first accepted row.  Each start
+still ends where one trial step per iteration takes it, bit for bit, and
+``nfev = nit + 1`` counts that descent's evaluations; the rows the
+objective evaluates can exceed it.  The starts stay independent: the exp
+maps and the objective compute each row with stacked (per-matrix)
+products, ``eigh`` and last-axis reductions only, so a start's path does
+not depend on which other rows share a call.  A search given a value
+target (the partner search) ends once one start is done at or below it.
+That stop needs one clock for all starts, so such a search takes one
+trial per start per call, and the first k starts of a run are a k-start
+run's bit for bit only without a target (``estimate_bound``).
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ class SearchConfig:
     rng: RngHandle = field(default_factory=lambda: RngHandle(seed=0))
 
     def __post_init__(self):
+        for key in ("starts", "max_iterations"):
+            # a bool or a non-integral float raises; 50.0 becomes 50
+            object.__setattr__(self, key, qmath.int_field(vars(self), key))
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.max_iterations < 1:
@@ -139,7 +149,11 @@ def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
 def _expi(h: np.ndarray, t) -> np.ndarray:
     """exp(i t h) for a (..., d, d) stack of Hermitian h through one ``eigh``,
     t a scalar or one value per matrix; each matrix is computed on its own."""
-    w, v = np.linalg.eigh(h)
+    return _expi_eig(*np.linalg.eigh(h), t)
+
+
+def _expi_eig(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """exp(i t h) from the ``eigh`` (w, v) of h, the phase step of ``_expi``."""
     phase = np.exp(1j * np.asarray(t)[..., None] * w)
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -168,77 +182,130 @@ class _Runs(NamedTuple):
         return int(np.argmin(self.final))
 
 
-def _traceless(omega: np.ndarray) -> np.ndarray:
-    d = omega.shape[-1]
-    return omega - (np.trace(omega, axis1=-2, axis2=-1) / d)[:, None, None] * np.eye(d)
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(a^dag b) for each pair of rows of two (k, d, d) stacks."""
     return (a.conj() * b).real.reshape(len(a), -1).sum(-1)
 
 
 def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _Runs:
-    """Riemannian steepest descent on U(d) from cfg.starts points, all
-    starts in lockstep.
+    """Riemannian steepest descent on U(d) from cfg.starts points, every
+    live start's trial steps in one objective call.
 
     The start points are exp maps (``unitary_from_params``) of su(d)
     coordinates drawn uniformly in [-pi, pi)^(d^2 - 1).  ``g`` maps a
     (k, d, d) stack of unitaries to (values, omega): the k values and the
     Hermitian gradients, df = tr(omega H) for U <- exp(iH) U; it must
-    compute each row independently of the others.  Each iteration, every
-    live start takes one trial step U <- exp(-i mu omega0) U, with omega0
-    the traceless part of omega, through one ``eigh``.  The step is kept
-    when f drops by at least 1e-4 mu |omega0|_F^2; then mu becomes the
-    Barzilai-Borwein step <s,s>/<s,y> (s = -mu omega0, y the change in
-    omega0), or 2 mu when <s,y> <= 0, clipped to [1e-6, 1e3].  A rejected
-    step halves mu, which starts at 0.5.  A start stops at |omega0|_F <=
-    gtol (or a gradient that is not finite), at mu < 1e-14, or after
-    ``cfg.max_iterations`` iterations, the only stop that leaves it not
-    converged.  Each iteration evaluates ``g`` once, so nfev = nit + 1.
+    compute each row independently of the others.
+
+    Each start runs the one-trial descent: an iteration takes the trial step
+    U <- exp(-i mu omega0) U, with omega0 the traceless part of omega.  The
+    step is kept when f drops by at least 1e-4 mu |omega0|_F^2; then mu
+    becomes the Barzilai-Borwein step <s,s>/<s,y> (s = -mu omega0, y the
+    change in omega0), or 2 mu when <s,y> <= 0, clipped to [1e-6, 1e3].  A
+    rejected step halves mu, which starts at 0.5.  A start stops at
+    |omega0|_F <= gtol (or a gradient that is not finite), at mu < 1e-14, or
+    after ``cfg.max_iterations`` iterations, the only stop that leaves it
+    not converged.  nfev = nit + 1 counts the evaluations of that one-trial
+    descent.
+
+    Backtracking runs in stacks, and each start keeps its own iteration
+    clock.  A rejected step leaves U and omega0 as they were, so after one
+    the start's next call tries its next 2 halvings of mu as two rows of
+    the call, after those its next 4, then 8, and so on, every row from the
+    one ``eigh`` of its omega0.  The rows stop short of mu < 1e-14 and of
+    ``cfg.max_iterations``.  The start keeps its first accepted row and
+    counts every iteration that row stands for; the rows after it are
+    wasted.  So ``g`` can evaluate more rows than nfev counts, and a start
+    ends with the u, value, nit and convergence of the one-trial descent,
+    bit for bit.
 
     With a ``target``, the whole run ends at the first iteration where a
     start stops by its own test with a value at most ``target`` (a NaN value
     never does): every start still live then is recorded at that iteration,
-    not converged.  Which start wins can then depend on the other starts.
-    Without one, the starts are independent: the first k starts of a run
-    are a k-start run's bit for bit, and a caller reduces them in start
-    order.
+    not converged.  That stop needs one clock for all starts, so each start
+    takes one trial per call, and which start wins can depend on the other
+    starts.  Without a target, the starts are independent: the first k
+    starts of a run are a k-start run's bit for bit, and a caller reduces
+    them in start order.
     """
-    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, d * d - 1))
+    eye = np.eye(d)
+
+    def grad(u):
+        # g, with omega projected onto su(d)
+        f, omega = g(u)
+        return f, omega - (np.trace(omega, axis1=-2, axis2=-1) / d)[:, None, None] * eye
+
+    n = cfg.starts
+    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(n, d * d - 1))
     u = unitary_from_params(x0, su_generators(d))
-    f, omega = g(u)
-    omega, initial = _traceless(omega), f.copy()
-    mu = np.full(cfg.starts, _MU_START)
-    final, nit = np.empty(cfg.starts), np.empty(cfg.starts, dtype=int)
-    converged = np.empty(cfg.starts, dtype=bool)
-    # u, f, omega and mu hold the live starts only, listed in live; all of
-    # them have taken it iterations
-    live, it, out = np.arange(cfg.starts), 0, np.empty_like(u)
+    f, omega = grad(u)
+    initial, sq = f.copy(), _inner(omega, omega)
+    mu, it = np.full(n, _MU_START), np.zeros(n, dtype=int)
+    # width: the rows of a start's next call; narrow: every width is 1, as
+    # it always is with a target; moved: some omega is newer than (w, v)
+    width, narrow, moved = np.ones(n, dtype=int), True, True
+    w, v = np.empty((n, d)), np.empty_like(u)
+    final, nit = np.empty(n), np.empty(n, dtype=int)
+    converged = np.empty(n, dtype=bool)
+    # the arrays below hold the live starts only, listed in live
+    live, out = np.arange(n), np.empty_like(u)
     while True:
-        sq = _inner(omega, omega)
         done = (sq <= gtol * gtol) | ~np.isfinite(sq) | (mu < _MU_STOP)
         stop = done | (it >= cfg.max_iterations)
         if target is not None and (done & (f <= target)).any():
             stop[:] = True
         if stop.any():
             gone = live[stop]
-            out[gone], final[gone], nit[gone], converged[gone] = u[stop], f[stop], it, done[stop]
+            out[gone], final[gone], nit[gone], converged[gone] = u[stop], f[stop], it[stop], done[stop]
             keep = ~stop
-            live, u, f, omega, mu, sq = (a[keep] for a in (live, u, f, omega, mu, sq))
+            live, u, f, omega, sq, mu, it, width, w, v = (
+                a[keep] for a in (live, u, f, omega, sq, mu, it, width, w, v))
             if live.size == 0:
                 return _Runs(out, initial, final, nit + 1, nit, converged)
-        u_try = _expi(omega, -mu) @ u
-        f_try, omega_try = g(u_try)
-        omega_try = _traceless(omega_try)
-        accept = f_try <= f - _ARMIJO * mu * sq
-        sy = -mu * _inner(omega, omega_try - omega)
-        bb = np.divide(mu * mu * sq, sy, out=2.0 * mu, where=sy > 0)
-        mu = np.where(accept, np.clip(bb, _MU_LOW, _MU_HIGH), 0.5 * mu)
-        u = np.where(accept[:, None, None], u_try, u)
-        f = np.where(accept, f_try, f)
-        omega = np.where(accept[:, None, None], omega_try, omega)
-        it += 1
+        if moved:
+            w, v = np.linalg.eigh(omega)
+        if narrow:
+            at, mu_try, rows = slice(None), mu, 1
+        else:
+            # row (i, j) tries start i's mu halved j more times (exactly), as
+            # its iteration it_i + j would; none at mu < 1e-14 or past the cap
+            col = np.arange(width.max())
+            mu_grid = np.ldexp(mu[:, None], -col)
+            grid = ((col < width[:, None]) & (it[:, None] + col < cfg.max_iterations)
+                    & (mu_grid >= _MU_STOP))
+            at, j = np.nonzero(grid)
+            mu_try, rows = mu_grid[grid], grid.sum(1)
+        u_try = _expi_eig(w[at], v[at], -mu_try) @ u[at]
+        f_try, omega_try = grad(u_try)
+        accept = f_try <= f[at] - _ARMIJO * mu_try * sq[at]
+        if narrow:
+            hit, k, steps = accept, at, 1
+        else:
+            # each start's first accepted row; a start that accepts none
+            # stays put, every row a rejected iteration
+            heads = np.flatnonzero(j == 0)
+            first = np.minimum.reduceat(np.where(accept, np.arange(accept.size), accept.size), heads)
+            hit = first < accept.size
+            k = np.where(hit, first, heads)
+            steps = np.where(hit, j[k] + 1, rows)
+        m, om = mu_try[k], omega_try[k]
+        sy = -m * _inner(omega, om - omega)
+        bb = np.clip(np.divide(m * m * sq, sy, out=2.0 * m, where=sy > 0), _MU_LOW, _MU_HIGH)
+        it += steps
+        every = hit.all()
+        if every:
+            u, f, omega, mu = u_try[k], f_try[k], om, bb
+            if not narrow:
+                width = np.ones_like(width)
+        else:
+            mu = np.where(hit, bb, np.ldexp(mu, -rows))
+            u = np.where(hit[:, None, None], u_try[k], u)
+            f = np.where(hit, f_try[k], f)
+            omega = np.where(hit[:, None, None], om, omega)
+            if target is None:
+                width = np.where(hit, 1, 2 * width)
+        sq = _inner(omega, omega)
+        moved, narrow = every or hit.any(), every or target is not None
 
 
 def _entropy_terms(t: Tester | TesterStack, u: np.ndarray) -> tuple:

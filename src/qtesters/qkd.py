@@ -125,12 +125,18 @@ class ProtocolConfig:
     rng: RngHandle
 
     def __post_init__(self):
-        if isinstance(self.rounds, bool) or not isinstance(self.rounds, numbers.Integral):
-            raise ConfigError(f"rounds must be an integer, not {self.rounds!r}")
-        # a numpy integer becomes a plain int, which to_json() can write
-        object.__setattr__(self, "rounds", int(self.rounds))
+        for key in ("d", "D", "rounds"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, not {value!r}")
+            # a numpy integer becomes a plain int, which to_json() can write
+            object.__setattr__(self, key, int(value))
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        cf = self.control_fraction
+        if isinstance(cf, bool) or not isinstance(cf, numbers.Real):
+            raise ConfigError(f"control_fraction must be a number, not {cf!r}")
+        object.__setattr__(self, "control_fraction", float(cf))
         if not 0.0 <= self.control_fraction <= 1.0:
             raise ConfigError("control fraction must lie in [0, 1]")
         if len(self.tester_sets) != 2:

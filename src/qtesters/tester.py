@@ -99,7 +99,9 @@ def tester_from_json(obj: dict) -> Tester:
     try:
         psi = qmath.state_from_json(obj["input"])
         projs = tuple(qmath.state_from_json(p) for p in obj["projectors"])
-        dim, label = qmath.int_field(obj, "dim"), str(obj.get("label", ""))
+        dim, label = qmath.int_field(obj, "dim"), obj.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, not {label!r}")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad tester literal: {type(exc).__name__}: {exc}") from exc
     return Tester(input=psi, projectors=projs, dim=dim, label=label)

@@ -12,12 +12,14 @@ the library's own theorem check, ``sequential_unitary_mapping``, and
 ``pairwise_entropy_objective``, the bound search's objective with one
 Born-rule product per tester, which calls the library's Born rule, and
 ``loop_suite_tester`` and ``loop_suite_ppovm``, the ``verify`` tester and
-ppovm suites with one Haar draw and one completion per library call.
+ppovm suites with one Haar draw and one completion per library call, and
+``loop_multistart``, the bound search with one trial step per start per
+objective call, which calls the library's exp map.
 """
 
 import numpy as np
 
-from qtesters import ppovm, qmath, tester
+from qtesters import bounds, ppovm, qmath, tester
 from qtesters.qmath import RngHandle
 from qtesters.tester import outcome_probabilities, shannon_entropy
 
@@ -519,3 +521,46 @@ def loop_suite_ppovm(seed):
                 "pass": dev <= 1e-9,
             })
     return checks
+
+
+def _loop_traceless(omega):
+    d = omega.shape[-1]
+    return omega - (np.trace(omega, axis1=-2, axis2=-1) / d)[:, None, None] * np.eye(d)
+
+
+def loop_multistart(g, d, cfg, gtol, *, target=None):
+    """``bounds._multistart`` taking one trial step per live start per
+    objective call, so a start's every rejected step costs a call."""
+    b = bounds
+    x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, d * d - 1))
+    u = b.unitary_from_params(x0, b.su_generators(d))
+    f, omega = g(u)
+    omega, initial = _loop_traceless(omega), f.copy()
+    mu = np.full(cfg.starts, b._MU_START)
+    final, nit = np.empty(cfg.starts), np.empty(cfg.starts, dtype=int)
+    converged = np.empty(cfg.starts, dtype=bool)
+    live, it, out = np.arange(cfg.starts), 0, np.empty_like(u)
+    while True:
+        sq = b._inner(omega, omega)
+        done = (sq <= gtol * gtol) | ~np.isfinite(sq) | (mu < b._MU_STOP)
+        stop = done | (it >= cfg.max_iterations)
+        if target is not None and (done & (f <= target)).any():
+            stop[:] = True
+        if stop.any():
+            gone = live[stop]
+            out[gone], final[gone], nit[gone], converged[gone] = u[stop], f[stop], it, done[stop]
+            keep = ~stop
+            live, u, f, omega, mu, sq = (a[keep] for a in (live, u, f, omega, mu, sq))
+            if live.size == 0:
+                return b._Runs(out, initial, final, nit + 1, nit, converged)
+        u_try = b._expi(omega, -mu) @ u
+        f_try, omega_try = g(u_try)
+        omega_try = _loop_traceless(omega_try)
+        accept = f_try <= f - b._ARMIJO * mu * sq
+        sy = -mu * b._inner(omega, omega_try - omega)
+        bb = np.divide(mu * mu * sq, sy, out=2.0 * mu, where=sy > 0)
+        mu = np.where(accept, np.clip(bb, b._MU_LOW, b._MU_HIGH), 0.5 * mu)
+        u = np.where(accept[:, None, None], u_try, u)
+        f = np.where(accept, f_try, f)
+        omega = np.where(accept[:, None, None], omega_try, omega)
+        it += 1

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
+from test_fingerprints import SEARCH_CASES
 from qtesters import bounds, muub, qmath
 from qtesters.bounds import (
     BoundEstimate,
@@ -275,18 +276,24 @@ def _nan_ball(g, centre, radius, omega_too):
     return holed
 
 
-def _holed_search(omega_too, **kw):
-    """A 6-start entropy search run clean, and run again with start 2's
-    point inside a NaN ball (``kw`` goes to the second run only)."""
+def _holed_objective(omega_too):
+    """A d = 3 entropy objective, the same inside a NaN ball around start 2's
+    point, and the 6-start SearchConfig of that start."""
     gen = RngHandle(seed=12).generator()
     t1, t2 = random_tester(3, gen), random_tester(3, gen)
     g = bounds._entropy_objective(t1, t2)
     cfg = SearchConfig(starts=6, max_iterations=300, rng=RngHandle(seed=13))
-    clean = bounds._multistart(g, 3, cfg, cfg.tolerance)
     x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(cfg.starts, 8))
     centre = bounds.unitary_from_params(x0[2], su_generators(3))
-    holed = bounds._multistart(_nan_ball(g, centre, 1e-3, omega_too), 3, cfg,
-                               cfg.tolerance, **kw)
+    return g, _nan_ball(g, centre, 1e-3, omega_too), cfg
+
+
+def _holed_search(omega_too, **kw):
+    """A 6-start entropy search run clean, and run again with start 2's
+    point inside a NaN ball (``kw`` goes to the second run only)."""
+    g, holed_g, cfg = _holed_objective(omega_too)
+    clean = bounds._multistart(g, 3, cfg, cfg.tolerance)
+    holed = bounds._multistart(holed_g, 3, cfg, cfg.tolerance, **kw)
     return cfg, clean, holed, np.arange(cfg.starts) != 2
 
 
@@ -348,6 +355,85 @@ class TestDescentSearch:
         runs = _entropy_search(SearchConfig(starts=1, rng=RngHandle(seed=14)))
         assert runs.u.shape == (1, 3, 3) and runs.converged.all()
         assert qmath.is_unitary(runs.u[0], 1e-12)
+
+
+def _search_case(case, **kw):
+    """The objective, dimension and SearchConfig of a fingerprinted search
+    case (``kw`` goes to the SearchConfig)."""
+    pair, starts, stream = SEARCH_CASES[case]
+    t1, t2 = pair()
+    cfg = SearchConfig(starts=starts, rng=RngHandle(7665, stream), **kw)
+    return bounds._entropy_objective(t1, t2), t1.dim, cfg
+
+
+def _both(g, d, cfg, gtol, **kw):
+    """The stacked search and the one-trial reference on one objective."""
+    return (bounds._multistart(g, d, cfg, gtol, **kw),
+            oracles.loop_multistart(g, d, cfg, gtol, **kw))
+
+
+class TestStackedBacktracking:
+    """Trying a start's next halvings as extra rows of one objective call
+    gives each start the one-trial loop's result bit for bit: every field,
+    the unitaries included, compared as raw bytes."""
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_search_cases(self, case):
+        g, d, cfg = _search_case(case)
+        new, ref = _both(g, d, cfg, cfg.tolerance)
+        assert _same_runs(new, ref) is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("bipartite", [False, True], ids=["plain", "ancilla"])
+    def test_random_pairs(self, d, bipartite):
+        gen = RngHandle(2110, d + 10 * bipartite).generator()
+        for k in range(2):
+            t1 = random_tester(d, gen, bipartite=bipartite)
+            t2 = random_tester(d, gen, bipartite=bipartite)
+            cfg = SearchConfig(starts=4, rng=RngHandle(2111, 2 * d + k))
+            new, ref = _both(bounds._entropy_objective(t1, t2), d, cfg, cfg.tolerance)
+            assert _same_runs(new, ref) is None
+
+    @pytest.mark.parametrize("case", ["0Z0X", "d4bip"])
+    @pytest.mark.parametrize("cap", [1, 2, 5, 47])
+    def test_iteration_caps(self, case, cap):
+        g, d, cfg = _search_case(case, max_iterations=cap)
+        new, ref = _both(g, d, cfg, cfg.tolerance)
+        assert _same_runs(new, ref) is None
+        assert new.nit.max() <= cap
+
+    @pytest.mark.parametrize("omega_too", [False, True], ids=["value", "value-and-omega"])
+    def test_nan_balls(self, omega_too):
+        _, g, cfg = _holed_objective(omega_too)
+        new, ref = _both(g, 3, cfg, cfg.tolerance)
+        assert _same_runs(new, ref) is None
+
+    def test_partner_search_with_target(self):
+        g = muub._partner_objective(muub.build_named_basis("weyl", 3))
+        cfg = SearchConfig(starts=2, rng=RngHandle(7665, 99))
+        new, ref = _both(g, 3, cfg, 1e-13, target=1e-24)
+        assert _same_runs(new, ref) is None
+
+    def test_huge_iteration_cap_runs(self):
+        g, d, cfg = _search_case("0Z0X")
+        huge = SearchConfig(starts=cfg.starts, max_iterations=10 ** 30, rng=cfg.rng)
+        assert _same_runs(bounds._multistart(g, d, huge, cfg.tolerance),
+                          bounds._multistart(g, d, cfg, cfg.tolerance)) is None
+
+    @pytest.mark.parametrize("case, most", [("0Z0X", 30), ("d4bip", 360)])
+    def test_objective_calls(self, case, most):
+        # the one-trial loop takes 68 and 456 calls: the first evaluation,
+        # then one per iteration of the longest start
+        g, d, cfg = _search_case(case)
+        calls = []
+
+        def counted(u):
+            calls.append(len(u))
+            return g(u)
+        runs = bounds._multistart(counted, d, cfg, cfg.tolerance)
+        assert len(calls) <= most
+        # nfev still counts the one-trial loop's evaluations
+        assert (runs.nfev == runs.nit + 1).all() and runs.nfev.max() > len(calls)
 
 
 def _pairs(d):
@@ -432,6 +518,19 @@ class TestSearchConfig:
             SearchConfig(starts=0)
         with pytest.raises(ValueError):
             SearchConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iterations", 50.5), ("max_iterations", True), ("max_iterations", "50"),
+        ("starts", True), ("starts", 2.5), ("starts", False),
+    ])
+    def test_counts_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, not {value!r}$"):
+            SearchConfig(**{key: value})
+
+    def test_integral_float_counts_become_ints(self):
+        cfg = SearchConfig(starts=np.float64(3.0), max_iterations=50.0)
+        assert (cfg.starts, cfg.max_iterations) == (3, 50)
+        assert type(cfg.starts) is int and type(cfg.max_iterations) is int
 
     def test_classification(self):
         assert bounds.classify_saturation(1e-9, 2) == "trivial"

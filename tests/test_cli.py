@@ -432,6 +432,19 @@ class TestMalformedLiterals:
         error = self._expect_error(capsys, "bound", "--t1", path, "--t2", "0X", "--starts", "1")
         assert error == f"dim must be an integer, not {dim!r}"
 
+    @pytest.mark.parametrize("label", [None, 5, [1, 2]])
+    def test_tester_literal_label_not_a_string(self, capsys, tmp_path, label):
+        path = self._file(tmp_path, {**tester.named_tester("+X").to_json(), "label": label})
+        error = self._expect_error(capsys, "bound", "--t1", path, "--t2", "0X", "--starts", "1")
+        assert error == f"label must be a string, not {label!r}"
+
+    def test_tester_literal_without_label(self, capsys, tmp_path):
+        obj = tester.named_tester("+X").to_json()
+        del obj["label"]
+        code, report, _ = run_cli(capsys, "bound", "--t1", self._file(tmp_path, obj), "--t2",
+                                  "0X", "--starts", "1", "--json-only")
+        assert code == 0 and report["payload"]["t1"] == ""
+
     @pytest.mark.parametrize("field,value", [("dim", 2.9), ("dim", "2"), ("rows", 2.5),
                                              ("cols", False)])
     def test_basis_literal_integer_field_not_an_integer(self, capsys, tmp_path, field, value):

@@ -379,6 +379,21 @@ class TestConfigDimensions:
         with pytest.raises(ConfigError, match=f"^rounds must be an integer, not {rounds!r}$"):
             self._config(rounds=rounds)
 
+    @pytest.mark.parametrize("key, value", [("d", 2.0), ("d", True), ("D", 2.0), ("D", True)])
+    def test_dimensions_must_be_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, not {value!r}$"):
+            self._config(**{key: value})
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_control_fraction_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match=f"^control_fraction must be a number, not {value!r}$"):
+            self._config(control_fraction=value)
+
+    def test_numpy_numbers_become_plain(self):
+        cfg = self._config(d=np.int64(2), D=np.int32(2), control_fraction=np.float32(0.5))
+        assert cfg.to_json()["d"] == 2 and type(cfg.d) is int and type(cfg.D) is int
+        assert cfg.control_fraction == 0.5 and type(cfg.control_fraction) is float
+
     def test_numpy_integer_rounds(self):
         cfg = self._config(rounds=np.int64(10))
         assert type(cfg.rounds) is int and cfg.rounds == 10
