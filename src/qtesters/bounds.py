@@ -241,9 +241,9 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
     f, omega = grad(u)
     initial, sq = f.copy(), _inner(omega, omega)
     mu, it = np.full(n, _MU_START), np.zeros(n, dtype=int)
-    # width: the rows of a start's next call; narrow: every width is 1, as
-    # it always is with a target; moved: some omega is newer than (w, v)
-    width, narrow, moved = np.ones(n, dtype=int), True, True
+    # width: the rows of a start's next call, always 1 with a target;
+    # moved: some omega is newer than (w, v)
+    width, moved = np.ones(n, dtype=int), True
     w, v = np.empty((n, d)), np.empty_like(u)
     final, nit = np.empty(n), np.empty(n, dtype=int)
     converged = np.empty(n, dtype=bool)
@@ -264,6 +264,10 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
                 return _Runs(out, initial, final, nit + 1, nit, converged)
         if moved:
             w, v = np.linalg.eigh(omega)
+        # every width is 1 in most calls, and always with a target; laying
+        # out the grid for them costs ~30 more small numpy calls per call of
+        # g, which cancels the gain of stacking on the bound-search workload
+        narrow = width.max() == 1
         if narrow:
             at, mu_try, rows = slice(None), mu, 1
         else:
@@ -292,11 +296,10 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
         sy = -m * _inner(omega, om - omega)
         bb = np.clip(np.divide(m * m * sq, sy, out=2.0 * m, where=sy > 0), _MU_LOW, _MU_HIGH)
         it += steps
-        every = hit.all()
-        if every:
+        moved = hit.any()
+        if hit.all():
             u, f, omega, mu = u_try[k], f_try[k], om, bb
-            if not narrow:
-                width = np.ones_like(width)
+            width = np.ones_like(width)
         else:
             mu = np.where(hit, bb, np.ldexp(mu, -rows))
             u = np.where(hit[:, None, None], u_try[k], u)
@@ -305,7 +308,6 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
             if target is None:
                 width = np.where(hit, 1, 2 * width)
         sq = _inner(omega, omega)
-        moved, narrow = every or hit.any(), every or target is not None
 
 
 def _entropy_terms(t: Tester | TesterStack, u: np.ndarray) -> tuple:

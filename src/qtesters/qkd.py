@@ -687,10 +687,6 @@ def config_from_json(obj: dict) -> ProtocolConfig:
             resend_policy=eve_obj.get("resend_policy", "fixed-zero"),
             set_policy=eve_obj.get("set_policy", "fixed"),
         )
-        control_fraction = obj.get("control_fraction", 0.0)
-        if isinstance(control_fraction, bool) or not isinstance(control_fraction, numbers.Real):
-            raise ConfigError("bad protocol config: control_fraction must be a number, "
-                              f"not {control_fraction!r}")
         tester_sets = tuple(resolve_tester_set(s) for s in obj["tester_sets"])
         encoding_sets = tuple(resolve_basis(b, d) for b in obj["encoding_sets"])
         if not encoding_sets:
@@ -699,7 +695,7 @@ def config_from_json(obj: dict) -> ProtocolConfig:
             d=d,
             D=int_field(obj, "D", encoding_sets[0].D, error=ConfigError),
             rounds=int_field(obj, "rounds", error=ConfigError),
-            control_fraction=float(control_fraction),
+            control_fraction=obj.get("control_fraction", 0.0),
             eve=eve,
             tester_sets=tester_sets,
             encoding_sets=encoding_sets,
