@@ -364,7 +364,7 @@ def _suite_props(seed: int) -> list:
     repm = muub.verify_prop_maximal(s1, tester.named_tester_set("xcomp"), rot, had)
     checks.append({"name": "maximal-bound-D2", "pass": bool(repm.verdict)})
     bell = tester.named_tester_set("bell")
-    bellrot = tester.bell_tester_set(measurement_rotation=muub.balanced_qubit_rotation())
+    bellrot = tester.named_tester_set("bell-rot")
     pauli = muub.build_named_basis("pauli", 2)
     pub = muub.build_named_basis("pauli-unbiased", 2)
     repm4 = muub.verify_prop_maximal(bell, bellrot, pauli, pub)
@@ -486,23 +486,20 @@ def _cmd_qkd(args, log, stages) -> tuple:
             raise ValueError("--D applies to the extended protocol only")
         if args.protocol == "extended" and args.control_fraction is not None:
             raise ValueError("--control-fraction applies to the lm05 protocol only")
-        eve = qkd.EveStrategy(kind=_EVE_SHORT[args.eve or "none"])
-        rounds = 100_000 if args.rounds is None else args.rounds
-        seed = 0 if args.seed is None else args.seed
-        if args.protocol == "lm05":
-            cfg = qkd.default_lm05_config(rounds=rounds, eve=eve, seed=seed,
-                                          control_fraction=args.control_fraction or 0.0)
-        else:
-            cfg = qkd.default_extended_config(D=2 if args.D is None else args.D,
-                                              rounds=rounds, eve=eve, seed=seed)
+        # only the flags given, as the fixture configs hold every default; the
+        # checks above keep --D and --control-fraction to the one that takes it
+        given = {"rounds": args.rounds, "seed": args.seed, "D": args.D,
+                 "control_fraction": args.control_fraction,
+                 "eve": None if args.eve is None else qkd.EveStrategy(kind=_EVE_SHORT[args.eve])}
+        make = qkd.default_lm05_config if args.protocol == "lm05" else qkd.default_extended_config
+        cfg = make(**{k: v for k, v in given.items() if v is not None})
     log(f"simulating {args.protocol} for {cfg.rounds} rounds (eve={cfg.eve.kind}) ...")
     run = qkd.run_lm05 if args.protocol == "lm05" else qkd.run_extended
     stats = run(cfg, trace=args.trace, stages=stages)
     payload = {
         "protocol": args.protocol,
-        "config": {"d": cfg.d, "D": cfg.D, "rounds": cfg.rounds,
-                   "control_fraction": cfg.control_fraction, "eve": cfg.eve.to_json(),
-                   "seed": cfg.rng.seed, "stream": cfg.rng.stream},
+        "config": {k: v for k, v in cfg.to_json().items()
+                   if k not in ("tester_sets", "encoding_sets")},
         "stats": stats.to_json(),
     }
     return True, payload

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qmath
 from .bounds import SearchConfig, _multistart, entropy_sum
-from .qmath import DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qmath import DEFAULT_TOL, PAULIS, SIGMA_Y, balanced_qubit_rotation
 from .tester import (
     ENTROPY_ZERO_TOL,
     TesterSet,
@@ -38,6 +38,12 @@ from .tester import (
 )
 
 KAPPA_TOL = 1e-6
+# bits: how far an entropy of the maximal-bound hypothesis may be from 0
+# (deterministic) or from log2 D (uniform)
+MAXIMAL_TOL = 1e-6
+# largest gap between two sorted outcome distributions that still counts as
+# equivalent on a span sample, in the trivial-bound check
+SPAN_EQUIV_TOL = 1e-8
 
 BASIS_NAMES = ("pauli", "rotation", "hadamard-pair", "weyl", "pauli-unbiased")
 # largest d of a named weyl basis: its d^2 elements and the (d^2, d^2)
@@ -63,9 +69,10 @@ def hs_overlap(u: np.ndarray, v: np.ndarray):
     return float(ov[0, 0]) if u.ndim == 2 else ov
 
 
-def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
+def is_orthogonal_unitary_basis(elements) -> bool:
     """True iff the elements (a sequence of matrices or one (D, d, d) stack)
-    are d x d unitaries, pairwise Hilbert-Schmidt orthogonal, and their
+    are d x d unitaries within ``DEFAULT_TOL``, pairwise Hilbert-Schmidt
+    orthogonal (every overlap at most ``DEFAULT_TOL`` squared), and their
     count is d or d^2."""
     try:
         els = np.asarray(elements, dtype=complex)
@@ -73,10 +80,10 @@ def is_orthogonal_unitary_basis(elements, tol: float = DEFAULT_TOL) -> bool:
         return False
     if els.ndim != 3 or not els.size or len(els) not in (els.shape[1], els.shape[1] ** 2):
         return False
-    if not qmath.is_unitary(els, tol):
+    if not qmath.is_unitary(els):
         return False
     off_diagonal = hs_overlap(els, els)[~np.eye(len(els), dtype=bool)]
-    return bool((off_diagonal <= tol * tol).all())
+    return bool((off_diagonal <= DEFAULT_TOL * DEFAULT_TOL).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +118,12 @@ class UnitaryBasis:
 
 
 def basis_from_json(obj: dict) -> UnitaryBasis:
-    """UnitaryBasis from its JSON literal; a malformed literal raises ValueError."""
+    """UnitaryBasis from its JSON literal; a malformed literal raises
+    ValueError, also one with a key other than dim and elements."""
     try:
         dim = qmath.int_field(obj, "dim")
         elements = tuple(qmath.matrix_from_json(e) for e in obj["elements"])
+        qmath.check_keys(obj, ("dim", "elements"), "basis")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad basis literal: {type(exc).__name__}: {exc}") from exc
     return UnitaryBasis(dim=dim, elements=elements)
@@ -170,12 +179,6 @@ def _weyl_basis(d: int) -> tuple:
         for b in range(d):
             out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
     return tuple(out)
-
-
-def balanced_qubit_rotation() -> np.ndarray:
-    """The qubit unitary (I + i(sx+sy+sz))/2, whose overlap with every Pauli
-    is exactly 1; it turns the Pauli basis into its unbiased partner."""
-    return 0.5 * (np.eye(2, dtype=complex) + 1j * (SIGMA_X + SIGMA_Y + SIGMA_Z))
 
 
 def _named_elements(name: str, d: int) -> tuple:
@@ -241,15 +244,17 @@ def _stack(mats, d: int) -> np.ndarray:
     return np.stack(mats) if mats else np.empty((0, d, d), dtype=complex)
 
 
-def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
-                        tol: float = DEFAULT_TOL) -> TrivialBoundReport:
+def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> TrivialBoundReport:
     """Check the trivial-bound structure result on concrete data.
 
     Hypothesis: both sets complete; every cross tester pair has zero
     entropy sum on every element of ``us``; no U_m^dag U_n (m != n) is an
     eigenoperator of any probe.  Conclusions checked: ``us`` pairwise
     HS-orthogonal (s1) and all tester pairs outcome-equivalent on each
-    span sample (s2).  Failures are recorded, never raised.
+    span sample (s2).  Failures are recorded, never raised.  Completeness,
+    the eigenoperator test and orthogonality (overlap at most its square)
+    use ``DEFAULT_TOL``, the entropy sums ``ENTROPY_ZERO_TOL`` bits, and
+    the equivalences ``SPAN_EQUIV_TOL``.
 
     Each tester pair's entropy sums are one stacked ``entropy_sum`` call
     over all of ``us``, and its equivalences one stacked ``are_equivalent``
@@ -258,7 +263,7 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
     """
     failures = []
     us = _stack(us, s1.dim)
-    if not is_complete_set(s1, tol) or not is_complete_set(s2, tol):
+    if not is_complete_set(s1) or not is_complete_set(s2):
         failures.append("tester sets are not complete")
     pairs = [(ta, tb) for ta in s1 for tb in s2]
     sums = [entropy_sum(ta, tb, us) for ta, tb in pairs]
@@ -275,20 +280,20 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples,
                 continue
             w = us[m].conj().T @ us[n]
             for psi in probes:
-                if is_eigenoperator(w, psi, tol):
+                if is_eigenoperator(w, psi):
                     failures.append(f"U_{m}^dag U_{n} is an eigenoperator of a probe")
     hypothesis = not failures
     overlaps = hs_overlap(us, us)
     s1_pass = True
     for m, n in zip(*np.triu_indices(len(us), 1)):
-        if overlaps[m, n] > tol * tol:
+        if overlaps[m, n] > DEFAULT_TOL * DEFAULT_TOL:
             s1_pass = False
             failures.append(f"family elements {m},{n} are not HS-orthogonal")
     s2_pass = True
     testers = list(s1) + list(s2)
     pairs = [(ti, tj) for i, ti in enumerate(testers) for tj in testers[i + 1:]]
     ws = _stack(span_samples, s1.dim)
-    equiv = [are_equivalent(ti, tj, ws, tol=1e-8) for ti, tj in pairs]
+    equiv = [are_equivalent(ti, tj, ws, tol=SPAN_EQUIV_TOL) for ti, tj in pairs]
     for k in range(len(ws)):
         for (ti, tj), eq in zip(pairs, equiv):
             if not eq[k]:
@@ -326,10 +331,10 @@ def embedded_cross_overlaps(a: UnitaryBasis, b: UnitaryBasis) -> np.ndarray:
 
 
 def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
-                       fam2: UnitaryBasis, tol: float = 1e-6) -> tuple:
+                       fam2: UnitaryBasis) -> tuple:
     """The maximal-bound hypothesis for two families of one dimension and
     size D: s1 deterministic on fam1 and uniform on fam2, and s2 the other
-    way around, all within ``tol`` bits.
+    way around, all within ``MAXIMAL_TOL`` bits.
 
     Returns (rows, failures): rows[s][i] is tester i of set s on fam1 then
     fam2, and each set's rows are one checked ``outcome_distribution``
@@ -348,23 +353,23 @@ def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
         failures += [f"set{s + 1}/family{f + 1} element {j}: tester "
                      f"{(s1, s2)[s].testers[i].label} entropy {h[i, j]:.6f} bits, "
                      f"expected {expect}"
-                     for i, j in zip(*np.nonzero(np.abs(h - target) > tol))]
+                     for i, j in zip(*np.nonzero(np.abs(h - target) > MAXIMAL_TOL))]
     return rows, failures
 
 
 def verify_prop_maximal(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
-                        fam2: UnitaryBasis, tol: float = 1e-6) -> MaximalBoundReport:
+                        fam2: UnitaryBasis) -> MaximalBoundReport:
     """Check the maximal-bound structure result on concrete data.
 
     Hypothesis: both sets complete, and ``maximal_hypothesis`` within
-    ``tol`` bits.  Conclusions checked: every embedded cross overlap lies in
-    [0, D] (range check) and the two families verify as a MUUB pair.
-    Families of different dimension or size raise ValueError.
+    ``MAXIMAL_TOL`` bits.  Conclusions checked: every embedded cross
+    overlap lies in [0, D] (range check) and the two families verify as a
+    MUUB pair.  Families of different dimension or size raise ValueError.
     """
     report = are_muub(fam1, fam2)
     complete = is_complete_set(s1) and is_complete_set(s2)
     failures = [] if complete else ["tester sets are not complete"]
-    failures += maximal_hypothesis(s1, s2, fam1, fam2, tol)[1]
+    failures += maximal_hypothesis(s1, s2, fam1, fam2)[1]
     hypothesis = not failures
     cross = embedded_cross_overlaps(fam1, fam2)
     range_pass = bool(np.all(cross >= -DEFAULT_TOL) and np.all(cross <= fam1.D + DEFAULT_TOL))

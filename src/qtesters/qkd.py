@@ -69,8 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tester as tester_mod
-from .muub import (UnitaryBasis, are_muub, balanced_qubit_rotation, basis_from_json,
-                   build_named_basis, maximal_hypothesis)
+from .muub import (UnitaryBasis, are_muub, basis_from_json, build_named_basis,
+                   maximal_hypothesis)
 from .qmath import RngHandle, int_field
 from .tester import HypothesisViolation, TesterSet, is_complete_set
 
@@ -523,8 +523,7 @@ def default_extended_config(D: int = 2, rounds: int = 100_000,
         sets = (tester_mod.named_tester_set("z"), tester_mod.named_tester_set("xcomp"))
         encs = (build_named_basis("rotation", 2), build_named_basis("hadamard-pair", 2))
     elif D == 4:
-        sets = (tester_mod.named_tester_set("bell"),
-                tester_mod.bell_tester_set(measurement_rotation=balanced_qubit_rotation()))
+        sets = (tester_mod.named_tester_set("bell"), tester_mod.named_tester_set("bell-rot"))
         encs = (build_named_basis("pauli", 2), build_named_basis("pauli-unbiased", 2))
     else:
         raise ConfigError("bundled fixtures exist for D=2 and D=4 only")
@@ -544,7 +543,7 @@ def _extended_tables(cfg: ProtocolConfig):
         raise ConfigError("tester sets must have D members")
     # the hypothesis is checked on Bob's own rows; at a finite tolerance it
     # does not imply unbiased families, so the MUUB verdict is checked too
-    dists, failures = maximal_hypothesis(s1, s2, f1, f2, tol=1e-6)
+    dists, failures = maximal_hypothesis(s1, s2, f1, f2)
     if failures:
         raise HypothesisViolation("tester sets are not deterministic/uniform on the encoding "
                                   "families: " + "; ".join(failures[:3]))
@@ -646,8 +645,6 @@ def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) ->
 
 def resolve_tester_set(spec) -> TesterSet:
     if isinstance(spec, str):
-        if spec == "bell-rot":
-            return tester_mod.bell_tester_set(measurement_rotation=balanced_qubit_rotation())
         return tester_mod.named_tester_set(spec)
     testers = tuple(tester_mod.tester_from_json(t) for t in spec)
     if not testers:

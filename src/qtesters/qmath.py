@@ -12,7 +12,7 @@ All conventions used by the rest of the package are fixed here, once:
   serves only ``max_entangled_state``, on the identity, where the two
   layouts agree, and the ``verify`` qmath checks.
 * Unitarity and orthonormality are checked in max norm with tolerance
-  ``DEFAULT_TOL = 1e-9`` unless a caller overrides it.
+  ``DEFAULT_TOL = 1e-9``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,12 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def balanced_qubit_rotation() -> np.ndarray:
+    """The qubit unitary (I + i(sx+sy+sz))/2, whose overlap with every Pauli
+    is exactly 1; it turns the Pauli basis into its unbiased partner."""
+    return 0.5 * (np.eye(2, dtype=complex) + 1j * (SIGMA_X + SIGMA_Y + SIGMA_Z))
 
 
 @dataclass(frozen=True)
@@ -63,26 +69,27 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def as_state(v, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a pure-state vector: finite entries and unit norm within tol.
-    It is ``as_states`` on the vector as one row."""
-    return as_states(np.asarray(v, dtype=complex).reshape(1, -1), tol)[0]
+def as_state(v) -> np.ndarray:
+    """Validate a pure-state vector: finite entries and unit norm within
+    ``DEFAULT_TOL``.  It is ``as_states`` on the vector as one row."""
+    return as_states(np.asarray(v, dtype=complex).reshape(1, -1))[0]
 
 
-def as_states(vs, tol: float = DEFAULT_TOL) -> np.ndarray:
+def as_states(vs) -> np.ndarray:
     """Validate every row of an (n, size) stack as a pure-state vector, with
-    finite entries and unit norm within tol; the first failing row is reported."""
+    finite entries and unit norm within ``DEFAULT_TOL``; the first failing
+    row is reported."""
     vs = np.asarray(vs, dtype=complex)
     # einsum raises no overflow or invalid-value warning: a huge or infinite
-    # entry gives an inf norm and a NaN entry a NaN norm, and as "dev <= tol"
-    # is False for both, every non-finite row fails the norm test
+    # entry gives an inf norm and a NaN entry a NaN norm, and as the norm
+    # test is False for both, every non-finite row fails it
     nrm2 = np.einsum("ij,ij->i", vs.conj(), vs).real
-    dev = np.abs(nrm2 - 1.0)
-    if not (dev <= tol).all():
+    ok = np.abs(nrm2 - 1.0) <= DEFAULT_TOL
+    if not ok.all():
         if not np.isfinite(vs).all():
             raise ValueError("state has non-finite entries")
-        bad = float(nrm2[~(dev <= tol)][0])
-        raise ValueError(f"state norm^2 = {bad!r} is not 1 within {tol}")
+        bad = float(nrm2[~ok][0])
+        raise ValueError(f"state norm^2 = {bad!r} is not 1 within {DEFAULT_TOL}")
     return vs
 
 
@@ -100,11 +107,11 @@ def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0) <= tol)
 
 
-def assert_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def assert_unitary(u: np.ndarray) -> np.ndarray:
     u = as_matrix(u)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        raise ValueError(f"matrix is not unitary: max|u^dag u - I| = {dev:.3e} > {tol}")
+        raise ValueError(f"matrix is not unitary: max|u^dag u - I| = {dev:.3e} > {DEFAULT_TOL}")
     return u
 
 
@@ -302,14 +309,29 @@ def int_field(obj: dict, key: str, default=None, error=ValueError) -> int:
     return int(value)
 
 
+def check_keys(obj: dict, keys: tuple, what: str) -> None:
+    """Raise ValueError naming every key of the JSON object ``obj`` that is
+    not in ``keys``, so a misspelled field of a ``what`` literal never runs
+    with its default."""
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"bad {what} literal: unknown keys {unknown}")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Matrix from its JSON literal; a malformed literal raises ValueError."""
+    """Matrix from its JSON literal; a malformed literal raises ValueError,
+    also one with a key other than rows, cols and entries, or with a bool
+    for the real or imaginary half of an entry."""
     try:
         rows, cols = int_field(obj, "rows"), int_field(obj, "cols")
         entries = obj["entries"]
+        check_keys(obj, ("rows", "cols", "entries"), "matrix")
         if len(entries) != rows * cols:
             raise ValueError(f"literal claims {rows}x{cols} but has {len(entries)} entries")
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+        for k, (re, im) in enumerate(entries):
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise ValueError(f"matrix entry {k} must be two numbers, not {[re, im]!r}")
         return flat.reshape(rows, cols)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad matrix literal: {type(exc).__name__}: {exc}") from exc

@@ -95,13 +95,15 @@ class Tester:
 
 
 def tester_from_json(obj: dict) -> Tester:
-    """Tester from its JSON literal; a malformed literal raises ValueError."""
+    """Tester from its JSON literal; a malformed literal raises ValueError,
+    also one with a key other than those of ``Tester.to_json()``."""
     try:
         psi = qmath.state_from_json(obj["input"])
         projs = tuple(qmath.state_from_json(p) for p in obj["projectors"])
         dim, label = qmath.int_field(obj, "dim"), obj.get("label", "")
         if not isinstance(label, str):
             raise ValueError(f"label must be a string, not {label!r}")
+        qmath.check_keys(obj, ("label", "dim", "input", "projectors"), "tester")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad tester literal: {type(exc).__name__}: {exc}") from exc
     return Tester(input=psi, projectors=projs, dim=dim, label=label)
@@ -157,17 +159,18 @@ class TesterSet(TesterStack):
 
     @staticmethod
     def _check_members(ts):
-        if not _share_projectors(ts, DEFAULT_TOL):
+        if not _share_projectors(ts):
             raise ValueError("testers do not share one projector list")
 
 
-def _share_projectors(testers, tol: float) -> bool:
+def _share_projectors(testers) -> bool:
     """True iff every tester's projectors have the first tester's count and
-    size and lie within ``tol`` of them entrywise, compared as one stack."""
+    size and lie within ``DEFAULT_TOL`` of them entrywise, compared as one
+    stack."""
     if len({t.projector_matrix().shape for t in testers}) > 1:
         return False
     m = np.stack([t.projector_matrix() for t in testers])
-    return bool(np.abs(m - m[0]).max() <= tol)
+    return bool(np.abs(m - m[0]).max() <= DEFAULT_TOL)
 
 
 def outcome_amplitudes(t: Tester | TesterStack, u: np.ndarray) -> tuple:
@@ -202,10 +205,13 @@ def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
     u through their own probe and projector matrix, so they need not share
     projectors.  Every product is stacked per member and unitary, so each
     row of the result is the same bit for bit whatever else is in the
-    stack: the structure checks take one call per tester set over whole
-    families, and the bound search one call per pair of testers of one
-    shape.  The QKD outcome tables evaluate the same rule as stacked
-    products over control states too, in ``qkd``.
+    stack.  So ``muub.maximal_hypothesis`` takes one call per tester set
+    over both families; ``muub.verify_prop_trivial`` takes one per tester
+    of each cross tester pair over the whole family (``entropy_sum``) and
+    one per tester of each tester pair over all span samples
+    (``are_equivalent``); and the bound search takes one call per pair of
+    testers of one shape.  The QKD outcome tables evaluate the same rule
+    as stacked products over control states too, in ``qkd``.
     """
     return np.abs(outcome_amplitudes(t, u)[2]) ** 2
 
@@ -250,20 +256,20 @@ def shannon_entropy(p):
     return float(h) if h.ndim == 0 else h
 
 
-def is_complete_set(s, tol: float = DEFAULT_TOL) -> bool:
+def is_complete_set(s) -> bool:
     """True iff inputs are orthonormal, resolve the identity, and the
-    measurement is shared by every member."""
+    measurement is shared by every member, each within ``DEFAULT_TOL``."""
     testers = list(s)
     if not testers:
         raise ValueError("empty tester set")
-    if not _share_projectors(testers, tol):
+    if not _share_projectors(testers):
         return False
     inputs = np.stack([t.input for t in testers])
     gram = inputs.conj() @ inputs.T
-    if np.max(np.abs(gram - np.eye(len(testers)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(testers)))) > DEFAULT_TOL:
         return False
     resolution = inputs.T @ inputs.conj()
-    return bool(np.max(np.abs(resolution - np.eye(inputs.shape[1]))) <= tol)
+    return bool(np.max(np.abs(resolution - np.eye(inputs.shape[1]))) <= DEFAULT_TOL)
 
 
 def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_TOL):
@@ -284,20 +290,21 @@ def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_T
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def is_eigenoperator(op: np.ndarray, state: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff op|psi> = lambda |psi> for some complex lambda, within tol."""
+def is_eigenoperator(op: np.ndarray, state: np.ndarray) -> bool:
+    """True iff op|psi> = lambda |psi> for some complex lambda, within
+    ``DEFAULT_TOL``."""
     op = qmath.as_matrix(op)
     psi = qmath.as_state(state)
     if op.shape != (psi.size, psi.size):
         raise ValueError("operator and state dimensions differ")
     v = op @ psi
     lam = np.vdot(psi, v)
-    return bool(np.max(np.abs(v - lam * psi)) <= tol)
+    return bool(np.max(np.abs(v - lam * psi)) <= DEFAULT_TOL)
 
 
-def _schmidt_rank(psi: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> int:
+def _schmidt_rank(psi: np.ndarray, d: int) -> int:
     sv = np.linalg.svd(psi.reshape(d, -1), compute_uv=False)
-    return int(np.sum(sv > np.sqrt(tol)))
+    return int(np.sum(sv > np.sqrt(DEFAULT_TOL)))
 
 
 def can_distinguish(t: Tester, u1: np.ndarray, u2: np.ndarray) -> bool:
@@ -400,7 +407,8 @@ def random_tester(d: int, rng, bipartite: bool = False) -> Tester:
 
 def named_tester_set(name: str) -> TesterSet:
     """Complete tester sets: "z" = {0Z,1Z}, "x" = {+X,-X}, "xcomp" = {0X,1X},
-    "bell" = Bell-probe testers."""
+    "bell" = Bell-probe testers, "bell-rot" = Bell-probe testers whose Bell
+    measurement is rotated by ``qmath.balanced_qubit_rotation()``."""
     if name == "z":
         members = ("0Z", "1Z")
     elif name == "x":
@@ -409,6 +417,8 @@ def named_tester_set(name: str) -> TesterSet:
         members = ("0X", "1X")
     elif name == "bell":
         return bell_tester_set()
+    elif name == "bell-rot":
+        return bell_tester_set(measurement_rotation=qmath.balanced_qubit_rotation())
     else:
         raise ValueError(f"unknown tester set name: {name!r}")
     return TesterSet(testers=tuple(named_tester(n) for n in members), dim=2)

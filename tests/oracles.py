@@ -290,7 +290,7 @@ def gated_extended_p_out(cfg):
 
     s1, s2 = cfg.tester_sets
     f1, f2 = cfg.encoding_sets
-    report = verify_prop_maximal(s1, s2, f1, f2, tol=1e-6)
+    report = verify_prop_maximal(s1, s2, f1, f2)
     if not report.hypothesis_pass or not report.muub.verdict:
         return report, None
     testers = [t for s in cfg.tester_sets for t in s]

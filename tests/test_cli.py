@@ -445,6 +445,55 @@ class TestMalformedLiterals:
                                   "0X", "--starts", "1", "--json-only")
         assert code == 0 and report["payload"]["t1"] == ""
 
+    @staticmethod
+    def _set(obj, path, value):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    # each literal is otherwise valid: 0Z's probe and the Pauli identity have
+    # [1.0, 0.0] as entry 0, which [true, 0] was read as
+    @pytest.mark.parametrize("path,value,message", [
+        (("lable",), "x", "bad tester literal: unknown keys ['lable']"),
+        (("input", "extra"), 1, "bad matrix literal: unknown keys ['extra']"),
+        (("projectors", 1, "note"), "x", "bad matrix literal: unknown keys ['note']"),
+        (("input", "entries", 0), [True, 0], "matrix entry 0 must be two numbers, not [True, 0]"),
+        (("projectors", 0, "entries", 1), [0.0, False],
+         "matrix entry 1 must be two numbers, not [0.0, False]"),
+    ])
+    def test_tester_literal_unknown_key_or_bool_entry(self, capsys, tmp_path, path, value,
+                                                      message):
+        obj = tester.named_tester("0Z").to_json()
+        self._set(obj, path, value)
+        error = self._expect_error(capsys, "bound", "--t1", self._file(tmp_path, obj),
+                                   "--t2", "0X", "--starts", "1")
+        assert error == message
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("extra",), 1, "bad basis literal: unknown keys ['extra']"),
+        (("elements", 2, "Rows"), 2, "bad matrix literal: unknown keys ['Rows']"),
+        (("elements", 0, "entries", 0), [True, 0],
+         "matrix entry 0 must be two numbers, not [True, 0]"),
+        (("elements", 0, "entries", 1), [0, False],
+         "matrix entry 1 must be two numbers, not [0, False]"),
+    ])
+    def test_basis_literal_unknown_key_or_bool_entry(self, capsys, tmp_path, path, value,
+                                                     message):
+        obj = muub.build_named_basis("pauli", 2).to_json()
+        self._set(obj, path, value)
+        error = self._expect_error(capsys, "muub-check", "--b1", self._file(tmp_path, obj),
+                                   "--b2", "pauli-unbiased")
+        assert error == message
+
+    def test_config_tester_literal_unknown_key(self, capsys, tmp_path):
+        bell = [tester.named_tester(f"bell:{k}").to_json() for k in range(4)]
+        bell[3]["lable"] = "x"
+        path = self._file(tmp_path, {"d": 2, "D": 4, "rounds": 10,
+                                     "tester_sets": [bell, "bell-rot"],
+                                     "encoding_sets": ["pauli", "pauli-unbiased"]})
+        error = self._expect_error(capsys, "qkd", "extended", "--config", path)
+        assert error == "bad tester literal: unknown keys ['lable']"
+
     @pytest.mark.parametrize("field,value", [("dim", 2.9), ("dim", "2"), ("rows", 2.5),
                                              ("cols", False)])
     def test_basis_literal_integer_field_not_an_integer(self, capsys, tmp_path, field, value):

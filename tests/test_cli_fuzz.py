@@ -10,9 +10,13 @@ parser's own commands, flags and choices mixed with junk values, so they
 reach argparse's usage errors as well as the handlers.  Whatever the
 input, ``main`` must return 0, 1 or 2, print exactly one strict-JSON report
 whose status matches the exit code, and let no exception escape.  A
-tester or basis file whose ``dim``, or a matrix's ``rows`` or ``cols``, is
-a bool, a string or a non-integral float must exit 2; half of those
-examples set one such field to a value that looks like an integer.  Round
+tester or basis file must exit 2 when its ``dim``, or a matrix's ``rows``
+or ``cols``, is a bool, a string or a non-integral float; when the literal
+or one of its matrices has a key that its ``to_json()`` does not write;
+when a tester's label is not a string; or when the real or imaginary half
+of a matrix entry is a bool or a string.  Of those examples, 2 in 5 set
+one integer field to a value that looks like an integer, 1 in 5 add a key,
+and 1 in 5 set one entry half to a bool, a string or a number.  Round
 counts, starts and iterations are kept small so that a valid run finishes
 quickly.
 """
@@ -45,6 +49,9 @@ TESTER_LITERALS = [tester.named_tester(n).to_json() for n in ("+X", "bell:1")]
 BASIS_LITERALS = [muub.build_named_basis(n, d).to_json()
                   for n, d in (("pauli", 2), ("rotation", 2), ("weyl", 3))]
 TESTER_MATRICES, BASIS_MATRICES = ("input", "projectors"), ("elements",)  # keys of matrix literals
+# the keys each literal may have: those its to_json() writes
+TESTER_KEYS, BASIS_KEYS = tuple(TESTER_LITERALS[0]), tuple(BASIS_LITERALS[0])
+MATRIX_KEYS = tuple(BASIS_LITERALS[0]["elements"][0])
 CONFIG_LITERALS = [
     qkd.default_lm05_config(rounds=50, control_fraction=0.3).to_json(),
     {"d": 2, "D": 2, "rounds": 50, "tester_sets": ["z", "xcomp"],
@@ -120,18 +127,33 @@ def _not_an_integer(value) -> bool:
     return isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer()
 
 
-def _integer_slots(obj, matrix_keys) -> list:
-    """(dict, key) for the ``dim`` of the literal ``obj`` and for the ``rows``
-    and ``cols`` of each matrix literal under a key of ``matrix_keys``, as
-    the value there or in a list there."""
+def _matrices(obj, matrix_keys) -> list:
+    """The matrix literals (dicts) under a key of ``matrix_keys`` of the
+    literal ``obj``, as the value there or in a list there."""
     if not isinstance(obj, dict):
         return []
     matrices = []
     for k in matrix_keys:
         v = obj.get(k)
         matrices += [v] if isinstance(v, dict) else v if isinstance(v, list) else []
-    return [(obj, "dim")] + [(m, f) for m in matrices if isinstance(m, dict)
+    return [m for m in matrices if isinstance(m, dict)]
+
+
+def _integer_slots(obj, matrix_keys) -> list:
+    """(dict, key) for the ``dim`` of the literal ``obj`` and for the ``rows``
+    and ``cols`` of each of its matrix literals."""
+    if not isinstance(obj, dict):
+        return []
+    return [(obj, "dim")] + [(m, f) for m in _matrices(obj, matrix_keys)
                              for f in ("rows", "cols")]
+
+
+def _entry_halves(obj, matrix_keys) -> list:
+    """(entry, 0 or 1) for each half of each two-item entry of a matrix
+    literal of ``obj``."""
+    return [(e, i) for m in _matrices(obj, matrix_keys)
+            if isinstance(m.get("entries"), list)
+            for e in m["entries"] if isinstance(e, list) and len(e) == 2 for i in (0, 1)]
 
 
 def _bad_integer_field(obj, matrix_keys) -> bool:
@@ -141,19 +163,45 @@ def _bad_integer_field(obj, matrix_keys) -> bool:
     return any(k in m and _not_an_integer(m[k]) for m, k in _integer_slots(obj, matrix_keys))
 
 
+def _not_strict(obj, keys, matrix_keys) -> bool:
+    """Whether the literal ``obj`` or one of its matrices has a key outside
+    ``keys`` or ``MATRIX_KEYS``, its label is not a string, or an entry half
+    is a bool or a string.  The readers reach all of these unless the
+    literal fails earlier, which also exits 2."""
+    if not isinstance(obj, dict):
+        return False
+    return (any(k not in keys for k in obj)
+            or "label" in obj and not isinstance(obj["label"], str)
+            or any(k not in MATRIX_KEYS for m in _matrices(obj, matrix_keys) for k in m)
+            or any(isinstance(e[i], (bool, str)) for e, i in _entry_halves(obj, matrix_keys)))
+
+
 INTEGER_LOOKALIKES = [2.5, 2.9, 1.5, "2", "4", True, False, float("nan"), 2.0, 4.0, 2]
+# keys of one literal or another, misspelled or not, and entry-half values
+KEY_LOOKALIKES = ["lable", "Dim", "label", "dim", "rows", "entries", "elements", "projectors", ""]
+HALF_LOOKALIKES = [True, False, "1", "0", 1, 0, 1.0, 0.0]
 
 
 @st.composite
 def _literal_files(draw, literals, matrix_keys):
-    """``_json_files``, with one integer field set to a value from
-    ``INTEGER_LOOKALIKES`` half the time (integral floats and integers
-    among them)."""
+    """``_json_files`` with at most one more edit: 2 times in 5, one
+    integer field set to a value from ``INTEGER_LOOKALIKES`` (integral
+    floats and integers among them); 1 time in 5, a key from
+    ``KEY_LOOKALIKES`` added to the literal or one of its matrices (if it
+    is not there); 1 time in 5, one entry half set to a value from
+    ``HALF_LOOKALIKES``."""
     obj = copy.deepcopy(draw(_json_files(literals)))
-    slots = _integer_slots(obj, matrix_keys)
-    if slots and draw(st.booleans()):
+    edit = draw(st.sampled_from(("none", "integer", "integer", "key", "half")))
+    slots, halves = _integer_slots(obj, matrix_keys), _entry_halves(obj, matrix_keys)
+    if edit == "integer" and slots:
         m, k = draw(st.sampled_from(slots))
         m[k] = draw(st.sampled_from(INTEGER_LOOKALIKES))
+    elif edit == "key" and isinstance(obj, dict):
+        target = draw(st.sampled_from([obj] + _matrices(obj, matrix_keys)))
+        target.setdefault(draw(st.sampled_from(KEY_LOOKALIKES)), draw(JSON_LEAVES))
+    elif edit == "half" and halves:
+        e, i = draw(st.sampled_from(halves))
+        e[i] = draw(st.sampled_from(HALF_LOOKALIKES))
     return obj
 
 
@@ -172,7 +220,7 @@ def test_tester_files(fuzz_dir, obj, other):
     path = fuzz_dir / "tester.json"
     code = _run(path, obj, ["bound", "--t1", str(path), "--t2", other,
                             "--starts", "1", "--iters", "20", "--json-only"])
-    if _bad_integer_field(obj, TESTER_MATRICES):
+    if _bad_integer_field(obj, TESTER_MATRICES) or _not_strict(obj, TESTER_KEYS, TESTER_MATRICES):
         assert code == 2
 
 
@@ -183,7 +231,7 @@ def test_basis_files(fuzz_dir, obj, other):
     path = fuzz_dir / "basis.json"
     code = _run(path, obj, ["muub-check", "--b1", str(path), "--b2", other or str(path),
                             "--json-only"])
-    if _bad_integer_field(obj, BASIS_MATRICES):
+    if _bad_integer_field(obj, BASIS_MATRICES) or _not_strict(obj, BASIS_KEYS, BASIS_MATRICES):
         assert code == 2
 
 

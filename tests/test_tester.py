@@ -299,8 +299,8 @@ class TestEigenoperator:
             u = qmath.haar_random_unitary(2, gen)
             a = qmath.haar_random_state(2, gen)
             b = qmath.haar_random_state(2, gen)
-            lhs = is_eigenoperator(qmath.tensor(u, I2), qmath.tensor(a, b), tol=1e-8)
-            rhs = is_eigenoperator(u, a, tol=1e-8)
+            lhs = is_eigenoperator(qmath.tensor(u, I2), qmath.tensor(a, b))
+            rhs = is_eigenoperator(u, a)
             assert lhs == rhs
 
 
@@ -328,7 +328,7 @@ class TestCanDistinguish:
             t = Tester(input=psi, projectors=projs, dim=d)
             u1 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
             u2 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
-            eig = is_eigenoperator(u2.conj().T @ u1, psi, tol=1e-8)
+            eig = is_eigenoperator(u2.conj().T @ u1, psi)
             assert can_distinguish(t, u1, u2) != eig
 
 
@@ -343,6 +343,16 @@ class TestNamedTesters:
             named_tester("2Y")
         with pytest.raises(ValueError):
             named_tester("bell:7")
+
+    def test_bell_rot_is_a_named_set(self):
+        """The one registry: config files and the D = 4 fixture name it."""
+        got = named_tester_set("bell-rot")
+        want = tester.bell_tester_set(measurement_rotation=qmath.balanced_qubit_rotation())
+        assert is_complete_set(got) and [t.label for t in got] == [t.label for t in want]
+        assert got.input.tobytes() == want.input.tobytes()
+        assert got.projector_matrix().tobytes() == want.projector_matrix().tobytes()
+        with pytest.raises(ValueError, match="unknown tester set name"):
+            named_tester_set("bell-rotated")
 
     def test_json_roundtrip(self):
         t = named_tester("bell:2")
