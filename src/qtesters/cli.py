@@ -110,31 +110,34 @@ def _suite_qmath(seed: int) -> list:
     def rint(n):
         return gen.integers(-3, 4, size=(n, n)) + 1j * gen.integers(-3, 4, size=(n, n))
 
-    ab = qmath.tensor(qmath.SIGMA_X, qmath.SIGMA_Z)
+    ab = np.kron(qmath.SIGMA_X, qmath.SIGMA_Z)
     ref = np.array([[qmath.SIGMA_X[i, j] * qmath.SIGMA_Z[k, l]
                      for j in range(2) for l in range(2)]
                     for i in range(2) for k in range(2)])
     checks.append({"name": "tensor-index-formula", "max_dev": float(np.max(np.abs(ab - ref)))})
     a, b, c = rint(2), rint(3), rint(2)
-    dev = np.max(np.abs(qmath.tensor(qmath.tensor(a, b), c) - qmath.tensor(a, qmath.tensor(b, c))))
+    dev = np.max(np.abs(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))))
     checks.append({"name": "tensor-associativity", "max_dev": float(dev)})
     m = gen.standard_normal((9, 9)) + 1j * gen.standard_normal((9, 9))
-    dev = abs(np.trace(qmath.partial_trace_ancilla(m, 3)) - np.trace(m))
+    dev = abs(np.trace(np.einsum("iaja->ij", m.reshape(3, 3, 3, 3))) - np.trace(m))
     checks.append({"name": "partial-trace-preserves-trace", "max_dev": float(dev)})
     a2, b2 = rint(3), rint(3)
-    dev = np.max(np.abs(qmath.partial_trace_ancilla(qmath.tensor(a2, b2), 3) - np.trace(b2) * a2))
+    dev = np.max(np.abs(np.einsum("iaja->ij", np.kron(a2, b2).reshape(3, 3, 3, 3))
+                        - np.trace(b2) * a2))
     checks.append({"name": "partial-trace-of-product", "max_dev": float(dev)})
     m = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    dev = np.max(np.abs(qmath.partial_transpose_first(qmath.partial_transpose_first(m, 2), 2) - m))
+    pt = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)  # system factor transposed
+    dev = np.max(np.abs(pt.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4) - m))
     checks.append({"name": "partial-transpose-involution", "max_dev": float(dev)})
-    s = qmath.swap_operator(3)
-    dev = np.max(np.abs(s @ qmath.tensor(a2, b2) @ s - qmath.tensor(b2, a2)))
+    s = np.eye(9, dtype=complex).reshape(3, 3, 3, 3).transpose(0, 1, 3, 2).reshape(9, 9)
+    dev = np.max(np.abs(s @ np.kron(a2, b2) @ s - np.kron(b2, a2)))
     checks.append({"name": "swap-conjugation", "max_dev": float(dev)})
     ua, ub = qmath.haar_random_unitary(3, gen), qmath.haar_random_unitary(3, gen)
-    lhs = abs(np.vdot(qmath.vectorize(ua), qmath.vectorize(ub))) ** 2
+    # column stacking, the transpose of the row-major flattening
+    lhs = abs(np.vdot(ua.T.reshape(-1), ub.T.reshape(-1))) ** 2
     rhs = abs(np.trace(ua.conj().T @ ub)) ** 2
     checks.append({"name": "vectorize-trace-overlap", "max_dev": float(abs(lhs - rhs))})
-    dev = np.max(np.abs(qmath.devectorize(qmath.vectorize(ua)) - ua))
+    dev = np.max(np.abs(ua.T.reshape(-1).reshape(3, 3).T - ua))
     checks.append({"name": "vectorize-roundtrip", "max_dev": float(dev)})
     u = qmath.haar_random_unitary(4, gen)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
@@ -227,7 +230,7 @@ def _suite_tester(seed: int) -> list:
         d = 2 if gen.integers(2) else 3
         g_basis = gen.standard_normal((2, d, d))
         picks = [int(gen.integers(d)), int(gen.integers(d))]
-        g_map1 = gen.standard_normal((2, 2, d, d))  # one qmath.unitary_mapping draw
+        g_map1 = gen.standard_normal((2, 2, d, d))  # the completions of one mapping
         picks.append(int(gen.integers(d)))
         g_map2 = gen.standard_normal((2, 2, d, d))
         drawn.setdefault(d, []).append((trial, g_basis, picks, np.stack([g_map1, g_map2])))
@@ -237,8 +240,8 @@ def _suite_tester(seed: int) -> list:
         bases = qmath.haar_from_normals(g_basis)
         states = bases.swapaxes(-1, -2)[np.arange(len(rows))[:, None], picks]
         psi = states[:, 0]
-        # qmath.unitary_mapping(psi, target, gen) for both targets of each trial:
-        # (target, source) pairs (target 1, psi) and (target 2, psi)
+        # a unitary taking psi to each target of the trial: complete the
+        # (target, psi) pairs to bases and map the second onto the first
         firsts = states[:, [1, 0, 2, 0]].reshape(len(rows), 2, 2, d)
         onb = qmath.complete_onb(firsts, qmath.haar_from_normals(g_maps))
         maps = onb[..., 0, :, :] @ onb[..., 1, :, :].conj().swapaxes(-1, -2)
@@ -498,8 +501,7 @@ def _cmd_qkd(args, log, stages) -> tuple:
     stats = run(cfg, trace=args.trace, stages=stages)
     payload = {
         "protocol": args.protocol,
-        "config": {k: v for k, v in cfg.to_json().items()
-                   if k not in ("tester_sets", "encoding_sets")},
+        "config": cfg.settings_json(),
         "stats": stats.to_json(),
     }
     return True, payload

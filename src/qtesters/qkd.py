@@ -151,18 +151,22 @@ class ProtocolConfig:
                 raise ConfigError(f"an encoding family has dim {f.dim} and {f.D} members, "
                                   f"not d={self.d} and D={self.D}")
 
-    def to_json(self) -> dict:
+    def settings_json(self) -> dict:
+        """``to_json()`` without the tester and encoding literals."""
         return {
             "d": self.d,
             "D": self.D,
             "rounds": self.rounds,
             "control_fraction": self.control_fraction,
             "eve": self.eve.to_json(),
-            "tester_sets": [[t.to_json() for t in s] for s in self.tester_sets],
-            "encoding_sets": [b.to_json() for b in self.encoding_sets],
             "seed": self.rng.seed,
             "stream": self.rng.stream,
         }
+
+    def to_json(self) -> dict:
+        return {**self.settings_json(),
+                "tester_sets": [[t.to_json() for t in s] for s in self.tester_sets],
+                "encoding_sets": [b.to_json() for b in self.encoding_sets]}
 
 
 @dataclass(frozen=True)
@@ -667,7 +671,8 @@ def config_from_json(obj: dict) -> ProtocolConfig:
     """ProtocolConfig from its JSON object; a malformed config raises
     ConfigError, or ValueError from a malformed tester or basis literal.
     An unknown key, at the top level or under ``eve``, is a ConfigError
-    that names it, so a misspelled setting never falls back to a default."""
+    that names it, so a misspelled setting never falls back to a default;
+    ``tester_sets`` and ``encoding_sets`` must be JSON arrays."""
     if not isinstance(obj, dict):
         raise ConfigError("bad protocol config: not a JSON object")
     try:
@@ -679,11 +684,12 @@ def config_from_json(obj: dict) -> ProtocolConfig:
         unknown += [f"eve.{k}" for k in eve_obj if k not in _EVE_KEYS]
         if unknown:
             raise ConfigError(f"bad protocol config: unknown keys {unknown}")
-        eve = EveStrategy(
-            kind=eve_obj.get("kind", "none"),
-            resend_policy=eve_obj.get("resend_policy", "fixed-zero"),
-            set_policy=eve_obj.get("set_policy", "fixed"),
-        )
+        eve = EveStrategy(**eve_obj)
+        for key in ("tester_sets", "encoding_sets"):
+            # a string or an object would run on its characters or its keys
+            if not isinstance(obj.get(key, []), list):
+                raise ConfigError(f"bad protocol config: {key} must be a JSON array, "
+                                  f"not {obj[key]!r}")
         tester_sets = tuple(resolve_tester_set(s) for s in obj["tester_sets"])
         encoding_sets = tuple(resolve_basis(b, d) for b in obj["encoding_sets"])
         if not encoding_sets:

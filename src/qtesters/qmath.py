@@ -2,15 +2,14 @@
 
 All conventions used by the rest of the package are fixed here, once:
 
-* Tensor factors are ordered (system, ancilla): ``tensor(A, B)`` puts ``A``
-  on the system slot, and a bipartite pure state is a flat vector with
-  row-major index ``i * d_anc + k`` for the basis ket ``|i>_sys |k>_anc``.
-* Operators are flattened row-major: ``u.reshape(-1)`` has ``<i|u|j>`` at
-  position i * d + j, so it is ``(u (x) I) sum_i |i>|i>`` and
-  ``<<a|b>> = Tr(a^dag b)``.  The Born rule, ``ppovm`` and the bound
-  gradient all use this layout.  ``vectorize`` stacks columns instead; it
-  serves only ``max_entangled_state``, on the identity, where the two
-  layouts agree, and the ``verify`` qmath checks.
+* Tensor factors are ordered (system, ancilla): ``np.kron(A, B)`` puts
+  ``A`` on the system slot, and a bipartite pure state is a flat vector
+  with row-major index ``i * d_anc + k`` for the basis ket
+  ``|i>_sys |k>_anc``.
+* Everything is flattened row-major, one convention: ``u.reshape(-1)`` has
+  ``<i|u|j>`` at position i * d + j, so it is ``(u (x) I) sum_i |i>|i>``
+  and ``<<a|b>> = Tr(a^dag b)``.  The Born rule, ``ppovm``, the bound
+  gradient and ``max_entangled_state`` all use this layout.
 * Unitarity and orthonormality are checked in max norm with tolerance
   ``DEFAULT_TOL = 1e-9``.
 """
@@ -115,70 +114,9 @@ def assert_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with entry ((i,k),(j,l)) = A_ij * B_kl.
-
-    Two vectors combine to the flat product state with index i*dim(b) + k.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.kron(a, b)
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace_ancilla(m: np.ndarray, d: int) -> np.ndarray:
-    """Trace out the second (ancilla) tensor factor of a (d*k) x (d*k) matrix."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1] or n % d != 0:
-        raise ValueError(f"cannot split a {m.shape} matrix into system dim {d} x ancilla")
-    k = n // d
-    return np.einsum("iaja->ij", m.reshape(d, k, d, k))
-
-
-def partial_transpose_first(m: np.ndarray, d: int) -> np.ndarray:
-    """Transpose the first (system) tensor factor only."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1] or n % d != 0:
-        raise ValueError(f"cannot split a {m.shape} matrix into system dim {d} x ancilla")
-    k = n // d
-    return m.reshape(d, k, d, k).transpose(2, 1, 0, 3).reshape(n, n)
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """The operator on H_d (x) H_d with S|a>|b> = |b>|a>."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
-
-
-def vectorize(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: amplitude at (i, j) is <j|m|i>.
-
-    For unitaries this realizes the operator/maximally-entangled-state
-    isomorphism: vectorize(identity(d)) = sum_i |i>|i> (unnormalised) and
-    the induced inner product is <<a|b>> = Tr(a^dag b).
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("vectorize expects a square matrix")
-    return np.array(m.T.reshape(-1))
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize` (exact, by construction)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector of size {v.size} is not a vectorized square matrix")
-    return np.array(v.reshape(d, d).T)
-
-
 def max_entangled_state(d: int) -> np.ndarray:
-    """Unnormalised sum_i |i>|i> (norm sqrt(d))."""
-    return vectorize(np.eye(d, dtype=complex))
+    """Unnormalised sum_i |i>|i> (norm sqrt(d)): the identity flattened."""
+    return np.eye(d, dtype=complex).reshape(-1)
 
 
 def haar_from_normals(g: np.ndarray) -> np.ndarray:
@@ -219,11 +157,6 @@ def haar_random_unitary(d: int, rng, shape: tuple = ()) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     gen = rng.generator() if isinstance(rng, RngHandle) else rng
     return haar_from_normals(gen.standard_normal(tuple(shape) + (2, d, d)))
-
-
-def haar_random_state(d: int, rng) -> np.ndarray:
-    """Haar-random pure state (first column of a Haar unitary)."""
-    return haar_random_unitary(d, rng)[:, 0].copy()
 
 
 def complete_onb(first: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -270,23 +203,6 @@ def complete_onb(first: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols.transpose(1, 2, 0)).reshape(lead + (d, d))
 
 
-def unitary_mapping(source: np.ndarray, target: np.ndarray, rng) -> np.ndarray:
-    """A d x d unitary sending the state ``source`` (shape (d,)) to the
-    state ``target`` exactly, Haar-random on the orthogonal complement.
-
-    The two completions are drawn from ``rng`` as one stack of two, the
-    target's first, which takes them bit for bit as two sequential draws
-    would, and ``complete_onb`` completes (target, source) as one stack of
-    two rows.  Its low bits are those of the stacked Gram-Schmidt, which
-    sums each projection over the last axis, not through ``np.vdot``: no
-    fingerprint reads them, only the ``verify`` tester suite's agreement
-    count and the tests' ``sequential_unitary_mapping`` oracle.
-    """
-    w = haar_random_unitary(np.size(target), rng, shape=(2,))
-    onb = complete_onb(np.stack([target, source]), w)
-    return onb[0] @ onb[1].conj().T
-
-
 # ---------------------------------------------------------------------------
 # JSON literals: matrices and states as [re, im] pairs, row-major, with
 # explicit "rows"/"cols" fields.  States are stored as single-column matrices.
@@ -320,8 +236,9 @@ def check_keys(obj: dict, keys: tuple, what: str) -> None:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Matrix from its JSON literal; a malformed literal raises ValueError,
-    also one with a key other than rows, cols and entries, or with a bool
-    for the real or imaginary half of an entry."""
+    also one with a key other than rows, cols and entries, with a bool for
+    the real or imaginary half of an entry, or with a non-finite entry,
+    which ``matrix_to_json`` could not write back."""
     try:
         rows, cols = int_field(obj, "rows"), int_field(obj, "cols")
         entries = obj["entries"]
@@ -332,7 +249,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         for k, (re, im) in enumerate(entries):
             if isinstance(re, bool) or isinstance(im, bool):
                 raise ValueError(f"matrix entry {k} must be two numbers, not {[re, im]!r}")
-        return flat.reshape(rows, cols)
+        return as_matrix(flat.reshape(rows, cols))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad matrix literal: {type(exc).__name__}: {exc}") from exc
 

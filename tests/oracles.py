@@ -431,8 +431,10 @@ def record_extended_rounds(draws, eve_kind, eve_set_policy, n_digits, tables):
 
 
 def sequential_unitary_mapping(source, target, gen):
-    """``qmath.unitary_mapping`` with its two completions drawn one after
-    the other, the target's first, as the library drew them before."""
+    """A unitary sending the state ``source`` to the state ``target``
+    exactly, Haar-random on the orthogonal complement: the completions of
+    the target and then of the source are drawn from ``gen`` one after the
+    other, and the source's basis is mapped onto the target's."""
     d = np.size(target)
     w_target = qmath.haar_random_unitary(d, gen)
     w_source = qmath.haar_random_unitary(d, gen)
@@ -484,8 +486,8 @@ def loop_suite_tester(seed):
         projs = tuple(basis[:, i].copy() for i in range(d))
         psi = projs[int(gen.integers(d))]
         t = tester.Tester(input=psi, projectors=projs, dim=d)
-        u1 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
-        u2 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
+        u1 = sequential_unitary_mapping(psi, projs[int(gen.integers(d))], gen)
+        u2 = sequential_unitary_mapping(psi, projs[int(gen.integers(d))], gen)
         eig = tester.is_eigenoperator(u2.conj().T @ u1, psi)
         if tester.can_distinguish(t, u1, u2) != (not eig):
             continue

@@ -529,6 +529,16 @@ class TestMalformedLiterals:
                                      "encoding_sets": ["rotation"], "eve": "qmm"})
         self._expect_error(capsys, "qkd", "lm05", "--config", path)
 
+    @pytest.mark.parametrize("key,value", [("tester_sets", "zx"),
+                                           ("tester_sets", {"z": 1, "x": 2}),
+                                           ("encoding_sets", {"rotation": 0})])
+    def test_config_sets_not_an_array(self, capsys, tmp_path, key, value):
+        # a string ran as its characters and an object as its keys
+        obj = {"rounds": 10, "tester_sets": ["z", "x"], "encoding_sets": ["rotation"]}
+        path = self._file(tmp_path, {**obj, key: value})
+        error = self._expect_error(capsys, "qkd", "lm05", "--config", path)
+        assert error == f"bad protocol config: {key} must be a JSON array, not {value!r}"
+
     def test_config_family_size_not_D(self, capsys, tmp_path):
         path = self._file(tmp_path, {"d": 2, "D": 9, "rounds": 10, "tester_sets": ["z", "x"],
                                      "encoding_sets": ["rotation"]})

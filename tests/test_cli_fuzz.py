@@ -16,9 +16,16 @@ or one of its matrices has a key that its ``to_json()`` does not write;
 when a tester's label is not a string; or when the real or imaginary half
 of a matrix entry is a bool or a string.  Of those examples, 2 in 5 set
 one integer field to a value that looks like an integer, 1 in 5 add a key,
-and 1 in 5 set one entry half to a bool, a string or a number.  Round
-counts, starts and iterations are kept small so that a valid run finishes
-quickly.
+and 1 in 5 set one entry half to a bool, a string or a number.  A config
+file must exit 2 when one of its inline tester or basis literals would;
+half of its examples add a key to one of them or to one of their
+matrices.  Round counts, starts and iterations are kept small so that a
+valid run finishes quickly.
+
+Every tester, basis and matrix literal those examples hold that its reader
+accepts, and every config that ``ProtocolConfig.to_json()`` writes, reads
+back to itself: ``to_json(from_json(x))`` equals ``x`` on every key ``x``
+has, with numbers compared as floats.
 """
 
 import argparse
@@ -33,7 +40,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtesters import cli, muub, qkd, tester
+from qtesters import cli, muub, qkd, qmath, tester
 
 JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10), st.integers(), st.floats(), st.text(max_size=8),
@@ -235,11 +242,105 @@ def test_basis_files(fuzz_dir, obj, other):
         assert code == 2
 
 
+def _nested_literals(cfg) -> list:
+    """(literal, its keys, its matrix keys) for each tester literal of a
+    tester set and each basis literal of ``encoding_sets`` of the config
+    ``cfg``."""
+    if not isinstance(cfg, dict):
+        return []
+    sets, families = cfg.get("tester_sets"), cfg.get("encoding_sets")
+    testers = [t for s in (sets if isinstance(sets, list) else []) if isinstance(s, list)
+               for t in s if isinstance(t, dict)]
+    bases = [b for b in (families if isinstance(families, list) else []) if isinstance(b, dict)]
+    return ([(t, TESTER_KEYS, TESTER_MATRICES) for t in testers]
+            + [(b, BASIS_KEYS, BASIS_MATRICES) for b in bases])
+
+
+@st.composite
+def _config_files(draw):
+    """``_json_files`` of ``CONFIG_LITERALS`` with, 1 time in 2, a key from
+    ``KEY_LOOKALIKES`` added to one of its inline tester or basis literals,
+    or to one of their matrices (if it is not there)."""
+    obj = copy.deepcopy(draw(_json_files(CONFIG_LITERALS)))
+    nested = _nested_literals(obj)
+    if nested and draw(st.booleans()):
+        literal, _, matrix_keys = draw(st.sampled_from(nested))
+        target = draw(st.sampled_from([literal] + _matrices(literal, matrix_keys)))
+        target.setdefault(draw(st.sampled_from(KEY_LOOKALIKES)), draw(JSON_LEAVES))
+    return obj
+
+
 @FUZZ
-@given(obj=_json_files(CONFIG_LITERALS), protocol=st.sampled_from(("lm05", "extended")))
+@given(obj=_config_files(), protocol=st.sampled_from(("lm05", "extended")))
 def test_config_files(fuzz_dir, obj, protocol):
     path = fuzz_dir / "config.json"
-    _run(path, _small_rounds(obj), ["qkd", protocol, "--config", str(path), "--json-only"])
+    code = _run(path, _small_rounds(obj), ["qkd", protocol, "--config", str(path), "--json-only"])
+    # the config reader reads every inline literal with the tester and basis readers
+    if any(_bad_integer_field(lit, mk) or _not_strict(lit, keys, mk)
+           for lit, keys, mk in _nested_literals(obj)):
+        assert code == 2
+
+
+def _agrees(x, y) -> bool:
+    """Whether ``y`` equals ``x`` on every key that ``x`` has, at every
+    depth, with numbers compared as floats."""
+    if isinstance(x, dict):
+        return isinstance(y, dict) and all(k in y and _agrees(v, y[k]) for k, v in x.items())
+    if isinstance(x, list):
+        return isinstance(y, list) and len(x) == len(y) and all(map(_agrees, x, y))
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return (isinstance(y, (int, float)) and not isinstance(y, bool)
+                and float(x) == float(y))
+    return type(x) is type(y) and x == y
+
+
+def _check_round_trips(obj, read, matrix_keys):
+    """``obj`` and each of its matrix literals, where its reader accepts
+    it, reads back to itself."""
+    cases = [(obj, read, lambda value: value.to_json())]
+    cases += [(m, qmath.matrix_from_json, qmath.matrix_to_json)
+              for m in _matrices(obj, matrix_keys)]
+    for literal, reader, writer in cases:
+        try:
+            value = reader(literal)
+        except ValueError:
+            continue
+        written = writer(value)
+        assert _agrees(literal, written), (literal, written)
+
+
+@FUZZ
+@given(obj=_literal_files(TESTER_LITERALS, TESTER_MATRICES))
+def test_accepted_tester_literals_round_trip(obj):
+    _check_round_trips(obj, tester.tester_from_json, TESTER_MATRICES)
+
+
+@FUZZ
+@given(obj=_literal_files(BASIS_LITERALS, BASIS_MATRICES))
+def test_accepted_basis_literals_round_trip(obj):
+    _check_round_trips(obj, muub.basis_from_json, BASIS_MATRICES)
+
+
+@st.composite
+def _configs(draw):
+    """A config as ``ProtocolConfig.to_json()`` writes it, through JSON text."""
+    eve = qkd.EveStrategy(*(draw(st.sampled_from(choices)) for choices in (
+        qkd.EVE_KINDS, qkd.RESEND_POLICIES, qkd.SET_POLICIES)))
+    common = {"rounds": draw(st.integers(1, 10 ** 12)), "eve": eve,
+              "seed": draw(st.integers(0, 2 ** 64)), "stream": draw(st.integers(0, 2 ** 16))}
+    if draw(st.booleans()):
+        cfg = qkd.default_lm05_config(control_fraction=draw(st.floats(0, 1)), **common)
+    else:
+        cfg = qkd.default_extended_config(D=draw(st.sampled_from((2, 4))), **common)
+    return json.loads(json.dumps(cfg.to_json()))
+
+
+@FUZZ
+@given(obj=_configs())
+def test_written_configs_round_trip(obj):
+    written = qkd.config_from_json(obj).to_json()
+    assert _agrees(obj, written)
+    assert _agrees(written, obj)
 
 
 def _vocabulary():

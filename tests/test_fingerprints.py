@@ -9,8 +9,13 @@ pass by staying within the statistical tolerances of ``test_qkd.py``.  Seed
 
 Each verify case hashes the payload of ``verify --suite all`` with floats
 rounded to 9 significant digits and magnitudes below 1e-9 set to 0, so that
-reordered floating-point arithmetic keeps the hash while any change to the
-random stream or to a checked value moves it.
+reordered floating-point arithmetic keeps the hash while a change to a
+checked value at that resolution moves it.  A change to the random stream
+moves it only through such a value.  Every value the tester and ppovm
+suites hash is a count or below 1e-9, so their draws are not pinned here:
+moving both suites' streams leaves all four hashes as they are.
+``test_cli.py``'s ``test_stacked_suites_equal_their_loop_oracles`` pins
+them.
 
 Each search case hashes, the same way, the JSON of one seeded
 ``estimate_bound`` or ``find_unbiased_partner`` call on the inputs of the

@@ -56,7 +56,7 @@ class TestTesterElements:
         rho0 = np.outer(tester.KET0, tester.KET0.conj())
         for k in range(2):
             p_k = np.outer(tester.Z_BASIS[k], tester.Z_BASIS[k].conj())
-            np.testing.assert_allclose(els[k], qmath.tensor(p_k, rho0), atol=1e-14)
+            np.testing.assert_allclose(els[k], np.kron(p_k, rho0), atol=1e-14)
 
     def test_all_elements_psd(self, gen):
         for d in (2, 3):
@@ -73,8 +73,9 @@ class TestTesterElements:
                 np.testing.assert_allclose(rows.T @ rows.conj(), np.eye(t.input.size),
                                            atol=1e-9)  # a complete measurement
                 rho = np.outer(t.input, t.input.conj())
-                marginal = qmath.partial_trace_ancilla(rho, d) if t.is_bipartite else rho
-                want = qmath.tensor(np.eye(d, dtype=complex), marginal.T)
+                if t.is_bipartite:  # trace out the ancilla
+                    rho = np.einsum("iaja->ij", rho.reshape(d, d, d, d))
+                want = np.kron(np.eye(d, dtype=complex), rho.T)
                 np.testing.assert_allclose(tester_elements(t).sum(0), want, atol=1e-9)
 
     def test_read_only(self, gen):
@@ -132,7 +133,7 @@ def _tester_of_kind(kind, d, gen):
     if kind != "leaky-bipartite":
         return random_tester(d, gen, bipartite=kind == "bipartite")
     basis = qmath.haar_random_unitary(d * d, gen)
-    return tester.Tester(input=qmath.haar_random_state(d * d, gen),
+    return tester.Tester(input=qmath.haar_random_unitary(d * d, gen)[:, 0].copy(),
                          projectors=tuple(basis[:, i].copy() for i in range(d)), dim=d)
 
 

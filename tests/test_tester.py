@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qtesters import qmath, tester
 from qtesters.tester import (
     HypothesisViolation,
@@ -51,8 +52,8 @@ class TestOutcomeDistribution:
         # projectors live in the ancilla-|1> plane, probe in the ancilla-|0> plane
         ket0, ket1 = tester.KET0, tester.KET1
         t = Tester(
-            input=qmath.tensor(ket0, ket0),
-            projectors=(qmath.tensor(ket0, ket1), qmath.tensor(ket1, ket1)),
+            input=np.kron(ket0, ket0),
+            projectors=(np.kron(ket0, ket1), np.kron(ket1, ket1)),
             dim=2,
         )
         with pytest.raises(LeakyMeasurementError):
@@ -297,9 +298,9 @@ class TestEigenoperator:
     def test_separable_factorization(self, gen):
         for _ in range(20):
             u = qmath.haar_random_unitary(2, gen)
-            a = qmath.haar_random_state(2, gen)
-            b = qmath.haar_random_state(2, gen)
-            lhs = is_eigenoperator(qmath.tensor(u, I2), qmath.tensor(a, b))
+            a = qmath.haar_random_unitary(2, gen)[:, 0].copy()
+            b = qmath.haar_random_unitary(2, gen)[:, 0].copy()
+            lhs = is_eigenoperator(np.kron(u, I2), np.kron(a, b))
             rhs = is_eigenoperator(u, a)
             assert lhs == rhs
 
@@ -326,8 +327,8 @@ class TestCanDistinguish:
             projs = tuple(basis[:, i].copy() for i in range(d))
             psi = projs[int(gen.integers(d))]
             t = Tester(input=psi, projectors=projs, dim=d)
-            u1 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
-            u2 = qmath.unitary_mapping(psi, projs[int(gen.integers(d))], gen)
+            u1 = oracles.sequential_unitary_mapping(psi, projs[int(gen.integers(d))], gen)
+            u2 = oracles.sequential_unitary_mapping(psi, projs[int(gen.integers(d))], gen)
             eig = is_eigenoperator(u2.conj().T @ u1, psi)
             assert can_distinguish(t, u1, u2) != eig
 
@@ -398,7 +399,7 @@ class TestRandomTester:
         for _ in range(20):
             t = tester.random_tester(d, g1, bipartite=bipartite)
             basis = qmath.haar_random_unitary(n, g2)
-            probe = qmath.haar_random_state(n, g2)
+            probe = qmath.haar_random_unitary(n, g2)[:, 0].copy()
             assert np.array_equal(t.input, probe)
             assert np.array_equal(np.stack(t.projectors), basis.T)
         assert np.array_equal(g1.standard_normal(3), g2.standard_normal(3))
