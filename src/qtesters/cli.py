@@ -579,7 +579,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", default=None,
                     help="write a per-round CSV log here: a header line, then one line of "
                          "integers per round (-1 in unused fields), \\r\\n line ends, "
-                         "written per block of 8192 rounds")
+                         "written per block of 8192 rounds. A file is rewritten in place "
+                         "and cut after the header before any row is written; a FIFO or "
+                         "device is written to but not cut. The log is complete only once "
+                         "the run returns")
     common(sp)
     return p
 

@@ -51,7 +51,11 @@ and ``_EXT_COLUMNS``), then one line per round holding the round index and
 the round's record, all decimal integers, with -1 in the fields the round
 does not use.  Lines end in "\\r\\n", and nothing is quoted, so the bytes
 are those ``csv.writer`` would write.  Rows are encoded and written once
-per block of 8192 rounds.
+per block of 8192 rounds.  A path is rewritten in place, as bytes: it is
+not truncated on open, but a regular file is cut after the header, before
+any row is written, so it never holds an older trace's rows after this
+run's header; a FIFO or a device is written to but not cut.  A text handle
+gets ``str``.  The trace is complete only once the run returns.
 
 A JSON config (``config_from_json``) has the keys of
 ``ProtocolConfig.to_json()``; an unknown key, also one under ``eve``, is
@@ -63,6 +67,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import os
+import stat
 import time
 from dataclasses import dataclass
 
@@ -244,9 +249,10 @@ def _index(x: np.ndarray, n: int) -> np.ndarray:
     return (x * n).astype(np.int64)
 
 
-def _csv_rows(table: np.ndarray) -> str:
-    """The rows of a non-empty 2-D int64 table as ``csv.writer`` writes
-    them: decimal fields joined by "," with each row ended by "\\r\\n".
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a non-empty 2-D int64 table as the ASCII bytes of what
+    ``csv.writer`` writes: decimal fields joined by "," with each row ended
+    by "\\r\\n".
 
     Field j gets a fixed-width slot in one (rows, width) uint8 grid: a sign
     byte, w_j digit bytes (w_j = the digit count of the column's largest
@@ -289,7 +295,14 @@ def _csv_rows(table: np.ndarray) -> str:
     grid[:, -2:] = (ord("\r"), ord("\n"))
     text = grid.tobytes()
     del grid
-    return text.translate(None, b"\0").decode("ascii")
+    return text.translate(None, b"\0")
+
+
+def _open_in_place(path, flags: int) -> int:
+    """``open()``'s opener for a trace path: the file is not truncated on
+    open (``_simulate`` cuts it after the header), and a new file gets the
+    0o666 mode, less the umask, that ``open()`` itself would give it."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted: tuple,
@@ -306,6 +319,13 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
     given, gains the wall milliseconds spent in the tables (``build()``), in
     the rounds and in the trace (building the columns, row stacking,
     encoding and I/O).
+
+    A path is opened for bytes without truncation and rewritten in place:
+    the header is written first, and a regular file is then cut after it,
+    before any row is written, so an older trace at that path never shows
+    after this run's header.  A FIFO or a device is written to but not cut.
+    A text handle gets each block as ``str``.  The trace is complete only
+    once the run returns; a run that fails leaves the rows written so far.
     """
     started = time.perf_counter()
     rounds_fn = build()
@@ -315,10 +335,13 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
     t_rounds = 0.0
     started = time.perf_counter()
     own = isinstance(trace, (str, bytes, os.PathLike))
-    fh = open(trace, "w", newline="") if own else trace
+    fh = open(trace, "wb", opener=_open_in_place) if own else trace
     try:
         if fh is not None:
-            fh.write(",".join(("round",) + columns) + "\r\n")
+            write = fh.write if own else (lambda rows: fh.write(rows.decode("ascii")))
+            write((",".join(("round",) + columns) + "\r\n").encode("ascii"))
+            if own and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # flushes the header, then cuts an older trace after it
         totals = 0
         for start in range(0, cfg.rounds, _BLOCK):
             n = min(_BLOCK, cfg.rounds - start)
@@ -328,7 +351,7 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
             t_rounds += time.perf_counter() - t1
             if fh is not None:
                 # stacked as rows, so the transposed table is column-major
-                fh.write(_csv_rows(np.stack((np.arange(start, start + n), *records())).T))
+                write(_csv_rows(np.stack((np.arange(start, start + n), *records())).T))
     finally:
         if own:
             fh.close()

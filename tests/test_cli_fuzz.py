@@ -14,13 +14,14 @@ tester or basis file must exit 2 when its ``dim``, or a matrix's ``rows``
 or ``cols``, is a bool, a string or a non-integral float; when the literal
 or one of its matrices has a key that its ``to_json()`` does not write;
 when a tester's label is not a string; or when the real or imaginary half
-of a matrix entry is a bool or a string.  Of those examples, 2 in 5 set
-one integer field to a value that looks like an integer, 1 in 5 add a key,
-and 1 in 5 set one entry half to a bool, a string or a number.  A config
-file must exit 2 when one of its inline tester or basis literals would;
-half of its examples add a key to one of them or to one of their
-matrices.  Round counts, starts and iterations are kept small so that a
-valid run finishes quickly.
+of a matrix entry is a bool or a string.  Of those examples, 1 in 4 hold
+a literal its reader accepts; of the rest, 2 in 5 set one integer field to
+a value that looks like an integer, 1 in 5 add a key, and 1 in 5 set one
+entry half to a bool, a string or a number.  A config file must exit 2
+when one of its inline tester or basis literals would; half of its
+examples add a key to one of them or to one of their matrices.  Round
+counts, starts and iterations are kept small so that a valid run finishes
+quickly.
 
 Every tester, basis and matrix literal those examples hold that its reader
 accepts, and every config that ``ProtocolConfig.to_json()`` writes, reads
@@ -191,12 +192,20 @@ HALF_LOOKALIKES = [True, False, "1", "0", 1, 0, 1.0, 0.0]
 
 @st.composite
 def _literal_files(draw, literals, matrix_keys):
-    """``_json_files`` with at most one more edit: 2 times in 5, one
-    integer field set to a value from ``INTEGER_LOOKALIKES`` (integral
-    floats and integers among them); 1 time in 5, a key from
+    """1 time in 4, one of ``literals`` with its values unmutated, each
+    integer field written as an int or as the equal float (Hypothesis never
+    repeats an example, so a literal copied as it is could be drawn only
+    once); otherwise ``_json_files`` with at most one more edit: 2 times in
+    5, one integer field set to a value from ``INTEGER_LOOKALIKES``
+    (integral floats and integers among them); 1 time in 5, a key from
     ``KEY_LOOKALIKES`` added to the literal or one of its matrices (if it
     is not there); 1 time in 5, one entry half set to a value from
     ``HALF_LOOKALIKES``."""
+    if draw(st.integers(0, 3)) == 0:  # a literal its reader accepts
+        obj = copy.deepcopy(draw(st.sampled_from(literals)))
+        for m, k in _integer_slots(obj, matrix_keys):
+            m[k] = draw(st.sampled_from((int, float)))(m[k])
+        return obj
     obj = copy.deepcopy(draw(_json_files(literals)))
     edit = draw(st.sampled_from(("none", "integer", "integer", "key", "half")))
     slots, halves = _integer_slots(obj, matrix_keys), _entry_halves(obj, matrix_keys)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -227,6 +229,60 @@ class TestTrace:
                      trace=str(direct))
         assert via_cli.read_bytes() == direct.read_bytes()
 
+    def test_shorter_trace_over_a_longer_one(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        run_extended(default_extended_config(D=4, rounds=20_000, seed=2,
+                                             eve=EveStrategy(kind="intercept-resend")),
+                     trace=str(path))
+        assert path.read_bytes().count(b"\r\n") == 20_001  # three blocks
+        cfg = default_lm05_config(rounds=40, control_fraction=0.3, seed=2)
+        buf = io.StringIO(newline="")
+        run_lm05(cfg, trace=str(path))
+        run_lm05(cfg, trace=buf)
+        assert path.read_bytes() == buf.getvalue().encode("ascii")
+
+    def test_failed_run_leaves_only_its_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        run_extended(default_extended_config(D=4, rounds=20_000, seed=2), trace=str(path))
+        seen = []
+
+        def fail(table):  # the file as the first block of rows is about to be encoded
+            seen.append(path.read_bytes())
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(qkd, "_csv_rows", fail)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            run_lm05(default_lm05_config(rounds=40, seed=2), trace=str(path))
+        header = (",".join(("round",) + qkd._LM05_COLUMNS) + "\r\n").encode("ascii")
+        assert seen == [header]
+        assert path.read_bytes() == header
+
+    def test_devnull_gets_the_untraced_stats(self):
+        cfg = default_extended_config(D=2, rounds=300, seed=5,
+                                      eve=EveStrategy(kind="qmm-equivalent-tester"))
+        assert run_extended(cfg, trace=os.devnull) == run_extended(cfg)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_gets_the_whole_trace(self, tmp_path):
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        # a non-blocking reader opened first, so opening the writer does not block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cfg = default_lm05_config(rounds=40, control_fraction=0.3, seed=2)
+            buf = io.StringIO(newline="")
+            assert run_lm05(cfg, trace=str(fifo)) == run_lm05(cfg, trace=buf)
+            assert os.read(reader, 1 << 16) == buf.getvalue().encode("ascii")
+        finally:
+            os.close(reader)
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "by_open.csv", "w"):
+            pass
+        run_lm05(default_lm05_config(rounds=10, seed=0), trace=str(tmp_path / "trace.csv"))
+        assert (stat.S_IMODE((tmp_path / "trace.csv").stat().st_mode)
+                == stat.S_IMODE((tmp_path / "by_open.csv").stat().st_mode))
+
 
 def _csv_writer_rows(table):
     buf = io.StringIO(newline="")
@@ -258,14 +314,14 @@ class TestCsvEncoder:
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(table=int64_tables())
     def test_matches_csv_writer(self, table):
-        assert qkd._csv_rows(table) == _csv_writer_rows(table)
+        assert qkd._csv_rows(table) == _csv_writer_rows(table).encode("ascii")
 
     def test_full_block_of_a_long_run(self):
         gen = np.random.default_rng(3)
         start = 10**7 - 4000
         table = np.column_stack((np.arange(start, start + qkd._BLOCK),
                                  gen.integers(-1, 4, size=(qkd._BLOCK, 13))))
-        assert qkd._csv_rows(table) == _csv_writer_rows(table)
+        assert qkd._csv_rows(table) == _csv_writer_rows(table).encode("ascii")
 
 
 class TestConfigJson:
