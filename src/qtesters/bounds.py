@@ -16,20 +16,26 @@ exp map are private to the search, which returns each start's unitary.
 
 All live starts of a search share each objective call: one call
 evaluates the stacked trial points of every live start, so a call costs a
-few stacked numpy calls, not one Python call per start.  Backtracking runs
-in stacks, and each start keeps its own iteration clock: after a rejected
-step, a start's next call tries its next 2 halvings of the step size as
-two rows, then 4, then 8, and it keeps its first accepted row.  Each start
-still ends where one trial step per iteration takes it, bit for bit, and
-``nfev = nit + 1`` counts that descent's evaluations; the rows the
-objective evaluates can exceed it.  The starts stay independent: the exp
-maps and the objective compute each row with stacked (per-matrix)
-products, ``eigh`` and last-axis reductions only, so a start's path does
-not depend on which other rows share a call.  A search given a value
-target (the partner search) ends once one start is done at or below it.
-That stop needs one clock for all starts, so such a search takes one
-trial per start per call, and the first k starts of a run are a k-start
-run's bit for bit only without a target (``estimate_bound``).
+few stacked numpy calls, not one Python call per start.  One iteration
+is that call between the stop test and the step-size update, plus one
+``eigh`` of the gradients once some start moved (``_multistart`` lists
+its parts).  Its arrays are tiny, so its cost is mostly the number of
+numpy calls it makes, and the loop keeps that number low.
+
+Backtracking runs in stacks, and each start keeps its own iteration
+clock: after a rejected step, a start's next call tries its next 2
+halvings of the step size as two rows, then 4, then 8, and it keeps its
+first accepted row.  Each start still ends where one trial step per
+iteration takes it, bit for bit, and ``nfev = nit + 1`` counts that
+descent's evaluations; the rows the objective evaluates can exceed it.
+The starts stay independent: the exp maps and the objective compute each
+row with stacked (per-matrix) products, ``eigh`` and last-axis
+reductions only, so a start's path does not depend on which other rows
+share a call.  A search given a value target (the partner search) ends
+once one start is done at or below it.  That stop needs one clock for
+all starts, so such a search takes one trial per start per call, and the
+first k starts of a run are a k-start run's bit for bit only without a
+target (``estimate_bound``).
 """
 
 from __future__ import annotations
@@ -44,12 +50,14 @@ from .qmath import RngHandle
 from .tester import (
     Tester,
     TesterStack,
+    _entropy_logs,
     outcome_amplitudes,
     outcome_distribution,
     shannon_entropy,
 )
 
 TRIVIAL_SATURATION_TOL = 1e-6  # bits
+_INV_LN2 = 1.0 / np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,7 @@ class _Runs(NamedTuple):
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(a^dag b) for each pair of rows of two (k, d, d) stacks."""
-    return (a.conj() * b).real.reshape(len(a), -1).sum(-1)
+    return np.add.reduce((a.conj() * b).real.reshape(len(a), -1), -1)
 
 
 def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _Runs:
@@ -219,6 +227,16 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
     ends with the u, value, nit and convergence of the one-trial descent,
     bit for bit.
 
+    One iteration is: the stop test, which records and drops the starts
+    that stop; the ``eigh`` of omega0, when some start moved; the trial
+    rows' exp maps and one call of ``g``, projected onto su(d); the Armijo
+    test, and in a wide call each start's first accepted row; then, for
+    the starts that accepted, the Barzilai-Borwein step, and for the rest
+    their halved mu.  A call where every width is 1 (narrow: after an
+    iteration where every start accepted, and always with a target) lays
+    out no rows, and an iteration where every start or none accepts merges
+    nothing.
+
     With a ``target``, the whole run ends at the first iteration where a
     start stops by its own test with a value at most ``target`` (a NaN value
     never does): every start still live then is recorded at that iteration,
@@ -228,14 +246,14 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
     starts of a run are a k-start run's bit for bit, and a caller reduces
     them in start order.
     """
-    eye = np.eye(d)
+    eye = np.eye(d, dtype=complex)
 
     def grad(u):
         # g, with omega projected onto su(d)
         f, omega = g(u)
-        return f, omega - (np.trace(omega, axis1=-2, axis2=-1) / d)[:, None, None] * eye
+        return f, omega - (omega.trace(0, -2, -1) / d)[:, None, None] * eye
 
-    n = cfg.starts
+    n, cap, gtol2 = cfg.starts, cfg.max_iterations, gtol * gtol
     x0 = cfg.rng.generator().uniform(-np.pi, np.pi, size=(n, d * d - 1))
     u = unitary_from_params(x0, su_generators(d))
     f, omega = grad(u)
@@ -250,11 +268,11 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
     # the arrays below hold the live starts only, listed in live
     live, out = np.arange(n), np.empty_like(u)
     while True:
-        done = (sq <= gtol * gtol) | ~np.isfinite(sq) | (mu < _MU_STOP)
-        stop = done | (it >= cfg.max_iterations)
-        if target is not None and (done & (f <= target)).any():
+        done = (sq <= gtol2) | ~np.isfinite(sq) | (mu < _MU_STOP)
+        stop = done | (it >= cap)
+        if target is not None and np.count_nonzero(done & (f <= target)):
             stop[:] = True
-        if stop.any():
+        if np.count_nonzero(stop):
             gone = live[stop]
             out[gone], final[gone], nit[gone], converged[gone] = u[stop], f[stop], it[stop], done[stop]
             keep = ~stop
@@ -264,63 +282,82 @@ def _multistart(g, d: int, cfg: SearchConfig, gtol: float, *, target=None) -> _R
                 return _Runs(out, initial, final, nit + 1, nit, converged)
         if moved:
             w, v = np.linalg.eigh(omega)
-        # every width is 1 in most calls, and always with a target; laying
-        # out the grid for them costs ~30 more small numpy calls per call of
-        # g, which cancels the gain of stacking on the bound-search workload
-        narrow = width.max() == 1
+        widest = width.max()
+        narrow = widest == 1
         if narrow:
-            at, mu_try, rows = slice(None), mu, 1
+            # every start takes one row: no layout, no pick
+            mu_try, rows, steps = mu, 1, 1
+            u_try = _expi_eig(w, v, -mu) @ u
+            f_try, omega_try = grad(u_try)
+            hit = f_try <= f - _ARMIJO * mu * sq
         else:
             # row (i, j) tries start i's mu halved j more times (exactly), as
             # its iteration it_i + j would; none at mu < 1e-14 or past the cap
-            col = np.arange(width.max())
+            col = np.arange(widest)
             mu_grid = np.ldexp(mu[:, None], -col)
-            grid = ((col < width[:, None]) & (it[:, None] + col < cfg.max_iterations)
+            grid = ((col < width[:, None]) & (it[:, None] + col < cap)
                     & (mu_grid >= _MU_STOP))
-            at, j = np.nonzero(grid)
-            mu_try, rows = mu_grid[grid], grid.sum(1)
-        u_try = _expi_eig(w[at], v[at], -mu_try) @ u[at]
-        f_try, omega_try = grad(u_try)
-        accept = f_try <= f[at] - _ARMIJO * mu_try * sq[at]
-        if narrow:
-            hit, k, steps = accept, at, 1
-        else:
-            # each start's first accepted row; a start that accepts none
+            at = np.nonzero(grid)[0]
+            mu_try, rows = mu_grid[grid], np.add.reduce(grid, 1)
+            u_try = _expi_eig(w.take(at, 0), v.take(at, 0), -mu_try) @ u.take(at, 0)
+            f_try, omega_try = grad(u_try)
+            # each start's first accepted row, the argmax along its row of
+            # the grid (its first row if none); a start that accepts none
             # stays put, every row a rejected iteration
-            heads = np.flatnonzero(j == 0)
-            first = np.minimum.reduceat(np.where(accept, np.arange(accept.size), accept.size), heads)
-            hit = first < accept.size
-            k = np.where(hit, first, heads)
-            steps = np.where(hit, j[k] + 1, rows)
-        m, om = mu_try[k], omega_try[k]
-        sy = -m * _inner(omega, om - omega)
-        bb = np.clip(np.divide(m * m * sq, sy, out=2.0 * m, where=sy > 0), _MU_LOW, _MU_HIGH)
+            accept = np.zeros_like(grid)
+            accept[grid] = f_try <= f[at] - _ARMIJO * mu_try * sq[at]
+            first = accept.argmax(1)
+            hit = np.logical_or.reduce(accept, 1)
+            k = np.add.accumulate(rows) - rows + first
+            steps = np.where(hit, first + 1, rows)
         it += steps
-        moved = hit.any()
-        if hit.all():
-            u, f, omega, mu = u_try[k], f_try[k], om, bb
-            width = np.ones_like(width)
+        nhit = np.count_nonzero(hit)
+        moved = nhit > 0
+        if moved:
+            if not narrow:  # each start's kept row
+                mu_try, u_try, f_try, omega_try = (
+                    mu_try[k], u_try.take(k, 0), f_try[k], omega_try.take(k, 0))
+            sy = -mu_try * _inner(omega, omega_try - omega)
+            bb = np.divide(mu_try * mu_try * sq, sy, out=2.0 * mu_try, where=sy > 0)
+            bb = np.minimum(np.maximum(bb, _MU_LOW), _MU_HIGH)
+        if nhit == live.size:
+            # every start moves, nothing merges, and every width is 1
+            u, f, omega, mu = u_try, f_try, omega_try, bb
+            if not narrow:
+                width = np.ones_like(width)
+            sq = _inner(omega, omega)
+            continue
+        halved = np.ldexp(mu, -rows)
+        if moved:
+            mu = np.where(hit, bb, halved)
+            u = np.where(hit[:, None, None], u_try, u)
+            f = np.where(hit, f_try, f)
+            omega = np.where(hit[:, None, None], omega_try, omega)
+            sq = _inner(omega, omega)
         else:
-            mu = np.where(hit, bb, np.ldexp(mu, -rows))
-            u = np.where(hit[:, None, None], u_try[k], u)
-            f = np.where(hit, f_try[k], f)
-            omega = np.where(hit[:, None, None], om, omega)
-            if target is None:
-                width = np.where(hit, 1, 2 * width)
-        sq = _inner(omega, omega)
+            mu = halved
+        if target is None:
+            width = np.where(hit, 1, 2 * width)
 
 
-def _entropy_terms(t: Tester | TesterStack, u: np.ndarray) -> tuple:
-    """The outcome entropies of t at each unitary of u, and X = A C^dag,
-    which gives their gradient omega = i (X - X^dag): A is the probe after
-    u, and C = devec(M^dag (w . a)) with a the amplitudes, M the projector
-    matrix and w_k = dH/dp_k = -(log2 p_k + 1/ln 2), 0 where p_k = 0."""
-    sent, m, a = outcome_amplitudes(t, u)
-    p = np.abs(a) ** 2
-    seen = p > 0
-    w = np.where(seen, -(np.log2(np.where(seen, p, 1.0)) + 1.0 / np.log(2.0)), 0.0)
-    c = ((w * a)[..., None, :] @ m.conj()).reshape(sent.shape)
-    return shannon_entropy(p), sent @ c.conj().swapaxes(-1, -2)
+def _entropy_terms(t: Tester | TesterStack):
+    """The map from a (k, d, d) stack u to the outcome entropies of t at each
+    unitary and X = A C^dag, which gives their gradient omega = i (X - X^dag):
+    A is the probe after u, and C = devec(M^dag (w . a)) with a the
+    amplitudes, M the projector matrix and w_k = dH/dp_k = -(log2 p_k +
+    1/ln 2), 0 where p_k = 0.  M^dag is formed once, with a stack's members'
+    axis before u's stack axis, as ``outcome_amplitudes`` lays it out."""
+    mc = t.projector_matrix().conj()
+    if isinstance(t, TesterStack):
+        mc = mc[:, None]
+
+    def terms(u):
+        sent, _, a = outcome_amplitudes(t, u)
+        h, seen, lg = _entropy_logs(np.abs(a) ** 2)
+        w = np.where(seen, -(lg + _INV_LN2), 0.0)
+        c = ((w * a)[..., None, :] @ mc).reshape(sent.shape)
+        return h, sent @ c.conj().swapaxes(-1, -2)
+    return terms
 
 
 def _entropy_objective(t1: Tester, t2: Tester):
@@ -334,15 +371,17 @@ def _entropy_objective(t1: Tester, t2: Tester):
     is h1 + h2, each term the single-tester call's bit for bit.
     """
     if t1.projector_matrix().shape != t2.projector_matrix().shape:
-        def terms(u):
-            (h1, x1), (h2, x2) = _entropy_terms(t1, u), _entropy_terms(t2, u)
-            return h1 + h2, x1 + x2
-    else:
-        pair = TesterStack((t1, t2), t1.dim)
+        terms1, terms2 = _entropy_terms(t1), _entropy_terms(t2)
 
         def terms(u):
-            h, x = _entropy_terms(pair, u)
-            return h[0] + h[1], x[0] + x[1]
+            (h1, x1), (h2, x2) = terms1(u), terms2(u)
+            return h1 + h2, x1 + x2
+    else:
+        pair = _entropy_terms(TesterStack((t1, t2), t1.dim))
+
+        def terms(u):
+            h, x = pair(u)
+            return np.add.reduce(h, 0), np.add.reduce(x, 0)
 
     def g(u):
         h, x = terms(u)

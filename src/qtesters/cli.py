@@ -35,6 +35,7 @@ missing or malformed argument) also prints a report, with status
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -80,13 +81,14 @@ class _Log:
 def _resolve_tester(spec: str) -> tester.Tester:
     try:
         return tester.named_tester(spec)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        name_error = exc
     try:
         with open(spec) as fh:
             return tester.tester_from_json(json.load(fh))
     except OSError as exc:
-        raise ValueError(f"{spec!r} is neither a tester name nor a readable file: {exc}")
+        # the name's own error says what is wrong with a malformed name
+        raise ValueError(f"{name_error}; nor is {spec!r} a readable file: {exc}") from None
 
 
 def _resolve_basis(spec: str, d: int) -> muub.UnitaryBasis:
@@ -523,7 +525,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage(), command)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call (building it
+    takes about a millisecond; ``main`` in-process pays it once)."""
     p = _Parser(prog="qtesters", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -248,12 +248,20 @@ def shannon_entropy(p):
     that are not positive add nothing.
 
     A float for one distribution, an array of shape ``p.shape[:-1]`` for a
-    stack, each row the single-distribution value bit for bit.
+    stack, each row the single-distribution value bit for bit.  The sum is
+    ``_entropy_logs``, which the bound search's gradient shares.
     """
-    q = np.asarray(p, dtype=float)
-    q = np.where(q > 0, q, 1.0)
-    h = -(q * np.log2(q)).sum(-1)
+    h = _entropy_logs(np.asarray(p, dtype=float))[0]
     return float(h) if h.ndim == 0 else h
+
+
+def _entropy_logs(p: np.ndarray) -> tuple:
+    """(H, seen, lg) for a float array p: H = -sum q log2 q over the last
+    axis, with seen = p > 0, q = p where seen and 1 elsewhere, lg = log2 q."""
+    seen = p > 0
+    q = np.where(seen, p, 1.0)
+    lg = np.log2(q)
+    return -np.add.reduce(q * lg, -1), seen, lg
 
 
 def is_complete_set(s) -> bool:
@@ -359,10 +367,14 @@ def bell_states() -> tuple:
 def named_tester(name: str) -> Tester:
     """Qubit testers "0Z", "1Z", "+X", "-X", "0X", "1X", "+Z", "-Z" and "bell:k"."""
     if name.startswith("bell:"):
-        k = int(name.split(":", 1)[1])
-        bells = bell_states()
+        index = name.split(":", 1)[1]
+        try:
+            k = int(index)
+        except ValueError:
+            k = -1
         if not 0 <= k < 4:
-            raise ValueError("bell tester index must be 0..3")
+            raise ValueError(f"bell tester index must be 0..3, not {index!r}")
+        bells = bell_states()
         return Tester(input=bells[k], projectors=bells, dim=2, label=name)
     if len(name) == 2 and name[0] in _NAMED_INPUTS and name[1] in _NAMED_BASES:
         return Tester(

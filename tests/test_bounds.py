@@ -420,20 +420,55 @@ class TestStackedBacktracking:
         assert _same_runs(bounds._multistart(g, d, huge, cfg.tolerance),
                           bounds._multistart(g, d, cfg, cfg.tolerance)) is None
 
+    @pytest.mark.parametrize("starts", [16, 64])
+    @pytest.mark.parametrize("d, bipartite", [(3, False), (4, True)], ids=["d3", "d4-ancilla"])
+    def test_wide_runs(self, d, bipartite, starts):
+        # with many starts some start backtracks in almost every call: after
+        # the first call, 44 of 50 (16 starts) and 57 of 60 (64 starts) of
+        # the d = 3 run's calls give some start two or more rows, and 223 of
+        # 263 and 265 of 282 of the d = 4 run's
+        gen = RngHandle(2112, d).generator()
+        t1 = random_tester(d, gen, bipartite=bipartite)
+        t2 = random_tester(d, gen, bipartite=bipartite)
+        cfg = SearchConfig(starts=starts, rng=RngHandle(2113, starts))
+        new, ref = _both(bounds._entropy_objective(t1, t2), d, cfg, cfg.tolerance)
+        assert _same_runs(new, ref) is None
+
     @pytest.mark.parametrize("case, most", [("0Z0X", 30), ("d4bip", 360)])
     def test_objective_calls(self, case, most):
         # the one-trial loop takes 68 and 456 calls: the first evaluation,
         # then one per iteration of the longest start
         g, d, cfg = _search_case(case)
-        calls = []
-
-        def counted(u):
-            calls.append(len(u))
-            return g(u)
-        runs = bounds._multistart(counted, d, cfg, cfg.tolerance)
+        runs, calls = _counted_search(g, d, cfg, cfg.tolerance)
         assert len(calls) <= most
         # nfev still counts the one-trial loop's evaluations
         assert (runs.nfev == runs.nit + 1).all() and runs.nfev.max() > len(calls)
+
+    @pytest.mark.parametrize("case, calls, rows", [
+        ("0Z0X", 26, 413), ("0ZpZ", 23, 425), ("0ZpX", 33, 477), ("d3", 59, 720),
+        ("d4bip", 331, 1428)])
+    def test_search_work_is_pinned(self, case, calls, rows):
+        """The objective calls and the rows they evaluate, exactly: a change
+        to the loop's cost per call cannot hide a change to its work."""
+        g, d, cfg = _search_case(case)
+        sizes = _counted_search(g, d, cfg, cfg.tolerance)[1]
+        assert (len(sizes), sum(sizes)) == (calls, rows)
+
+    def test_partner_search_work_is_pinned(self):
+        g = muub._partner_objective(muub.build_named_basis("weyl", 3))
+        cfg = SearchConfig(starts=2, rng=RngHandle(7665, 99))
+        sizes = _counted_search(g, 3, cfg, 1e-13, target=1e-24)[1]
+        assert (len(sizes), sum(sizes)) == (46, 92)
+
+
+def _counted_search(g, d, cfg, gtol, **kw):
+    """The stacked search's runs, and the number of rows of each call of g."""
+    sizes = []
+
+    def counted(u):
+        sizes.append(len(u))
+        return g(u)
+    return bounds._multistart(counted, d, cfg, gtol, **kw), sizes
 
 
 def _pairs(d):

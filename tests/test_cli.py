@@ -165,6 +165,13 @@ class TestBound:
         code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "9Q", "--json-only")
         assert code == 2 and report["status"] == "error"
 
+    @pytest.mark.parametrize("name, index", [("bell:7", "7"), ("bell:x", "x")])
+    def test_malformed_bell_name_reports_its_index(self, capsys, name, index):
+        code, report, _ = run_cli(capsys, "bound", "--t1", name, "--t2", "0Z", "--json-only")
+        assert code == 2 and report["status"] == "error"
+        assert report["payload"]["error"].startswith(
+            f"bell tester index must be 0..3, not {index!r}; nor is {name!r} a readable file")
+
     def test_tester_file_input(self, capsys, tmp_path):
         from qtesters.tester import named_tester
 
@@ -200,6 +207,29 @@ class TestBound:
             assert code == 0
             assert report["payload"]["value"] == pytest.approx(value, abs=1e-3)
             assert report["payload"]["classification"] == label
+
+
+def test_one_process_runs_successive_commands(capsys):
+    """``main`` builds its parser once per process; no call's flags or
+    defaults leak into the next report."""
+    parser = cli._build_parser()
+    code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--badflag", "--json-only")
+    assert code == 2 and report["command"] == "bound" and "--t2" in report["payload"]["error"]
+    code, report, _ = run_cli(capsys, "verify", "--suite", "muub", "--json-only")
+    assert code == 0 and report["status"] == "pass"
+    assert list(report["payload"]["suites"]) == ["muub"]
+    code, first, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "0X", "--starts", "2",
+                             "--seed", "1", "--json-only")
+    assert code == 0
+    code, second, _ = run_cli(capsys, "bound", "--t1", "+X", "--t2", "0Z", "--starts", "3",
+                              "--json-only")
+    assert code == 0
+    assert [r["payload"]["config"] for r in (first, second)] == [
+        {"starts": 2, "iters": 2000, "tol": 1e-10, "seed": 1},
+        {"starts": 3, "iters": 2000, "tol": 1e-10, "seed": 0}]
+    assert [(r["payload"]["t1"], r["payload"]["t2"]) for r in (first, second)] == [
+        ("0Z", "0X"), ("+X", "0Z")]
+    assert cli._build_parser() is parser
 
 
 class TestMuubCheck:
