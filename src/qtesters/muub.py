@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .bounds import SearchConfig, _multistart, entropy_sum
+from .bounds import SearchConfig, _multistart
 from .qmath import DEFAULT_TOL, PAULIS, SIGMA_Y, balanced_qubit_rotation
 from .tester import (
     ENTROPY_ZERO_TOL,
     TesterSet,
-    are_equivalent,
     is_complete_set,
     is_eigenoperator,
     outcome_distribution,
@@ -98,9 +97,12 @@ class UnitaryBasis:
     elements: np.ndarray
 
     def __post_init__(self):
-        if not is_orthogonal_unitary_basis(self.elements):
+        try:
+            els = np.array(self.elements, dtype=complex)
+        except ValueError:  # matrices of different shapes
+            els = np.empty(0)
+        if not is_orthogonal_unitary_basis(els):
             raise ValueError("elements are not an orthogonal unitary basis of size d or d^2")
-        els = np.array(self.elements, dtype=complex)
         if els.shape[1] != self.dim:
             raise ValueError("element dimension does not match dim")
         els.setflags(write=False)
@@ -256,32 +258,29 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
     use ``DEFAULT_TOL``, the entropy sums ``ENTROPY_ZERO_TOL`` bits, and
     the equivalences ``SPAN_EQUIV_TOL``.
 
-    Each tester pair's entropy sums are one stacked ``entropy_sum`` call
-    over all of ``us``, and its equivalences one stacked ``are_equivalent``
-    call over all span samples; their rows are the scalar calls' bit for
-    bit, and failures are listed in (sample, tester, tester) order.
+    Each set's distributions are one checked ``outcome_distribution`` call
+    over all of ``us`` and one over all span samples, s1's first, so a
+    failing row raises; every row is the single-tester call's bit for bit.
+    The eigenoperator test is one stacked ``is_eigenoperator`` call per
+    set.  Failures are listed in (sample, tester, tester) order.
     """
     failures = []
     us = _stack(us, s1.dim)
     if not is_complete_set(s1) or not is_complete_set(s2):
         failures.append("tester sets are not complete")
-    pairs = [(ta, tb) for ta in s1 for tb in s2]
-    sums = [entropy_sum(ta, tb, us) for ta, tb in pairs]
-    for m in range(len(us)):
-        for (ta, tb), h in zip(pairs, sums):
-            if h[m] > ENTROPY_ZERO_TOL:
-                failures.append(
-                    f"entropy sum {h[m]:.3e} bits nonzero for ({ta.label},{tb.label})"
-                )
-    probes = [t.input for t in s1] + [t.input for t in s2]
-    for m in range(len(us)):
-        for n in range(len(us)):
-            if m == n:
-                continue
-            w = us[m].conj().T @ us[n]
-            for psi in probes:
-                if is_eigenoperator(w, psi):
-                    failures.append(f"U_{m}^dag U_{n} is an eigenoperator of a probe")
+    if s1.dim != s2.dim:
+        raise ValueError("testers act on different dimensions")
+    h1, h2 = (shannon_entropy(outcome_distribution(s, us)) for s in (s1, s2))
+    sums = (h1[:, None] + h2[None]).transpose(2, 0, 1)  # element, s1 tester, s2 tester
+    failures += [f"entropy sum {sums[m, i, j]:.3e} bits nonzero for "
+                 f"({s1.testers[i].label},{s2.testers[j].label})"
+                 for m, i, j in zip(*np.nonzero(sums > ENTROPY_ZERO_TOL))]
+    m_idx, n_idx = np.nonzero(~np.eye(len(us), dtype=bool))
+    if m_idx.size:
+        ws = (us[m_idx].conj().swapaxes(-1, -2) @ us[n_idx])[:, None]
+        eig = np.concatenate([is_eigenoperator(ws, s.input) for s in (s1, s2)], axis=1)
+        failures += [f"U_{m_idx[k]}^dag U_{n_idx[k]} is an eigenoperator of a probe"
+                     for k in np.nonzero(eig)[0]]
     hypothesis = not failures
     overlaps = hs_overlap(us, us)
     s1_pass = True
@@ -289,20 +288,23 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
         if overlaps[m, n] > DEFAULT_TOL * DEFAULT_TOL:
             s1_pass = False
             failures.append(f"family elements {m},{n} are not HS-orthogonal")
-    s2_pass = True
-    testers = list(s1) + list(s2)
-    pairs = [(ti, tj) for i, ti in enumerate(testers) for tj in testers[i + 1:]]
     ws = _stack(span_samples, s1.dim)
-    equiv = [are_equivalent(ti, tj, ws, tol=SPAN_EQUIV_TOL) for ti, tj in pairs]
-    for k in range(len(ws)):
-        for (ti, tj), eq in zip(pairs, equiv):
-            if not eq[k]:
-                s2_pass = False
-                failures.append(f"testers {ti.label},{tj.label} not equivalent on a span sample")
+    p1, p2 = (outcome_distribution(s, ws) for s in (s1, s2))
+    # every tester's sorted rows, s1's then s2's; the rows of a set with
+    # fewer outcomes are padded with -1, so they differ from the other
+    # set's by 1 or more and, as in are_equivalent, are never equivalent
+    p = np.full((len(p1) + len(p2), len(ws), max(p1.shape[-1], p2.shape[-1])), -1.0)
+    p[:len(p1), :, :p1.shape[-1]], p[len(p1):, :, :p2.shape[-1]] = p1, p2
+    p.sort(axis=-1)
+    i, j = np.triu_indices(len(p), 1)
+    equiv = np.max(np.abs(p[i] - p[j]), axis=-1) <= SPAN_EQUIV_TOL  # tester pair, sample
+    testers = s1.testers + s2.testers
+    failures += [f"testers {testers[i[q]].label},{testers[j[q]].label} not equivalent "
+                 "on a span sample" for q in np.nonzero(~equiv.T)[1]]
     return TrivialBoundReport(
         hypothesis_pass=hypothesis,
         s1_pass=s1_pass,
-        s2_pass=s2_pass,
+        s2_pass=bool(equiv.all()),
         failures=tuple(failures),
     )
 

@@ -377,7 +377,11 @@ def _ms(seconds: float) -> float:
 
 def analytic_eve_accuracy(D: int) -> float:
     """Sifted-key accuracy of a fixed-set equivalent-tester hijack against a
-    uniform family choice: certain in half the rounds, uniform in the rest."""
+    uniform family choice: certain in half the rounds, uniform in the rest.
+
+    No protocol run calls it.  The tests and the benchmark's output check
+    (``perfbench/workloads.py`` ``check_stats``) read it, so it can move to
+    the test oracles or go only together with a change to the benchmark."""
     if D < 2:
         raise ValueError("D must be >= 2")
     return 0.5 * 1.0 + 0.5 * (1.0 / D)

@@ -62,10 +62,22 @@ class Tester:
             raise ValueError("projector dimension differs from the probe dimension")
         if n not in (d, d * d) or n > size:
             raise ValueError(f"projector count {n} must be d or d^2 and fit the space")
-        states = qmath.as_states(np.stack(flat))
+        states = np.array(flat)
         psi, projs = states[0], states[1:]
         m = projs.conj()
-        if np.abs(m @ projs.T - np.eye(n)).max() > DEFAULT_TOL:
+        # a state's entries are at most 1 in modulus: testing that first keeps
+        # huge or non-finite entries out of the products.  The projector norms
+        # are the Gram diagonal, and as_states, for the message of the first
+        # bad row, runs only once a norm has failed
+        small = np.abs(states).max() <= 1 + DEFAULT_TOL  # False for a NaN entry too
+        if small:
+            dev = m @ projs.T
+            dev.flat[::n + 1] -= 1.0  # the Gram matrix minus the identity
+            dev = np.abs(dev)
+        if (not small or abs(np.vdot(psi, psi).real - 1.0) > DEFAULT_TOL
+                or dev.diagonal().max() > DEFAULT_TOL):
+            qmath.as_states(states)
+        if dev.max() > DEFAULT_TOL:
             raise ValueError("projectors are not orthonormal")
         m.setflags(write=False)
         object.__setattr__(self, "input", psi)
@@ -207,10 +219,10 @@ def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
     row of the result is the same bit for bit whatever else is in the
     stack.  So ``muub.maximal_hypothesis`` takes one call per tester set
     over both families; ``muub.verify_prop_trivial`` takes one per tester
-    of each cross tester pair over the whole family (``entropy_sum``) and
-    one per tester of each tester pair over all span samples
-    (``are_equivalent``); and the bound search takes one call per pair of
-    testers of one shape.  The QKD outcome tables evaluate the same rule
+    set over the whole family, which gives every cross pair's entropy sum,
+    and one per tester set over all span samples, which gives every pair's
+    equivalence; and the bound search takes one call per pair of testers
+    of one shape.  The QKD outcome tables evaluate the same rule
     as stacked products over control states too, in ``qkd``.
     """
     return np.abs(outcome_amplitudes(t, u)[2]) ** 2
@@ -232,14 +244,14 @@ def outcome_distribution(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"unitary shape {u.shape} does not match d={t.dim}")
     p = outcome_probabilities(t, u)
     total = p.sum(-1)
-    leak = total < 1.0 - LEAK_TOL
-    if leak.any():
-        raise LeakyMeasurementError(
-            f"leaky measurement: outcome probabilities sum to {float(total[leak].min()):.9f}"
-        )
-    bad = ~(abs(total - 1.0) <= DEFAULT_TOL)
-    if bad.any():
-        raise ValueError(f"probabilities sum to {float(total[bad][0])!r}, not 1")
+    ok = abs(total - 1.0) <= DEFAULT_TOL
+    if not ok.all():  # a leaking row fails this test too, and is reported first
+        leak = total < 1.0 - LEAK_TOL
+        if leak.any():
+            raise LeakyMeasurementError(
+                f"leaky measurement: outcome probabilities sum to {float(total[leak].min()):.9f}"
+            )
+        raise ValueError(f"probabilities sum to {float(total[~ok][0])!r}, not 1")
     return np.minimum(p, 1.0)
 
 
@@ -266,15 +278,21 @@ def _entropy_logs(p: np.ndarray) -> tuple:
 
 def is_complete_set(s) -> bool:
     """True iff inputs are orthonormal, resolve the identity, and the
-    measurement is shared by every member, each within ``DEFAULT_TOL``."""
-    testers = list(s)
-    if not testers:
-        raise ValueError("empty tester set")
-    if not _share_projectors(testers):
-        return False
-    inputs = np.stack([t.input for t in testers])
+    measurement is shared by every member, each within ``DEFAULT_TOL``.
+
+    A ``TesterSet`` passed the shared-measurement check when it was built,
+    so only its stacked probes are read."""
+    if isinstance(s, TesterSet):
+        inputs = s.input
+    else:
+        testers = list(s)
+        if not testers:
+            raise ValueError("empty tester set")
+        if not _share_projectors(testers):
+            return False
+        inputs = np.stack([t.input for t in testers])
     gram = inputs.conj() @ inputs.T
-    if np.max(np.abs(gram - np.eye(len(testers)))) > DEFAULT_TOL:
+    if np.max(np.abs(gram - np.eye(len(inputs)))) > DEFAULT_TOL:
         return False
     resolution = inputs.T @ inputs.conj()
     return bool(np.max(np.abs(resolution - np.eye(inputs.shape[1]))) <= DEFAULT_TOL)
@@ -298,16 +316,28 @@ def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_T
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def is_eigenoperator(op: np.ndarray, state: np.ndarray) -> bool:
+def is_eigenoperator(op: np.ndarray, state: np.ndarray):
     """True iff op|psi> = lambda |psi> for some complex lambda, within
-    ``DEFAULT_TOL``."""
-    op = qmath.as_matrix(op)
-    psi = qmath.as_state(state)
-    if op.shape != (psi.size, psi.size):
+    ``DEFAULT_TOL``.
+
+    ``op`` of shape (..., n, n) and ``state`` of shape (..., n) broadcast
+    on their leading axes: a bool for one matrix and one state, else a
+    bool array of the broadcast shape, each entry the scalar call's
+    verdict.  Every matrix must be finite and every state a unit vector.
+    """
+    op = np.asarray(op, dtype=complex)
+    if op.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={op.ndim}")
+    if not np.isfinite(op).all():
+        raise ValueError("matrix has non-finite entries")
+    psi = np.atleast_1d(np.asarray(state, dtype=complex))
+    qmath.as_states(psi.reshape(-1, psi.shape[-1]))
+    if op.shape[-2:] != psi.shape[-1:] * 2:
         raise ValueError("operator and state dimensions differ")
-    v = op @ psi
-    lam = np.vdot(psi, v)
-    return bool(np.max(np.abs(v - lam * psi)) <= DEFAULT_TOL)
+    v = (op @ psi[..., None])[..., 0]
+    lam = (psi.conj() * v).sum(-1)
+    ok = np.abs(v - lam[..., None] * psi).max(-1) <= DEFAULT_TOL
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def _schmidt_rank(psi: np.ndarray, d: int) -> int:

@@ -14,12 +14,17 @@ Born-rule product per tester, which calls the library's Born rule, and
 ``loop_suite_tester`` and ``loop_suite_ppovm``, the ``verify`` tester and
 ppovm suites with one Haar draw and one completion per library call, and
 ``loop_multistart``, the bound search with one trial step per start per
-objective call, which calls the library's exp map.
+objective call, which calls the library's exp map.  ``loop_tester_checks``
+is the ``Tester`` constructor's validation through ``qmath.as_states`` and
+one Gram product, ``scalar_is_eigenoperator`` the eigenoperator test for
+one matrix and one state, and ``loop_verify_prop_trivial`` the
+trivial-bound check with one library call per tester, tester pair, matrix
+pair and probe.
 """
 
 import numpy as np
 
-from qtesters import bounds, ppovm, qmath, tester
+from qtesters import bounds, muub, ppovm, qmath, tester
 from qtesters.qmath import RngHandle
 from qtesters.tester import outcome_probabilities, shannon_entropy
 
@@ -566,3 +571,81 @@ def loop_multistart(g, d, cfg, gtol, *, target=None):
         f = np.where(accept, f_try, f)
         omega = np.where(accept[:, None, None], omega_try, omega)
         it += 1
+
+
+def loop_tester_checks(probe, projectors, dim):
+    """``Tester``'s checks: every state through ``qmath.as_states``, then
+    one orthonormality test of the projectors.  Returns (probe, projector
+    stack, conjugated projector matrix) or raises what ``Tester`` would."""
+    if dim < 1:
+        raise ValueError(f"tester dimension must be at least 1, got dim={dim}")
+    flat = [np.asarray(v, dtype=complex).reshape(-1) for v in (probe, *projectors)]
+    size, n = flat[0].size, len(flat) - 1
+    if size not in (dim, dim * dim):
+        raise ValueError(f"probe size {size} is neither d nor d^2 for d={dim}")
+    if any(p.size != size for p in flat[1:]):
+        raise ValueError("projector dimension differs from the probe dimension")
+    if n not in (dim, dim * dim) or n > size:
+        raise ValueError(f"projector count {n} must be d or d^2 and fit the space")
+    states = qmath.as_states(np.stack(flat))
+    psi, projs = states[0], states[1:]
+    m = projs.conj()
+    if np.abs(m @ projs.T - np.eye(n)).max() > qmath.DEFAULT_TOL:
+        raise ValueError("projectors are not orthonormal")
+    return psi, projs, m
+
+
+def scalar_is_eigenoperator(op, state):
+    """``tester.is_eigenoperator`` for one matrix and one state."""
+    op = qmath.as_matrix(op)
+    psi = qmath.as_state(state)
+    if op.shape != (psi.size, psi.size):
+        raise ValueError("operator and state dimensions differ")
+    v = op @ psi
+    lam = np.vdot(psi, v)
+    return bool(np.max(np.abs(v - lam * psi)) <= qmath.DEFAULT_TOL)
+
+
+def loop_verify_prop_trivial(s1, s2, us, span_samples):
+    """``muub.verify_prop_trivial`` with one ``entropy_sum`` call per cross
+    tester pair, one ``scalar_is_eigenoperator`` call per matrix pair and
+    probe, one ``are_equivalent`` call per tester pair, and completeness
+    checked on the members as a list."""
+    failures = []
+    us = muub._stack(us, s1.dim)
+    if not tester.is_complete_set(list(s1)) or not tester.is_complete_set(list(s2)):
+        failures.append("tester sets are not complete")
+    pairs = [(ta, tb) for ta in s1 for tb in s2]
+    sums = [bounds.entropy_sum(ta, tb, us) for ta, tb in pairs]
+    for m in range(len(us)):
+        for (ta, tb), h in zip(pairs, sums):
+            if h[m] > tester.ENTROPY_ZERO_TOL:
+                failures.append(
+                    f"entropy sum {h[m]:.3e} bits nonzero for ({ta.label},{tb.label})")
+    probes = [t.input for t in s1] + [t.input for t in s2]
+    for m in range(len(us)):
+        for n in range(len(us)):
+            if m == n:
+                continue
+            w = us[m].conj().T @ us[n]
+            for psi in probes:
+                if scalar_is_eigenoperator(w, psi):
+                    failures.append(f"U_{m}^dag U_{n} is an eigenoperator of a probe")
+    hypothesis = not failures
+    overlaps = muub.hs_overlap(us, us)
+    s1_pass = True
+    for m, n in zip(*np.triu_indices(len(us), 1)):
+        if overlaps[m, n] > qmath.DEFAULT_TOL * qmath.DEFAULT_TOL:
+            s1_pass = False
+            failures.append(f"family elements {m},{n} are not HS-orthogonal")
+    s2_pass = True
+    testers = list(s1) + list(s2)
+    pairs = [(ti, tj) for i, ti in enumerate(testers) for tj in testers[i + 1:]]
+    ws = muub._stack(span_samples, s1.dim)
+    equiv = [tester.are_equivalent(ti, tj, ws, tol=muub.SPAN_EQUIV_TOL) for ti, tj in pairs]
+    for k in range(len(ws)):
+        for (ti, tj), eq in zip(pairs, equiv):
+            if not eq[k]:
+                s2_pass = False
+                failures.append(f"testers {ti.label},{tj.label} not equivalent on a span sample")
+    return muub.TrivialBoundReport(hypothesis, s1_pass, s2_pass, tuple(failures))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from qtesters import muub, qmath
 from qtesters.bounds import SearchConfig, entropy_sum
 from qtesters.muub import (
@@ -21,8 +22,11 @@ from qtesters.muub import (
 from qtesters.qmath import RngHandle
 from qtesters.tester import (
     ENTROPY_ZERO_TOL,
+    Tester,
+    TesterSet,
     are_equivalent,
     bell_tester_set,
+    named_tester,
     named_tester_set,
 )
 
@@ -236,8 +240,6 @@ class TestPropTrivial:
 
 
 def _conjugate(s, w):
-    from qtesters.tester import Tester, TesterSet
-
     return TesterSet(
         testers=tuple(
             Tester(input=w @ t.input, projectors=tuple(w @ p for p in t.projectors),
@@ -246,6 +248,56 @@ def _conjugate(s, w):
         ),
         dim=s.dim,
     )
+
+
+def _basis_set(basis, label):
+    """The complete tester set whose probes and shared measurement are the
+    columns of ``basis``."""
+    cols = tuple(basis.T)
+    return TesterSet(tuple(Tester(input=c, projectors=cols, dim=len(c), label=f"{label}{k}")
+                           for k, c in enumerate(cols)), len(basis))
+
+
+def _trivial_cases():
+    gen = np.random.default_rng(2026)
+    z, x, bell = named_tester_set("z"), named_tester_set("x"), named_tester_set("bell")
+    rot = list(build_named_basis("rotation", 2))
+    haar = qmath.haar_random_unitary
+    w = haar(2, gen)
+    cases = {
+        "fixture": (z, x, rot, rotation_span_samples(16)),
+        "eigenoperator": (z, x, [I2, qmath.SIGMA_Z], rotation_span_samples(4)),
+        "haar": (z, x, haar(2, gen, shape=(3,)), haar(2, gen, shape=(4,))),
+        "conjugated": (_conjugate(z, w), _conjugate(x, w), [w @ u @ w.conj().T for u in rot],
+                       [w @ u @ w.conj().T for u in rotation_span_samples(8)]),
+        "haar-sets-d3": (_basis_set(haar(3, gen), "a"), _basis_set(haar(3, gen), "b"),
+                         haar(3, gen, shape=(3,)), haar(3, gen, shape=(5,))),
+        "empty-us": (z, x, [], rotation_span_samples(4)),
+        "empty-samples": (z, x, rot, []),
+        "both-empty": (z, named_tester_set("xcomp"), [], []),
+        "incomplete": (TesterSet((named_tester("0Z"),), 2), x, rot, rotation_span_samples(4)),
+        # at I both sets are deterministic, so padded rows of the narrower set
+        # would match the other set's
+        "shapes-one-element": (z, bell, [I2], [I2] + list(haar(2, gen, shape=(3,)))),
+        "shapes-two-elements": (z, bell, rot, rotation_span_samples(4)),
+        "shapes-bell": (bell, named_tester_set("bell-rot"), [qmath.SIGMA_X], haar(2, gen, shape=(2,))),
+        "dimensions": (z, _basis_set(haar(3, gen), "c"), [], []),
+        "not-unitary": (z, x, [I2, 2 * I2], []),
+    }
+    return [pytest.param(*args, id=name) for name, args in cases.items()]
+
+
+@pytest.mark.parametrize("s1,s2,us,samples", _trivial_cases())
+def test_prop_trivial_matches_loop_oracle(s1, s2, us, samples):
+    """The whole report, or the exception type and message, is the loop's."""
+    def outcome(fn):
+        try:
+            r = fn(s1, s2, us, samples)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return r.hypothesis_pass, r.s1_pass, r.s2_pass, r.failures
+
+    assert outcome(verify_prop_trivial) == outcome(oracles.loop_verify_prop_trivial)
 
 
 class TestPropMaximal:

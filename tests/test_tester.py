@@ -305,6 +305,40 @@ class TestEigenoperator:
             assert lhs == rhs
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_rows_equal_scalar_calls(self, d, gen):
+        # random operators and, so that some rows hold, diagonal ones; basis
+        # states and random states
+        ops = np.concatenate([qmath.haar_random_unitary(d, gen, shape=(3,)),
+                              np.exp(1j * gen.uniform(0, 6, (2, d)))[..., None] * np.eye(d)])
+        basis = qmath.haar_random_unitary(d, gen)[:, 0]
+        states = np.stack([np.eye(d)[0], np.eye(d)[-1], basis])
+        got = is_eigenoperator(ops[:, None], states)
+        assert got.shape == (5, 3) and got.any() and not got.all()
+        for k, op in enumerate(ops):
+            for j, psi in enumerate(states):
+                assert got[k, j] == is_eigenoperator(op, psi)
+                assert got[k, j] == oracles.scalar_is_eigenoperator(op, psi)
+        assert type(is_eigenoperator(ops[0], states[0])) is bool
+
+    @pytest.mark.parametrize("op,state", [
+        (I2, np.ones(4) / 2),
+        (np.stack([I2, I2]), np.ones(3) / np.sqrt(3)),
+        (np.eye(3), tester.KET0),
+        (np.ones(2), tester.KET0),
+        (np.full((2, 2), np.nan), tester.KET0),
+        (I2, np.array([1.0, 1.0])),
+        (I2, np.array([np.inf, 0.0])),
+    ])
+    def test_bad_input_raises_the_scalar_message(self, op, state):
+        got = _outcome(is_eigenoperator, op, state)
+        assert got[0] is ValueError
+        if np.ndim(op) <= 2:
+            assert got == _outcome(oracles.scalar_is_eigenoperator, op, state)
+        else:
+            assert got[1] == "operator and state dimensions differ"
+
+
 class TestCanDistinguish:
     def test_sigma_z_not_distinguished(self):
         assert can_distinguish(named_tester("0Z"), I2, qmath.SIGMA_Z) is False
@@ -384,6 +418,71 @@ class TestNamedTesters:
             projs[0 if slot == "first-projector" else 1] = bad
         with pytest.raises(ValueError, match=f"^{message}$"):
             Tester(input=probe, projectors=tuple(projs), dim=2)
+
+
+def _outcome(fn, *args):
+    """("ok", the result) or (exception type, message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _with_entry(v, x):
+    v = v.copy()
+    v[0] = x
+    return v
+
+
+# what is done to one slot of a valid tester: its norm^2 just inside or just
+# outside 1 +- DEFAULT_TOL, or a NaN, infinite or huge first entry
+_SLOT_CHANGES = {
+    **{f"norm2{e:+.1e}": (lambda v, e=e: v * np.sqrt(1 + e)) for e in (0.5e-9, -0.5e-9, 2e-9, -2e-9)},
+    **{name: (lambda v, x=x: _with_entry(v, x)) for name, x in
+       (("nan", np.nan), ("inf", np.inf), ("1e200", 1e200))},
+}
+
+
+def _construction_cases():
+    """(probe, projectors, dim) inputs: valid random testers; one slot of
+    some of them changed by each of _SLOT_CHANGES, or a NaN in it while the
+    probe's norm is bad; and non-orthonormal projectors."""
+    gen = np.random.default_rng(26)
+    cases = {}
+    for d in (2, 3):
+        for kind in ("plain", "bipartite"):
+            for k in range(3):
+                t = random_tester(d, gen, bipartite=kind == "bipartite")
+                cases[f"d{d}-{kind}-{k}"] = (t.input, t.projectors, d)
+    for name, (probe, projs, d) in list(cases.items())[::3]:
+        for slot in range(1 + len(projs)):
+            for change, f in _SLOT_CHANGES.items():
+                states = [probe] + list(projs)
+                states[slot] = f(states[slot])
+                cases[f"{name}-slot{slot}-{change}"] = (states[0], tuple(states[1:]), d)
+            states = [2 * probe] + list(projs)
+            states[slot] = _with_entry(states[slot], np.nan)
+            cases[f"{name}-slot{slot}-nan-and-probe-norm"] = (states[0], tuple(states[1:]), d)
+    for d in (2, 3):
+        basis = qmath.haar_random_unitary(d, gen)
+        skew = basis[:, 0] + 1e-3 * basis[:, 1]
+        cases[f"d{d}-skew"] = (basis[:, 0], (skew / np.linalg.norm(skew),) + tuple(basis.T[1:]), d)
+    cases["0-in-Z-and-X"] = (tester.KET0, (tester.KET0, tester.XPLUS), 2)
+    return [pytest.param(*args, id=name) for name, args in cases.items()]
+
+
+@pytest.mark.parametrize("probe,projs,d", _construction_cases())
+def test_construction_matches_loop_oracle(probe, projs, d):
+    """Same verdict, exception type and message as the parent's checks, and
+    on success the same arrays bit for bit."""
+    got = _outcome(lambda: Tester(input=probe, projectors=projs, dim=d))
+    want = _outcome(oracles.loop_tester_checks, probe, projs, d)
+    assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
+    if got[0] == "ok":
+        t, (psi, stack, m) = got[1], want[1]
+        assert t.input.tobytes() == psi.tobytes()
+        assert np.stack(t.projectors).tobytes() == stack.tobytes()
+        assert t.projector_matrix().tobytes() == m.tobytes()
 
 
 # A scaled identity and a NaN matrix: neither is unitary, and before the row
