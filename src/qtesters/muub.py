@@ -30,8 +30,8 @@ from .qmath import DEFAULT_TOL, PAULIS, SIGMA_Y, balanced_qubit_rotation
 from .tester import (
     ENTROPY_ZERO_TOL,
     TesterSet,
+    _is_multiple,
     is_complete_set,
-    is_eigenoperator,
     outcome_distribution,
     shannon_entropy,
 )
@@ -261,8 +261,9 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
     Each set's distributions are one checked ``outcome_distribution`` call
     over all of ``us`` and one over all span samples, s1's first, so a
     failing row raises; every row is the single-tester call's bit for bit.
-    The eigenoperator test is one stacked ``is_eigenoperator`` call per
-    set.  Failures are listed in (sample, tester, tester) order.
+    The eigenoperator test is one stacked product per set: U_m^dag U_n
+    (x) I_d meets a bipartite probe as in the Born rule, with no Kronecker
+    product formed.  Failures are listed in (sample, tester, tester) order.
     """
     failures = []
     us = _stack(us, s1.dim)
@@ -278,7 +279,11 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
     m_idx, n_idx = np.nonzero(~np.eye(len(us), dtype=bool))
     if m_idx.size:
         ws = (us[m_idx].conj().swapaxes(-1, -2) @ us[n_idx])[:, None]
-        eig = np.concatenate([is_eigenoperator(ws, s.input) for s in (s1, s2)], axis=1)
+        # U_m^dag U_n (x) I_d on each probe, as the Born rule applies it: the
+        # probe, as a (system, ancilla) matrix, multiplied by U_m^dag U_n
+        eig = np.concatenate([
+            _is_multiple((ws @ s.input.reshape(len(s), s.dim, -1)).reshape(len(ws), len(s), -1),
+                         s.input) for s in (s1, s2)], axis=1)
         failures += [f"U_{m_idx[k]}^dag U_{n_idx[k]} is an eigenoperator of a probe"
                      for k in np.nonzero(eig)[0]]
     hypothesis = not failures

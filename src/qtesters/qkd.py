@@ -34,10 +34,15 @@ conjugated measurement rows M and encodings U, with entries below 1e-9
 snapped to exact zeros, and is kept as cumulative thresholds.  A block of
 rounds samples every round's outcome at once: the round's table indices
 give one flat row index, and its uniform draw is compared with each
-threshold of that row; two samples of one round that read equally shaped
-tables share one flat row index.  A block yields its counts straight from
-the round masks, and builds one array per record column only when the run
-is traced.
+threshold of that row.  The kernels form each flat row by integer
+arithmetic (``_rows``), with the strides taken from the table's shape; the
+index columns are in range by construction, so nothing checks them, while
+a tuple of index columns given to ``_sample`` stays the bounds-checked
+entry.  Tables that share leading axes share their leading product: Bob's
+(set, tester) serves his outcome row and his decode row, Eve's hers, and
+two samples of one round that read equally shaped tables share one flat
+row.  A block yields its counts straight from the round masks, and builds
+one array per record column only when the run is traced.
 
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
@@ -231,10 +236,14 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
 def _sample(cum: np.ndarray, idx, r: np.ndarray) -> np.ndarray:
     """Per round, the first bin of row ``cum[:, *idx]`` (a ``_cumulative``
     table) whose cumulative probability exceeds r, or the last bin if none
-    does.  An index tuple outside the table raises ValueError.
+    does.
 
-    ``idx`` may instead be the rows' flat index, ``np.ravel_multi_index(idx,
-    cum.shape[1:])``, so that samples from equally shaped tables share it.
+    ``idx`` is either a tuple of index columns, the bounds-checked entry: it
+    is flattened by ``np.ravel_multi_index``, so an index outside the table
+    raises ValueError; or the rows' flat numbers, used as given.  The round
+    kernels pass flat rows, formed by ``_rows`` from the table shapes and
+    index columns that are in range by construction, so that samples from
+    tables with equal leading axes share their leading product.
     """
     flat = np.ravel_multi_index(idx, cum.shape[1:]) if isinstance(idx, tuple) else idx
     thresholds = cum.reshape(len(cum), -1)
@@ -242,6 +251,24 @@ def _sample(cum: np.ndarray, idx, r: np.ndarray) -> np.ndarray:
     for c in thresholds[1:]:
         out += c[flat] <= r
     return out
+
+
+def _rows(shape: tuple, lead: np.ndarray, *idx: np.ndarray) -> np.ndarray:
+    """Flat (row-major) row numbers in a table whose rows have shape
+    ``shape``, by integer arithmetic, with every stride taken from
+    ``shape``.  ``idx`` are the index columns of the last ``len(idx)`` axes
+    and ``lead`` is the flat row number over the axes before them (for one
+    leading axis, its index column), so one leading product serves every
+    table that starts with the same axes.  Nothing is range-checked: the
+    kernels' index columns are in range by construction.
+    """
+    axes = shape[len(shape) - len(idx):]
+    flat = lead * axes[0]  # a new array: the columns given are never written
+    flat += idx[0]
+    for n, i in zip(axes[1:], idx[1:]):
+        flat *= n
+        flat += i
+    return flat
 
 
 def _index(x: np.ndarray, n: int) -> np.ndarray:
@@ -490,25 +517,30 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
     bit = _index(draws[:, 2], 2)  # alice's bit in encoding mode, her basis in control mode
     if eve_kind == 0:
         # p_bob[t, bit] and p_state_in_basis[t, basis] share one row shape
-        flat = np.ravel_multi_index((t, bit), cum["p_bob"].shape[1:])
+        flat = _rows(cum["p_bob"].shape[1:], t, bit)
         out = _sample(cum["p_bob"], flat, draws[:, 7])
         cm_out = _sample(cum["p_state_in_basis"], flat, draws[:, 6])
         enc_choice = cm_choice = ebit = -1  # Eve's record fields stay -1
     elif eve_kind == 1:
+        bob_shape = cum["p_bob"].shape[1:]
         enc_choice = _index(draws[:, 3], n_testers)
-        eout = _sample(cum["p_bob"], (enc_choice, bit), draws[:, 5])
+        eout = _sample(cum["p_bob"], _rows(bob_shape, enc_choice, bit), draws[:, 5])
         ebit = (eout != self_idx[enc_choice]).astype(np.int64)
-        out = _sample(cum["p_bob"], (t, ebit), draws[:, 7])
+        out = _sample(cum["p_bob"], _rows(bob_shape, t, ebit), draws[:, 7])
         cm_choice = _index(draws[:, 3], tables["p_cm_eve"].shape[0])
-        cm_out = _sample(cum["p_cm_eve"], (cm_choice, bit), draws[:, 6])
+        cm_out = _sample(cum["p_cm_eve"], _rows(cum["p_cm_eve"].shape[1:], cm_choice, bit),
+                         draws[:, 6])
     else:
         enc_choice = cm_choice = _index(draws[:, 3], 2)
-        m = _sample(cum["p_state_in_basis"], (t, enc_choice), draws[:, 4])
+        m = _sample(cum["p_state_in_basis"],
+                    _rows(cum["p_state_in_basis"].shape[1:], t, enc_choice), draws[:, 4])
         # p_enc_state_basis[b, m, bit] and p_basis_basis[b, m, b2] share one row shape
-        flat = np.ravel_multi_index((enc_choice, m, bit), cum["p_basis_basis"].shape[1:])
+        flat = _rows(cum["p_basis_basis"].shape[1:], enc_choice, m, bit)
         eout = _sample(cum["p_enc_state_basis"], flat, draws[:, 5])
         ebit = eout != m
-        out = _sample(cum["p_basis_state_tester"], (enc_choice, eout, t), draws[:, 7])
+        out = _sample(cum["p_basis_state_tester"],
+                      _rows(cum["p_basis_state_tester"].shape[1:], enc_choice, eout, t),
+                      draws[:, 7])
         cm_out = _sample(cum["p_basis_basis"], flat, draws[:, 6])
     bob_bit = out != self_idx[t]
     matched = cm & (bit == basis_id[t])
@@ -622,22 +654,30 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
     dig = _index(draws[:, 3], n_digits)
     sift = sb == sa
     p_out = cum["p_out"]
+    # flat rows: p_out[s, ti, sa, j] and decode[s, ti, k] share their leading
+    # (set, tester) axes, so Bob's and Eve's (set, tester) products serve both
+    out_shape, decode_shape, flat_decode = p_out.shape[1:], decode.shape, decode.reshape(-1)
+    bob = _rows(out_shape[:2], sb, tb)
     if eve_kind == 0:
-        out = _sample(p_out, (sb, tb, sa, dig), draws[:, 8])
+        out = _sample(p_out, _rows(out_shape, bob, sa, dig), draws[:, 8])
     else:
         se = np.zeros_like(sb) if eve_set_policy == 0 else _index(draws[:, 4], 2)
         if eve_kind == 1:
             te = _index(draws[:, 5], n_digits)
-            eout = _sample(p_out, (se, te, sa, dig), draws[:, 6])
-            eraw = decode[se, te, eout]
-            out = _sample(p_out, (sb, tb, se, eraw), draws[:, 8])
         else:
-            te = _sample(cum["collapse"], (se, sb, tb), draws[:, 5])
-            eout = _sample(p_out, (se, te, sa, dig), draws[:, 6])
-            eraw = decode[se, te, eout]
-            out = _sample(cum["p_proj"], (se, eout, sb), draws[:, 8])
+            te = _sample(cum["collapse"], _rows(cum["collapse"].shape[1:], se, sb, tb),
+                         draws[:, 5])
+        eve = _rows(out_shape[:2], se, te)
+        eout = _sample(p_out, _rows(out_shape, eve, sa, dig), draws[:, 6])
+        eraw = flat_decode[_rows(decode_shape, eve, eout)]
+        del eve  # a block-sized array, freed before the rest of the block is formed
+        if eve_kind == 1:
+            out = _sample(p_out, _rows(out_shape, bob, se, eraw), draws[:, 8])
+        else:
+            out = _sample(cum["p_proj"], _rows(cum["p_proj"].shape[1:], se, eout, sb),
+                          draws[:, 8])
         edig = np.where(se == sa, eraw, _index(draws[:, 7], n_digits))
-    bdig = decode[sb, tb, out]
+    bdig = flat_decode[_rows(decode_shape, bob, out)]
     error = sift & (bdig != dig)
     counts = np.array([np.count_nonzero(sift), np.count_nonzero(error),
                        0 if eve_kind == 0 else np.count_nonzero(sift & (edig == dig))])

@@ -334,10 +334,17 @@ def is_eigenoperator(op: np.ndarray, state: np.ndarray):
     qmath.as_states(psi.reshape(-1, psi.shape[-1]))
     if op.shape[-2:] != psi.shape[-1:] * 2:
         raise ValueError("operator and state dimensions differ")
-    v = (op @ psi[..., None])[..., 0]
-    lam = (psi.conj() * v).sum(-1)
-    ok = np.abs(v - lam[..., None] * psi).max(-1) <= DEFAULT_TOL
+    ok = _is_multiple((op @ psi[..., None])[..., 0], psi)
     return bool(ok) if ok.ndim == 0 else ok
+
+
+def _is_multiple(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Unchecked: True where v = lambda psi for some complex lambda, within
+    ``DEFAULT_TOL``, for unit vectors psi on the last axis.  This is the
+    eigenoperator test on the image v = op psi; ``muub.verify_prop_trivial``
+    forms that image for a bipartite probe as the Born rule does."""
+    lam = (psi.conj() * v).sum(-1)
+    return np.abs(v - lam[..., None] * psi).max(-1) <= DEFAULT_TOL
 
 
 def _schmidt_rank(psi: np.ndarray, d: int) -> int:

@@ -609,7 +609,8 @@ def scalar_is_eigenoperator(op, state):
 def loop_verify_prop_trivial(s1, s2, us, span_samples):
     """``muub.verify_prop_trivial`` with one ``entropy_sum`` call per cross
     tester pair, one ``scalar_is_eigenoperator`` call per matrix pair and
-    probe, one ``are_equivalent`` call per tester pair, and completeness
+    probe on the explicit ``np.kron`` of U_m^dag U_n and the ancilla's
+    identity, one ``are_equivalent`` call per tester pair, and completeness
     checked on the members as a list."""
     failures = []
     us = muub._stack(us, s1.dim)
@@ -629,7 +630,9 @@ def loop_verify_prop_trivial(s1, s2, us, span_samples):
                 continue
             w = us[m].conj().T @ us[n]
             for psi in probes:
-                if scalar_is_eigenoperator(w, psi):
+                # U_m^dag U_n (x) I on a probe of size d (no ancilla) or d^2
+                w_probe = np.kron(w, np.eye(psi.size // len(w)))
+                if scalar_is_eigenoperator(w_probe, psi):
                     failures.append(f"U_{m}^dag U_{n} is an eigenoperator of a probe")
     hypothesis = not failures
     overlaps = muub.hs_overlap(us, us)

@@ -281,6 +281,12 @@ def _trivial_cases():
         "shapes-one-element": (z, bell, [I2], [I2] + list(haar(2, gen, shape=(3,)))),
         "shapes-two-elements": (z, bell, rot, rotation_span_samples(4)),
         "shapes-bell": (bell, named_tester_set("bell-rot"), [qmath.SIGMA_X], haar(2, gen, shape=(2,))),
+        # U_m^dag U_n (x) I_2 meets the Bell probes: a family of two elements
+        "bell-two-elements": (bell, named_tester_set("bell-rot"), [I2, qmath.SIGMA_X],
+                              haar(2, gen, shape=(2,))),
+        "bell-pauli": (bell, bell, list(build_named_basis("pauli", 2)), rotation_span_samples(4)),
+        # (-i I) (x) I_2 is an eigenoperator of every probe
+        "bell-eigenoperator": (bell, named_tester_set("bell-rot"), [I2, 1j * I2], []),
         "dimensions": (z, _basis_set(haar(3, gen), "c"), [], []),
         "not-unitary": (z, x, [I2, 2 * I2], []),
     }

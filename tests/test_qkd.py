@@ -588,6 +588,55 @@ class TestRecordsOnlyWhenTraced:
         assert len(built) == 3  # the 20 000 rounds take 3 blocks
 
 
+class TestKernelsFormRowsByArithmetic:
+    @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
+    @pytest.mark.parametrize("protocol", ["lm05", "ext2", "ext4"])
+    def test_untraced_run_never_ravels(self, monkeypatch, protocol, kind):
+        run, cfg = _bench_run(protocol, kind)
+
+        def ravel(*args, **kwargs):
+            raise AssertionError("a round kernel called np.ravel_multi_index")
+        monkeypatch.setattr(np, "ravel_multi_index", ravel)
+        assert run(cfg).rounds == 20_000
+
+
+_ROW_CONFIGS = ([pytest.param(qkd._lm05_tables, default_lm05_config(
+    rounds=10, control_fraction=0.3, eve=EveStrategy(kind=kind, resend_policy=policy)),
+    id=f"lm05-{kind}-{policy}") for policy, kind in LM05_TABLE_CONFIGS]
+    + [pytest.param(qkd._extended_tables, default_extended_config(
+        D=D, rounds=10, eve=EveStrategy(kind=kind, set_policy=policy)),
+        id=f"ext{D}-{kind}-{policy}")
+        for D in (2, 4) for kind in qkd.EVE_KINDS for policy in qkd.SET_POLICIES])
+
+
+class TestFlatRows:
+    """``_rows`` gives ``np.ravel_multi_index`` of in-range index columns on
+    every table a kernel reads by flat row, whether the leading axes come as
+    their index column or as a shared flat row over several of them."""
+
+    @pytest.mark.parametrize("build, cfg", _ROW_CONFIGS)
+    def test_equals_ravel_multi_index(self, build, cfg):
+        tables = build(cfg)
+        # a distribution table's rows are its distributions, decode's its entries
+        shapes = {k: v.shape[:-1] for k, v in tables.items()
+                  if k.startswith("p_") or k == "collapse"}
+        if "decode" in tables:
+            shapes["decode"] = tables["decode"].shape
+        gen = np.random.default_rng(27)
+        for name, shape in shapes.items():
+            idx = tuple(gen.integers(0, n, 500) for n in shape)
+            want = np.ravel_multi_index(idx, shape)
+            for k in range(1, len(shape)):  # the first k axes as one flat row
+                lead = np.ravel_multi_index(idx[:k], shape[:k])
+                got = qkd._rows(shape, lead, *idx[k:])
+                assert got.dtype == np.int64 and np.array_equal(got, want), (name, k)
+
+    def test_columns_are_not_written(self):
+        lead, i = np.array([0, 1, 2]), np.array([1, 0, 1])
+        assert qkd._rows((3, 2), lead, i).tolist() == [1, 2, 5]
+        assert lead.tolist() == [0, 1, 2] and i.tolist() == [1, 0, 1]
+
+
 class TestSample:
     def test_threshold_lands_in_next_bin(self):
         cum = qkd._cumulative(np.array([[0.25, 0.25, 0.25, 0.25]]))
