@@ -163,10 +163,11 @@ def _suite_qmath(seed: int) -> list:
 # The tester and ppovm suites draw in the order they always have: the same
 # gen.integers, gen.uniform and gen.standard_normal calls, with the same
 # shapes, so every seed keeps its samples.  The Ginibre normals are kept, and
-# the QR and the orthonormal completions then run as stacks, one call per
-# matrix size and draw shape (qmath.haar_from_normals and qmath.complete_onb
-# give each matrix of a stack bit for bit as its own call would).  The
-# functions a suite checks are still called once per sample.
+# the Haar draws and the orthonormal completions then run as stacks, one call
+# per matrix size and draw shape (qmath.haar_from_normals and
+# qmath.complete_onb both run the phase-fixed QR per matrix, so each matrix of
+# a stack is its own call's bit for bit).  The functions a suite checks are
+# still called once per sample.
 
 def _haar_stacks(normals: list) -> list:
     """``qmath.haar_from_normals`` of each array in ``normals``, with one QR
@@ -191,15 +192,8 @@ def _random_testers(gen, specs) -> list:
         n = d * d if bipartite else d
         normals += [gen.standard_normal((2, 2, n, n)), gen.standard_normal((2, d, d))]
     us = _haar_stacks(normals)
-    return [(_tester_from_pair(pair, d), u)
+    return [(tester._tester_from_pair(pair, d), u)
             for (d, _), pair, u in zip(specs, us[::2], us[1::2])]
-
-
-def _tester_from_pair(pair: np.ndarray, d: int) -> tester.Tester:
-    """The tester ``tester.random_tester`` builds from its two unitaries
-    (measurement basis, then the unitary whose first column is the probe)."""
-    basis, probe = pair
-    return tester.Tester(input=probe[:, 0], projectors=tuple(basis.T), dim=d)
 
 
 def _suite_tester(seed: int) -> list:
@@ -220,7 +214,7 @@ def _suite_tester(seed: int) -> list:
     ok = True
     # per sample: three random qubit testers (two draws each), then w
     for us in qmath.haar_random_unitary(2, gen, shape=(20, 7)):
-        ts = [_tester_from_pair(us[j:j + 2], 2) for j in (0, 2, 4)]
+        ts = [tester._tester_from_pair(us[j:j + 2], 2) for j in (0, 2, 4)]
         w = us[6]
         ok &= tester.are_equivalent(ts[0], ts[0], w)
         if tester.are_equivalent(ts[0], ts[1], w, tol=1e-6):

@@ -97,6 +97,7 @@ class UnitaryBasis:
     elements: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", qmath.int_field(vars(self), "dim"))
         try:
             els = np.array(self.elements, dtype=complex)
         except ValueError:  # matrices of different shapes

@@ -12,6 +12,8 @@ All conventions used by the rest of the package are fixed here, once:
   gradient and ``max_entangled_state`` all use this layout.
 * Unitarity and orthonormality are checked in max norm with tolerance
   ``DEFAULT_TOL = 1e-9``.
+* One orthonormalization, the phase-fixed QR, makes both the Haar draws
+  and the completions of a state to a basis.
 """
 
 from __future__ import annotations
@@ -68,12 +70,6 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def as_state(v) -> np.ndarray:
-    """Validate a pure-state vector: finite entries and unit norm within
-    ``DEFAULT_TOL``.  It is ``as_states`` on the vector as one row."""
-    return as_states(np.asarray(v, dtype=complex).reshape(1, -1))[0]
-
-
 def as_states(vs) -> np.ndarray:
     """Validate every row of an (n, size) stack as a pure-state vector, with
     finite entries and unit norm within ``DEFAULT_TOL``; the first failing
@@ -92,18 +88,18 @@ def as_states(vs) -> np.ndarray:
     return vs
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     """True iff u is a square matrix, or a stack (..., d, d) of them, and
-    every matrix is unitary within tol."""
+    every matrix is unitary within ``DEFAULT_TOL``."""
     u = np.asarray(u)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
     # a unitary's entries are at most 1 in modulus; testing that first keeps
     # huge or non-finite entries out of the product
-    if not (np.abs(u) <= 1 + tol).all():
+    if not (np.abs(u) <= 1 + DEFAULT_TOL).all():
         return False
     gram = u.conj().swapaxes(-1, -2) @ u
-    return bool(np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0) <= tol)
+    return bool(np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0) <= DEFAULT_TOL)
 
 
 def assert_unitary(u: np.ndarray) -> np.ndarray:
@@ -119,26 +115,32 @@ def max_entangled_state(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1)
 
 
+def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
+    """The unitary Q of the QR of each matrix of the stack ``a``, its columns
+    rephased so that R has a real non-negative diagonal (Mezzadri, Notices
+    AMS 54, 592, 2007).  A diagonal entry of R that is exactly 0 keeps
+    phase 1.  QR runs per matrix, so each matrix is the same bit for bit
+    whatever else is in the stack."""
+    q, r = np.linalg.qr(a)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    ph = np.divide(ph, np.abs(ph), out=np.ones_like(ph), where=ph != 0)
+    return q * ph[..., None, :]
+
+
 def haar_from_normals(g: np.ndarray) -> np.ndarray:
     """Haar-distributed d x d unitaries from Ginibre normals ``g`` of shape
     (..., 2, d, d): one unitary per leading index, of shape (..., d, d).
 
     Stream contract: matrix i of the flattened stack is built from normals
     [2d^2 i, 2d^2 (i + 1)) of ``g`` in C order, its real part (d^2 values)
-    first, then its imaginary part.  The complex Ginibre matrix is QR
-    orthonormalized with the R-diagonal phase correction; QR runs per matrix,
-    so each matrix is the same bit for bit whatever else is in the stack.
-    Normals drawn in any order can therefore be orthonormalized later, in one
-    call per matrix size.
+    first, then its imaginary part.  The complex Ginibre matrix is
+    orthonormalized by the phase-fixed QR, per matrix, so normals drawn in
+    any order can be orthonormalized later, in one call per matrix size.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim < 3 or g.shape[-3] != 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] < 1:
         raise ValueError(f"Ginibre normals must have shape (..., 2, d, d), got {g.shape}")
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    ph /= np.abs(ph)
-    return q * ph[..., None, :]
+    return _phase_fixed_qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
 
 
 def haar_random_unitary(d: int, rng, shape: tuple = ()) -> np.ndarray:
@@ -160,18 +162,18 @@ def haar_random_unitary(d: int, rng, shape: tuple = ()) -> np.ndarray:
 
 
 def complete_onb(first: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unitaries whose first column is ``first``, completed by Gram-Schmidt
-    from the columns of the unitaries ``w`` (Haar-randomly for a Haar ``w``).
+    """Unitaries whose first column is ``first``, completed from the columns
+    of the unitaries ``w`` (Haar-randomly for a Haar ``w``).
 
     ``first`` is a stack (..., d) of states and ``w`` a stack (..., d, d) of
     the same leading shape; the result is (..., d, d), and one state with
     one d x d ``w`` gives one matrix.  Every row of ``first`` is checked as
-    a state.  The Gram-Schmidt runs on the whole stack at once: column i of
-    ``w`` loses its projections on the columns kept so far, in order, each
-    an elementwise product summed over its last axis, and is kept if its
-    norm is then above 1e-6.  Per row, then, each matrix of a stack is its
-    one-row call's bit for bit, and a column can be skipped in one row and
-    kept in another.  A row that cannot be completed raises RuntimeError.
+    a state.  Each result is the phase-fixed QR of (first, w_0 ... w_{d-2}),
+    the columns of ``w`` but its last, with column 0 then set to ``first``
+    exactly: the Gram-Schmidt completion of ``first`` by those columns, in
+    exact arithmetic.  Each matrix of a stack is its one-row call's bit for
+    bit.  A ``w`` whose leading columns depend on ``first`` still gives a
+    unitary, with the dependent columns replaced.
     """
     first = np.asarray(first, dtype=complex)
     lead, d = first.shape[:-1], first.shape[-1]
@@ -179,28 +181,10 @@ def complete_onb(first: np.ndarray, w: np.ndarray) -> np.ndarray:
     if w.shape != lead + (d, d):
         raise ValueError(f"completion unitaries of shape {w.shape} do not match states "
                          f"of shape {first.shape}")
-    first = as_states(first.reshape(-1, d))
-    n = len(first)
-    w_cols = w.reshape(n, d, d).swapaxes(-1, -2)  # w_cols[:, i] is column i of each w
-    cols = np.zeros((d, n, d), dtype=complex)     # cols[j]: the j-th kept column of each row
-    cols[0] = first
-    kept = np.ones(n, dtype=np.intp)
-    rows = np.arange(n)
-    for i in range(d):
-        short = kept < d
-        if not short.any():
-            break
-        v = w_cols[:, i].copy()
-        for j in range(int(kept.max())):
-            c = cols[j]
-            v = np.where((j < kept)[:, None], v - (c.conj() * v).sum(-1)[:, None] * c, v)
-        nrm = np.sqrt((v.real ** 2 + v.imag ** 2).sum(-1))
-        take = short & (nrm > 1e-6)
-        cols[kept[take], rows[take]] = v[take] / nrm[take, None]
-        kept += take
-    if (kept != d).any():
-        raise RuntimeError("orthonormal completion failed")  # would need d collinear draws
-    return np.ascontiguousarray(cols.transpose(1, 2, 0)).reshape(lead + (d, d))
+    first = as_states(first.reshape(-1, d)).reshape(first.shape)
+    q = _phase_fixed_qr(np.concatenate((first[..., None], w[..., :, :d - 1]), -1))
+    q[..., 0] = first
+    return q
 
 
 # ---------------------------------------------------------------------------

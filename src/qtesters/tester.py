@@ -50,7 +50,9 @@ class Tester:
     label: str = ""
 
     def __post_init__(self):
-        d = self.dim
+        # a bool or a non-integral float raises; 2.0 becomes 2
+        d = qmath.int_field(vars(self), "dim")
+        object.__setattr__(self, "dim", d)
         if d < 1:
             raise ValueError(f"tester dimension must be at least 1, got dim={d}")
         # the probe and the projectors are validated as one stack, probe first
@@ -450,7 +452,13 @@ def random_tester(d: int, rng, bipartite: bool = False) -> Tester:
     Generator ``rng`` bit for bit as two sequential draws would.
     """
     n = d * d if bipartite else d
-    basis, probe = qmath.haar_random_unitary(n, rng, shape=(2,))
+    return _tester_from_pair(qmath.haar_random_unitary(n, rng, shape=(2,)), d)
+
+
+def _tester_from_pair(pair: np.ndarray, d: int) -> Tester:
+    """The tester of two unitaries: the columns of the first are its
+    projectors, the first column of the second its probe."""
+    basis, probe = pair
     return Tester(input=probe[:, 0], projectors=tuple(basis.T), dim=d)
 
 

@@ -598,7 +598,7 @@ def loop_tester_checks(probe, projectors, dim):
 def scalar_is_eigenoperator(op, state):
     """``tester.is_eigenoperator`` for one matrix and one state."""
     op = qmath.as_matrix(op)
-    psi = qmath.as_state(state)
+    psi = qmath.as_states(np.reshape(state, (1, -1)))[0]
     if op.shape != (psi.size, psi.size):
         raise ValueError("operator and state dimensions differ")
     v = op @ psi

@@ -94,7 +94,7 @@ class TestEstimateBound:
     def test_value_consistent_with_minimizer(self):
         cfg = SearchConfig(starts=8, rng=RngHandle(seed=2))
         est = estimate_bound(T0Z, T0X, cfg)
-        assert qmath.is_unitary(est.minimizer, 1e-9)
+        assert qmath.is_unitary(est.minimizer)
         assert entropy_sum(T0Z, T0X, est.minimizer) == pytest.approx(est.value, abs=1e-7)
 
     def test_upper_bound_soundness(self):
@@ -354,7 +354,8 @@ class TestDescentSearch:
     def test_one_start(self):
         runs = _entropy_search(SearchConfig(starts=1, rng=RngHandle(seed=14)))
         assert runs.u.shape == (1, 3, 3) and runs.converged.all()
-        assert qmath.is_unitary(runs.u[0], 1e-12)
+        u = runs.u[0]
+        assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 
 
 def _search_case(case, **kw):
@@ -530,7 +531,7 @@ class TestSuGenerators:
         gens = su_generators(d)
         theta = gen.uniform(-np.pi, np.pi, len(gens))
         u = bounds.unitary_from_params(theta, gens)
-        assert qmath.is_unitary(u, 1e-9)
+        assert qmath.is_unitary(u)
         h = np.tensordot(theta, gens, axes=1)
         np.testing.assert_allclose(u, expm(1j * h), rtol=0, atol=1e-12)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,16 @@ class TestOrthogonalUnitaryBasis:
     def test_basis_type_validates(self):
         with pytest.raises(ValueError):
             UnitaryBasis(dim=2, elements=(I2, H_ROT))
+
+    def test_integral_float_dim_becomes_int(self):
+        b = UnitaryBasis(dim=2.0, elements=list(qmath.PAULIS))
+        assert type(b.dim) is int and b.to_json()["dim"] == 2
+        assert are_muub(b, build_named_basis("pauli-unbiased", 2)).verdict
+
+    @pytest.mark.parametrize("dim", [True, 2.5, "2", None])
+    def test_dim_that_is_not_an_integer(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, not {re.escape(repr(dim))}$"):
+            UnitaryBasis(dim=dim, elements=list(qmath.PAULIS))
 
     def test_elements_are_one_read_only_copy(self):
         given = np.stack([I2, 1j * qmath.SIGMA_Y])
@@ -398,7 +409,7 @@ class TestPartnerSearch:
 class TestSpanSamples:
     def test_all_unitary(self):
         for u in rotation_span_samples(16):
-            assert qmath.is_unitary(u, 1e-12)
+            assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-12
 
 
 class TestStackedOverlaps:

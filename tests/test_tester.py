@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,16 @@ class TestNamedTesters:
                    projectors=(tester.KET0, tester.KET1), dim=2)
         with pytest.raises(ValueError):
             Tester(input=tester.KET0, projectors=(tester.KET0, tester.XPLUS), dim=2)
+
+    def test_integral_float_dim_becomes_int(self):
+        t = Tester(input=tester.KET0, projectors=(tester.KET0, tester.KET1), dim=2.0)
+        assert type(t.dim) is int and t.dim == 2
+        assert outcome_distribution(t, I2).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("dim", [True, 2.5, "2", None])
+    def test_dim_that_is_not_an_integer(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be an integer, not {re.escape(repr(dim))}$"):
+            Tester(input=tester.KET0, projectors=(tester.KET0, tester.KET1), dim=dim)
 
     @pytest.mark.parametrize("bad,message", [
         (np.array([np.nan, 0]), "state has non-finite entries"),
