@@ -352,7 +352,7 @@ def _entropy_terms(t: Tester | TesterStack):
         mc = mc[:, None]
 
     def terms(u):
-        sent, _, a = outcome_amplitudes(t, u)
+        sent, a = outcome_amplitudes(t, u)
         h, seen, lg = _entropy_logs(np.abs(a) ** 2)
         w = np.where(seen, -(lg + _INV_LN2), 0.0)
         c = ((w * a)[..., None, :] @ mc).reshape(sent.shape)

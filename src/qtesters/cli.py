@@ -105,6 +105,17 @@ def _resolve_basis(spec: str, d: int) -> muub.UnitaryBasis:
 # verify suites
 # ---------------------------------------------------------------------------
 
+def _judged(checks: list) -> list:
+    """The suites' one pass rule, in place: a check with ``max_dev`` gets
+    ``tol`` 1e-9 unless it has one, and passes when ``max_dev <= tol``
+    unless it already has ``pass``."""
+    for ch in checks:
+        if "max_dev" in ch:
+            ch.setdefault("tol", 1e-9)
+            ch.setdefault("pass", ch["max_dev"] <= ch["tol"])
+    return checks
+
+
 def _suite_qmath(seed: int) -> list:
     gen = RngHandle(seed, 101).generator()
     checks = []
@@ -154,10 +165,7 @@ def _suite_qmath(seed: int) -> list:
         tr2[k:k + 1000] = np.abs(np.trace(us, axis1=-2, axis2=-1)) ** 2
     m1 = np.mean(tr2)
     checks.append({"name": "haar-first-moment", "max_dev": float(abs(m1 - 1.0)), "tol": 0.05})
-    for ch in checks:
-        ch.setdefault("tol", 1e-9)
-        ch["pass"] = ch["max_dev"] <= ch["tol"]
-    return checks
+    return _judged(checks)
 
 
 # The tester and ppovm suites draw in the order they always have: the same
@@ -219,7 +227,7 @@ def _suite_tester(seed: int) -> list:
         ok &= tester.are_equivalent(ts[0], ts[0], w)
         if tester.are_equivalent(ts[0], ts[1], w, tol=1e-6):
             ok &= tester.are_equivalent(ts[1], ts[0], w, tol=1e-6)
-    checks.append({"name": "equivalence-relation", "pass": bool(ok)})
+    checks.append({"name": "equivalence-relation", "pass": bool(ok), "tol": 1e-9})
     trials = 100
     drawn = {}  # d -> per trial: its number, basis normals, (probe, target, target), mappings
     for trial in range(trials):
@@ -250,14 +258,10 @@ def _suite_tester(seed: int) -> list:
         agreements += tester.can_distinguish(t, u1, u2) == (not eig)
     checks.append({"name": "distinguish-eigenoperator-agreement",
                    "agreements": agreements, "trials": trials,
-                   "pass": agreements == trials})
+                   "pass": agreements == trials, "tol": 1e-9})
     h = tester.shannon_entropy(np.array([0.5, 0.25, 0.25]))
     checks.append({"name": "entropy-dyadic", "max_dev": abs(h - 1.5)})
-    for ch in checks:
-        ch.setdefault("tol", 1e-9)
-        if "pass" not in ch:
-            ch["pass"] = ch["max_dev"] <= ch["tol"]
-    return checks
+    return _judged(checks)
 
 
 def _suite_ppovm(seed: int) -> list:
@@ -268,15 +272,12 @@ def _suite_ppovm(seed: int) -> list:
     for (d, k), (t, u) in zip(samples, drawn):
         direct = tester.outcome_distribution(t, u)
         via = ppovm.probability_via_choi(ppovm.tester_elements(t), ppovm.choi_operator(u))
-        dev = float(np.max(np.abs(direct - via)))
         checks.append({
             "name": f"direct-vs-process-rule-d{d}-{k:02d}",
             "bipartite": k % 2 == 1,
-            "max_dev": dev,
-            "tol": 1e-9,
-            "pass": dev <= 1e-9,
+            "max_dev": float(np.max(np.abs(direct - via))),
         })
-    return checks
+    return _judged(checks)
 
 
 def _suite_bounds(seed: int) -> list:
@@ -311,10 +312,7 @@ def _suite_bounds(seed: int) -> list:
     checks.append({"name": "bound-0Z-+Z-upper-bound-soundness",
                    "value": est2.value,
                    "pass": bool(est2.value <= sample_min + 1e-9 and est2.value > 1e-3)})
-    for ch in checks:
-        if "pass" not in ch:
-            ch["pass"] = ch["max_dev"] <= ch["tol"]
-    return checks
+    return _judged(checks)
 
 
 def _suite_muub(seed: int) -> list:

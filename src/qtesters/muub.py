@@ -152,10 +152,7 @@ def are_muub(a: UnitaryBasis, b: UnitaryBasis, tol: float = KAPPA_TOL) -> MuubRe
     """Full cross-overlap matrix plus the constant-kappa verdict."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    if a.dim != b.dim:
-        raise ValueError("bases act on different dimensions")
-    if a.D != b.D:
-        raise ValueError("bases span subspaces of different sizes")
+    _check_alike(a, b)
     d, dd = a.dim, a.D
     expected = 1.0 if dd == d * d else float(d)
     overlaps = hs_overlap(a.elements, b.elements)
@@ -168,6 +165,14 @@ def are_muub(a: UnitaryBasis, b: UnitaryBasis, tol: float = KAPPA_TOL) -> MuubRe
         expected_kappa=expected,
         verdict=verdict,
     )
+
+
+def _check_alike(a: UnitaryBasis, b: UnitaryBasis) -> None:
+    """Raise ValueError unless the two families share their dimension and size."""
+    if a.dim != b.dim:
+        raise ValueError("bases act on different dimensions")
+    if a.D != b.D:
+        raise ValueError("bases span subspaces of different sizes")
 
 
 def _weyl_basis(d: int) -> tuple:
@@ -348,8 +353,10 @@ def maximal_hypothesis(s1: TesterSet, s2: TesterSet, fam1: UnitaryBasis,
     fam2, and each set's rows are one checked ``outcome_distribution``
     call, so a leaking row raises; each set's entropies are one
     ``shannon_entropy`` call, and failures are listed per check, then per
-    tester, then per element.
+    tester, then per element.  Families of different dimension or size
+    raise ``are_muub``'s ValueError.
     """
+    _check_alike(fam1, fam2)
     dd = fam1.D
     us = np.concatenate((fam1.elements, fam2.elements))
     rows = tuple(outcome_distribution(ts, us) for ts in (s1, s2))

@@ -36,9 +36,8 @@ rounds samples every round's outcome at once: the round's table indices
 give one flat row index, and its uniform draw is compared with each
 threshold of that row.  The kernels form each flat row by integer
 arithmetic (``_rows``), with the strides taken from the table's shape; the
-index columns are in range by construction, so nothing checks them, while
-a tuple of index columns given to ``_sample`` stays the bounds-checked
-entry.  Tables that share leading axes share their leading product: Bob's
+index columns are in range by construction, so nothing checks them.
+Tables that share leading axes share their leading product: Bob's
 (set, tester) serves his outcome row and his decode row, Eve's hers, and
 two samples of one round that read equally shaped tables share one flat
 row.  A block yields its counts straight from the round masks, and builds
@@ -233,19 +232,15 @@ def _cumulative(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c.transpose((-1,) + tuple(range(c.ndim - 1))))
 
 
-def _sample(cum: np.ndarray, idx, r: np.ndarray) -> np.ndarray:
-    """Per round, the first bin of row ``cum[:, *idx]`` (a ``_cumulative``
-    table) whose cumulative probability exceeds r, or the last bin if none
-    does.
+def _sample(cum: np.ndarray, flat: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per round, the first bin of flat row ``flat`` of ``cum`` (a
+    ``_cumulative`` table, its row axes taken row-major) whose cumulative
+    probability exceeds r, or the last bin if none does.
 
-    ``idx`` is either a tuple of index columns, the bounds-checked entry: it
-    is flattened by ``np.ravel_multi_index``, so an index outside the table
-    raises ValueError; or the rows' flat numbers, used as given.  The round
-    kernels pass flat rows, formed by ``_rows`` from the table shapes and
-    index columns that are in range by construction, so that samples from
-    tables with equal leading axes share their leading product.
+    The kernels form ``flat`` with ``_rows`` from the table shapes, so that
+    samples from tables with equal leading axes share their leading
+    product; it is used as given, with no range check.
     """
-    flat = np.ravel_multi_index(idx, cum.shape[1:]) if isinstance(idx, tuple) else idx
     thresholds = cum.reshape(len(cum), -1)
     out = (thresholds[0][flat] <= r).astype(np.int64)
     for c in thresholds[1:]:

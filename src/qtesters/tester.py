@@ -130,19 +130,25 @@ class TesterStack:
     ``input`` and ``projector_matrix()`` are the members' probes and
     projector matrices stacked on a leading axis (read-only), so the Born
     rule takes the whole stack as it takes one tester.  The members need
-    not share projectors.
+    not share projectors.  ``dim`` is read as ``Tester`` reads it.
     """
 
     testers: tuple
     dim: int
 
+    # the message for members whose projectors do not stack together
+    _mismatch = "testers have mixed probe or projector shapes"
+
     def __post_init__(self):
+        d = qmath.int_field(vars(self), "dim")
+        object.__setattr__(self, "dim", d)
         ts = tuple(self.testers)
         if not ts:
             raise ValueError("empty tester set")
-        if any(t.dim != self.dim for t in ts):
+        if any(t.dim != d for t in ts):
             raise ValueError("testers have mixed dimensions")
-        self._check_members(ts)
+        if len({t.projector_matrix().shape for t in ts}) > 1:
+            raise ValueError(self._mismatch)
         probes = np.stack([t.input for t in ts])
         m = np.stack([t.projector_matrix() for t in ts])
         probes.setflags(write=False)
@@ -150,11 +156,6 @@ class TesterStack:
         object.__setattr__(self, "testers", ts)
         object.__setattr__(self, "input", probes)
         object.__setattr__(self, "_projector_matrix", m)
-
-    @staticmethod
-    def _check_members(ts):
-        if len({t.projector_matrix().shape for t in ts}) > 1:
-            raise ValueError("testers have mixed probe or projector shapes")
 
     def projector_matrix(self) -> np.ndarray:
         return self._projector_matrix
@@ -168,30 +169,25 @@ class TesterStack:
 
 @dataclass(frozen=True, eq=False)
 class TesterSet(TesterStack):
-    """Testers sharing one measurement, stacked as a ``TesterStack``;
-    completeness is checked separately."""
+    """Testers sharing one measurement, stacked as a ``TesterStack``: every
+    member's projectors have the first member's count and size and lie
+    within ``DEFAULT_TOL`` of them entrywise, checked on the stacked
+    projector matrices.  Completeness is ``is_complete_set``."""
 
-    @staticmethod
-    def _check_members(ts):
-        if not _share_projectors(ts):
-            raise ValueError("testers do not share one projector list")
+    _mismatch = "testers do not share one projector list"
 
-
-def _share_projectors(testers) -> bool:
-    """True iff every tester's projectors have the first tester's count and
-    size and lie within ``DEFAULT_TOL`` of them entrywise, compared as one
-    stack."""
-    if len({t.projector_matrix().shape for t in testers}) > 1:
-        return False
-    m = np.stack([t.projector_matrix() for t in testers])
-    return bool(np.abs(m - m[0]).max() <= DEFAULT_TOL)
+    def __post_init__(self):
+        super().__post_init__()
+        m = self._projector_matrix
+        if np.abs(m - m[0]).max() > DEFAULT_TOL:
+            raise ValueError(self._mismatch)
 
 
 def outcome_amplitudes(t: Tester | TesterStack, u: np.ndarray) -> tuple:
     """The two products of the Born rule for u of shape (..., d, d):
-    (sent, m, amps), with ``sent`` the probe after u as (system, ancilla)
-    matrices, ``amps`` the amplitudes <chi_k| U |psi> = m vec(sent), and
-    ``m`` the projector matrix, broadcast against them.
+    (sent, amps), with ``sent`` the probe after u as (system, ancilla)
+    matrices and ``amps`` the amplitudes <chi_k| U |psi> = M vec(sent), M
+    the projector matrix.
 
     The probe, reshaped to (system, ancilla), is multiplied by u directly,
     which applies u (x) I_d to a bipartite probe and u to an ancilla-free
@@ -206,7 +202,7 @@ def outcome_amplitudes(t: Tester | TesterStack, u: np.ndarray) -> tuple:
         m = m.reshape(m.shape[:1] + ones + m.shape[1:])
     sent = u @ psi
     column = sent.reshape(sent.shape[:-2] + (t.input.shape[-1], 1))
-    return sent, m, (m @ column)[..., 0]
+    return sent, (m @ column)[..., 0]
 
 
 def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
@@ -227,7 +223,7 @@ def outcome_probabilities(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
     of one shape.  The QKD outcome tables evaluate the same rule
     as stacked products over control states too, in ``qkd``.
     """
-    return np.abs(outcome_amplitudes(t, u)[2]) ** 2
+    return np.abs(outcome_amplitudes(t, u)[1]) ** 2
 
 
 def outcome_distribution(t: Tester | TesterStack, u: np.ndarray) -> np.ndarray:
@@ -278,21 +274,11 @@ def _entropy_logs(p: np.ndarray) -> tuple:
     return -np.add.reduce(q * lg, -1), seen, lg
 
 
-def is_complete_set(s) -> bool:
-    """True iff inputs are orthonormal, resolve the identity, and the
-    measurement is shared by every member, each within ``DEFAULT_TOL``.
-
-    A ``TesterSet`` passed the shared-measurement check when it was built,
-    so only its stacked probes are read."""
-    if isinstance(s, TesterSet):
-        inputs = s.input
-    else:
-        testers = list(s)
-        if not testers:
-            raise ValueError("empty tester set")
-        if not _share_projectors(testers):
-            return False
-        inputs = np.stack([t.input for t in testers])
+def is_complete_set(s: TesterSet) -> bool:
+    """True iff the probes of the tester set ``s`` are orthonormal and
+    resolve the identity, each within ``DEFAULT_TOL``.  The shared
+    measurement was checked when ``s`` was built."""
+    inputs = s.input
     gram = inputs.conj() @ inputs.T
     if np.max(np.abs(gram - np.eye(len(inputs)))) > DEFAULT_TOL:
         return False
@@ -318,26 +304,15 @@ def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_T
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def is_eigenoperator(op: np.ndarray, state: np.ndarray):
+def is_eigenoperator(op: np.ndarray, state: np.ndarray) -> bool:
     """True iff op|psi> = lambda |psi> for some complex lambda, within
-    ``DEFAULT_TOL``.
-
-    ``op`` of shape (..., n, n) and ``state`` of shape (..., n) broadcast
-    on their leading axes: a bool for one matrix and one state, else a
-    bool array of the broadcast shape, each entry the scalar call's
-    verdict.  Every matrix must be finite and every state a unit vector.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.ndim < 2:
-        raise ValueError(f"expected a matrix, got ndim={op.ndim}")
-    if not np.isfinite(op).all():
-        raise ValueError("matrix has non-finite entries")
-    psi = np.atleast_1d(np.asarray(state, dtype=complex))
-    qmath.as_states(psi.reshape(-1, psi.shape[-1]))
-    if op.shape[-2:] != psi.shape[-1:] * 2:
+    ``DEFAULT_TOL``, for one finite (n, n) matrix and one unit vector of
+    size n."""
+    op = qmath.as_matrix(op)
+    psi = qmath.as_states(np.reshape(state, (1, -1)))[0]
+    if op.shape != (psi.size, psi.size):
         raise ValueError("operator and state dimensions differ")
-    ok = _is_multiple((op @ psi[..., None])[..., 0], psi)
-    return bool(ok) if ok.ndim == 0 else ok
+    return bool(_is_multiple(op @ psi, psi))
 
 
 def _is_multiple(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -407,14 +382,10 @@ def named_tester(name: str) -> Tester:
     """Qubit testers "0Z", "1Z", "+X", "-X", "0X", "1X", "+Z", "-Z" and "bell:k"."""
     if name.startswith("bell:"):
         index = name.split(":", 1)[1]
-        try:
-            k = int(index)
-        except ValueError:
-            k = -1
-        if not 0 <= k < 4:
+        if index not in ("0", "1", "2", "3"):
             raise ValueError(f"bell tester index must be 0..3, not {index!r}")
         bells = bell_states()
-        return Tester(input=bells[k], projectors=bells, dim=2, label=name)
+        return Tester(input=bells[int(index)], projectors=bells, dim=2, label=name)
     if len(name) == 2 and name[0] in _NAMED_INPUTS and name[1] in _NAMED_BASES:
         return Tester(
             input=_NAMED_INPUTS[name[0]],

@@ -17,9 +17,11 @@ ppovm suites with one Haar draw and one completion per library call, and
 objective call, which calls the library's exp map.  ``loop_tester_checks``
 is the ``Tester`` constructor's validation through ``qmath.as_states`` and
 one Gram product, ``scalar_is_eigenoperator`` the eigenoperator test for
-one matrix and one state, and ``loop_verify_prop_trivial`` the
-trivial-bound check with one library call per tester, tester pair, matrix
-pair and probe.
+one matrix and one state with ``np.vdot``, ``complete_as_list`` the former
+list path of ``tester.is_complete_set``, which compares the shared
+measurement itself, and ``loop_verify_prop_trivial`` the trivial-bound
+check with one library call per tester, tester pair, matrix pair and
+probe.
 """
 
 import numpy as np
@@ -606,15 +608,36 @@ def scalar_is_eigenoperator(op, state):
     return bool(np.max(np.abs(v - lam * psi)) <= qmath.DEFAULT_TOL)
 
 
+def complete_as_list(testers):
+    """The former list path of ``tester.is_complete_set``: True iff the
+    members share one measurement (count, size, and entries within
+    ``DEFAULT_TOL``, compared as one stack), and their probes are
+    orthonormal and resolve the identity, each within ``DEFAULT_TOL``."""
+    testers = list(testers)
+    if not testers:
+        raise ValueError("empty tester set")
+    if len({t.projector_matrix().shape for t in testers}) > 1:
+        return False
+    m = np.stack([t.projector_matrix() for t in testers])
+    if not np.abs(m - m[0]).max() <= qmath.DEFAULT_TOL:
+        return False
+    inputs = np.stack([t.input for t in testers])
+    gram = inputs.conj() @ inputs.T
+    if np.max(np.abs(gram - np.eye(len(inputs)))) > qmath.DEFAULT_TOL:
+        return False
+    resolution = inputs.T @ inputs.conj()
+    return bool(np.max(np.abs(resolution - np.eye(inputs.shape[1]))) <= qmath.DEFAULT_TOL)
+
+
 def loop_verify_prop_trivial(s1, s2, us, span_samples):
     """``muub.verify_prop_trivial`` with one ``entropy_sum`` call per cross
     tester pair, one ``scalar_is_eigenoperator`` call per matrix pair and
     probe on the explicit ``np.kron`` of U_m^dag U_n and the ancilla's
     identity, one ``are_equivalent`` call per tester pair, and completeness
-    checked on the members as a list."""
+    checked on the members as a list by ``complete_as_list``."""
     failures = []
     us = muub._stack(us, s1.dim)
-    if not tester.is_complete_set(list(s1)) or not tester.is_complete_set(list(s2)):
+    if not complete_as_list(s1) or not complete_as_list(s2):
         failures.append("tester sets are not complete")
     pairs = [(ta, tb) for ta in s1 for tb in s2]
     sums = [bounds.entropy_sum(ta, tb, us) for ta, tb in pairs]

@@ -165,7 +165,7 @@ class TestBound:
         code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", "9Q", "--json-only")
         assert code == 2 and report["status"] == "error"
 
-    @pytest.mark.parametrize("name, index", [("bell:7", "7"), ("bell:x", "x")])
+    @pytest.mark.parametrize("name, index", [("bell:7", "7"), ("bell:x", "x"), ("bell:01", "01")])
     def test_malformed_bell_name_reports_its_index(self, capsys, name, index):
         code, report, _ = run_cli(capsys, "bound", "--t1", name, "--t2", "0Z", "--json-only")
         assert code == 2 and report["status"] == "error"

@@ -340,6 +340,17 @@ class TestPropMaximal:
         assert rep.hypothesis_pass and rep.range_pass
         assert rep.muub.verdict and rep.muub.kappa == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("names, message", [
+        ((("pauli", 2), ("rotation", 2)), "bases span subspaces of different sizes"),
+        ((("rotation", 2), ("weyl", 3)), "bases act on different dimensions"),
+    ])
+    def test_mismatched_families_raise_are_muub_messages(self, names, message):
+        fam1, fam2 = (build_named_basis(*n) for n in names)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            are_muub(fam1, fam2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            muub.maximal_hypothesis(named_tester_set("z"), named_tester_set("xcomp"), fam1, fam2)
+
     def test_embedded_range_on_random_rotations(self, gen):
         pairs = [
             (build_named_basis("rotation", 2), build_named_basis("hadamard-pair", 2)),

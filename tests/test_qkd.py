@@ -638,41 +638,51 @@ class TestFlatRows:
 
 
 class TestSample:
+    """``_sample`` on flat rows, built here with ``np.ravel_multi_index`` and
+    checked against the cumulative-sum oracle on the gathered rows."""
+
+    @staticmethod
+    def _oracle(table, idx, r):
+        return oracles.row_sample(oracles.row_cumulative(table)[idx], r)
+
     def test_threshold_lands_in_next_bin(self):
-        cum = qkd._cumulative(np.array([[0.25, 0.25, 0.25, 0.25]]))
+        table = np.array([[0.25, 0.25, 0.25, 0.25]])
+        cum = qkd._cumulative(table)
         assert cum.shape == (3, 1)
         r = np.array([0.0, 0.2499, 0.25, 0.5, 0.75, 0.9999])
-        got = qkd._sample(cum, (np.zeros(6, dtype=np.int64),), r)
+        rows = np.zeros(6, dtype=np.int64)
+        got = qkd._sample(cum, rows, r)
         assert got.tolist() == [0, 0, 1, 2, 3, 3]
+        assert np.array_equal(got, self._oracle(table, rows, r))
 
     def test_deterministic_rows(self):
-        cum = qkd._cumulative(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        table = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        cum = qkd._cumulative(table)
         r = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
         for row, bin_ in enumerate([1, 0, 2]):
-            assert qkd._sample(cum, (np.full(3, row),), r).tolist() == [bin_] * 3
+            rows = np.full(3, row)
+            assert qkd._sample(cum, rows, r).tolist() == [bin_] * 3
+            assert np.array_equal(qkd._sample(cum, rows, r), self._oracle(table, rows, r))
 
     def test_rows_by_index_tuple(self):
         table = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]])
         cum = qkd._cumulative(table)
         i, j = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 0, 1])
         r = np.array([0.9, 0.1, 0.4, 0.5, 0.0])
-        assert qkd._sample(cum, (i, j), r).tolist() == [0, 1, 0, 1, 1]
+        got = qkd._sample(cum, np.ravel_multi_index((i, j), (2, 2)), r)
+        assert got.tolist() == [0, 1, 0, 1, 1]
+        assert np.array_equal(got, self._oracle(table, (i, j), r))
 
     def test_shared_flat_index(self):
         gen = np.random.default_rng(3)
         tables = [gen.random((3, 4, 5)) for _ in range(2)]
-        cums = [qkd._cumulative(t / t.sum(-1, keepdims=True)) for t in tables]
+        tables = [t / t.sum(-1, keepdims=True) for t in tables]
         idx = (gen.integers(0, 3, 100), gen.integers(0, 4, 100))
         flat = np.ravel_multi_index(idx, (3, 4))
         r = gen.random(100)
-        for cum in cums:
-            assert np.array_equal(qkd._sample(cum, flat, r), qkd._sample(cum, idx, r))
-
-    @pytest.mark.parametrize("row", [3, -1])
-    def test_out_of_range_index_raises(self, row):
-        cum = qkd._cumulative(np.full((3, 2), 0.5))
-        with pytest.raises(ValueError):
-            qkd._sample(cum, (np.array([0, row]),), np.array([0.1, 0.1]))
+        for table in tables:
+            got = qkd._sample(qkd._cumulative(table), flat, r)
+            assert np.array_equal(got, self._oracle(table, idx, r))
 
 
 def _config(sets, encs, D=2, d=2):
