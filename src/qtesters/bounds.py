@@ -151,17 +151,15 @@ def unitary_from_params(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     n, d = gens.shape[0], gens.shape[-1]
     h = (theta[..., None, :] @ gens.reshape(n, d * d)).reshape(theta.shape[:-1] + (d, d))
-    return _expi(h, 1.0)
-
-
-def _expi(h: np.ndarray, t) -> np.ndarray:
-    """exp(i t h) for a (..., d, d) stack of Hermitian h through one ``eigh``,
-    t a scalar or one value per matrix; each matrix is computed on its own."""
-    return _expi_eig(*np.linalg.eigh(h), t)
+    return _expi_eig(*np.linalg.eigh(h), 1.0)
 
 
 def _expi_eig(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
-    """exp(i t h) from the ``eigh`` (w, v) of h, the phase step of ``_expi``."""
+    """exp(i t h) for a (..., d, d) stack of Hermitian h from its ``eigh``
+    (w, v), t a scalar or one value per matrix; each matrix is computed on
+    its own.  ``_expi_eig(*np.linalg.eigh(h), t)`` is the exp map of
+    ``unitary_from_params``, and the search reuses one ``eigh`` for all of
+    a start's trial steps."""
     phase = np.exp(1j * np.asarray(t)[..., None] * w)
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -410,17 +408,19 @@ def estimate_bound(t1: Tester, t2: Tester, cfg: SearchConfig) -> BoundEstimate:
     )
 
 
-def mub_overlap_bound(meas1, meas2) -> float:
-    """-log2 max_{ij} |<chi_i|zeta_j>|^2 for two orthonormal measurement bases."""
-    m1 = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in meas1])
-    m2 = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in meas2])
+def mub_overlap_bound(t1: Tester, t2: Tester) -> float:
+    """The Maassen-Uffink bound -log2 max_ij |<chi_i|zeta_j>|^2 of the two
+    testers' measurements {chi_i} and {zeta_j} (Maassen & Uffink, PRL 60,
+    1103, 1988; Coles et al., RMP 89, 015002, 2017).
+
+    The overlaps are the entries of M1 M2^dag, M a tester's projector
+    matrix, whose orthonormality its constructor checked.  Measurements of
+    different sizes raise ValueError.
+    """
+    m1, m2 = t1.projector_matrix(), t2.projector_matrix()
     if m1.shape[1] != m2.shape[1]:
         raise ValueError("measurement bases act on different dimensions")
-    for m in (m1, m2):
-        gram = m.conj() @ m.T
-        if np.max(np.abs(gram - np.eye(m.shape[0]))) > qmath.DEFAULT_TOL:
-            raise ValueError("measurement basis is not orthonormal")
-    overlap = np.max(np.abs(m1.conj() @ m2.T) ** 2)
+    overlap = np.max(np.abs(m1 @ m2.conj().T) ** 2)
     return float(-np.log2(overlap))
 
 

@@ -69,13 +69,10 @@ def _dump(report: dict) -> str:
     return json.dumps(_canon(report), sort_keys=True)
 
 
-class _Log:
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-
-    def __call__(self, msg: str):
-        if not self.quiet:
-            print(msg, file=sys.stderr)
+def _log(quiet: bool, msg: str) -> None:
+    """Print a human-readable log line to stderr, unless ``quiet``."""
+    if not quiet:
+        print(msg, file=sys.stderr)
 
 
 def _resolve_tester(spec: str) -> tester.Tester:
@@ -156,7 +153,8 @@ def _suite_qmath(seed: int) -> list:
     dev = np.max(np.abs(u.conj().T @ u - np.eye(4)))
     checks.append({"name": "haar-unitarity", "max_dev": float(dev)})
     h = RngHandle(seed, 102)
-    dev = np.max(np.abs(qmath.haar_random_unitary(2, h) - qmath.haar_random_unitary(2, h)))
+    dev = np.max(np.abs(qmath.haar_random_unitary(2, h.generator())
+                        - qmath.haar_random_unitary(2, h.generator())))
     checks.append({"name": "haar-determinism", "max_dev": float(dev)})
     # |Tr u|^2 of 10 000 draws, taken in stacks of 1000 to bound memory
     tr2 = np.empty(10_000)
@@ -220,13 +218,17 @@ def _suite_tester(seed: int) -> list:
         worst = max(worst, float(np.max(np.abs(p - base))))
     checks.append({"name": "global-phase-invariance", "max_dev": worst, "tol": 1e-12})
     ok = True
-    # per sample: three random qubit testers (two draws each), then w
+    # per sample: the draws of three random qubit testers (two each), then w;
+    # only the first tester is built.  With its projectors reversed, and with
+    # them rephased, it gives two testers equivalent to it at every unitary,
+    # so the relation must hold among the three
     for us in qmath.haar_random_unitary(2, gen, shape=(20, 7)):
-        ts = [tester._tester_from_pair(us[j:j + 2], 2) for j in (0, 2, 4)]
-        w = us[6]
-        ok &= tester.are_equivalent(ts[0], ts[0], w)
-        if tester.are_equivalent(ts[0], ts[1], w, tol=1e-6):
-            ok &= tester.are_equivalent(ts[1], ts[0], w, tol=1e-6)
+        t, w = tester._tester_from_pair(us[:2], 2), us[6]
+        rev = tester.Tester(input=t.input, projectors=t.projectors[::-1], dim=2)
+        ph = tester.Tester(input=t.input, projectors=np.exp(0.7j) * np.array(t.projectors), dim=2)
+        # reflexive, symmetric, transitive
+        for a, b in ((t, t), (t, rev), (rev, t), (rev, ph), (t, ph)):
+            ok &= tester.are_equivalent(a, b, w)
     checks.append({"name": "equivalence-relation", "pass": bool(ok), "tol": 1e-9})
     trials = 100
     drawn = {}  # d -> per trial: its number, basis normals, (probe, target, target), mappings
@@ -293,12 +295,10 @@ def _suite_bounds(seed: int) -> list:
     ]
     for name, got, want in fixtures:
         checks.append({"name": name, "max_dev": abs(got - want), "tol": 1e-6})
-    z = tester.Z_BASIS
-    x = tester.X_BASIS
     checks.append({"name": "overlap-bound-ZX",
-                   "max_dev": abs(bounds.mub_overlap_bound(z, x) - 1.0), "tol": 1e-12})
+                   "max_dev": abs(bounds.mub_overlap_bound(t0z, t0x) - 1.0), "tol": 1e-12})
     checks.append({"name": "overlap-bound-ZZ",
-                   "max_dev": abs(bounds.mub_overlap_bound(z, z) - 0.0), "tol": 1e-12})
+                   "max_dev": abs(bounds.mub_overlap_bound(t0z, t0z) - 0.0), "tol": 1e-12})
     cfg = bounds.SearchConfig(starts=8, rng=RngHandle(seed, 401))
     est = bounds.estimate_bound(t0z, t0x, cfg)
     checks.append({"name": "bound-0Z-0X", "value": est.value,
@@ -349,7 +349,6 @@ def _suite_props(seed: int) -> list:
     checks.append({"name": "trivial-bound-fixture", "pass": bool(rep.verdict)})
     gen = RngHandle(seed, 501).generator()
     ok = True
-    samples = np.array(samples)
     for w in qmath.haar_random_unitary(2, gen, shape=(10,)):
         s1c = _conjugate_set(s1, w)
         s2c = _conjugate_set(s2, w)
@@ -610,13 +609,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
-        _Log("--json-only" in argv)(f"{exc.usage}error: {exc}")
+        _log("--json-only" in argv, f"{exc.usage}error: {exc}")
         print(_report(exc.command, "error", started, {}, {"error": str(exc)}))
         return 2
     except SystemExit as exc:
         # -h / --help prints its text and exits 0
         return int(exc.code) if exc.code else 0
-    log = _Log(args.json_only)
+    log = functools.partial(_log, args.json_only)
     stages = {}  # stage name -> wall ms, filled in by the handler
     started = time.perf_counter()
     try:

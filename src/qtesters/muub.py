@@ -32,6 +32,7 @@ from .tester import (
     TesterSet,
     _is_multiple,
     is_complete_set,
+    outcome_amplitudes,
     outcome_distribution,
     shannon_entropy,
 )
@@ -98,12 +99,9 @@ class UnitaryBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", qmath.int_field(vars(self), "dim"))
-        try:
-            els = np.array(self.elements, dtype=complex)
-        except ValueError:  # matrices of different shapes
-            els = np.empty(0)
-        if not is_orthogonal_unitary_basis(els):
+        if not is_orthogonal_unitary_basis(self.elements):
             raise ValueError("elements are not an orthogonal unitary basis of size d or d^2")
+        els = np.array(self.elements, dtype=complex)
         if els.shape[1] != self.dim:
             raise ValueError("element dimension does not match dim")
         els.setflags(write=False)
@@ -222,12 +220,13 @@ def build_named_basis(name: str, d: int) -> UnitaryBasis:
     return UnitaryBasis(dim=d, elements=_named_elements(name, d))
 
 
-def rotation_span_samples(n: int = 16) -> list:
-    """Unitaries cos(theta) I + sin(theta) (i sy) covering the span of the
+def rotation_span_samples(n: int = 16) -> np.ndarray:
+    """The (n, 2, 2) stack of unitaries cos(theta) I + sin(theta) (i sy),
+    theta at n equal steps of [0, 2 pi), covering the span of the
     "rotation" basis (modulo global phase)."""
     i2 = np.eye(2, dtype=complex)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return [np.cos(th) * i2 + np.sin(th) * (1j * SIGMA_Y) for th in thetas]
+    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:, None, None]
+    return np.cos(thetas) * i2 + np.sin(thetas) * (1j * SIGMA_Y)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +266,10 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
     Each set's distributions are one checked ``outcome_distribution`` call
     over all of ``us`` and one over all span samples, s1's first, so a
     failing row raises; every row is the single-tester call's bit for bit.
-    The eigenoperator test is one stacked product per set: U_m^dag U_n
-    (x) I_d meets a bipartite probe as in the Born rule, with no Kronecker
-    product formed.  Failures are listed in (sample, tester, tester) order.
+    The eigenoperator test takes the images of the probes under every
+    U_m^dag U_n (x) I_d from one ``outcome_amplitudes`` call per set, the
+    Born rule's own product, so no Kronecker product is formed.  Failures
+    are listed in (sample, tester, tester) order.
     """
     failures = []
     us = _stack(us, s1.dim)
@@ -284,11 +284,11 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
                  for m, i, j in zip(*np.nonzero(sums > ENTROPY_ZERO_TOL))]
     m_idx, n_idx = np.nonzero(~np.eye(len(us), dtype=bool))
     if m_idx.size:
-        ws = (us[m_idx].conj().swapaxes(-1, -2) @ us[n_idx])[:, None]
-        # U_m^dag U_n (x) I_d on each probe, as the Born rule applies it: the
-        # probe, as a (system, ancilla) matrix, multiplied by U_m^dag U_n
+        ws = us[m_idx].conj().swapaxes(-1, -2) @ us[n_idx]
+        # each probe after U_m^dag U_n, as the Born rule sends it: (tester,
+        # pair) images, turned to (pair, tester)
         eig = np.concatenate([
-            _is_multiple((ws @ s.input.reshape(len(s), s.dim, -1)).reshape(len(ws), len(s), -1),
+            _is_multiple(outcome_amplitudes(s, ws)[0].swapaxes(0, 1).reshape(len(ws), len(s), -1),
                          s.input) for s in (s1, s2)], axis=1)
         failures += [f"U_{m_idx[k]}^dag U_{n_idx[k]} is an eigenoperator of a probe"
                      for k in np.nonzero(eig)[0]]

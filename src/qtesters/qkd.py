@@ -435,8 +435,6 @@ def _lm05_tables(cfg: ProtocolConfig):
         raise ConfigError("the qubit protocol needs d=2, two 2-member tester sets and one family "
                           f"of 2 encodings; encoding families: {len(fams)}")
     enc = fams[0].elements
-    if any(t.is_bipartite for t in testers):
-        raise ConfigError("the qubit protocol uses ancilla-free testers")
     probes = np.concatenate([s.input for s in cfg.tester_sets])[:, :, None]  # columns
     rows = np.concatenate([s.projector_matrix() for s in cfg.tester_sets])
     cm = np.stack([s.testers[0].projector_matrix() for s in cfg.tester_sets])

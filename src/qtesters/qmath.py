@@ -143,21 +143,20 @@ def haar_from_normals(g: np.ndarray) -> np.ndarray:
     return _phase_fixed_qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
 
 
-def haar_random_unitary(d: int, rng, shape: tuple = ()) -> np.ndarray:
+def haar_random_unitary(d: int, gen: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Haar-distributed d x d unitaries, a stack of leading shape ``shape``,
-    deterministic per (seed, stream).
+    drawn from the numpy Generator ``gen``, whose stream they consume.
 
     It is ``haar_from_normals(gen.standard_normal(shape + (2, d, d)))``:
-    ``rng`` may be an RngHandle (same handle => same matrices) or a live
-    numpy Generator (consumes its stream).  Matrix i of the stack takes
-    normals [2d^2 i, 2d^2 (i + 1)) of the call's draw, real part first, then
-    imaginary part, so a stack consumes the generator exactly as the same
-    number of sequential scalar calls would and its matrices are theirs bit
-    for bit.  ``shape=()`` gives one d x d matrix.
+    matrix i of the stack takes normals [2d^2 i, 2d^2 (i + 1)) of the call's
+    draw, real part first, then imaginary part, so a stack consumes the
+    generator exactly as the same number of sequential scalar calls would
+    and its matrices are theirs bit for bit.  ``shape=()`` gives one d x d
+    matrix.  For the same matrices twice, draw each from its own
+    ``RngHandle.generator()``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    gen = rng.generator() if isinstance(rng, RngHandle) else rng
     return haar_from_normals(gen.standard_normal(tuple(shape) + (2, d, d)))
 
 

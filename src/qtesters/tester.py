@@ -319,7 +319,7 @@ def _is_multiple(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Unchecked: True where v = lambda psi for some complex lambda, within
     ``DEFAULT_TOL``, for unit vectors psi on the last axis.  This is the
     eigenoperator test on the image v = op psi; ``muub.verify_prop_trivial``
-    forms that image for a bipartite probe as the Born rule does."""
+    takes those images from ``outcome_amplitudes``."""
     lam = (psi.conj() * v).sum(-1)
     return np.abs(v - lam[..., None] * psi).max(-1) <= DEFAULT_TOL
 

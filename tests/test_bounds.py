@@ -15,8 +15,8 @@ from qtesters.bounds import (
 )
 from qtesters.qmath import RngHandle
 from qtesters.tester import (
-    X_BASIS,
-    Z_BASIS,
+    KET0,
+    KET1,
     LeakyMeasurementError,
     Tester,
     bell_states,
@@ -70,6 +70,11 @@ class TestEntropySum:
 
 
 class TestEstimateBound:
+    def test_different_dimensions_raise(self):
+        t3 = random_tester(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^testers act on different dimensions$"):
+            estimate_bound(T0Z, t3, SearchConfig(starts=1))
+
     def test_mub_pair_reaches_one(self):
         cfg = SearchConfig(starts=32, rng=RngHandle(seed=1))
         est = estimate_bound(T0Z, T0X, cfg)
@@ -109,7 +114,7 @@ class TestEstimateBound:
         # bound is a floor for the searched value
         cfg = SearchConfig(starts=16, rng=RngHandle(seed=5))
         est = estimate_bound(T0Z, T0X, cfg)
-        floor = mub_overlap_bound(Z_BASIS, X_BASIS)
+        floor = mub_overlap_bound(T0Z, T0X)
         assert est.value >= floor - 1e-6
 
     def test_deterministic_per_seed(self):
@@ -494,21 +499,35 @@ def test_entropy_objective_equals_entropy_sum(d, kind, swap):
 
 class TestMubOverlapBound:
     def test_unbiased_pair(self):
-        assert mub_overlap_bound(Z_BASIS, X_BASIS) == pytest.approx(1.0, abs=1e-12)
+        assert mub_overlap_bound(T0Z, T0X) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_basis(self):
-        assert mub_overlap_bound(Z_BASIS, Z_BASIS) == pytest.approx(0.0, abs=1e-12)
+        assert mub_overlap_bound(T0Z, T0Z) == pytest.approx(0.0, abs=1e-12)
 
     def test_rotated_basis(self):
         th = np.pi / 3
         rotated = (np.array([np.cos(th), np.sin(th)], dtype=complex),
                    np.array([-np.sin(th), np.cos(th)], dtype=complex))
+        t = Tester(input=KET0, projectors=rotated, dim=2)
         want = -np.log2(max(np.cos(np.pi / 6) ** 2, np.sin(np.pi / 6) ** 2))
-        assert mub_overlap_bound(Z_BASIS, rotated) == pytest.approx(want, abs=1e-12)
+        assert mub_overlap_bound(T0Z, t) == pytest.approx(want, abs=1e-12)
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            mub_overlap_bound((np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)), Z_BASIS)
+        # the bound reads checked testers: the Tester constructor rejects the basis
+        with pytest.raises(ValueError, match="^projectors are not orthonormal$"):
+            Tester(input=KET1, projectors=(KET0, np.array([1, 1]) / np.sqrt(2)), dim=2)
+
+    def test_rejects_different_dimensions(self):
+        with pytest.raises(ValueError, match="^measurement bases act on different dimensions$"):
+            mub_overlap_bound(T0Z, named_tester("bell:0"))
+
+    def test_equals_the_raw_vector_overlaps(self):
+        # the products of the former raw-vector form, |chi^* zeta^T|^2
+        gen = np.random.default_rng(2)
+        t1, t2 = random_tester(3, gen), random_tester(3, gen)
+        m1, m2 = np.stack(t1.projectors), np.stack(t2.projectors)
+        want = float(-np.log2(np.max(np.abs(m1.conj() @ m2.T) ** 2)))
+        assert mub_overlap_bound(t1, t2) == want
 
 
 class TestSuGenerators:
@@ -542,7 +561,7 @@ class TestSuGenerators:
         h = g[:, 0] + 1j * g[:, 1]
         h = h + h.conj().swapaxes(-1, -2)
         t = gen.uniform(-2.0, 2.0, 5)
-        u = bounds._expi(h, t)
+        u = bounds._expi_eig(*np.linalg.eigh(h), t)
         assert u.shape == (5, d, d)
         for k in range(5):
             np.testing.assert_allclose(u[k], expm(1j * t[k] * h[k]), rtol=0, atol=1e-12)

@@ -82,6 +82,17 @@ class TestVerify:
         assert checks == want_checks
         assert calls == want_calls
 
+    def test_equivalence_check_fails_for_an_unsorted_comparison(self, monkeypatch):
+        # outcome distributions compared as rows, not as multisets: a tester
+        # and its copy with reversed projectors are then not equivalent
+        def unsorted(t1, t2, u, tol=1e-9):
+            p1, p2 = tester.outcome_distribution(t1, u), tester.outcome_distribution(t2, u)
+            return bool(p1.shape == p2.shape and np.max(np.abs(p1 - p2)) <= tol)
+        monkeypatch.setattr(tester, "are_equivalent", unsorted)
+        verdicts = {c["name"]: c["pass"] for c in cli._suite_tester(0)}
+        assert verdicts.pop("equivalence-relation") is False
+        assert all(verdicts.values())
+
     def test_stages_ms_has_one_key_per_suite_run(self, capsys):
         _, report, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "0", "--json-only")
         stages = report["stages_ms"]
@@ -245,6 +256,19 @@ class TestMuubCheck:
                                   "--b2", "pauli", "--json-only")
         assert code == 1 and report["status"] == "fail"
 
+    def test_weyl_d_below_2_exits_2(self, capsys):
+        code, report, _ = run_cli(capsys, "muub-check", "--b1", "weyl", "--b2", "weyl",
+                                  "--d", "1", "--json-only")
+        assert code == 2 and report["payload"] == {"error": "weyl basis needs d >= 2"}
+
+    def test_missing_basis_file_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        code, report, _ = run_cli(capsys, "muub-check", "--b1", path, "--b2", "pauli",
+                                  "--json-only")
+        assert code == 2 and report["payload"] == {"error": (
+            f"{path!r} is neither a basis name nor a readable file: "
+            f"[Errno 2] No such file or directory: {path!r}")}
+
     def test_d_with_two_basis_files_exits_2(self, capsys, tmp_path):
         w3 = tmp_path / "w3.json"
         w3.write_text(json.dumps(muub.build_named_basis("weyl", 3).to_json()))
@@ -383,6 +407,27 @@ class TestQkd:
                                   "--json-only")
         assert code == 2 and report["status"] == "error"
         assert "encoding families: 2" in report["payload"]["error"]
+
+    def test_incomplete_tester_set_in_config_exits_2(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "rounds": 10, "tester_sets": [[tester.named_tester("0Z").to_json()], "x"],
+            "encoding_sets": ["rotation"],
+        }))
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--config", str(cfgfile),
+                                  "--json-only")
+        assert code == 2 and report["payload"] == {"error": "tester sets must be complete"}
+
+    def test_control_fraction_above_1_exits_2(self, capsys):
+        code, report, _ = run_cli(capsys, "qkd", "lm05", "--rounds", "10",
+                                  "--control-fraction", "1.5", "--json-only")
+        assert code == 2 and report["payload"] == {"error": "control fraction must lie in [0, 1]"}
+
+    def test_extended_without_a_fixture_for_D_exits_2(self, capsys):
+        code, report, _ = run_cli(capsys, "qkd", "extended", "--rounds", "10", "--D", "3",
+                                  "--json-only")
+        assert code == 2 and report["payload"] == {
+            "error": "bundled fixtures exist for D=2 and D=4 only"}
 
     def test_extended_rejects_control_fraction(self, capsys):
         code, report, _ = run_cli(capsys, "qkd", "extended", "--rounds", "10",

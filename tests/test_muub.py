@@ -84,6 +84,15 @@ class TestOrthogonalUnitaryBasis:
         with pytest.raises(ValueError, match=f"^dim must be an integer, not {re.escape(repr(dim))}$"):
             UnitaryBasis(dim=dim, elements=list(qmath.PAULIS))
 
+    def test_mixed_shapes_raise_the_basis_message(self):
+        with pytest.raises(ValueError, match=r"^elements are not an orthogonal unitary basis "
+                                             r"of size d or d\^2$"):
+            UnitaryBasis(dim=2, elements=[I2, np.eye(3)])
+
+    def test_element_dimension_differs_from_dim(self):
+        with pytest.raises(ValueError, match="^element dimension does not match dim$"):
+            UnitaryBasis(dim=3, elements=qmath.PAULIS)
+
     def test_elements_are_one_read_only_copy(self):
         given = np.stack([I2, 1j * qmath.SIGMA_Y])
         b = UnitaryBasis(dim=2, elements=given)
@@ -421,6 +430,12 @@ class TestSpanSamples:
     def test_all_unitary(self):
         for u in rotation_span_samples(16):
             assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-12
+
+    def test_one_stack_from_the_identity(self):
+        samples = rotation_span_samples(4)
+        assert samples.shape == (4, 2, 2)
+        np.testing.assert_allclose(samples, [I2, 1j * qmath.SIGMA_Y, -I2, -1j * qmath.SIGMA_Y],
+                                   rtol=0, atol=1e-15)
 
 
 class TestStackedOverlaps:

@@ -378,6 +378,10 @@ class TestConfigJson:
         assert set(qkd._CONFIG_KEYS) == set(cfg.to_json())
         assert set(qkd._EVE_KEYS) == set(cfg.eve.to_json())
 
+    def test_unknown_resend_policy(self):
+        with pytest.raises(ConfigError, match="^unknown resend policy 'x'$"):
+            EveStrategy(resend_policy="x")
+
     def test_bad_config_raises(self):
         with pytest.raises(ConfigError):
             config_from_json({"rounds": 10})
@@ -716,8 +720,8 @@ def _gate_configs(D):
     """A fixture, 10 Haar-conjugated copies of it, and its second family
     right-multiplied by exp(i delta H) for three deltas."""
     base = default_extended_config(D=D, rounds=10)
-    conjugated = [_conjugated(base, w) for w in haar_random_unitary(2, RngHandle(D, 7),
-                                                                     shape=(10,))]
+    ws = haar_random_unitary(2, RngHandle(D, 7).generator(), shape=(10,))
+    conjugated = [_conjugated(base, w) for w in ws]
     lam, q = np.linalg.eigh(np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.7]]))
     perturbed = [_perturbed(base, (q * np.exp(1j * delta * lam)) @ q.conj().T)
                  for delta in (1e-7, 1e-5, 1e-3)]

@@ -35,13 +35,17 @@ class TestHaarSampling:
 
     def test_handle_determinism(self):
         h = RngHandle(seed=11, stream=3)
-        np.testing.assert_array_equal(qmath.haar_random_unitary(2, h),
-                                      qmath.haar_random_unitary(2, h))
+        np.testing.assert_array_equal(qmath.haar_random_unitary(2, h.generator()),
+                                      qmath.haar_random_unitary(2, h.generator()))
 
     def test_streams_differ(self):
-        a = qmath.haar_random_unitary(2, RngHandle(seed=11, stream=0))
-        b = qmath.haar_random_unitary(2, RngHandle(seed=11, stream=1))
+        a = qmath.haar_random_unitary(2, RngHandle(seed=11, stream=0).generator())
+        b = qmath.haar_random_unitary(2, RngHandle(seed=11, stream=1).generator())
         assert np.max(np.abs(a - b)) > 1e-3
+
+    def test_dimension_below_1(self, gen):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            qmath.haar_random_unitary(0, gen)
 
     def test_first_moment(self):
         # E |Tr u|^2 = 1 under the invariant measure
@@ -59,11 +63,6 @@ class TestHaarSampling:
         assert stack.shape == shape + (d, d)
         assert stack.tobytes() == np.stack(seq).tobytes()
         assert g_stack.random() == g_seq.random()
-
-    def test_stack_from_handle(self):
-        h = RngHandle(seed=11, stream=3)
-        stack = qmath.haar_random_unitary(2, h, shape=(3,))
-        assert stack[0].tobytes() == qmath.haar_random_unitary(2, h).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 4)], ids=["one", "3", "2x4"])

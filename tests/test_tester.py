@@ -206,6 +206,11 @@ class TestCompleteSets:
         with pytest.raises(ValueError, match=r"^testers do not share one projector list$"):
             TesterSet(testers=(named_tester("0Z"), named_tester("+X")), dim=2)
 
+    def test_probes_that_are_not_orthonormal(self):
+        # three probes in dimension 2: the Gram test fails, not the resolution
+        s = TesterSet(testers=tuple(named_tester(n) for n in ("0Z", "1Z", "+Z")), dim=2)
+        assert is_complete_set(s) is False
+
     def test_bell_set_complete(self):
         assert is_complete_set(named_tester_set("bell"))
 
@@ -251,6 +256,10 @@ class TestStackDim:
 
 
 class TestEquivalence:
+    def test_different_dimensions_raise(self, gen):
+        with pytest.raises(ValueError, match="^testers act on different dimensions$"):
+            are_equivalent(named_tester("0Z"), random_tester(3, gen), I2)
+
     def test_reflexive(self, gen):
         t = random_tester(2, gen)
         u = qmath.haar_random_unitary(2, gen)
@@ -494,6 +503,11 @@ def test_construction_matches_loop_oracle(probe, projs, d):
         assert t.input.tobytes() == psi.tobytes()
         assert np.stack(t.projectors).tobytes() == stack.tobytes()
         assert t.projector_matrix().tobytes() == m.tobytes()
+
+
+def test_projectors_of_another_size_than_the_probe():
+    with pytest.raises(ValueError, match="^projector dimension differs from the probe dimension$"):
+        Tester(input=tester.KET0, projectors=tester.bell_states(), dim=2)
 
 
 # A scaled identity and a NaN matrix: neither is unitary, and before the row
