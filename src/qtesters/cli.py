@@ -18,7 +18,11 @@ Every invocation prints one JSON report to stdout:
 ``qkd``, ``tables``, ``rounds`` and ``trace`` (trace I/O); empty for the
 other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
 ``python`` versions that produced the report.  The payloads of ``bound``,
-``muub-check`` and ``qkd`` hold their effective settings under ``config``.
+``muub-check`` and ``qkd`` hold their effective settings under ``config``;
+``bound`` records each tester under ``t1`` and ``t2`` as its name, as
+given, or, when it was read from a file, as its ``to_json()`` literal.
+Payload floats keep 12 significant digits (below), so such a literal
+reruns its report exactly when the file's entries have at most 12.
 No flag is silently ignored: ``muub-check --d`` sizes a named basis, and
 with two basis files it is a usage error (exit 2), as ``--name`` or
 ``--d`` (the options of ``basis dump``) is with ``basis list``.
@@ -75,14 +79,18 @@ def _log(quiet: bool, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _resolve_tester(spec: str) -> tester.Tester:
+def _resolve_tester(spec: str) -> tuple:
+    """(tester, record): a tester name is recorded as given, a file's tester
+    as its canonical literal, so a report names its input by content and
+    never by a file's free-text label."""
     try:
-        return tester.named_tester(spec)
+        return tester.named_tester(spec), spec
     except ValueError as exc:
         name_error = exc
     try:
         with open(spec) as fh:
-            return tester.tester_from_json(json.load(fh))
+            t = tester.tester_from_json(json.load(fh))
+        return t, t.to_json()
     except OSError as exc:
         # the name's own error says what is wrong with a malformed name
         raise ValueError(f"{name_error}; nor is {spec!r} a readable file: {exc}") from None
@@ -219,11 +227,13 @@ def _suite_tester(seed: int) -> list:
     checks.append({"name": "global-phase-invariance", "max_dev": worst, "tol": 1e-12})
     ok = True
     # per sample: the draws of three random qubit testers (two each), then w;
-    # only the first tester is built.  With its projectors reversed, and with
-    # them rephased, it gives two testers equivalent to it at every unitary,
-    # so the relation must hold among the three
-    for us in qmath.haar_random_unitary(2, gen, shape=(20, 7)):
-        t, w = tester._tester_from_pair(us[:2], 2), us[6]
+    # only the first tester is built, so only its pair and w are
+    # orthonormalized.  With its projectors reversed, and with them rephased,
+    # it gives two testers equivalent to it at every unitary, so the relation
+    # must hold among the three
+    normals = gen.standard_normal((20, 7, 2, 2, 2))
+    for us in qmath.haar_from_normals(normals[:, [0, 1, 6]]):
+        t, w = tester._tester_from_pair(us[:2], 2), us[2]
         rev = tester.Tester(input=t.input, projectors=t.projectors[::-1], dim=2)
         ph = tester.Tester(input=t.input, projectors=np.exp(0.7j) * np.array(t.projectors), dim=2)
         # reflexive, symmetric, transitive
@@ -418,18 +428,17 @@ def _cmd_verify(args, log, stages) -> tuple:
 
 
 def _cmd_bound(args, log, stages) -> tuple:
-    t1 = _resolve_tester(args.t1)
-    t2 = _resolve_tester(args.t2)
+    t1, rec1 = _resolve_tester(args.t1)
+    t2, rec2 = _resolve_tester(args.t2)
     cfg = bounds.SearchConfig(starts=args.starts, max_iterations=args.iters,
                               tolerance=args.tol, rng=RngHandle(args.seed))
-    log(f"searching bound for ({t1.label or 't1'}, {t2.label or 't2'}) "
-        f"with {cfg.starts} starts ...")
+    log(f"searching bound for ({args.t1}, {args.t2}) with {cfg.starts} starts ...")
     started = time.perf_counter()
     est = bounds.estimate_bound(t1, t2, cfg)
     stages["search"] = round((time.perf_counter() - started) * 1000, 3)
     payload = est.to_json()
     payload.update({
-        "t1": t1.label, "t2": t2.label,
+        "t1": rec1, "t2": rec2,
         "config": {"starts": cfg.starts, "iters": cfg.max_iterations,
                    "tol": cfg.tolerance, "seed": cfg.rng.seed},
         "classification": bounds.classify_saturation(

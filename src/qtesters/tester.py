@@ -15,6 +15,7 @@ Two storage layouts are used, following the two tester classes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,9 @@ class Tester:
     ``dim`` is the dimension d of the tested unitary; the probe has size d
     (ancilla-free) or d^2 (bipartite).  The projector count is d or d^2;
     a bipartite tester with only d projectors spans a proper subspace and
-    can leak probability.
+    can leak probability.  ``input`` and each ``projectors`` row are
+    read-only copies of what was passed, and ``projector_matrix()`` is
+    read-only too, so a tester can be shared.
     """
 
     input: np.ndarray
@@ -65,6 +68,7 @@ class Tester:
         if n not in (d, d * d) or n > size:
             raise ValueError(f"projector count {n} must be d or d^2 and fit the space")
         states = np.array(flat)
+        states.setflags(write=False)  # so input and each projector row are read-only views
         psi, projs = states[0], states[1:]
         m = projs.conj()
         # a state's entries are at most 1 in modulus: testing that first keeps
@@ -378,8 +382,14 @@ def bell_states() -> tuple:
     return tuple(np.kron(p, np.eye(2)) @ phi for p in qmath.PAULIS)
 
 
+@functools.cache
 def named_tester(name: str) -> Tester:
-    """Qubit testers "0Z", "1Z", "+X", "-X", "0X", "1X", "+Z", "-Z" and "bell:k"."""
+    """Qubit testers "0Z", "1Z", "+X", "-X", "0X", "1X", "+Z", "-Z" and "bell:k".
+
+    Each named tester is built and checked once per process: a repeat
+    call returns the same read-only object.  An unknown name raises
+    ``ValueError`` on every call and is not stored.
+    """
     if name.startswith("bell:"):
         index = name.split(":", 1)[1]
         if index not in ("0", "1", "2", "3"):
@@ -433,10 +443,15 @@ def _tester_from_pair(pair: np.ndarray, d: int) -> Tester:
     return Tester(input=probe[:, 0], projectors=tuple(basis.T), dim=d)
 
 
+@functools.cache
 def named_tester_set(name: str) -> TesterSet:
     """Complete tester sets: "z" = {0Z,1Z}, "x" = {+X,-X}, "xcomp" = {0X,1X},
     "bell" = Bell-probe testers, "bell-rot" = Bell-probe testers whose Bell
-    measurement is rotated by ``qmath.balanced_qubit_rotation()``."""
+    measurement is rotated by ``qmath.balanced_qubit_rotation()``.
+
+    As with ``named_tester``, each named set is built and checked once per
+    process and shared read-only; an unknown name raises on every call.
+    """
     if name == "z":
         members = ("0Z", "1Z")
     elif name == "x":

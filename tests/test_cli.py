@@ -10,6 +10,7 @@ import pytest
 import oracles
 import qtesters
 from qtesters import cli, muub, tester
+from qtesters.qmath import RngHandle
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,47 @@ class TestBound:
                                   "--starts", "8", "--seed", "1", "--json-only")
         assert code == 0
         assert report["payload"]["value"] == pytest.approx(0.0, abs=1e-5)
+
+    def test_file_input_is_recorded_by_content(self, capsys, tmp_path):
+        """+Z's vectors under 0X's label: the report gives the name as it
+        was given, and the file's tester as its literal, label included."""
+        spoof = {**tester.named_tester("+Z").to_json(), "label": "0X"}
+        path = tmp_path / "spoof.json"
+        path.write_text(json.dumps(spoof))
+        code, report, _ = run_cli(capsys, "bound", "--t1", "0Z", "--t2", str(path),
+                                  "--starts", "2", "--json-only")
+        assert code == 0
+        assert report["payload"]["t1"] == "0Z"
+        assert report["payload"]["t2"] == cli._canon(spoof)
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    def test_recorded_literals_replay_to_the_same_payload(self, capsys, tmp_path, bipartite):
+        """Each recorded literal, written to a file, reruns to the same
+        report bytes with the timing fields dropped.  The report holds floats
+        at 12 significant digits, so the input files hold their literals at
+        that precision too: then a record is its file's content."""
+        def written(name, obj):
+            path = tmp_path / name
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        def without_timing(report):
+            return json.dumps({k: v for k, v in report.items()
+                               if k not in ("elapsed_ms", "stages_ms")}, sort_keys=True)
+
+        gen = RngHandle(5, int(bipartite)).generator()
+        t1 = cli._canon(tester.random_tester(2, gen, bipartite).to_json())
+        t2 = "bell:1" if bipartite else written(
+            "t2.json", cli._canon({**tester.named_tester("+Z").to_json(), "label": "0X"}))
+        flags = ("--starts", "4", "--seed", "3", "--json-only")
+        code, first, _ = run_cli(capsys, "bound", "--t1", written("t1.json", t1), "--t2", t2,
+                                 *flags)
+        assert code == 0 and first["payload"]["t1"] == t1
+        replay = [p if isinstance(p, str) else written(f"replay-{k}.json", p)
+                  for k, p in (("t1", first["payload"]["t1"]), ("t2", first["payload"]["t2"]))]
+        code, second, _ = run_cli(capsys, "bound", "--t1", replay[0], "--t2", replay[1], *flags)
+        assert code == 0
+        assert without_timing(second) == without_timing(first)
 
     @pytest.mark.parametrize("zz_first", [False, True])
     def test_classification_does_not_depend_on_order(self, capsys, tmp_path, zz_first):
@@ -518,7 +560,8 @@ class TestMalformedLiterals:
         del obj["label"]
         code, report, _ = run_cli(capsys, "bound", "--t1", self._file(tmp_path, obj), "--t2",
                                   "0X", "--starts", "1", "--json-only")
-        assert code == 0 and report["payload"]["t1"] == ""
+        # recorded as its literal, whose label is then empty
+        assert code == 0 and report["payload"]["t1"] == cli._canon({**obj, "label": ""})
 
     @staticmethod
     def _set(obj, path, value):

@@ -141,6 +141,27 @@ class TestExtended:
         with pytest.raises(HypothesisViolation):
             run_extended(cfg)
 
+    def test_a_second_fixture_config_builds_no_tester(self, monkeypatch):
+        """The named sets are built once per process; every config still
+        checks them."""
+        first = default_extended_config(D=4)
+        built, checked = [], []
+
+        def counting_init(self, real=Tester.__post_init__):
+            built.append(self)
+            real(self)
+
+        def counting_check(s, real=qkd.is_complete_set):
+            checked.append(s)
+            return real(s)
+        monkeypatch.setattr(Tester, "__post_init__", counting_init)
+        monkeypatch.setattr(qkd, "is_complete_set", counting_check)
+        second = default_extended_config(D=4)
+        assert built == []
+        assert checked == list(second.tester_sets) == list(first.tester_sets)
+        qkd.tester_mod.bell_tester_set()  # the spy sees each tester that is built
+        assert len(built) == 4
+
     def test_control_mode_not_modeled(self):
         cfg = default_extended_config(D=2, rounds=10)
         bad = ProtocolConfig(

@@ -399,6 +399,46 @@ class TestNamedTesters:
         with pytest.raises(ValueError, match="unknown tester set name"):
             named_tester_set("bell-rotated")
 
+    @pytest.mark.parametrize("name", tester.TESTER_NAMES + ("bell:0", "bell:1", "bell:2",
+                                                            "bell:3"))
+    def test_a_named_tester_is_built_once(self, name):
+        assert named_tester(name) is named_tester(name)
+
+    @pytest.mark.parametrize("name", ["z", "x", "xcomp", "bell", "bell-rot"])
+    def test_a_named_set_is_built_once(self, name):
+        s = named_tester_set(name)
+        assert named_tester_set(name) is s
+        # the set's own members: "z", "x" and "xcomp" hold the named testers
+        if name in ("z", "x", "xcomp"):
+            assert all(t is named_tester(t.label) for t in s)
+
+    @pytest.mark.parametrize("lookup, name", [(named_tester, "2Y"), (named_tester, "bell:7"),
+                                              (named_tester_set, "bell-rotated")])
+    def test_an_unknown_name_raises_on_every_call(self, lookup, name):
+        stored = lookup.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                lookup(name)
+        assert lookup.cache_info().currsize == stored
+
+    @pytest.mark.parametrize("t", [named_tester("+X"), named_tester("bell:1"),
+                                   named_tester_set("bell-rot").testers[2]],
+                             ids=["+X", "bell:1", "bell-rot-member-2"])
+    def test_a_named_tester_cannot_be_written(self, t):
+        with pytest.raises(ValueError, match="read-only"):
+            t.input[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            t.projectors[-1][0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            t.projector_matrix()[0, 0] = 0
+
+    def test_a_built_tester_keeps_no_reference_to_its_arguments(self):
+        probe, projs = tester.XPLUS.copy(), [tester.KET0.copy(), tester.KET1.copy()]
+        t = Tester(input=probe, projectors=tuple(projs), dim=2)
+        probe[:] = projs[0][:] = 0
+        assert t.input.tolist() == tester.XPLUS.tolist()
+        assert t.projectors[0].tolist() == tester.KET0.tolist()
+
     def test_json_roundtrip(self):
         t = named_tester("bell:2")
         t2 = tester.tester_from_json(t.to_json())
