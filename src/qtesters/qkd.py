@@ -41,7 +41,11 @@ Tables that share leading axes share their leading product: Bob's
 (set, tester) serves his outcome row and his decode row, Eve's hers, and
 two samples of one round that read equally shaped tables share one flat
 row.  A block yields its counts straight from the round masks, and builds
-one array per record column only when the run is traced.
+one array per record column only when the run is traced.  Every count of
+the D-ary protocol reads only the sifted rounds, so an untraced D-ary block
+gathers those rounds' draws first and evaluates only them; a traced block
+records, and so evaluates, every round.  Each round's outcome depends only
+on its own draws and the tables, so the counts are the same either way.
 
 All per-round randomness is pre-drawn in a fixed column layout, in
 blocks of rounds that continue one generator stream, so a run is
@@ -333,11 +337,15 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
     over one generator stream, streaming the records to ``trace`` (a
     path-like or text handle) when given; return the run's stats.
 
-    The kernel returns a block's integer counts, summed over all blocks and
-    named by the ``ProtocolStats`` fields in ``counted``, and a zero-argument
-    function that builds the block's record columns; counts not named are 0,
-    and ``sifted`` defaults to the non-control rounds.  The columns are
-    built, and stacked into rows, only for the trace.  ``stages``, when
+    The kernel is called as ``rounds_fn(draws, traced)``, ``traced`` being
+    whether a trace is open.  It returns a block's integer counts, summed
+    over all blocks and named by the ``ProtocolStats`` fields in
+    ``counted``, and a zero-argument function that builds the block's record
+    columns; counts not named are 0, and ``sifted`` defaults to the
+    non-control rounds.  The columns are built, and stacked into rows, only
+    for the trace.  An untraced block may return no builder: the D-ary
+    kernel then evaluates only the sifted rounds, as every count it returns
+    reads only those; the qubit kernel ignores the flag.  ``stages``, when
     given, gains the wall milliseconds spent in the tables (``build()``), in
     the rounds and in the trace (building the columns, row stacking,
     encoding and I/O).
@@ -368,7 +376,7 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
         for start in range(0, cfg.rounds, _BLOCK):
             n = min(_BLOCK, cfg.rounds - start)
             t1 = time.perf_counter()
-            counts, records = rounds_fn(gen.random((n, n_draws)))
+            counts, records = rounds_fn(gen.random((n, n_draws)), fh is not None)
             totals = totals + counts
             t_rounds += time.perf_counter() - t1
             if fh is not None:
@@ -565,7 +573,8 @@ def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> Pro
         tables = _lm05_tables(cfg)
         eve_kind = EVE_KINDS.index(cfg.eve.kind)
         cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
-        return lambda draws: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum, tables)
+        return lambda draws, traced: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum,
+                                                  tables)
     return _simulate(cfg, build, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
 
 
@@ -616,7 +625,24 @@ def _extended_tables(cfg: ProtocolConfig):
                                   f"largest |overlap - kappa| is {dev:.3e}")
     # p_out[s, ti, sa, j]: tester ti of set s on element j of family sa
     p_out = _snap_rows(np.stack(dists).reshape(2, dd, 2, dd, -1))
-    # decode[s, ti, k]: the digit of family s that tester ti of set s reads off outcome k
+    # decode[s, ti, k]: the digit of family s that tester ti of set s reads off outcome k.
+    # In exact arithmetic no entry stays -1.  Set s is complete, so its D probes
+    # psi_i are an orthonormal basis, and it has D outcomes chi_k (fewer would
+    # leak, which outcome_distribution rejects); with A_j = U_j (x) I for
+    # family s, write A_j psi_i = e^(i t_ij) chi_(p_j(i)).  For V of the
+    # other family, uniformity gives each of the D terms of
+    #   Tr(A_j^dag (V (x) I)) = sum_i e^(-i t_ij) <chi_(p_j(i)) | (V (x) I) psi_i>
+    # the modulus 1/sqrt(D), and are_muub makes the sum's squared modulus D, so
+    # all D terms share one phase.  A collision p_j(i) = p_j'(i), j != j', then
+    # gives every point i that p_j and p_j' share the same phase
+    # e^(i(t_ij' - t_ij)), so Tr(A_j^dag A_j') = the sum of it over the shared
+    # points is not 0, against the HS-orthogonality of U_j and U_j'.  At the
+    # checks' tolerances (MAXIMAL_TOL bits, KAPPA_TOL, DEFAULT_TOL) these
+    # bounds still close for D <= 46.  For D = d^2 with d <= 540, uniformity on
+    # the whole other family also makes each probe nearly maximally entangled,
+    # so |<psi|(U_j^dag U_j' (x) I)|psi>| ~ |Tr(U_j^dag U_j')| / d ~ 0, which a
+    # collision would make ~1.  For D = d >= 47 neither bound closes, so the
+    # check below stays.
     decode = np.full((2, dd, dd), -1, dtype=np.int64)
     np.put_along_axis(decode, p_out[[0, 1], :, [0, 1]].argmax(-1), np.arange(dd), axis=-1)
     if (decode < 0).any():
@@ -640,46 +666,64 @@ _EXT_COLUMNS = ("bob_set", "bob_tester", "alice_set", "alice_digit", "eve_set",
 _EXT_COUNTS = ("sifted", "bob_errors", "eve_correct")
 
 
-def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode):
-    """Counts and a builder of the record columns (``_EXT_COLUMNS``) for one
-    block of D-ary protocol rounds.
+def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode, traced):
+    """Counts and, when ``traced``, a builder of the record columns
+    (``_EXT_COLUMNS``) for one block of D-ary protocol rounds.
 
+    Every count reads only the sifted rounds, the rounds where Bob's set is
+    Alice's.  So an untraced block gathers those rows once (``keep``) and
+    evaluates only them, and returns ``None`` for the builder; a traced
+    block evaluates and records every round.  A round's outcome depends
+    only on its own draws and the tables, so both give the same counts.
     eve_set_policy: 0 fixed set 0, 1 uniform.
     counts: ``_EXT_COUNTS``, taken from the round masks.
     """
     sb = _index(draws[:, 0], 2)
-    tb = _index(draws[:, 1], n_digits)
     sa = _index(draws[:, 2], 2)
-    dig = _index(draws[:, 3], n_digits)
     sift = sb == sa
+    n_sifted = np.count_nonzero(sift)
+    if traced:
+        def col(k):
+            return draws[:, k]
+    else:
+        # one take per column read, which also makes it contiguous; a boolean
+        # row gather (draws[sift]) costs more than it saves
+        keep = np.flatnonzero(sift)
+
+        def col(k):
+            return draws[:, k].take(keep)
+        sb = sa = sb.take(keep)  # equal on the sifted rounds
+        sift = True  # every round kept is sifted
+    tb = _index(col(1), n_digits)
+    dig = _index(col(3), n_digits)
     p_out = cum["p_out"]
     # flat rows: p_out[s, ti, sa, j] and decode[s, ti, k] share their leading
     # (set, tester) axes, so Bob's and Eve's (set, tester) products serve both
     out_shape, decode_shape, flat_decode = p_out.shape[1:], decode.shape, decode.reshape(-1)
     bob = _rows(out_shape[:2], sb, tb)
     if eve_kind == 0:
-        out = _sample(p_out, _rows(out_shape, bob, sa, dig), draws[:, 8])
+        out = _sample(p_out, _rows(out_shape, bob, sa, dig), col(8))
     else:
-        se = np.zeros_like(sb) if eve_set_policy == 0 else _index(draws[:, 4], 2)
+        se = np.zeros_like(sb) if eve_set_policy == 0 else _index(col(4), 2)
         if eve_kind == 1:
-            te = _index(draws[:, 5], n_digits)
+            te = _index(col(5), n_digits)
         else:
-            te = _sample(cum["collapse"], _rows(cum["collapse"].shape[1:], se, sb, tb),
-                         draws[:, 5])
+            te = _sample(cum["collapse"], _rows(cum["collapse"].shape[1:], se, sb, tb), col(5))
         eve = _rows(out_shape[:2], se, te)
-        eout = _sample(p_out, _rows(out_shape, eve, sa, dig), draws[:, 6])
+        eout = _sample(p_out, _rows(out_shape, eve, sa, dig), col(6))
         eraw = flat_decode[_rows(decode_shape, eve, eout)]
         del eve  # a block-sized array, freed before the rest of the block is formed
         if eve_kind == 1:
-            out = _sample(p_out, _rows(out_shape, bob, se, eraw), draws[:, 8])
+            out = _sample(p_out, _rows(out_shape, bob, se, eraw), col(8))
         else:
-            out = _sample(cum["p_proj"], _rows(cum["p_proj"].shape[1:], se, eout, sb),
-                          draws[:, 8])
-        edig = np.where(se == sa, eraw, _index(draws[:, 7], n_digits))
+            out = _sample(cum["p_proj"], _rows(cum["p_proj"].shape[1:], se, eout, sb), col(8))
+        edig = np.where(se == sa, eraw, _index(col(7), n_digits))
     bdig = flat_decode[_rows(decode_shape, bob, out)]
     error = sift & (bdig != dig)
-    counts = np.array([np.count_nonzero(sift), np.count_nonzero(error),
+    counts = np.array([n_sifted, np.count_nonzero(error),
                        0 if eve_kind == 0 else np.count_nonzero(sift & (edig == dig))])
+    if not traced:
+        return counts, None
 
     def records():
         if eve_kind == 0:
@@ -703,8 +747,8 @@ def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) ->
         eve_kind = EVE_KINDS.index(cfg.eve.kind)
         set_policy = SET_POLICIES.index(cfg.eve.set_policy)
         cum = {k: _cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
-        return lambda draws: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
-                                              tables["decode"])
+        return lambda draws, traced: _extended_rounds(draws, eve_kind, set_policy, cfg.D, cum,
+                                                      tables["decode"], traced)
     return _simulate(cfg, build, 9, _EXT_COLUMNS, _EXT_COUNTS, trace, stages)
 
 

@@ -531,7 +531,8 @@ class TestKernelsAgainstRecordOracle:
     """The record columns, stacked, and the counts equal the row-gather
     kernels' records and counts bit for bit on the same draws; the counts
     come from the round masks, so they are the same whether the records are
-    built or not."""
+    built or not, and for the D-ary kernel whether the block is traced (every
+    round evaluated) or not (the sifted rounds only, and no builder)."""
 
     @pytest.mark.parametrize("n", KERNEL_BLOCKS)
     @pytest.mark.parametrize("policy, kind", LM05_TABLE_CONFIGS)
@@ -562,14 +563,16 @@ class TestKernelsAgainstRecordOracle:
         draws = np.random.default_rng(n).random((n, 9))
         eve_kind, set_policy = qkd.EVE_KINDS.index(kind), qkd.SET_POLICIES.index(policy)
         args = (draws, eve_kind, set_policy, D, cum, tables["decode"])
-        unbuilt = qkd._extended_rounds(*args)[0]
-        counts, records = qkd._extended_rounds(*args)
+        unbuilt = qkd._extended_rounds(*args, True)[0]
+        untraced, no_builder = qkd._extended_rounds(*args, False)
+        counts, records = qkd._extended_rounds(*args, True)
         rec, want = oracles.record_extended_rounds(draws, eve_kind, set_policy, D, tables)
         cols = records()
         assert len(cols) == len(qkd._EXT_COLUMNS)
         got = np.column_stack(cols)
         assert got.dtype == rec.dtype and np.array_equal(got, rec)
         assert np.array_equal(counts, want) and np.array_equal(unbuilt, want)
+        assert np.array_equal(untraced, want) and no_builder is None
 
 
 def _bench_run(protocol, kind):
@@ -611,6 +614,41 @@ class TestRecordsOnlyWhenTraced:
         assert built == []
         run(cfg, trace=io.StringIO(newline=""))
         assert len(built) == 3  # the 20 000 rounds take 3 blocks
+
+
+class TestUntracedExtendedRunSamplesSiftedRounds:
+    """Every ``_sample`` call of an untraced D-ary run gets exactly its
+    block's sifted rounds, each draw column gathered in round order; a
+    traced run's calls get every round of the block."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
+    @pytest.mark.parametrize("protocol", ["ext2", "ext4"])
+    def test_sample_calls_get_the_sifted_rounds(self, monkeypatch, protocol, kind, traced):
+        kernel_fn, sample_fn, blocks = qkd._extended_rounds, qkd._sample, []
+
+        def spy_kernel(draws, *args):
+            blocks.append((draws, []))
+            return kernel_fn(draws, *args)
+
+        def spy_sample(cum, flat, r):
+            blocks[-1][1].append((r.copy(), r.flags.c_contiguous))
+            return sample_fn(cum, flat, r)
+        monkeypatch.setattr(qkd, "_extended_rounds", spy_kernel)
+        monkeypatch.setattr(qkd, "_sample", spy_sample)
+        run, cfg = _bench_run(protocol, kind)
+        run(cfg, trace=io.StringIO(newline="") if traced else None)
+        assert [len(draws) for draws, _ in blocks] == [qkd._BLOCK, qkd._BLOCK, 3616]
+        # the draw columns sampled, in call order: Eve's collapse (intercept
+        # only), Eve's outcome (any Eve), Bob's outcome
+        sampled = {"none": [8], "qmm-equivalent-tester": [6, 8],
+                   "intercept-resend": [5, 6, 8]}[kind]
+        for draws, calls in blocks:
+            sift = qkd._index(draws[:, 0], 2) == qkd._index(draws[:, 2], 2)
+            rows = draws if traced else draws[sift]
+            assert len(calls) == len(sampled)
+            for (r, contiguous), k in zip(calls, sampled):
+                assert np.array_equal(r, rows[:, k]) and (traced or contiguous)
 
 
 class TestKernelsFormRowsByArithmetic:
