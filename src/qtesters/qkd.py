@@ -58,8 +58,11 @@ header line ``round,<record columns>`` (the columns are ``_LM05_COLUMNS``
 and ``_EXT_COLUMNS``), then one line per round holding the round index and
 the round's record, all decimal integers, with -1 in the fields the round
 does not use.  Lines end in "\\r\\n", and nothing is quoted, so the bytes
-are those ``csv.writer`` would write.  Rows are encoded and written once
-per block of 8192 rounds.  A path is rewritten in place, as bytes: it is
+are those ``csv.writer`` would write.  A block's rows are encoded straight
+from its record columns, one uint8 plane per byte position of a
+fixed-width row with the zero padding dropped, and are encoded and written
+in chunks of at most 4096 rows, so the encoder's temporaries stay small
+whatever the block size.  A path is rewritten in place, as bytes: it is
 not truncated on open, but a regular file is cut after the header, before
 any row is written, so it never holds an older trace's rows after this
 run's header; a FIFO or a device is written to but not cut.  A text handle
@@ -72,7 +75,6 @@ rejected by name, so a misspelled setting never runs with its default.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import os
 import stat
@@ -93,6 +95,7 @@ SET_POLICIES = ("fixed", "uniform")
 
 _SNAP = 1e-9  # probabilities below this are treated as exact zeros in the tables
 _BLOCK = 8192  # rounds simulated per block of draws; bounds memory at any round count
+_CHUNK = 4096  # trace rows encoded per call; bounds the encoder's temporaries
 
 
 class ConfigError(ValueError):
@@ -275,53 +278,67 @@ def _index(x: np.ndarray, n: int) -> np.ndarray:
     return (x * n).astype(np.int64)
 
 
-def _csv_rows(table: np.ndarray) -> bytes:
-    """The rows of a non-empty 2-D int64 table as the ASCII bytes of what
+def _int_size(w: int) -> int:
+    """Bytes of the smallest integer type that holds +-(10**w - 1)."""
+    return 1 if w <= 2 else 2 if w <= 4 else 4 if w <= 9 else 8
+
+
+def _digit_planes(mag: np.ndarray, out: np.ndarray) -> None:
+    """Write the w = ``len(out)`` decimal digits of the unsigned magnitudes
+    ``mag`` as ASCII, the most significant first: ``out[i]`` (shaped as
+    ``mag``) gets digit i, and a leading zero, but never the last digit,
+    stays 0.  Of a w-digit magnitude, q_i = the leading i + 1 digits takes
+    one division by a power of ten for each i < w - 1 (q_(w-1) is the
+    magnitude), and digit i is q_i - 10 q_(i-1), exact modulo 256, so each
+    step after the divisions is one call over every digit position."""
+    w = len(out)
+    q = np.empty(out.shape, mag.dtype)  # q[i]: the leading i + 1 digits
+    for i in range(w - 1):
+        np.floor_divide(mag, mag.dtype.type(10 ** (w - 1 - i)), out=q[i])
+    q[-1] = mag
+    q8 = q.astype(np.uint8)
+    np.add(q8, np.uint8(ord("0")), out=out)
+    if w > 1:
+        out[1:] -= q8[:-1] * np.uint8(10)
+        out[:-1] *= q[:-1] != 0  # leading zeros stay 0
+
+
+def _csv_rows(start: int, columns) -> bytes:
+    """The trace rows of rounds ``start``, ``start + 1``, ... holding the
+    record ``columns`` (a sequence of equal-length, non-empty 1-D int64 or
+    bool arrays, a bool written as 0 or 1) as the ASCII bytes of what
     ``csv.writer`` writes: decimal fields joined by "," with each row ended
     by "\\r\\n".
 
-    Field j gets a fixed-width slot in one (rows, width) uint8 grid: a sign
-    byte, w_j digit bytes (w_j = the digit count of the column's largest
-    magnitude) and a separator.  The sign byte of a non-negative value and
-    leading zeros stay 0, and dropping the 0 bytes leaves the text.
-    Adjacent columns of equal width are converted together, in the
-    smallest integer type that holds them.  Of a w-digit magnitude, q_i =
-    the leading i + 1 digits takes one division by a power of ten for each
-    i < w - 1 (q_(w-1) is the magnitude), and digit i is q_i - 10 q_(i-1),
-    so a one-digit column is converted without any division.
+    A row has fixed width, and each of its byte positions is one uint8
+    plane of a (position, row) grid: the round's digits, then for each
+    column a separator, a sign byte (only when the rows hold a negative
+    value) and w digits.  Every column shares the one slot width w, the
+    digit count of the largest magnitude, so each digit position is written
+    for all columns at once.  The sign byte of a non-negative value and
+    leading zeros stay 0, and dropping the 0 bytes from the transposed grid
+    with ``bytes.translate`` leaves the text.  The zero bytes are kept few,
+    with no sign plane unless a value is negative, because ``translate``
+    slows as they grow, the more so at unpredictable positions.
     """
-    n = table.shape[0]
-    table = np.asfortranarray(table)  # the reductions and casts below run down columns
-    widths = [len(str(max(hi, -lo)))
-              for hi, lo in zip(table.max(axis=0).tolist(), table.min(axis=0).tolist())]
-    grid = np.zeros((n, sum(widths) + 2 * len(widths) + 1), dtype=np.uint8)
-    a = start = 0
-    for w, run in itertools.groupby(widths):
-        k = len(list(run))
-        stop = start + k * (w + 2)
-        slots = grid[:, start:stop].reshape(n, k, w + 2)  # [row, column, byte]
-        size = 1 if w <= 2 else 2 if w <= 4 else 4 if w <= 9 else 8  # holds +-(10**w - 1)
-        x = table[:, a:a + k].astype(f"i{size}")
-        slots[:, :, 0] = (x < 0) * np.uint8(ord("-"))
-        slots[:, :, -1] = ord(",")
-        # the unsigned view of abs() is the true magnitude, even for the most
-        # negative value, whose abs() wraps to itself
-        mag = np.abs(x, out=x).view(f"u{size}")
-        q = np.empty((w,) + mag.shape, mag.dtype)  # q[i]: the leading i + 1 digits
-        q[-1] = mag
-        for i in range(w - 1):
-            np.floor_divide(mag, mag.dtype.type(10 ** (w - 1 - i)), out=q[i])
-        # digit i is q[i] - 10 q[i - 1], exact modulo 256; leading zeros stay 0
-        q8 = q.astype(np.uint8)
-        digits = q8 + np.uint8(ord("0"))
-        digits[1:] -= q8[:-1] * np.uint8(10)
-        digits[:-1] *= q[:-1] != 0
-        slots[:, :, 1:-1] = digits.transpose(1, 2, 0)
-        a, start = a + k, stop
-    grid[:, -2:] = (ord("\r"), ord("\n"))
-    text = grid.tobytes()
-    del grid
-    return text.translate(None, b"\0")
+    n = len(columns[0])
+    x = np.stack(columns)  # [column, row]
+    lo, hi = int(x.min()), int(x.max())
+    w, w_round, sign = len(str(max(hi, -lo))), len(str(start + n - 1)), int(lo < 0)
+    slot = 1 + sign + w
+    grid = np.zeros((w_round + len(columns) * slot + 2, n), dtype=np.uint8)
+    _digit_planes(np.arange(start, start + n, dtype=f"u{_int_size(w_round)}"), grid[:w_round])
+    slots = grid[w_round:-2].reshape(len(columns), slot, n)  # [column, byte, row]
+    slots[:, 0] = ord(",")
+    size = _int_size(w)
+    x = x.astype(f"i{size}", copy=False)
+    if sign:
+        np.multiply(x < 0, np.uint8(ord("-")), out=slots[:, 1])
+    # the unsigned view of abs() is the true magnitude, even for the most
+    # negative value, whose abs() wraps to itself
+    _digit_planes(np.abs(x, out=x).view(f"u{size}"), slots[:, 1 + sign:].transpose(1, 0, 2))
+    grid[-2:] = ((ord("\r"),), (ord("\n"),))
+    return grid.T.tobytes().translate(None, b"\0")
 
 
 def _open_in_place(path, flags: int) -> int:
@@ -342,12 +359,14 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
     over all blocks and named by the ``ProtocolStats`` fields in
     ``counted``, and a zero-argument function that builds the block's record
     columns; counts not named are 0, and ``sifted`` defaults to the
-    non-control rounds.  The columns are built, and stacked into rows, only
-    for the trace.  An untraced block may return no builder: the D-ary
-    kernel then evaluates only the sifted rounds, as every count it returns
-    reads only those; the qubit kernel ignores the flag.  ``stages``, when
-    given, gains the wall milliseconds spent in the tables (``build()``), in
-    the rounds and in the trace (building the columns, row stacking,
+    non-control rounds.  The columns are built only for the trace, and
+    ``_csv_rows`` encodes them as they are, ``_CHUNK`` rows at a time, each
+    chunk written as it is encoded, so the encoder's temporaries stay small
+    however long the block.  An untraced block may return no builder: the
+    D-ary kernel then evaluates only the sifted rounds, as every count it
+    returns reads only those; the qubit kernel ignores the flag.
+    ``stages``, when given, gains the wall milliseconds spent in the tables
+    (``build()``), in the rounds and in the trace (building the columns,
     encoding and I/O).
 
     A path is opened for bytes without truncation and rewritten in place:
@@ -380,8 +399,9 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
             totals = totals + counts
             t_rounds += time.perf_counter() - t1
             if fh is not None:
-                # stacked as rows, so the transposed table is column-major
-                write(_csv_rows(np.stack((np.arange(start, start + n), *records())).T))
+                record = records()
+                for a in range(0, n, _CHUNK):
+                    write(_csv_rows(start + a, [c[a:a + _CHUNK] for c in record]))
     finally:
         if own:
             fh.close()

@@ -267,7 +267,7 @@ class TestTrace:
         run_extended(default_extended_config(D=4, rounds=20_000, seed=2), trace=str(path))
         seen = []
 
-        def fail(table):  # the file as the first block of rows is about to be encoded
+        def fail(start, columns):  # the file as the first rows are about to be encoded
             seen.append(path.read_bytes())
             raise RuntimeError("encoder failed")
 
@@ -305,10 +305,13 @@ class TestTrace:
                 == stat.S_IMODE((tmp_path / "by_open.csv").stat().st_mode))
 
 
-def _csv_writer_rows(table):
+def _csv_writer_rows(start, columns):
+    """What ``csv.writer`` writes for the rows (round, record) of rounds
+    ``start``, ``start + 1``, ..., a bool field read as the int it is."""
+    rows = zip(range(start, start + len(columns[0])), *(c.tolist() for c in columns))
     buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(table.tolist())
-    return buf.getvalue()
+    csv.writer(buf).writerows([[int(v) for v in row] for row in rows])
+    return buf.getvalue().encode("ascii")
 
 
 # digit-width edges, the int64 extremes and the values a record holds
@@ -318,31 +321,61 @@ CSV_FIELDS = st.one_of(
     st.integers(-2**63, 2**63 - 1),
     st.integers(-1, 4),
 )
+# the first round of a block: small, just below and at a digit-width edge, and large
+CSV_STARTS = st.sampled_from([0, 9_999_990, 10**7, 2**40]) | st.integers(0, 10**12)
 
 
 @st.composite
-def int64_tables(draw):
+def record_blocks(draw, kinds=st.just("int64")):
+    """A block's first round and its record columns: 1-13 columns of 1-6
+    rows, each an int64 column drawn from ``CSV_FIELDS`` or a bool column,
+    as ``kinds`` draws them."""
     n = draw(st.integers(1, 6))
-    c = draw(st.integers(1, 14))
-    table = draw(hnp.arrays(np.int64, (n, c), elements=CSV_FIELDS))
-    if draw(st.booleans()):  # a block of round indices, as the trace writes
-        start = draw(st.sampled_from([0, 9_999_990, 10**7, 2**40]) | st.integers(0, 10**12))
-        table[:, 0] = np.arange(start, start + n)
-    return table
+    columns = tuple(
+        draw(hnp.arrays(np.int64, n, elements=CSV_FIELDS)) if kind == "int64"
+        else draw(hnp.arrays(np.bool_, n))
+        for kind in draw(st.lists(kinds, min_size=1, max_size=13)))
+    return draw(CSV_STARTS), columns
 
 
 class TestCsvEncoder:
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
-    @given(table=int64_tables())
-    def test_matches_csv_writer(self, table):
-        assert qkd._csv_rows(table) == _csv_writer_rows(table).encode("ascii")
+    @given(block=record_blocks())
+    def test_matches_csv_writer(self, block):
+        assert qkd._csv_rows(*block) == _csv_writer_rows(*block)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(block=record_blocks(st.sampled_from(["int64", "bool"])))
+    def test_bool_and_mixed_columns_match_csv_writer(self, block):
+        assert qkd._csv_rows(*block) == _csv_writer_rows(*block)
+
+    @pytest.mark.parametrize("protocol", ["lm05", "ext4"])
+    def test_kernel_records_match_csv_writer(self, protocol):
+        # int64 and bool columns, as the kernels return them
+        draws = np.random.default_rng(5).random((300, 9))
+        eve = EveStrategy(kind="intercept-resend")
+        if protocol == "lm05":
+            tables = qkd._lm05_tables(default_lm05_config(rounds=10, eve=eve))
+            cum = {k: qkd._cumulative(v) for k, v in tables.items() if k.startswith("p_")}
+            columns = qkd._lm05_rounds(draws, 2, 0.3, cum, tables)[1]()
+        else:
+            tables = qkd._extended_tables(default_extended_config(D=4, rounds=10, eve=eve))
+            cum = {k: qkd._cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
+            columns = qkd._extended_rounds(draws, 2, 0, 4, cum, tables["decode"], True)[1]()
+        assert {c.dtype for c in columns} == {np.dtype(np.int64), np.dtype(np.bool_)}
+        assert qkd._csv_rows(9_999_900, columns) == _csv_writer_rows(9_999_900, columns)
 
     def test_full_block_of_a_long_run(self):
+        # the round width changes inside the block, and it spans several chunks
         gen = np.random.default_rng(3)
         start = 10**7 - 4000
-        table = np.column_stack((np.arange(start, start + qkd._BLOCK),
-                                 gen.integers(-1, 4, size=(qkd._BLOCK, 13))))
-        assert qkd._csv_rows(table) == _csv_writer_rows(table).encode("ascii")
+        columns = tuple(gen.integers(-1, 4, size=(13, qkd._BLOCK)))
+        want = _csv_writer_rows(start, columns)
+        assert qkd._BLOCK >= 2 * qkd._CHUNK
+        assert qkd._csv_rows(start, columns) == want
+        # chunk by chunk, as _simulate encodes it
+        assert b"".join(qkd._csv_rows(start + a, tuple(c[a:a + qkd._CHUNK] for c in columns))
+                        for a in range(0, qkd._BLOCK, qkd._CHUNK)) == want
 
 
 class TestConfigJson:
@@ -614,6 +647,28 @@ class TestRecordsOnlyWhenTraced:
         assert built == []
         run(cfg, trace=io.StringIO(newline=""))
         assert len(built) == 3  # the 20 000 rounds take 3 blocks
+
+
+class TestEncoderOnlyWhenTraced:
+    @pytest.mark.parametrize("protocol", ["lm05", "ext4"])
+    def test_untraced_run_never_encodes(self, monkeypatch, protocol):
+        encode, calls = qkd._csv_rows, []
+
+        def spy(start, columns):
+            calls.append((start, len(columns[0])))
+            return encode(start, columns)
+        monkeypatch.setattr(qkd, "_csv_rows", spy)
+        run, cfg = _bench_run(protocol, "intercept-resend")
+        run(cfg)
+        assert calls == []
+        run(cfg, trace=io.StringIO(newline=""))
+        # every round once, in order, in chunks of at most _CHUNK rows
+        starts, sizes = zip(*calls)
+        assert starts == (0,) + tuple(np.cumsum(sizes[:-1]).tolist())
+        assert sum(sizes) == cfg.rounds and max(sizes) <= qkd._CHUNK
+        # no chunk crosses a block: the 20 000 rounds take blocks of 8192, 8192, 3616
+        blocks = [min(qkd._BLOCK, cfg.rounds - b) for b in range(0, cfg.rounds, qkd._BLOCK)]
+        assert len(calls) == sum(-(-b // qkd._CHUNK) for b in blocks)
 
 
 class TestUntracedExtendedRunSamplesSiftedRounds:
