@@ -19,21 +19,23 @@ Every invocation prints one JSON report to stdout:
 other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
 ``python`` versions that produced the report.  The payloads of ``bound``,
 ``muub-check`` and ``qkd`` hold their effective settings under ``config``;
-``bound`` records each tester under ``t1`` and ``t2`` as its name, as
-given, or, when it was read from a file, as its ``to_json()`` literal.
-Payload floats keep 12 significant digits (below), so such a literal
-reruns its report exactly when the file's entries have at most 12.
+``bound`` records each tester under ``t1`` and ``t2``, and ``muub-check``
+each basis under ``b1`` and ``b2``, as its name, as given, or, when it was
+read from a file, as its ``to_json()`` literal.  A literal's floats are
+written whole, as the shortest decimal that reads back to the same float,
+so a literal written to a file reruns its report exactly.
 No flag is silently ignored: ``muub-check --d`` sizes a named basis, and
 with two basis files it is a usage error (exit 2), as ``--name`` or
 ``--d`` (the options of ``basis dump``) is with ``basis list``.
 Identical argv (seeds included) produce byte-identical payloads: timings
-and provenance stay outside the payload, keys are sorted and floats are
-canonicalized to 12 significant digits.  Human-readable logs go to stderr
-and are silenced by ``--json-only``.  Exit codes: 0 pass, 1 check
-failure, 2 usage or config error.  A usage error (an unknown flag, a
-missing or malformed argument) also prints a report, with status
-``error`` and the argparse message in ``payload.error``; only ``-h`` /
-``--help`` prints help text instead, and exits 0.
+and provenance stay outside the payload, keys are sorted and floats other
+than a recorded literal's are canonicalized to 12 significant digits.
+Human-readable logs go to stderr and are silenced by ``--json-only``.
+Exit codes: 0 pass, 1 check failure, 2 usage or config error.  A usage
+error (an unknown flag, a missing or malformed argument) also prints a
+report, with status ``error`` and the argparse message in
+``payload.error``; only ``-h`` / ``--help`` prints help text instead, and
+exits 0.
 """
 
 from __future__ import annotations
@@ -54,8 +56,34 @@ _PROVENANCE = {"qtesters": __version__, "numpy": np.__version__,
                "python": platform.python_version()}
 
 
+class _Exact(float):
+    """A float of a recorded input literal: ``_canon`` keeps it whole, and
+    ``json`` writes it as the shortest decimal that reads back to it."""
+
+
+def _exact(obj):
+    """The JSON literal ``obj`` with each of its floats an ``_Exact``."""
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_exact(v) for v in obj]
+    return _Exact(obj) if type(obj) is float else obj
+
+
 def _canon(obj):
-    """Canonical JSON form: sorted keys, floats at 12 significant digits."""
+    """Canonical JSON form: sorted keys, floats at 12 significant digits,
+    but an ``_Exact`` float whole."""
+    # the exact types of a payload first; subclasses and numpy scalars take
+    # the isinstance chain below
+    kind = type(obj)
+    if kind is float:
+        return float(f"{obj:.12g}")
+    if kind is str or kind is bool or kind is int or obj is None:
+        return obj
+    if kind is dict:
+        return {str(k): _canon(v) for k, v in obj.items()}
+    if kind is list:
+        return [_canon(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -64,6 +92,8 @@ def _canon(obj):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
+    if kind is _Exact:
+        return obj
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     return obj
@@ -81,8 +111,8 @@ def _log(quiet: bool, msg: str) -> None:
 
 def _resolve_tester(spec: str) -> tuple:
     """(tester, record): a tester name is recorded as given, a file's tester
-    as its canonical literal, so a report names its input by content and
-    never by a file's free-text label."""
+    as its literal with exact floats, so a report names its input by content
+    and never by a file's free-text label."""
     try:
         return tester.named_tester(spec), spec
     except ValueError as exc:
@@ -90,18 +120,20 @@ def _resolve_tester(spec: str) -> tuple:
     try:
         with open(spec) as fh:
             t = tester.tester_from_json(json.load(fh))
-        return t, t.to_json()
+        return t, _exact(t.to_json())
     except OSError as exc:
         # the name's own error says what is wrong with a malformed name
         raise ValueError(f"{name_error}; nor is {spec!r} a readable file: {exc}") from None
 
 
-def _resolve_basis(spec: str, d: int) -> muub.UnitaryBasis:
+def _resolve_basis(spec: str, d: int) -> tuple:
+    """(basis, record), recorded as ``_resolve_tester`` records a tester."""
     if spec in muub.BASIS_NAMES:
-        return muub.build_named_basis(spec, d)
+        return muub.build_named_basis(spec, d), spec
     try:
         with open(spec) as fh:
-            return muub.basis_from_json(json.load(fh))
+            b = muub.basis_from_json(json.load(fh))
+        return b, _exact(b.to_json())
     except OSError as exc:
         raise ValueError(f"{spec!r} is neither a basis name nor a readable file: {exc}")
 
@@ -452,11 +484,11 @@ def _cmd_muub_check(args, log, stages) -> tuple:
         raise ValueError("--d sets the dimension of a named basis, and neither --b1 nor --b2 "
                          "is a basis name")
     d = 2 if args.d is None else args.d
-    b1 = _resolve_basis(args.b1, d)
-    b2 = _resolve_basis(args.b2, d)
+    b1, rec1 = _resolve_basis(args.b1, d)
+    b2, rec2 = _resolve_basis(args.b2, d)
     report = muub.are_muub(b1, b2, tol=args.tol)
     log(f"verdict: {report.verdict} (kappa={report.kappa})")
-    return bool(report.verdict), {"b1": args.b1, "b2": args.b2, **report.to_json(),
+    return bool(report.verdict), {"b1": rec1, "b2": rec2, **report.to_json(),
                                   "config": {"d": b1.dim, "tol": args.tol}}
 
 

@@ -78,12 +78,21 @@ def is_orthogonal_unitary_basis(elements) -> bool:
         els = np.asarray(elements, dtype=complex)
     except ValueError:  # matrices of different shapes
         return False
+    return _is_orthogonal_unitary_stack(els)
+
+
+def _is_orthogonal_unitary_stack(els: np.ndarray) -> bool:
+    """``is_orthogonal_unitary_basis`` for elements already converted to
+    one complex array."""
     if els.ndim != 3 or not els.size or len(els) not in (els.shape[1], els.shape[1] ** 2):
         return False
     if not qmath.is_unitary(els):
         return False
-    off_diagonal = hs_overlap(els, els)[~np.eye(len(els), dtype=bool)]
-    return bool((off_diagonal <= DEFAULT_TOL * DEFAULT_TOL).all())
+    # unitaries have finite overlaps, and each one's overlap with itself,
+    # zeroed, passes the test
+    overlaps = hs_overlap(els, els)
+    overlaps.flat[::len(els) + 1] = 0.0
+    return bool(qmath._MAX(overlaps, axis=None) <= DEFAULT_TOL * DEFAULT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +108,12 @@ class UnitaryBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", qmath.int_field(vars(self), "dim"))
-        if not is_orthogonal_unitary_basis(self.elements):
+        try:
+            els = np.array(self.elements, dtype=complex)  # the one copy, checked in place
+        except ValueError:  # matrices of different shapes
+            els = None
+        if els is None or not _is_orthogonal_unitary_stack(els):
             raise ValueError("elements are not an orthogonal unitary basis of size d or d^2")
-        els = np.array(self.elements, dtype=complex)
         if els.shape[1] != self.dim:
             raise ValueError("element dimension does not match dim")
         els.setflags(write=False)
@@ -282,7 +294,8 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
     failures += [f"entropy sum {sums[m, i, j]:.3e} bits nonzero for "
                  f"({s1.testers[i].label},{s2.testers[j].label})"
                  for m, i, j in zip(*np.nonzero(sums > ENTROPY_ZERO_TOL))]
-    m_idx, n_idx = np.nonzero(~np.eye(len(us), dtype=bool))
+    el = np.arange(len(us))
+    m_idx, n_idx = np.nonzero(el[:, None] != el)  # every ordered pair m != n
     if m_idx.size:
         ws = us[m_idx].conj().swapaxes(-1, -2) @ us[n_idx]
         # each probe after U_m^dag U_n, as the Born rule sends it: (tester,
@@ -293,12 +306,9 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
         failures += [f"U_{m_idx[k]}^dag U_{n_idx[k]} is an eigenoperator of a probe"
                      for k in np.nonzero(eig)[0]]
     hypothesis = not failures
-    overlaps = hs_overlap(us, us)
-    s1_pass = True
-    for m, n in zip(*np.triu_indices(len(us), 1)):
-        if overlaps[m, n] > DEFAULT_TOL * DEFAULT_TOL:
-            s1_pass = False
-            failures.append(f"family elements {m},{n} are not HS-orthogonal")
+    # the pairs m < n whose overlap fails, in row-major order
+    apart = np.nonzero((el[:, None] < el) & (hs_overlap(us, us) > DEFAULT_TOL * DEFAULT_TOL))
+    failures += [f"family elements {m},{n} are not HS-orthogonal" for m, n in zip(*apart)]
     ws = _stack(span_samples, s1.dim)
     p1, p2 = (outcome_distribution(s, ws) for s in (s1, s2))
     # every tester's sorted rows, s1's then s2's; the rows of a set with
@@ -307,14 +317,15 @@ def verify_prop_trivial(s1: TesterSet, s2: TesterSet, us, span_samples) -> Trivi
     p = np.full((len(p1) + len(p2), len(ws), max(p1.shape[-1], p2.shape[-1])), -1.0)
     p[:len(p1), :, :p1.shape[-1]], p[len(p1):, :, :p2.shape[-1]] = p1, p2
     p.sort(axis=-1)
-    i, j = np.triu_indices(len(p), 1)
-    equiv = np.max(np.abs(p[i] - p[j]), axis=-1) <= SPAN_EQUIV_TOL  # tester pair, sample
+    ts = np.arange(len(p))
+    i, j = np.nonzero(ts[:, None] < ts)  # every tester pair i < j, in row-major order
+    equiv = qmath._MAX(np.abs(p[i] - p[j]), axis=-1) <= SPAN_EQUIV_TOL  # tester pair, sample
     testers = s1.testers + s2.testers
     failures += [f"testers {testers[i[q]].label},{testers[j[q]].label} not equivalent "
                  "on a span sample" for q in np.nonzero(~equiv.T)[1]]
     return TrivialBoundReport(
         hypothesis_pass=hypothesis,
-        s1_pass=s1_pass,
+        s1_pass=not apart[0].size,
         s2_pass=bool(equiv.all()),
         failures=tuple(failures),
     )

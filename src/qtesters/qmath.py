@@ -18,12 +18,16 @@ All conventions used by the rest of the package are fixed here, once:
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# the maximum as the ufunc reduction itself: ``ndarray.max`` reaches it
+# through a Python wrapper, a fixed cost that dominates on small checks
+_MAX = np.maximum.reduce
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -88,6 +92,14 @@ def as_states(vs) -> np.ndarray:
     return vs
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The float d x d identity, built once per d and read-only."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def is_unitary(u: np.ndarray) -> bool:
     """True iff u is a square matrix, or a stack (..., d, d) of them, and
     every matrix is unitary within ``DEFAULT_TOL``."""
@@ -95,11 +107,13 @@ def is_unitary(u: np.ndarray) -> bool:
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
     # a unitary's entries are at most 1 in modulus; testing that first keeps
-    # huge or non-finite entries out of the product
-    if not (np.abs(u) <= 1 + DEFAULT_TOL).all():
+    # huge or non-finite entries out of the product.  A NaN entry makes the
+    # largest modulus NaN, which fails the test too
+    if not _MAX(np.abs(u), axis=None, initial=0.0) <= 1 + DEFAULT_TOL:
         return False
     gram = u.conj().swapaxes(-1, -2) @ u
-    return bool(np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0) <= DEFAULT_TOL)
+    return bool(_MAX(np.abs(gram - _identity(u.shape[-1])), axis=None, initial=0.0)
+                <= DEFAULT_TOL)
 
 
 def assert_unitary(u: np.ndarray) -> np.ndarray:

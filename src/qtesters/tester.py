@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .qmath import DEFAULT_TOL
+from .qmath import _MAX, DEFAULT_TOL
 
 ENTROPY_ZERO_TOL = 1e-9   # bits; threshold for "deterministic" outcome statistics
 LEAK_TOL = 1e-6
@@ -75,15 +75,17 @@ class Tester:
         # huge or non-finite entries out of the products.  The projector norms
         # are the Gram diagonal, and as_states, for the message of the first
         # bad row, runs only once a norm has failed
-        small = np.abs(states).max() <= 1 + DEFAULT_TOL  # False for a NaN entry too
+        small = _MAX(np.abs(states), axis=None) <= 1 + DEFAULT_TOL  # False for a NaN entry too
         if small:
             dev = m @ projs.T
-            dev.flat[::n + 1] -= 1.0  # the Gram matrix minus the identity
+            dev -= qmath._identity(n)  # the Gram matrix minus the identity
             dev = np.abs(dev)
+            worst = _MAX(dev, axis=None)
+        # the diagonal is read only when some entry of the Gram matrix failed
         if (not small or abs(np.vdot(psi, psi).real - 1.0) > DEFAULT_TOL
-                or dev.diagonal().max() > DEFAULT_TOL):
+                or worst > DEFAULT_TOL and _MAX(dev.diagonal()) > DEFAULT_TOL):
             qmath.as_states(states)
-        if dev.max() > DEFAULT_TOL:
+        if worst > DEFAULT_TOL:
             raise ValueError("projectors are not orthonormal")
         m.setflags(write=False)
         object.__setattr__(self, "input", psi)
@@ -153,8 +155,9 @@ class TesterStack:
             raise ValueError("testers have mixed dimensions")
         if len({t.projector_matrix().shape for t in ts}) > 1:
             raise ValueError(self._mismatch)
-        probes = np.stack([t.input for t in ts])
-        m = np.stack([t.projector_matrix() for t in ts])
+        # the members' shapes agree, so np.array stacks them as np.stack would
+        probes = np.array([t.input for t in ts])
+        m = np.array([t.projector_matrix() for t in ts])
         probes.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "testers", ts)
@@ -183,7 +186,7 @@ class TesterSet(TesterStack):
     def __post_init__(self):
         super().__post_init__()
         m = self._projector_matrix
-        if np.abs(m - m[0]).max() > DEFAULT_TOL:
+        if _MAX(np.abs(m - m[0]), axis=None) > DEFAULT_TOL:
             raise ValueError(self._mismatch)
 
 
@@ -299,12 +302,15 @@ def are_equivalent(t1: Tester, t2: Tester, u: np.ndarray, tol: float = DEFAULT_T
     """
     if t1.dim != t2.dim:
         raise ValueError("testers act on different dimensions")
-    p1 = np.sort(outcome_distribution(t1, u), axis=-1)
-    p2 = np.sort(outcome_distribution(t2, u), axis=-1)
+    # each distribution is a fresh array, sorted in place
+    p1 = outcome_distribution(t1, u)
+    p1.sort(axis=-1)
+    p2 = outcome_distribution(t2, u)
+    p2.sort(axis=-1)
     if p1.shape[-1] != p2.shape[-1]:
         ok = np.zeros(p1.shape[:-1], dtype=bool)
     else:
-        ok = np.max(np.abs(p1 - p2), axis=-1) <= tol
+        ok = _MAX(np.abs(p1 - p2), axis=-1) <= tol
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -313,7 +319,7 @@ def is_eigenoperator(op: np.ndarray, state: np.ndarray) -> bool:
     ``DEFAULT_TOL``, for one finite (n, n) matrix and one unit vector of
     size n."""
     op = qmath.as_matrix(op)
-    psi = qmath.as_states(np.reshape(state, (1, -1)))[0]
+    psi = qmath.as_states(np.asarray(state, dtype=complex).reshape(1, -1))[0]
     if op.shape != (psi.size, psi.size):
         raise ValueError("operator and state dimensions differ")
     return bool(_is_multiple(op @ psi, psi))
@@ -324,8 +330,8 @@ def _is_multiple(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     ``DEFAULT_TOL``, for unit vectors psi on the last axis.  This is the
     eigenoperator test on the image v = op psi; ``muub.verify_prop_trivial``
     takes those images from ``outcome_amplitudes``."""
-    lam = (psi.conj() * v).sum(-1)
-    return np.abs(v - lam[..., None] * psi).max(-1) <= DEFAULT_TOL
+    lam = np.add.reduce(psi.conj() * v, -1)
+    return _MAX(np.abs(v - lam[..., None] * psi), -1) <= DEFAULT_TOL
 
 
 def _schmidt_rank(psi: np.ndarray, d: int) -> int:
@@ -344,17 +350,22 @@ def can_distinguish(t: Tester, u1: np.ndarray, u2: np.ndarray) -> bool:
     """
     if t.is_bipartite and _schmidt_rank(t.input, t.dim) > 1:
         raise ValueError("distinguishability requires a separable (ancilla-free) probe")
-    p1 = outcome_distribution(t, u1)
-    p2 = outcome_distribution(t, u2)
-    if p1.ndim > 1 or p2.ndim > 1:
+    try:
+        # one checked call for both; its rows are the single calls' bit for bit
+        p = outcome_distribution(t, np.array((u1, u2), dtype=complex))
+    except (ValueError, TypeError):
+        # they do not stack, or one fails its checks: one call each, in
+        # order, so that the first to fail raises its own error
+        p = [outcome_distribution(t, u) for u in (u1, u2)]
+    if p[0].ndim > 1 or p[1].ndim > 1:
         raise ValueError("distinguishability takes two d x d unitaries, not stacks")
-    h1 = shannon_entropy(p1)
-    h2 = shannon_entropy(p2)
+    h1, h2 = shannon_entropy(np.asarray(p))
     if h1 > ENTROPY_ZERO_TOL or h2 > ENTROPY_ZERO_TOL:
         raise HypothesisViolation(
             f"hypothesis violated: entropies ({h1:.3e}, {h2:.3e}) bits are not both zero"
         )
-    return int(np.argmax(p1)) != int(np.argmax(p2))
+    k1, k2 = np.argmax(p, -1)
+    return int(k1) != int(k2)
 
 
 # ---------------------------------------------------------------------------

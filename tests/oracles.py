@@ -21,7 +21,12 @@ one matrix and one state with ``np.vdot``, ``complete_as_list`` the former
 list path of ``tester.is_complete_set``, which compares the shared
 measurement itself, and ``loop_verify_prop_trivial`` the trivial-bound
 check with one library call per tester, tester pair, matrix pair and
-probe.
+probe.  The ``former_`` checks are the library's checked entry points as
+they were before each took one conversion and one reduction per check:
+``is_unitary`` and ``assert_unitary``, ``is_orthogonal_unitary_basis``,
+the ``UnitaryBasis`` constructor, ``is_eigenoperator`` and
+``can_distinguish``; each must give the same verdicts, results,
+exception types and messages.
 """
 
 import numpy as np
@@ -678,3 +683,82 @@ def loop_verify_prop_trivial(s1, s2, us, span_samples):
                 s2_pass = False
                 failures.append(f"testers {ti.label},{tj.label} not equivalent on a span sample")
     return muub.TrivialBoundReport(hypothesis, s1_pass, s2_pass, tuple(failures))
+
+
+def former_is_unitary(u):
+    """``qmath.is_unitary`` with its former reductions: ``all`` of an
+    entrywise test, then a fresh identity."""
+    u = np.asarray(u)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        return False
+    if not (np.abs(u) <= 1 + qmath.DEFAULT_TOL).all():
+        return False
+    gram = u.conj().swapaxes(-1, -2) @ u
+    return bool(np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0) <= qmath.DEFAULT_TOL)
+
+
+def former_assert_unitary(u):
+    """``qmath.assert_unitary`` through ``former_is_unitary``."""
+    u = qmath.as_matrix(u)
+    if not former_is_unitary(u):
+        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+        raise ValueError(f"matrix is not unitary: max|u^dag u - I| = {dev:.3e} > "
+                         f"{qmath.DEFAULT_TOL}")
+    return u
+
+
+def former_is_orthogonal_unitary_basis(elements):
+    """``muub.is_orthogonal_unitary_basis`` with the off-diagonal overlaps
+    picked out by a fresh boolean mask."""
+    try:
+        els = np.asarray(elements, dtype=complex)
+    except ValueError:
+        return False
+    if els.ndim != 3 or not els.size or len(els) not in (els.shape[1], els.shape[1] ** 2):
+        return False
+    if not former_is_unitary(els):
+        return False
+    off_diagonal = muub.hs_overlap(els, els)[~np.eye(len(els), dtype=bool)]
+    return bool((off_diagonal <= qmath.DEFAULT_TOL * qmath.DEFAULT_TOL).all())
+
+
+def former_unitary_basis(dim, elements):
+    """``muub.UnitaryBasis``'s checks, with the elements converted once to
+    be checked and once more to be kept.  Returns (dim, elements) or raises
+    what ``UnitaryBasis`` would."""
+    dim = qmath.int_field({"dim": dim}, "dim")
+    if not former_is_orthogonal_unitary_basis(elements):
+        raise ValueError("elements are not an orthogonal unitary basis of size d or d^2")
+    els = np.array(elements, dtype=complex)
+    if els.shape[1] != dim:
+        raise ValueError("element dimension does not match dim")
+    return dim, els
+
+
+def former_is_eigenoperator(op, state):
+    """``tester.is_eigenoperator`` with the ``ndarray`` sum and max methods
+    in its multiple test."""
+    op = qmath.as_matrix(op)
+    psi = qmath.as_states(np.reshape(state, (1, -1)))[0]
+    if op.shape != (psi.size, psi.size):
+        raise ValueError("operator and state dimensions differ")
+    v = op @ psi
+    lam = (psi.conj() * v).sum(-1)
+    return bool(np.abs(v - lam[..., None] * psi).max(-1) <= qmath.DEFAULT_TOL)
+
+
+def former_can_distinguish(t, u1, u2):
+    """``tester.can_distinguish`` with one checked Born-rule call and one
+    entropy per unitary, in order."""
+    if t.is_bipartite and tester._schmidt_rank(t.input, t.dim) > 1:
+        raise ValueError("distinguishability requires a separable (ancilla-free) probe")
+    p1 = tester.outcome_distribution(t, u1)
+    p2 = tester.outcome_distribution(t, u2)
+    if p1.ndim > 1 or p2.ndim > 1:
+        raise ValueError("distinguishability takes two d x d unitaries, not stacks")
+    h1 = shannon_entropy(p1)
+    h2 = shannon_entropy(p2)
+    if h1 > tester.ENTROPY_ZERO_TOL or h2 > tester.ENTROPY_ZERO_TOL:
+        raise tester.HypothesisViolation(
+            f"hypothesis violated: entropies ({h1:.3e}, {h2:.3e}) bits are not both zero")
+    return int(np.argmax(p1)) != int(np.argmax(p2))

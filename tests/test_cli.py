@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import qtesters
-from qtesters import cli, muub, tester
+from qtesters import cli, muub, qmath, tester
 from qtesters.qmath import RngHandle
 
 
@@ -196,7 +196,8 @@ class TestBound:
 
     def test_file_input_is_recorded_by_content(self, capsys, tmp_path):
         """+Z's vectors under 0X's label: the report gives the name as it
-        was given, and the file's tester as its literal, label included."""
+        was given, and the file's tester as its literal, label included and
+        every float whole."""
         spoof = {**tester.named_tester("+Z").to_json(), "label": "0X"}
         path = tmp_path / "spoof.json"
         path.write_text(json.dumps(spoof))
@@ -204,36 +205,37 @@ class TestBound:
                                   "--starts", "2", "--json-only")
         assert code == 0
         assert report["payload"]["t1"] == "0Z"
-        assert report["payload"]["t2"] == cli._canon(spoof)
+        assert report["payload"]["t2"] == spoof
 
-    @pytest.mark.parametrize("bipartite", [False, True])
-    def test_recorded_literals_replay_to_the_same_payload(self, capsys, tmp_path, bipartite):
+    @pytest.mark.parametrize("case", [pytest.param(False, id="False"),
+                                      pytest.param(True, id="True"),
+                                      pytest.param("full", id="full-precision-0X")])
+    def test_recorded_literals_replay_to_the_same_payload(self, capsys, tmp_path, case):
         """Each recorded literal, written to a file, reruns to the same
-        report bytes with the timing fields dropped.  The report holds floats
-        at 12 significant digits, so the input files hold their literals at
-        that precision too: then a record is its file's content."""
-        def written(name, obj):
-            path = tmp_path / name
-            path.write_text(json.dumps(obj))
-            return str(path)
-
-        def without_timing(report):
-            return json.dumps({k: v for k, v in report.items()
-                               if k not in ("elapsed_ms", "stages_ms")}, sort_keys=True)
-
+        report bytes with the timing fields dropped, and a record is its
+        file's content.  The first two cases write their input files at 12
+        significant digits; the last writes a random tester's literal whole
+        and runs it against 0X, where a record rounded to 12 digits reran on
+        another tester and took other start paths."""
+        bipartite = case is True
         gen = RngHandle(5, int(bipartite)).generator()
-        t1 = cli._canon(tester.random_tester(2, gen, bipartite).to_json())
-        t2 = "bell:1" if bipartite else written(
-            "t2.json", cli._canon({**tester.named_tester("+Z").to_json(), "label": "0X"}))
+        t1 = tester.random_tester(2, gen, bipartite).to_json()
+        if case == "full":
+            t2 = "0X"
+        else:
+            t1 = cli._canon(t1)
+            t2 = "bell:1" if bipartite else _written(
+                tmp_path / "t2.json",
+                cli._canon({**tester.named_tester("+Z").to_json(), "label": "0X"}))
         flags = ("--starts", "4", "--seed", "3", "--json-only")
-        code, first, _ = run_cli(capsys, "bound", "--t1", written("t1.json", t1), "--t2", t2,
-                                 *flags)
+        code, first, _ = run_cli(capsys, "bound", "--t1", _written(tmp_path / "t1.json", t1),
+                                 "--t2", t2, *flags)
         assert code == 0 and first["payload"]["t1"] == t1
-        replay = [p if isinstance(p, str) else written(f"replay-{k}.json", p)
+        replay = [p if isinstance(p, str) else _written(tmp_path / f"replay-{k}.json", p)
                   for k, p in (("t1", first["payload"]["t1"]), ("t2", first["payload"]["t2"]))]
         code, second, _ = run_cli(capsys, "bound", "--t1", replay[0], "--t2", replay[1], *flags)
         assert code == 0
-        assert without_timing(second) == without_timing(first)
+        assert _without_timing(second) == _without_timing(first)
 
     @pytest.mark.parametrize("zz_first", [False, True])
     def test_classification_does_not_depend_on_order(self, capsys, tmp_path, zz_first):
@@ -285,7 +287,35 @@ def test_one_process_runs_successive_commands(capsys):
     assert cli._build_parser() is parser
 
 
+def _written(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _without_timing(report) -> str:
+    return json.dumps({k: v for k, v in report.items() if k not in ("elapsed_ms", "stages_ms")},
+                      sort_keys=True)
+
+
 class TestMuubCheck:
+    def test_recorded_literals_replay_to_the_same_payload(self, capsys, tmp_path):
+        """A basis file is recorded as its literal, every float whole, and a
+        name as given; the records, written back to files, rerun to the same
+        report bytes with the timing fields dropped.  The file holds a
+        Haar-conjugated Weyl basis at full precision."""
+        w = qmath.haar_random_unitary(3, RngHandle(38, 0).generator())
+        weyl = muub.build_named_basis("weyl", 3).elements
+        literal = muub.UnitaryBasis(3, w @ weyl @ w.conj().T).to_json()
+        flags = ("--d", "3", "--json-only")
+        code, first, _ = run_cli(capsys, "muub-check", "--b1",
+                                 _written(tmp_path / "b1.json", literal), "--b2", "weyl", *flags)
+        assert code == 1 and first["payload"]["b1"] == literal
+        assert first["payload"]["b2"] == "weyl"
+        replay = _written(tmp_path / "replay.json", first["payload"]["b1"])
+        code, second, _ = run_cli(capsys, "muub-check", "--b1", replay, "--b2", "weyl", *flags)
+        assert code == 1
+        assert _without_timing(second) == _without_timing(first)
+
     def test_verdict_true_exits_0(self, capsys):
         code, report, _ = run_cli(capsys, "muub-check", "--b1", "rotation",
                                   "--b2", "hadamard-pair", "--json-only")
@@ -561,7 +591,7 @@ class TestMalformedLiterals:
         code, report, _ = run_cli(capsys, "bound", "--t1", self._file(tmp_path, obj), "--t2",
                                   "0X", "--starts", "1", "--json-only")
         # recorded as its literal, whose label is then empty
-        assert code == 0 and report["payload"]["t1"] == cli._canon({**obj, "label": ""})
+        assert code == 0 and report["payload"]["t1"] == {**obj, "label": ""}
 
     @staticmethod
     def _set(obj, path, value):

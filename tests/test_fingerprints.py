@@ -12,10 +12,10 @@ rounded to 9 significant digits and magnitudes below 1e-9 set to 0, so that
 reordered floating-point arithmetic keeps the hash while a change to a
 checked value at that resolution moves it.  A change to the random stream
 moves it only through such a value.  Every value the tester and ppovm
-suites hash is a count or below 1e-9, so their draws are not pinned here:
-moving both suites' streams leaves all four hashes as they are.
-``test_cli.py``'s ``test_stacked_suites_equal_their_loop_oracles`` pins
-them.
+suites hash is a count or below 1e-9, so those hashes do not pin their
+draws.  The suite cases do: each hashes the check values of one tester,
+ppovm or props suite unrounded, every float as ``float.hex``, so a change
+to the last bit of any of them, or to the draws behind them, moves it.
 
 Each search case hashes, the same way, the JSON of one seeded
 ``estimate_bound`` or ``find_unbiased_partner`` call on the inputs of the
@@ -129,17 +129,21 @@ VERIFY_FROZEN = {
 }
 
 
-def _canonical(obj):
+def _rounded(x: float) -> float:
+    return 0.0 if abs(x) < 1e-9 else float(f"{x:.9g}")
+
+
+def _canonical(obj, real=_rounded):
+    """``obj`` for hashing, with every real number mapped by ``real``."""
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
+        return {str(k): _canonical(v, real) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_canonical(v) for v in obj]
+        return [_canonical(v, real) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, numbers.Integral):
         return int(obj)
-    x = float(obj)
-    return 0.0 if abs(x) < 1e-9 else float(f"{x:.9g}")
+    return real(float(obj))
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_FROZEN))
@@ -149,6 +153,30 @@ def test_verify_payload_matches_frozen_hash(capsys, seed):
     assert code == 0 and report["status"] == "pass"
     digest = hashlib.sha256(json.dumps(_canonical(report["payload"]), sort_keys=True).encode())
     assert digest.hexdigest() == VERIFY_FROZEN[seed]
+
+
+SUITE_FROZEN = {
+    "tester-0": "90d1c173426d570d748c9a7cf4d42d5b43d5a7c2b597f0b6f09f66ae91c5a44c",
+    "tester-1": "0f161feefb56d0c20987eeca56e38db93977ef3005e3e22f9b5348956e600b88",
+    "tester-2": "49e2eceb8f7cfa1fc87b692c3ffe97b723d0eaeedf95eb21fc2796491c3db30c",
+    "tester-3": "2feb35cbf8002d3d87355205ec6c6f087b3b220da37a4dd8fa4a6023a9f4a1c5",
+    "ppovm-0": "cf82551deaf849768d361e11c1e24763897ca648bfca8fe46b1c33d85b3d04eb",
+    "ppovm-1": "e2a84d10a6e672f8f0703725025e27538af72397aae14bbe50862bfd391db2bb",
+    "ppovm-2": "0d5d8cbb2a8436c7edd72093a03e15e45d78c30f17b8bb3d35350ef258e5ec94",
+    "ppovm-3": "ef56d2b4359b1bf0bbc87d28fc6fc9119f634e9e576059a0a8d603b45e328c45",
+    "props-0": "0aea1cdd9fb4e9b0277ab092dafb8163fb2ffa630c05bb6ffd8e349c1ec8945a",
+    "props-1": "d8daec7012037a4175d93a4e7fdb2fe590308a9aa9e03c38e2acf760975b470e",
+    "props-2": "d8daec7012037a4175d93a4e7fdb2fe590308a9aa9e03c38e2acf760975b470e",
+    "props-3": "ff21ffa8c98317d22cb0376f8abb3ac6ed0e71216d313ec255f5f982012d32d1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_FROZEN))
+def test_suite_check_values_match_frozen_hash(case):
+    name, seed = case.rsplit("-", 1)
+    checks = getattr(cli, f"_suite_{name}")(int(seed))
+    digest = hashlib.sha256(json.dumps(_canonical(checks, float.hex), sort_keys=True).encode())
+    assert digest.hexdigest() == SUITE_FROZEN[case]
 
 
 def _search(starts, stream):

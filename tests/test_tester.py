@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qtesters import qmath, tester
+from qtesters import muub, qmath, tester
 from qtesters.tester import (
     HypothesisViolation,
     LeakyMeasurementError,
@@ -528,21 +528,167 @@ def _construction_cases():
         skew = basis[:, 0] + 1e-3 * basis[:, 1]
         cases[f"d{d}-skew"] = (basis[:, 0], (skew / np.linalg.norm(skew),) + tuple(basis.T[1:]), d)
     cases["0-in-Z-and-X"] = (tester.KET0, (tester.KET0, tester.XPLUS), 2)
-    return [pytest.param(*args, id=name) for name, args in cases.items()]
+    return [pytest.param("tester", args, id=name) for name, args in cases.items()]
 
 
-@pytest.mark.parametrize("probe,projs,d", _construction_cases())
-def test_construction_matches_loop_oracle(probe, projs, d):
-    """Same verdict, exception type and message as the parent's checks, and
-    on success the same arrays bit for bit."""
-    got = _outcome(lambda: Tester(input=probe, projectors=projs, dim=d))
-    want = _outcome(oracles.loop_tester_checks, probe, projs, d)
+def _with_matrix_entry(els, k, x):
+    els = np.array(els, dtype=complex)
+    els[k, 0, 0] = x
+    return els
+
+
+def _element_cases():
+    """Families of matrices, valid and invalid: Haar-conjugated, Weyl and
+    Pauli bases; a non-unitary or non-orthogonal element and a count that
+    is neither d nor d^2; ragged and non-square shapes; a NaN, infinite or
+    huge entry; an empty stack and integer entries."""
+    gen = np.random.default_rng(38)
+    w2, w3 = qmath.haar_random_unitary(2, gen), qmath.haar_random_unitary(3, gen)
+    pauli = np.array(qmath.PAULIS)
+    weyl3 = np.array(muub._named_elements("weyl", 3))
+    rot = np.array(muub._named_elements("rotation", 2))
+    return {
+        "haar-pauli": (2, w2 @ pauli @ w2.conj().T),
+        "haar-rotation": (2, w2 @ rot @ w2.conj().T),
+        "haar-weyl3": (3, w3 @ weyl3 @ w3.conj().T),
+        "weyl2": (2, muub._named_elements("weyl", 2)),
+        "weyl3": (3, muub._named_elements("weyl", 3)),
+        "pauli": (2, qmath.PAULIS),
+        "pauli-list": (2, [p.tolist() for p in qmath.PAULIS]),
+        "not-unitary": (2, pauli * np.array([1.0, 1.0, 1.01, 1.0])[:, None, None]),
+        "not-orthogonal": (2, np.array([I2, I2])),
+        "nearly-orthogonal": (2, np.array([I2, (I2 + 1e-4 * qmath.SIGMA_Z) @ qmath.SIGMA_Z])),
+        "three-of-four": (2, pauli[:3]),
+        "ragged": (2, (I2, np.eye(3))),
+        "mixed-shapes": (2, (I2, np.ones((2, 2, 1)))),
+        "not-square": (2, np.ones((2, 2, 3)) / np.sqrt(3)),
+        "nan": (2, _with_matrix_entry(pauli, 1, np.nan)),
+        "inf": (2, _with_matrix_entry(pauli, 2, np.inf)),
+        "1e200": (2, _with_matrix_entry(pauli, 0, 1e200)),
+        "empty": (2, np.empty((0, 2, 2), dtype=complex)),
+        "integer": (2, np.array([np.eye(2, dtype=int), np.diag([1, -1])])),
+        "integer-not-unitary": (2, np.array([np.eye(2, dtype=int), np.ones((2, 2), dtype=int)])),
+    }
+
+
+def _entry_point_cases():
+    """(check, args) inputs of the other checked entry points: each family
+    of ``_element_cases`` as a ``UnitaryBasis`` (also at a dim that
+    mismatches, is a bool or is 2.5 or 2.0), as an orthogonal-basis test and
+    as a unitarity test of the stack; each of its first two matrices through
+    ``assert_unitary``; eigenoperator pairs; and ``can_distinguish`` calls."""
+    cases = {}
+    for name, (d, els) in _element_cases().items():
+        cases[f"basis-{name}"] = ("basis", (d, els))
+        cases[f"is-basis-{name}"] = ("is_basis", (els,))
+        if not name.startswith(("ragged", "mixed")):
+            cases[f"is-unitary-{name}"] = ("is_unitary", (np.asarray(els),))
+            for k, m in enumerate(np.asarray(els)[:2]):
+                cases[f"assert-unitary-{name}-{k}"] = ("assert_unitary", (m,))
+    for dim in (3, True, 2.5, 2.0):
+        cases[f"basis-pauli-dim-{dim!r}"] = ("basis", (dim, qmath.PAULIS))
+    cases["assert-unitary-stack"] = ("assert_unitary", (np.array(qmath.PAULIS),))
+    cases["assert-unitary-2x3"] = ("assert_unitary", (np.ones((2, 3)),))
+    cases["assert-unitary-list"] = ("assert_unitary", (H_ROT.tolist(),))
+    gen = np.random.default_rng(380)
+    u, v = qmath.haar_random_unitary(2, gen, shape=(2,))
+    psi = v[:, 0]
+    for name, args in {
+        "haar": (u, psi),
+        "diagonal": (np.diag(np.exp(1j * gen.uniform(0, 6, 2))), tester.KET1),
+        "eigenvector": (u, np.linalg.eig(u)[1][:, 0]),
+        "kron": (np.kron(u, I2), np.kron(np.linalg.eig(u)[1][:, 1], psi)),
+        "state-list": (qmath.SIGMA_Z, [1, 0]),
+        "state-none": (qmath.SIGMA_Z, None),
+        "state-ragged": (qmath.SIGMA_Z, [1, [0, 1]]),
+        "state-string": (qmath.SIGMA_Z, "0"),
+        "state-column": (qmath.SIGMA_Z, np.array([[0], [1j]])),
+        "nan-op": (_with_matrix_entry([u], 0, np.nan)[0], psi),
+        "inf-state": (u, np.array([np.inf, 0])),
+        "1e200-op": (_with_matrix_entry([u], 0, 1e200)[0], psi),
+        "norm": (u, 2 * psi),
+        "shapes": (np.eye(3), psi),
+        "stack": (np.array([u, u]), psi),
+    }.items():
+        cases[f"eigenoperator-{name}"] = ("is_eigenoperator", (*args,))
+    basis = qmath.haar_random_unitary(2, gen)
+    t = Tester(input=basis[:, 0], projectors=tuple(basis.T), dim=2)
+    flip = basis @ qmath.SIGMA_X @ basis.conj().T
+    phase = basis @ qmath.SIGMA_Z @ basis.conj().T
+    bip = Tester(input=np.kron(tester.KET0, tester.KET1),
+                 projectors=tuple(np.eye(4, dtype=complex)), dim=2)
+    for name, args in {
+        "same": (t, I2, phase),
+        "flip": (t, I2, flip),
+        "flip-first": (t, flip, 1j * I2),
+        "lists": (t, I2.tolist(), flip.tolist()),
+        "not-deterministic": (t, I2, u),
+        "both-not-deterministic": (t, v, u),
+        "separable-bipartite": (bip, I2, qmath.SIGMA_X),
+        "entangled": (named_tester("bell:0"), I2, qmath.SIGMA_X),
+        "first-a-stack": (t, np.array([I2, flip]), flip),
+        "second-a-stack": (t, I2, np.array([I2, flip])),
+        "both-stacks": (t, np.array([I2, flip]), np.array([flip, I2])),
+        "stacks-of-one": (t, I2[None], flip[None]),
+        "sum-then-leak": (t, 2 * I2, 0.5 * I2),
+        "leak-then-sum": (t, 0.5 * I2, 2 * I2),
+        "leak-then-nan": (t, 0.5 * I2, np.full((2, 2), np.nan)),
+        "fine-then-shape": (t, I2, np.eye(3)),
+        "shape-then-sum": (t, np.eye(3), 2 * I2),
+        "none-then-fine": (t, None, I2),
+        "string": (t, I2, "I"),
+    }.items():
+        cases[f"distinguish-{name}"] = ("can_distinguish", args)
+    return [pytest.param(check, args, id=name) for name, (check, args) in cases.items()]
+
+
+def _same_tester(t, want):
+    psi, stack, m = want
+    return (t.input.tobytes() == psi.tobytes()
+            and np.stack(t.projectors).tobytes() == stack.tobytes()
+            and t.projector_matrix().tobytes() == m.tobytes())
+
+
+def _same_basis(b, want):
+    dim, els = want
+    return (type(b.dim) is int and b.dim == dim and b.elements.shape == els.shape
+            and b.elements.tobytes() == els.tobytes())
+
+
+def _same_array(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _same_bool(got, want):
+    return type(got) is bool and got == want
+
+
+# check: (library call, its former form, the test that two results agree)
+_ENTRY_POINTS = {
+    "tester": (lambda probe, projs, d: Tester(input=probe, projectors=projs, dim=d),
+               oracles.loop_tester_checks, _same_tester),
+    "basis": (muub.UnitaryBasis, oracles.former_unitary_basis, _same_basis),
+    "is_basis": (muub.is_orthogonal_unitary_basis, oracles.former_is_orthogonal_unitary_basis,
+                 _same_bool),
+    "is_unitary": (qmath.is_unitary, oracles.former_is_unitary, _same_bool),
+    "assert_unitary": (qmath.assert_unitary, oracles.former_assert_unitary, _same_array),
+    "is_eigenoperator": (is_eigenoperator, oracles.former_is_eigenoperator, _same_bool),
+    "can_distinguish": (can_distinguish, oracles.former_can_distinguish, _same_bool),
+}
+
+
+@pytest.mark.parametrize("check,args", _construction_cases() + _entry_point_cases())
+def test_construction_matches_loop_oracle(check, args):
+    """Each checked constructor and call gives the verdict, exception type
+    and message of its former form, and on success the same result bit for
+    bit: ``Tester`` against its checks state by state, the others against
+    their former copies in ``oracles``."""
+    call, oracle, same = _ENTRY_POINTS[check]
+    got = _outcome(call, *args)
+    want = _outcome(oracle, *args)
     assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
     if got[0] == "ok":
-        t, (psi, stack, m) = got[1], want[1]
-        assert t.input.tobytes() == psi.tobytes()
-        assert np.stack(t.projectors).tobytes() == stack.tobytes()
-        assert t.projector_matrix().tobytes() == m.tobytes()
+        assert same(got[1], want[1])
 
 
 def test_projectors_of_another_size_than_the_probe():
