@@ -15,9 +15,10 @@ Every invocation prints one JSON report to stdout:
 ``{"command", "status", "elapsed_ms", "stages_ms", "provenance", "payload"}``.
 ``stages_ms`` maps each timed stage to its wall milliseconds: for
 ``verify``, one entry per suite run; for ``bound``, ``search``; for
-``qkd``, ``tables``, ``rounds`` and ``trace`` (trace I/O); empty for the
-other commands.  ``provenance`` gives the ``qtesters``, ``numpy`` and
-``python`` versions that produced the report.  The payloads of ``bound``,
+``qkd``, ``tables``, ``rounds`` (with a traced block's record columns) and
+``trace`` (encoding and I/O); empty for the other commands.
+``provenance`` gives the ``qtesters``, ``numpy`` and ``python`` versions
+that produced the report.  The payloads of ``bound``,
 ``muub-check`` and ``qkd`` hold their effective settings under ``config``;
 ``bound`` records each tester under ``t1`` and ``t2``, and ``muub-check``
 each basis under ``b1`` and ``b2``, as its name, as given, or, when it was

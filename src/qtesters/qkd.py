@@ -40,7 +40,7 @@ index columns are in range by construction, so nothing checks them.
 Tables that share leading axes share their leading product: Bob's
 (set, tester) serves his outcome row and his decode row, Eve's hers, and
 two samples of one round that read equally shaped tables share one flat
-row.  A block yields its counts straight from the round masks, and builds
+row.  A block yields its counts straight from the round masks, and forms
 one array per record column only when the run is traced.  Every count of
 the D-ary protocol reads only the sifted rounds, so an untraced D-ary block
 gathers those rounds' draws first and evaluates only them; a traced block
@@ -52,21 +52,22 @@ blocks of rounds that continue one generator stream, so a run is
 bit-for-bit reproducible from its (seed, stream) and its memory does not
 grow with the round count.
 
-Trace format.  Given ``trace`` (any path-like: a ``str``, ``bytes`` or
-``os.PathLike`` path, or an open text handle), a run writes a CSV file: a
-header line ``round,<record columns>`` (the columns are ``_LM05_COLUMNS``
-and ``_EXT_COLUMNS``), then one line per round holding the round index and
-the round's record, all decimal integers, with -1 in the fields the round
-does not use.  Lines end in "\\r\\n", and nothing is quoted, so the bytes
-are those ``csv.writer`` would write.  A block's rows are encoded straight
-from its record columns, one uint8 plane per byte position of a
-fixed-width row with the zero padding dropped, and are encoded and written
-in chunks of at most 4096 rows, so the encoder's temporaries stay small
-whatever the block size.  A path is rewritten in place, as bytes: it is
-not truncated on open, but a regular file is cut after the header, before
-any row is written, so it never holds an older trace's rows after this
-run's header; a FIFO or a device is written to but not cut.  A text handle
-gets ``str``.  The trace is complete only once the run returns.
+Trace format.  Given ``trace``, a path (a ``str``, ``bytes`` or
+``os.PathLike``, and nothing else: a handle, an int file descriptor or a
+bool raises ``TypeError`` before anything is opened), a run writes a CSV
+file: a header line ``round,<record columns>`` (the columns are
+``_LM05_COLUMNS`` and ``_EXT_COLUMNS``), then one line per round holding
+the round index and the round's record, all decimal integers, with -1 in
+the fields the round does not use.  Lines end in "\\r\\n", and nothing
+is quoted, so the bytes are those ``csv.writer`` would write.  A block's
+rows are encoded straight from its record columns, one uint8 plane per
+byte position of a fixed-width row with the zero padding dropped, and are
+encoded and written in chunks of at most 4096 rows, so the encoder's
+temporaries stay small whatever the block size.  The path is rewritten
+in place, as bytes: it is not truncated on open, but a regular file is
+cut after the header, before any row is written, so it never holds an
+older trace's rows after this run's header; a FIFO or a device is written
+to but not cut.  The trace is complete only once the run returns.
 
 A JSON config (``config_from_json``) has the keys of
 ``ProtocolConfig.to_json()``; an unknown key, also one under ``eve``, is
@@ -79,6 +80,7 @@ import numbers
 import os
 import stat
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,31 +353,31 @@ def _open_in_place(path, flags: int) -> int:
 def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted: tuple,
               trace, stages: dict | None) -> ProtocolStats:
     """Build the round kernel with ``build()`` and run it block by block
-    over one generator stream, streaming the records to ``trace`` (a
-    path-like or text handle) when given; return the run's stats.
+    over one generator stream, streaming the records to the path ``trace``
+    when given; return the run's stats.
 
     The kernel is called as ``rounds_fn(draws, traced)``, ``traced`` being
     whether a trace is open.  It returns a block's integer counts, summed
     over all blocks and named by the ``ProtocolStats`` fields in
-    ``counted``, and a zero-argument function that builds the block's record
-    columns; counts not named are 0, and ``sifted`` defaults to the
-    non-control rounds.  The columns are built only for the trace, and
-    ``_csv_rows`` encodes them as they are, ``_CHUNK`` rows at a time, each
-    chunk written as it is encoded, so the encoder's temporaries stay small
-    however long the block.  An untraced block may return no builder: the
-    D-ary kernel then evaluates only the sifted rounds, as every count it
-    returns reads only those; the qubit kernel ignores the flag.
-    ``stages``, when given, gains the wall milliseconds spent in the tables
-    (``build()``), in the rounds and in the trace (building the columns,
-    encoding and I/O).
+    ``counted``, and the block's record columns when traced, else ``None``;
+    counts not named are 0, and ``sifted`` defaults to the non-control
+    rounds.  ``_csv_rows`` encodes the columns as they are, ``_CHUNK`` rows
+    at a time, each chunk written as it is encoded, so the encoder's
+    temporaries stay small however long the block.  ``stages``, when given,
+    gains the wall milliseconds spent in the tables (``build()``), in the
+    rounds (forming a traced block's record columns too) and in the trace
+    (encoding and I/O).
 
-    A path is opened for bytes without truncation and rewritten in place:
-    the header is written first, and a regular file is then cut after it,
-    before any row is written, so an older trace at that path never shows
-    after this run's header.  A FIFO or a device is written to but not cut.
-    A text handle gets each block as ``str``.  The trace is complete only
-    once the run returns; a run that fails leaves the rows written so far.
+    ``trace`` goes through ``os.fspath``, so a handle, an int file
+    descriptor or a bool raises ``TypeError`` before anything is built or
+    opened.  The path is opened for bytes without truncation and rewritten
+    in place: the header is written first, and a regular file is then cut
+    after it, before any row is written, so an older trace at that path
+    never shows after this run's header.  A FIFO or a device is written to
+    but not cut.  The trace is complete only once the run returns; a run
+    that fails leaves the rows written so far.
     """
+    path = None if trace is None else os.fspath(trace)
     started = time.perf_counter()
     rounds_fn = build()
     if stages is not None:
@@ -383,28 +385,21 @@ def _simulate(cfg: ProtocolConfig, build, n_draws: int, columns: tuple, counted:
     gen = cfg.rng.generator()
     t_rounds = 0.0
     started = time.perf_counter()
-    own = isinstance(trace, (str, bytes, os.PathLike))
-    fh = open(trace, "wb", opener=_open_in_place) if own else trace
-    try:
+    with nullcontext() if path is None else open(path, "wb", opener=_open_in_place) as fh:
         if fh is not None:
-            write = fh.write if own else (lambda rows: fh.write(rows.decode("ascii")))
-            write((",".join(("round",) + columns) + "\r\n").encode("ascii"))
-            if own and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.write((",".join(("round",) + columns) + "\r\n").encode("ascii"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()  # flushes the header, then cuts an older trace after it
         totals = 0
         for start in range(0, cfg.rounds, _BLOCK):
             n = min(_BLOCK, cfg.rounds - start)
             t1 = time.perf_counter()
-            counts, records = rounds_fn(gen.random((n, n_draws)), fh is not None)
+            counts, record = rounds_fn(gen.random((n, n_draws)), fh is not None)
             totals = totals + counts
             t_rounds += time.perf_counter() - t1
-            if fh is not None:
-                record = records()
+            if record is not None:
                 for a in range(0, n, _CHUNK):
-                    write(_csv_rows(start + a, [c[a:a + _CHUNK] for c in record]))
-    finally:
-        if own:
-            fh.close()
+                    fh.write(_csv_rows(start + a, [c[a:a + _CHUNK] for c in record]))
     if stages is not None:
         stages["rounds"] = _ms(t_rounds)
         stages["trace"] = _ms(time.perf_counter() - started - t_rounds)
@@ -525,9 +520,9 @@ _LM05_COLUMNS = ("bob_tester", "mode", "alice_bit", "alice_basis", "eve_choice",
 _LM05_COUNTS = ("control_rounds", "bob_errors", "cm_comparisons", "cm_mismatches", "eve_correct")
 
 
-def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
-    """Counts and a builder of the record columns (``_LM05_COLUMNS``) for
-    one block of qubit-protocol rounds.
+def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables, traced):
+    """Counts and, when ``traced``, the record columns (``_LM05_COLUMNS``,
+    else ``None``) of one block of qubit-protocol rounds.
 
     Every round is evaluated as an encoding round and as a control round,
     and its mode picks the fields its record keeps.
@@ -577,24 +572,24 @@ def _lm05_rounds(draws, eve_kind, control_fraction, cum, tables):
         np.count_nonzero(mismatch),
         0 if eve_kind == 0 else np.count_nonzero(enc & (ebit == bit)),
     ])
-
-    def records():
-        return (t, cm, np.where(enc, bit, -1), np.where(cm, bit, -1),
-                np.where(enc, enc_choice, cm_choice), np.where(cm, cm_out, -1),
-                np.where(enc, out, -1), np.where(enc, bob_bit, -1), np.where(cm, matched, -1),
-                np.where(matched, mismatch, -1), np.where(enc, ebit, -1))
-    return counts, records
+    if not traced:
+        return counts, None
+    return counts, (t, cm, np.where(enc, bit, -1), np.where(cm, bit, -1),
+                    np.where(enc, enc_choice, cm_choice), np.where(cm, cm_out, -1),
+                    np.where(enc, out, -1), np.where(enc, bob_bit, -1), np.where(cm, matched, -1),
+                    np.where(matched, mismatch, -1), np.where(enc, ebit, -1))
 
 
 def run_lm05(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the qubit protocol; optionally write a per-round CSV trace
-    (see the module docstring) and record stage times in ``stages``."""
+    to the path ``trace`` (see the module docstring) and record stage times
+    in ``stages``."""
     def build():
         tables = _lm05_tables(cfg)
         eve_kind = EVE_KINDS.index(cfg.eve.kind)
         cum = {k: _cumulative(v) for k, v in tables.items() if k.startswith("p_")}
         return lambda draws, traced: _lm05_rounds(draws, eve_kind, cfg.control_fraction, cum,
-                                                  tables)
+                                                  tables, traced)
     return _simulate(cfg, build, 8, _LM05_COLUMNS, _LM05_COUNTS, trace, stages)
 
 
@@ -687,14 +682,14 @@ _EXT_COUNTS = ("sifted", "bob_errors", "eve_correct")
 
 
 def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode, traced):
-    """Counts and, when ``traced``, a builder of the record columns
-    (``_EXT_COLUMNS``) for one block of D-ary protocol rounds.
+    """Counts and, when ``traced``, the record columns (``_EXT_COLUMNS``,
+    else ``None``) of one block of D-ary protocol rounds.
 
     Every count reads only the sifted rounds, the rounds where Bob's set is
     Alice's.  So an untraced block gathers those rows once (``keep``) and
-    evaluates only them, and returns ``None`` for the builder; a traced
-    block evaluates and records every round.  A round's outcome depends
-    only on its own draws and the tables, so both give the same counts.
+    evaluates only them; a traced block evaluates and records every round.
+    A round's outcome depends only on its own draws and the tables, so both
+    give the same counts.
     eve_set_policy: 0 fixed set 0, 1 uniform.
     counts: ``_EXT_COUNTS``, taken from the round masks.
     """
@@ -744,21 +739,19 @@ def _extended_rounds(draws, eve_kind, eve_set_policy, n_digits, cum, decode, tra
                        0 if eve_kind == 0 else np.count_nonzero(sift & (edig == dig))])
     if not traced:
         return counts, None
-
-    def records():
-        if eve_kind == 0:
-            unused = np.full(sb.shape, -1)  # Eve's record fields
-            eve_cols, ecorrect = (unused,) * 4, unused
-        else:
-            eve_cols, ecorrect = (se, te, eout, edig), np.where(sift, edig == dig, -1)
-        return (sb, tb, sa, dig, *eve_cols, out, bdig, sift, np.where(sift, error, -1),
-                ecorrect)
-    return counts, records
+    if eve_kind == 0:
+        unused = np.full(sb.shape, -1)  # Eve's record fields
+        eve_cols, ecorrect = (unused,) * 4, unused
+    else:
+        eve_cols, ecorrect = (se, te, eout, edig), np.where(sift, edig == dig, -1)
+    return counts, (sb, tb, sa, dig, *eve_cols, out, bdig, sift, np.where(sift, error, -1),
+                    ecorrect)
 
 
 def run_extended(cfg: ProtocolConfig, trace=None, stages: dict | None = None) -> ProtocolStats:
     """Simulate the D-ary protocol; optionally write a per-round CSV trace
-    (see the module docstring) and record stage times in ``stages``."""
+    to the path ``trace`` (see the module docstring) and record stage times
+    in ``stages``."""
     if cfg.control_fraction != 0.0:
         raise ConfigError("control mode is not modeled for the D-ary protocol")
 

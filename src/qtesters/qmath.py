@@ -117,8 +117,18 @@ def is_unitary(u: np.ndarray) -> bool:
 
 
 def assert_unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` as a complex matrix, or ValueError("matrix is not unitary: ...")
+    naming the first of ``is_unitary``'s tests it fails: its shape, its
+    largest entry modulus, or its Gram deviation, which is formed only once
+    the shape and modulus tests pass, so it cannot overflow."""
     u = as_matrix(u)
     if not is_unitary(u):
+        if u.shape[0] != u.shape[1]:
+            raise ValueError(f"matrix is not unitary: its shape {u.shape} is not square")
+        big = float(np.abs(u).max())
+        if not big <= 1 + DEFAULT_TOL:
+            raise ValueError(f"matrix is not unitary: an entry has modulus {big:.12g} > "
+                             f"1 + {DEFAULT_TOL}")
         dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
         raise ValueError(f"matrix is not unitary: max|u^dag u - I| = {dev:.3e} > {DEFAULT_TOL}")
     return u

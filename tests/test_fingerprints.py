@@ -24,7 +24,6 @@ that moves a start's path moves the hash.
 """
 
 import hashlib
-import io
 import json
 import numbers
 
@@ -94,7 +93,8 @@ def _cases():
                     yield protocol, kind, policy, seed
 
 
-def _fingerprint(protocol, kind, policy, seed):
+def _fingerprint(protocol, kind, policy, seed, path):
+    """The hash of the run's trace, written to ``path``, then its stats."""
     rounds = ROUNDS[seed]
     if protocol == "lm05":
         eve = EveStrategy(kind=kind, resend_policy=policy)
@@ -104,9 +104,8 @@ def _fingerprint(protocol, kind, policy, seed):
         eve = EveStrategy(kind=kind, set_policy=policy)
         cfg = default_extended_config(D=int(protocol[3:]), rounds=rounds, eve=eve, seed=seed)
         run = run_extended
-    buf = io.StringIO()
-    stats = run(cfg, trace=buf)
-    h = hashlib.sha256(buf.getvalue().encode())
+    stats = run(cfg, trace=path)
+    h = hashlib.sha256(path.read_bytes())
     h.update(json.dumps(stats.to_json(), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -116,9 +115,9 @@ def test_cases_cover_every_frozen_hash():
 
 
 @pytest.mark.parametrize("protocol,kind,policy,seed", list(_cases()))
-def test_seeded_run_matches_frozen_hash(protocol, kind, policy, seed):
+def test_seeded_run_matches_frozen_hash(tmp_path, protocol, kind, policy, seed):
     key = f"{protocol}-{kind}-{policy}-{seed}"
-    assert _fingerprint(protocol, kind, policy, seed) == FROZEN[key]
+    assert _fingerprint(protocol, kind, policy, seed, tmp_path / "trace.csv") == FROZEN[key]
 
 
 VERIFY_FROZEN = {

@@ -197,10 +197,10 @@ class TestReproducibility:
 
 
 class TestTrace:
-    def test_lm05_trace_csv(self):
-        buf = io.StringIO()
-        run_lm05(default_lm05_config(rounds=50, control_fraction=0.5, seed=0), trace=buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_lm05_trace_csv(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        run_lm05(default_lm05_config(rounds=50, control_fraction=0.5, seed=0), trace=str(path))
+        lines = path.read_text().strip().splitlines()
         assert len(lines) == 51
         header = lines[0].split(",")
         assert header[0] == "round" and "bob_tester" in header and "cm_mismatch" in header
@@ -219,12 +219,37 @@ class TestTrace:
         (run_extended, default_extended_config(D=4, rounds=9_000, seed=4,
                                                eve=EveStrategy(kind="qmm-equivalent-tester"))),
     ], ids=["lm05", "ext4"])
-    def test_path_and_handle_get_the_same_bytes(self, tmp_path, run, cfg):
+    def test_trace_has_one_crlf_line_per_round(self, tmp_path, run, cfg):
         path = tmp_path / "trace.csv"
-        buf = io.StringIO(newline="")
-        assert run(cfg, trace=str(path)) == run(cfg, trace=buf)
-        assert path.read_bytes() == buf.getvalue().encode("ascii")
-        assert path.read_bytes().count(b"\r\n") == 9_001
+        assert run(cfg, trace=str(path)) == run(cfg)
+        data = path.read_bytes()
+        assert data.count(b"\r\n") == 9_001 and data.count(b"\n") == 9_001
+        header, *rows, tail = data.split(b"\r\n")
+        assert tail == b""
+        width = len(header.split(b","))
+        assert [r.split(b",")[0] for r in rows] == [str(i).encode() for i in range(9_000)]
+        assert {len(r.split(b",")) for r in rows} == {width}
+
+    @pytest.mark.parametrize("run", [run_lm05, run_extended], ids=["lm05", "ext4"])
+    @pytest.mark.parametrize("trace", ["handle", "bool", "pipe-fd"])
+    def test_only_a_path_is_a_trace(self, run, trace):
+        """A handle, a bool (fd 1 to ``open()``) or an int file descriptor
+        raises ``TypeError`` before anything is opened, so the descriptor
+        stays open and gets nothing."""
+        cfg = default_lm05_config(rounds=10) if run is run_lm05 else default_extended_config(
+            D=4, rounds=10)
+        r, w = os.pipe()
+        try:
+            target = {"handle": io.StringIO(), "bool": True, "pipe-fd": w}[trace]
+            with pytest.raises(TypeError):
+                run(cfg, trace=target)
+            os.fstat(w)  # still open: raises OSError if the run closed it
+            os.set_blocking(r, False)
+            with pytest.raises(BlockingIOError):
+                os.read(r, 1)  # the pipe is empty
+        finally:
+            os.close(r)
+            os.close(w)
 
     def test_path_like_target_gets_the_str_path_bytes(self, tmp_path):
         cfg = default_extended_config(D=4, rounds=300, seed=3,
@@ -257,10 +282,9 @@ class TestTrace:
                      trace=str(path))
         assert path.read_bytes().count(b"\r\n") == 20_001  # three blocks
         cfg = default_lm05_config(rounds=40, control_fraction=0.3, seed=2)
-        buf = io.StringIO(newline="")
         run_lm05(cfg, trace=str(path))
-        run_lm05(cfg, trace=buf)
-        assert path.read_bytes() == buf.getvalue().encode("ascii")
+        run_lm05(cfg, trace=str(tmp_path / "fresh.csv"))
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
     def test_failed_run_leaves_only_its_header(self, tmp_path, monkeypatch):
         path = tmp_path / "trace.csv"
@@ -291,9 +315,9 @@ class TestTrace:
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
             cfg = default_lm05_config(rounds=40, control_fraction=0.3, seed=2)
-            buf = io.StringIO(newline="")
-            assert run_lm05(cfg, trace=str(fifo)) == run_lm05(cfg, trace=buf)
-            assert os.read(reader, 1 << 16) == buf.getvalue().encode("ascii")
+            file = tmp_path / "trace.csv"
+            assert run_lm05(cfg, trace=str(fifo)) == run_lm05(cfg, trace=str(file))
+            assert os.read(reader, 1 << 16) == file.read_bytes()
         finally:
             os.close(reader)
 
@@ -357,11 +381,16 @@ class TestCsvEncoder:
         if protocol == "lm05":
             tables = qkd._lm05_tables(default_lm05_config(rounds=10, eve=eve))
             cum = {k: qkd._cumulative(v) for k, v in tables.items() if k.startswith("p_")}
-            columns = qkd._lm05_rounds(draws, 2, 0.3, cum, tables)[1]()
+            args = (draws, 2, 0.3, cum, tables)
+            kernel = qkd._lm05_rounds
         else:
             tables = qkd._extended_tables(default_extended_config(D=4, rounds=10, eve=eve))
             cum = {k: qkd._cumulative(tables[k]) for k in ("p_out", "collapse", "p_proj")}
-            columns = qkd._extended_rounds(draws, 2, 0, 4, cum, tables["decode"], True)[1]()
+            args = (draws, 2, 0, 4, cum, tables["decode"])
+            kernel = qkd._extended_rounds
+        counts, columns = kernel(*args, True)
+        untraced, no_columns = kernel(*args, False)
+        assert no_columns is None and np.array_equal(untraced, counts)
         assert {c.dtype for c in columns} == {np.dtype(np.int64), np.dtype(np.bool_)}
         assert qkd._csv_rows(9_999_900, columns) == _csv_writer_rows(9_999_900, columns)
 
@@ -563,9 +592,9 @@ KERNEL_BLOCKS = [qkd._BLOCK, 20_000 - 2 * qkd._BLOCK]
 class TestKernelsAgainstRecordOracle:
     """The record columns, stacked, and the counts equal the row-gather
     kernels' records and counts bit for bit on the same draws; the counts
-    come from the round masks, so they are the same whether the records are
-    built or not, and for the D-ary kernel whether the block is traced (every
-    round evaluated) or not (the sifted rounds only, and no builder)."""
+    come from the round masks, so they are the same whether the block is
+    traced (the columns formed, and for the D-ary kernel every round
+    evaluated) or not (no columns, and the sifted D-ary rounds only)."""
 
     @pytest.mark.parametrize("n", KERNEL_BLOCKS)
     @pytest.mark.parametrize("policy, kind", LM05_TABLE_CONFIGS)
@@ -575,14 +604,15 @@ class TestKernelsAgainstRecordOracle:
         cum = {k: qkd._cumulative(v) for k, v in tables.items() if k.startswith("p_")}
         draws = np.random.default_rng(n).random((n, 8))
         eve_kind = qkd.EVE_KINDS.index(kind)
-        unbuilt = qkd._lm05_rounds(draws, eve_kind, 0.3, cum, tables)[0]
-        counts, records = qkd._lm05_rounds(draws, eve_kind, 0.3, cum, tables)
+        args = (draws, eve_kind, 0.3, cum, tables)
+        untraced, no_columns = qkd._lm05_rounds(*args, False)
+        counts, cols = qkd._lm05_rounds(*args, True)
         rec, want = oracles.record_lm05_rounds(draws, eve_kind, 0.3, tables)
-        cols = records()
         assert len(cols) == len(qkd._LM05_COLUMNS)
         got = np.column_stack(cols)
         assert got.dtype == rec.dtype and np.array_equal(got, rec)
-        assert np.array_equal(counts, want) and np.array_equal(unbuilt, want)
+        assert np.array_equal(counts, want)
+        assert np.array_equal(untraced, want) and no_columns is None
 
     @pytest.mark.parametrize("n", KERNEL_BLOCKS)
     @pytest.mark.parametrize("policy", qkd.SET_POLICIES)
@@ -596,16 +626,14 @@ class TestKernelsAgainstRecordOracle:
         draws = np.random.default_rng(n).random((n, 9))
         eve_kind, set_policy = qkd.EVE_KINDS.index(kind), qkd.SET_POLICIES.index(policy)
         args = (draws, eve_kind, set_policy, D, cum, tables["decode"])
-        unbuilt = qkd._extended_rounds(*args, True)[0]
-        untraced, no_builder = qkd._extended_rounds(*args, False)
-        counts, records = qkd._extended_rounds(*args, True)
+        untraced, no_columns = qkd._extended_rounds(*args, False)
+        counts, cols = qkd._extended_rounds(*args, True)
         rec, want = oracles.record_extended_rounds(draws, eve_kind, set_policy, D, tables)
-        cols = records()
         assert len(cols) == len(qkd._EXT_COLUMNS)
         got = np.column_stack(cols)
         assert got.dtype == rec.dtype and np.array_equal(got, rec)
-        assert np.array_equal(counts, want) and np.array_equal(unbuilt, want)
-        assert np.array_equal(untraced, want) and no_builder is None
+        assert np.array_equal(counts, want)
+        assert np.array_equal(untraced, want) and no_columns is None
 
 
 def _bench_run(protocol, kind):
@@ -621,37 +649,35 @@ def _bench_run(protocol, kind):
 class TestTracedAndUntracedAgree:
     @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
     @pytest.mark.parametrize("protocol", ["lm05", "ext2", "ext4"])
-    def test_same_stats(self, protocol, kind):
+    def test_same_stats(self, tmp_path, protocol, kind):
         run, cfg = _bench_run(protocol, kind)
-        buf = io.StringIO(newline="")
-        assert run(cfg) == run(cfg, trace=buf)
-        assert buf.getvalue().count("\r\n") == cfg.rounds + 1
+        path = tmp_path / "trace.csv"
+        assert run(cfg) == run(cfg, trace=str(path))
+        assert path.read_bytes().count(b"\r\n") == cfg.rounds + 1
 
 
 class TestRecordsOnlyWhenTraced:
     @pytest.mark.parametrize("protocol, kernel", [("lm05", "_lm05_rounds"),
                                                   ("ext4", "_extended_rounds")])
-    def test_untraced_run_builds_no_records(self, monkeypatch, protocol, kernel):
-        kernel_fn, built = getattr(qkd, kernel), []
+    def test_untraced_run_builds_no_records(self, tmp_path, monkeypatch, protocol, kernel):
+        kernel_fn, calls = getattr(qkd, kernel), []
 
-        def counting_kernel(*args):
-            counts, records = kernel_fn(*args)
-
-            def counted_records():
-                built.append(1)
-                return records()
-            return counts, counted_records
-        monkeypatch.setattr(qkd, kernel, counting_kernel)
+        def spy_kernel(*args):
+            counts, columns = kernel_fn(*args)
+            calls.append((args[-1], columns is not None))  # (traced, columns formed)
+            return counts, columns
+        monkeypatch.setattr(qkd, kernel, spy_kernel)
         run, cfg = _bench_run(protocol, "intercept-resend")
         run(cfg)
-        assert built == []
-        run(cfg, trace=io.StringIO(newline=""))
-        assert len(built) == 3  # the 20 000 rounds take 3 blocks
+        assert calls == [(False, False)] * 3  # the 20 000 rounds take 3 blocks
+        calls.clear()
+        run(cfg, trace=str(tmp_path / "trace.csv"))
+        assert calls == [(True, True)] * 3
 
 
 class TestEncoderOnlyWhenTraced:
     @pytest.mark.parametrize("protocol", ["lm05", "ext4"])
-    def test_untraced_run_never_encodes(self, monkeypatch, protocol):
+    def test_untraced_run_never_encodes(self, tmp_path, monkeypatch, protocol):
         encode, calls = qkd._csv_rows, []
 
         def spy(start, columns):
@@ -661,7 +687,7 @@ class TestEncoderOnlyWhenTraced:
         run, cfg = _bench_run(protocol, "intercept-resend")
         run(cfg)
         assert calls == []
-        run(cfg, trace=io.StringIO(newline=""))
+        run(cfg, trace=str(tmp_path / "trace.csv"))
         # every round once, in order, in chunks of at most _CHUNK rows
         starts, sizes = zip(*calls)
         assert starts == (0,) + tuple(np.cumsum(sizes[:-1]).tolist())
@@ -679,7 +705,8 @@ class TestUntracedExtendedRunSamplesSiftedRounds:
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("kind", qkd.EVE_KINDS)
     @pytest.mark.parametrize("protocol", ["ext2", "ext4"])
-    def test_sample_calls_get_the_sifted_rounds(self, monkeypatch, protocol, kind, traced):
+    def test_sample_calls_get_the_sifted_rounds(self, tmp_path, monkeypatch, protocol, kind,
+                                                traced):
         kernel_fn, sample_fn, blocks = qkd._extended_rounds, qkd._sample, []
 
         def spy_kernel(draws, *args):
@@ -692,7 +719,7 @@ class TestUntracedExtendedRunSamplesSiftedRounds:
         monkeypatch.setattr(qkd, "_extended_rounds", spy_kernel)
         monkeypatch.setattr(qkd, "_sample", spy_sample)
         run, cfg = _bench_run(protocol, kind)
-        run(cfg, trace=io.StringIO(newline="") if traced else None)
+        run(cfg, trace=str(tmp_path / "trace.csv") if traced else None)
         assert [len(draws) for draws, _ in blocks] == [qkd._BLOCK, qkd._BLOCK, 3616]
         # the draw columns sampled, in call order: Eve's collapse (intercept
         # only), Eve's outcome (any Eve), Bob's outcome
@@ -873,13 +900,14 @@ class TestGateAgainstTheoremCheck:
 class TestTableErrors:
     """The exact message of every table error that a valid config can reach.
 
-    Three checks have no test.  "uses ancilla-free testers": a complete
+    Two checks have no test.  "uses ancilla-free testers": a complete
     bipartite qubit set has 4 members, so the member count check fires
     first.  "probe lies in neither control basis": a probe that passes the
     measurement-state check is a basis vector of its own set's control
     basis up to the 1e-9 tolerances.  "deterministic outcomes do not
-    separate digits": at D = d = 2 a collision forces a diagonal family
-    member, and then no partner family is unbiased and uniform for the set.
+    separate digits" is reached only through a stand-in hypothesis check:
+    at D = d = 2 a collision forces a diagonal family member, and then no
+    partner family is unbiased and uniform for the set.
     """
 
     ZX = (named_tester_set("z"), named_tester_set("x"))
@@ -940,6 +968,22 @@ class TestTableErrors:
         with pytest.raises(HypothesisViolation) as info:
             run_extended(_config(self.ZX, encs))
         assert str(info.value) == want
+
+    def test_extended_colliding_outcomes(self, monkeypatch):
+        # the D=2 fixture's own rows, except that tester 0 of set 1 reads
+        # family 1's digit 1 off the outcome that it reads digit 0 off
+        real = qkd.maximal_hypothesis
+
+        def colliding(*args):
+            rows, failures = real(*args)
+            assert failures == []
+            rows = (rows[0].copy(), rows[1])
+            rows[0][0, 1] = rows[0][0, 0]  # rows[set][tester, family * D + digit]
+            return rows, []
+        monkeypatch.setattr(qkd, "maximal_hypothesis", colliding)
+        with pytest.raises(HypothesisViolation,
+                           match=r"^deterministic outcomes do not separate digits$"):
+            run_extended(default_extended_config(D=2, rounds=10))
 
     def test_extended_families_not_unbiased(self):
         # a 1e-5 rotation keeps every entropy within the 1e-6-bit hypothesis,

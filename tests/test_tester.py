@@ -677,18 +677,42 @@ _ENTRY_POINTS = {
 }
 
 
+# The cases where the former ``assert_unitary`` formed its Gram deviation
+# from an entry above modulus 1 or a non-square matrix: it raised numpy's
+# broadcast error or, for a huge entry, an overflow RuntimeWarning, and
+# for a nearly unitary matrix a deviation where the modulus test had failed.
+# Each now raises the ValueError named here.
+FIXED_ASSERT_UNITARY = {
+    "assert-unitary-nearly-orthogonal-1":
+        "matrix is not unitary: an entry has modulus 1.0001 > 1 + 1e-09",
+    "assert-unitary-1e200-0": "matrix is not unitary: an entry has modulus 1e+200 > 1 + 1e-09",
+    "assert-unitary-not-square-0": "matrix is not unitary: its shape (2, 3) is not square",
+    "assert-unitary-not-square-1": "matrix is not unitary: its shape (2, 3) is not square",
+    "assert-unitary-2x3": "matrix is not unitary: its shape (2, 3) is not square",
+}
+
+
 @pytest.mark.parametrize("check,args", _construction_cases() + _entry_point_cases())
-def test_construction_matches_loop_oracle(check, args):
+def test_construction_matches_loop_oracle(request, check, args):
     """Each checked constructor and call gives the verdict, exception type
     and message of its former form, and on success the same result bit for
     bit: ``Tester`` against its checks state by state, the others against
-    their former copies in ``oracles``."""
+    their former copies in ``oracles``.  A case of ``FIXED_ASSERT_UNITARY``
+    gives its pinned ValueError, which the former form did not."""
     call, oracle, same = _ENTRY_POINTS[check]
     got = _outcome(call, *args)
     want = _outcome(oracle, *args)
+    fixed = FIXED_ASSERT_UNITARY.get(request.node.callspec.id)
+    if fixed is not None:
+        assert want != (ValueError, fixed)
+        want = (ValueError, fixed)
     assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1])
     if got[0] == "ok":
         assert same(got[1], want[1])
+
+
+def test_every_fixed_assert_unitary_case_runs():
+    assert set(FIXED_ASSERT_UNITARY) <= {p.id for p in _entry_point_cases()}
 
 
 def test_projectors_of_another_size_than_the_probe():
