@@ -20,9 +20,11 @@ Every invocation prints one JSON report to stdout:
 ``provenance`` gives the ``qtesters``, ``numpy`` and ``python`` versions
 that produced the report.  The payloads of ``bound``,
 ``muub-check`` and ``qkd`` hold their effective settings under ``config``;
-``bound`` records each tester under ``t1`` and ``t2``, and ``muub-check``
-each basis under ``b1`` and ``b2``, as its name, as given, or, when it was
-read from a file, as its ``to_json()`` literal.  A literal's floats are
+``bound`` records each tester under ``t1`` and ``t2``, ``muub-check``
+each basis under ``b1`` and ``b2``, and ``qkd --config`` each tester set
+and encoding family under ``config.tester_sets`` and
+``config.encoding_sets``, as its name, as given, or, when it was read from
+a file, as its ``to_json()`` literal.  A literal's floats are
 written whole, as the shortest decimal that reads back to the same float,
 so a literal written to a file reruns its report exactly.
 No flag is silently ignored: ``muub-check --d`` sizes a named basis, and
@@ -518,7 +520,15 @@ def _cmd_qkd(args, log, stages) -> tuple:
         if overrides:
             raise ValueError(f"--config cannot be combined with {', '.join(overrides)}")
         with open(args.config) as fh:
-            cfg = qkd.config_from_json(json.load(fh))
+            obj = json.load(fh)
+        cfg = qkd.config_from_json(obj)
+        # each set and family as the file gave it: a name as given, a
+        # literal as its to_json() with exact floats
+        inputs = {"tester_sets": [spec if isinstance(spec, str) else
+                                  _exact([t.to_json() for t in s])
+                                  for spec, s in zip(obj["tester_sets"], cfg.tester_sets)],
+                  "encoding_sets": [spec if isinstance(spec, str) else _exact(b.to_json())
+                                    for spec, b in zip(obj["encoding_sets"], cfg.encoding_sets)]}
     else:
         if args.protocol == "lm05" and args.D is not None:
             raise ValueError("--D applies to the extended protocol only")
@@ -531,12 +541,13 @@ def _cmd_qkd(args, log, stages) -> tuple:
                  "eve": None if args.eve is None else qkd.EveStrategy(kind=_EVE_SHORT[args.eve])}
         make = qkd.default_lm05_config if args.protocol == "lm05" else qkd.default_extended_config
         cfg = make(**{k: v for k, v in given.items() if v is not None})
+        inputs = {}
     log(f"simulating {args.protocol} for {cfg.rounds} rounds (eve={cfg.eve.kind}) ...")
     run = qkd.run_lm05 if args.protocol == "lm05" else qkd.run_extended
     stats = run(cfg, trace=args.trace, stages=stages)
     payload = {
         "protocol": args.protocol,
-        "config": cfg.settings_json(),
+        "config": {**cfg.settings_json(), **inputs},
         "stats": stats.to_json(),
     }
     return True, payload

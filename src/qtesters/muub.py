@@ -20,6 +20,7 @@ A ``UnitaryBasis`` holds its elements as one read-only (D, d, d) array, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,8 +228,22 @@ def build_named_basis(name: str, d: int) -> UnitaryBasis:
     """Named bases: "pauli" (d=2), "rotation" {I, i sy} (d=2), "hadamard-pair"
     {(I -+ i sy)/sqrt 2} (d=2), "weyl" (2 <= d <= WEYL_MAX_D = 32: its
     elements and its orthogonality check take about 16 MB each at d = 32),
-    "pauli-unbiased" (d=2).  A d out of range raises ValueError before
-    anything is allocated."""
+    "pauli-unbiased" (d=2).
+
+    ``d`` is read as ``UnitaryBasis`` reads ``dim`` (``qmath.int_field``),
+    so 2.0 is 2, and a bool, a fractional float or a string raises
+    ValueError naming ``d``.  Each named basis is then built and checked
+    once per process: a repeat call returns the same read-only object, as
+    ``tester.named_tester_set`` does.  An unknown name or a d out of range
+    raises ValueError on every call, before anything is allocated, and is
+    not stored.  So the process keeps at most the four d = 2-only bases and
+    one weyl basis per d requested, 16 d^4 bytes each (16 MB at d = 32).
+    """
+    return _named_basis(name, qmath.int_field({"d": d}, "d"))
+
+
+@functools.cache
+def _named_basis(name: str, d: int) -> UnitaryBasis:
     return UnitaryBasis(dim=d, elements=_named_elements(name, d))
 
 

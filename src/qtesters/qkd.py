@@ -440,9 +440,10 @@ def default_lm05_config(rounds: int = 100_000, control_fraction: float = 0.0,
                         eve: EveStrategy | None = None, seed: int = 0,
                         stream: int = 0) -> ProtocolConfig:
     """Fixture config: the sets "z" = {0Z, 1Z} and "x" = {+X, -X} with the
-    rotation family.  The tester sets are the named ones, built and checked once per
-    process and shared read-only; the config's own checks run on every
-    call."""
+    rotation family.  The tester sets and the family are the named ones,
+    built and checked once per process and shared read-only, and each set's
+    completeness is tested once; a call runs only the config's field
+    checks."""
     return ProtocolConfig(
         d=2,
         D=2,
@@ -602,9 +603,10 @@ def default_extended_config(D: int = 2, rounds: int = 100_000,
                             stream: int = 0) -> ProtocolConfig:
     """Fixture configs: D=2 uses the Z/X computational-probe sets with the
     rotation pair families; D=4 uses the Bell-probe sets with the Pauli
-    family and its unbiased partner.  The tester sets are the named ones,
-    built and checked once per process and shared read-only; the config's
-    own checks run on every call."""
+    family and its unbiased partner.  The tester sets and families are the
+    named ones, built and checked once per process and shared read-only,
+    and each set's completeness is tested once; a call runs only the
+    config's field checks."""
     if D == 2:
         sets = (tester_mod.named_tester_set("z"), tester_mod.named_tester_set("xcomp"))
         encs = (build_named_basis("rotation", 2), build_named_basis("hadamard-pair", 2))

@@ -189,6 +189,11 @@ class TesterSet(TesterStack):
         if _MAX(np.abs(m - m[0]), axis=None) > DEFAULT_TOL:
             raise ValueError(self._mismatch)
 
+    @functools.cached_property
+    def _complete(self) -> bool:
+        # the set is immutable, so its completeness is tested on first use only
+        return _probes_complete(self.input)
+
 
 def outcome_amplitudes(t: Tester | TesterStack, u: np.ndarray) -> tuple:
     """The two products of the Born rule for u of shape (..., d, d):
@@ -284,8 +289,14 @@ def _entropy_logs(p: np.ndarray) -> tuple:
 def is_complete_set(s: TesterSet) -> bool:
     """True iff the probes of the tester set ``s`` are orthonormal and
     resolve the identity, each within ``DEFAULT_TOL``.  The shared
-    measurement was checked when ``s`` was built."""
-    inputs = s.input
+    measurement was checked when ``s`` was built.  The test runs once per
+    set, on the first call, and later calls return its stored verdict."""
+    return s._complete
+
+
+def _probes_complete(inputs: np.ndarray) -> bool:
+    """The Gram and resolution test of ``is_complete_set`` on the stacked
+    probes."""
     gram = inputs.conj() @ inputs.T
     if np.max(np.abs(gram - np.eye(len(inputs)))) > DEFAULT_TOL:
         return False

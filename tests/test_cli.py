@@ -28,9 +28,20 @@ class TestVerify:
         assert all(c["pass"] for c in checks)
 
     def test_payloads_byte_identical_across_runs(self, capsys):
-        _, r1, _ = run_cli(capsys, "verify", "--suite", "muub", "--seed", "3", "--json-only")
-        _, r2, _ = run_cli(capsys, "verify", "--suite", "muub", "--seed", "3", "--json-only")
-        assert json.dumps(r1["payload"], sort_keys=True) == json.dumps(r2["payload"], sort_keys=True)
+        """The named bases and tester sets are shared by every command of a
+        process, so a command that runs between two identical ones must not
+        change the second's report."""
+        between = (("qkd", "extended", "--D", "4"),
+                   ("muub-check", "--b1", "pauli", "--b2", "pauli-unbiased"),
+                   ("basis", "dump", "--name", "weyl", "--d", "3"))
+        for seed in range(4):
+            argv = ("verify", "--suite", "all", "--seed", str(seed), "--json-only")
+            code, r1, _ = run_cli(capsys, *argv)
+            assert code == 0 and r1["status"] == "pass"
+            for other in between:
+                assert run_cli(capsys, *other, "--json-only")[0] == 0
+            _, r2, _ = run_cli(capsys, *argv)
+            assert _without_timing(r1) == _without_timing(r2)
 
     def test_named_basis_checks_fail_on_non_orthogonal_elements(self, capsys, monkeypatch):
         named = muub._named_elements
@@ -428,6 +439,35 @@ class TestQkd:
                                   "--json-only")
         assert code == 0
         assert report["payload"]["stats"]["sifted"] > 0
+        config = report["payload"]["config"]
+        assert config["tester_sets"] == ["z", "xcomp"]
+        assert config["encoding_sets"] == ["rotation", "hadamard-pair"]
+
+    def test_recorded_config_replays_to_the_same_payload(self, capsys, tmp_path):
+        """A ``--config`` run records its sets and families as the file gave
+        them, a literal with every float whole, so its recorded ``config``,
+        written to a file, reruns to the same report bytes with the timing
+        fields dropped.  The file holds the D = 4 fixture conjugated by a
+        Haar unitary on the system, at full precision."""
+        w = qmath.haar_random_unitary(2, RngHandle(40, 0).generator())
+        bell = cli._conjugate_set(tester.named_tester_set("bell"), np.kron(w, np.eye(2)))
+        bellrot = cli._conjugate_set(tester.named_tester_set("bell-rot"), np.kron(w, np.eye(2)))
+        fams = [muub.UnitaryBasis(2, w @ muub.build_named_basis(n, 2).elements @ w.conj().T)
+                for n in ("pauli", "pauli-unbiased")]
+        obj = {"d": 2, "D": 4, "rounds": 3000, "seed": 7,
+               "eve": {"kind": "intercept-resend", "set_policy": "uniform"},
+               "tester_sets": [[t.to_json() for t in bell], [t.to_json() for t in bellrot]],
+               "encoding_sets": [b.to_json() for b in fams]}
+        code, first, _ = run_cli(capsys, "qkd", "extended", "--config",
+                                 _written(tmp_path / "cfg.json", obj), "--json-only")
+        assert code == 0
+        config = first["payload"]["config"]
+        assert config["tester_sets"] == obj["tester_sets"]
+        assert config["encoding_sets"] == obj["encoding_sets"]
+        code, second, _ = run_cli(capsys, "qkd", "extended", "--config",
+                                  _written(tmp_path / "replay.json", config), "--json-only")
+        assert code == 0
+        assert _without_timing(second) == _without_timing(first)
 
     def test_config_with_overrides_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg.json"

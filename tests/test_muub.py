@@ -165,18 +165,59 @@ class TestNamedBases:
 
     def test_weyl_dimension_cap(self, monkeypatch):
         # the basis and its overlap check hold 16 d^4 bytes each (16 MiB at
-        # d = 32), not one (D, D, d, d) product of 16 d^6 bytes
+        # d = 32), not one (D, D, d, d) product of 16 d^6 bytes; the memo is
+        # emptied first, so the basis is built here, and after, so the
+        # process does not keep it
+        muub._named_basis.cache_clear()
         tracemalloc.start()
         try:
             assert build_named_basis("weyl", muub.WEYL_MAX_D).D == muub.WEYL_MAX_D ** 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            muub._named_basis.cache_clear()
         assert peak < 8 * 16 * muub.WEYL_MAX_D ** 4
         monkeypatch.setattr(muub, "_weyl_basis", lambda d: pytest.fail(f"built d={d}"))
         d = muub.WEYL_MAX_D + 1
         with pytest.raises(ValueError, match=rf"^weyl basis needs d <= {d - 1}, got d={d}$"):
             build_named_basis("weyl", d)
+
+    @pytest.mark.parametrize("name, d", [(n, 2) for n in muub.BASIS_NAMES] + [("weyl", 3)])
+    def test_a_named_basis_is_built_once(self, name, d):
+        b = build_named_basis(name, d)
+        assert build_named_basis(name, d) is b
+        with pytest.raises(ValueError, match="read-only"):
+            b.elements[-1, 0, 0] = 0
+
+    def test_an_integral_float_d_is_the_int_d(self):
+        # weyl at 2.0 raised TypeError from range(2.0), while pauli at 2.0 ran
+        assert build_named_basis("weyl", 2.0) is build_named_basis("weyl", 2)
+        assert build_named_basis("weyl", np.int64(3)) is build_named_basis("weyl", 3.0)
+        assert build_named_basis("pauli", 2.0) is build_named_basis("pauli", 2)
+
+    @pytest.mark.parametrize("d", [True, 2.5, "2"], ids=["True", "2.5", "str"])
+    def test_a_d_that_is_not_an_integer_raises_on_every_call(self, d):
+        # before and after the name's valid call, so neither a cold nor a
+        # stored entry lets it through (True == 1 and 2.0 == 2 as keys)
+        muub._named_basis.cache_clear()
+        message = rf"^d must be an integer, not {re.escape(repr(d))}$"
+        for stored, name in enumerate(("weyl", "pauli")):
+            with pytest.raises(ValueError, match=message):
+                build_named_basis(name, d)
+            assert muub._named_basis.cache_info().currsize == stored
+            assert build_named_basis(name, 2).dim == 2
+            with pytest.raises(ValueError, match=message):
+                build_named_basis(name, d)
+            assert muub._named_basis.cache_info().currsize == stored + 1
+
+    @pytest.mark.parametrize("name, d", [("clifford", 2), ("pauli", 3), ("weyl", 1),
+                                         ("weyl", muub.WEYL_MAX_D + 1)])
+    def test_an_unknown_name_or_dim_raises_on_every_call(self, name, d):
+        stored = muub._named_basis.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build_named_basis(name, d)
+        assert muub._named_basis.cache_info().currsize == stored
 
     def test_json_roundtrip(self):
         b = build_named_basis("weyl", 3)

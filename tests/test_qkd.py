@@ -142,10 +142,11 @@ class TestExtended:
             run_extended(cfg)
 
     def test_a_second_fixture_config_builds_no_tester(self, monkeypatch):
-        """The named sets are built once per process; every config still
-        checks them."""
+        """The named sets and families are built once per process; every
+        config still asks for each set's completeness, which was tested on
+        the first."""
         first = default_extended_config(D=4)
-        built, checked = [], []
+        built, checked, tested = [], [], []
 
         def counting_init(self, real=Tester.__post_init__):
             built.append(self)
@@ -156,9 +157,12 @@ class TestExtended:
             return real(s)
         monkeypatch.setattr(Tester, "__post_init__", counting_init)
         monkeypatch.setattr(qkd, "is_complete_set", counting_check)
+        monkeypatch.setattr(qkd.tester_mod, "_probes_complete", tested.append)
+        monkeypatch.setattr(UnitaryBasis, "__post_init__", built.append)
         second = default_extended_config(D=4)
-        assert built == []
+        assert built == [] and tested == []
         assert checked == list(second.tester_sets) == list(first.tester_sets)
+        assert all(a is b for a, b in zip(second.encoding_sets, first.encoding_sets))
         qkd.tester_mod.bell_tester_set()  # the spy sees each tester that is built
         assert len(built) == 4
 

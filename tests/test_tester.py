@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qtesters import muub, qmath, tester
+from qtesters import cli, muub, qkd, qmath, tester
 from qtesters.tester import (
     HypothesisViolation,
     LeakyMeasurementError,
@@ -213,6 +213,52 @@ class TestCompleteSets:
 
     def test_bell_set_complete(self):
         assert is_complete_set(named_tester_set("bell"))
+
+    @staticmethod
+    def _agreement_sets():
+        named = [named_tester_set(n) for n in ("z", "x", "xcomp", "bell", "bell-rot")]
+        w = qmath.haar_random_unitary(2, qmath.RngHandle(11, 0).generator())
+        copies = [cli._conjugate_set(s, w) for s in named[:3]]
+        one = TesterSet(testers=(named_tester("0Z"),), dim=2)
+        apart = TesterSet(testers=(named_tester("0Z"), named_tester("+Z")), dim=2)
+        return named + copies + [one, apart]
+
+    def test_agrees_with_the_list_oracle(self):
+        verdicts = []
+        for s in self._agreement_sets():
+            got = is_complete_set(s)
+            assert got is oracles.complete_as_list(s.testers)
+            assert is_complete_set(s) is got  # the stored verdict
+            verdicts.append(got)
+        assert verdicts == [True] * 8 + [False, False]
+
+    def test_the_test_runs_once_per_set(self, monkeypatch):
+        """Configs and both proposition checks built from one fresh set
+        share its one completeness test."""
+        ran = []
+
+        def spy(inputs, real=tester._probes_complete):
+            ran.append(inputs)
+            return real(inputs)
+        monkeypatch.setattr(tester, "_probes_complete", spy)
+        z, xc, x = (TesterSet(testers=(named_tester(a), named_tester(b)), dim=2)
+                    for a, b in (("0Z", "1Z"), ("0X", "1X"), ("+X", "-X")))
+        rot, had = (muub.build_named_basis(n, 2) for n in ("rotation", "hadamard-pair"))
+        for seed in range(3):
+            qkd.ProtocolConfig(d=2, D=2, rounds=10, control_fraction=0.0,
+                               eve=qkd.EveStrategy(), tester_sets=(z, xc),
+                               encoding_sets=(rot, had), rng=qmath.RngHandle(seed))
+        assert muub.verify_prop_maximal(z, xc, rot, had).verdict
+        assert muub.verify_prop_trivial(z, x, list(rot), muub.rotation_span_samples(4)).verdict
+        assert muub.verify_prop_trivial(x, z, list(rot), muub.rotation_span_samples(4)).verdict
+        assert [r is s.input for r, s in zip(ran, (z, xc, x), strict=True)] == [True] * 3
+        apart = TesterSet(testers=(named_tester("0Z"), named_tester("+Z")), dim=2)
+        for _ in range(2):
+            with pytest.raises(qkd.ConfigError, match="^tester sets must be complete$"):
+                qkd.ProtocolConfig(d=2, D=2, rounds=10, control_fraction=0.0,
+                                   eve=qkd.EveStrategy(), tester_sets=(z, apart),
+                                   encoding_sets=(rot, had), rng=qmath.RngHandle(0))
+        assert len(ran) == 4 and ran[3] is apart.input
 
     def test_tester_set_requires_shared_measurement(self):
         with pytest.raises(ValueError, match=r"^testers do not share one projector list$"):
